@@ -1,8 +1,7 @@
 """Spectral decompositions, cospectral vertices, and interlacing.
 
-The decomposition is computed by a self-contained Jacobi rotation
-eigensolver; the exact charpoly machinery then cross-checks everything the
-numerics claim.
+The decomposition is computed by LAPACK (numpy.linalg.eigh); the exact
+charpoly machinery then cross-checks everything the numerics claim.
 
 Run with:  python3 demos/spectral_toolkit.py
 """

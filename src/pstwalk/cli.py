@@ -305,7 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(fn=cmd_cospectral)
 
-    p = sub.add_parser("pst", help="perfect state transfer certificate")
+    p = sub.add_parser(
+        "pst",
+        help="perfect state transfer certificate",
+        description="Certify perfect state transfer from a to b.  A certified "
+        "time is confirmed only if the fidelity |<b|U(t)|a>| there (the "
+        "amplitude's modulus, not its square) is at least 1 - 1e-9.",
+    )
     p.add_argument("graph")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
@@ -334,7 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(fn=cmd_compose)
 
-    p = sub.add_parser("search", help="exhaustive transfer search across a bridge")
+    p = sub.add_parser(
+        "search",
+        help="exhaustive transfer search across a bridge",
+        description="Certify every bridge composition of marked side graphs.  "
+        "Each certified failure is cross-checked by a fidelity scan over "
+        "[0, --scan-t-max]; a scanned |<b|U(t)|a>| (the amplitude's modulus, "
+        "not its square) of at least 1 - 1e-6 is a scan disagreement.",
+    )
     p.add_argument("--bridge", type=int, choices=(2, 3), required=True)
     p.add_argument("--max-n", type=int, default=4, help="largest side graph (default 4)")
     p.add_argument(

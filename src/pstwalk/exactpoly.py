@@ -18,12 +18,8 @@ __all__ = [
     "IntPoly",
     "T",
     "ExactDivisionError",
-    "poly_add",
-    "poly_sub",
-    "poly_mul",
     "poly_gcd",
     "poly_divexact",
-    "poly_eval_at_integer",
     "squarefree_part",
     "real_roots",
     "bareiss_det",
@@ -179,22 +175,6 @@ def _coerce(x) -> IntPoly:
 
 
 T = IntPoly((0, 1))
-
-
-def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p + q
-
-
-def poly_sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p - q
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p * q
-
-
-def poly_eval_at_integer(p: IntPoly, k: int) -> int:
-    return p(int(k))
 
 
 def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:

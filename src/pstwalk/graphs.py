@@ -596,19 +596,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     if g1.n > 8:
         raise ValueError("brute-force isomorphism is limited to n <= 8")
-    d1 = sorted(g1.degree(v) for v in range(g1.n))
-    d2 = sorted(g2.degree(v) for v in range(g2.n))
-    if d1 != d2:
-        return False
-    w1, w2 = g1.weights, g2.weights
-    for perm in itertools.permutations(range(g1.n)):
-        if all(
-            w1[i, j] == w2[perm[i], perm[j]]
-            for i in range(g1.n)
-            for j in range(i, g1.n)
-        ):
-            return True
-    return False
+    return canonical_key(g1) == canonical_key(g2)
 
 
 def canonical_key(g: Graph, root: int | None = None) -> tuple:
@@ -617,49 +605,28 @@ def canonical_key(g: Graph, root: int | None = None) -> tuple:
     n = g.n
     if n > 8:
         raise ValueError("canonical form is limited to n <= 8")
-    w = g.weights
-    best = None
-    verts = list(range(n))
     if root is None:
-        perms: Iterable = itertools.permutations(verts)
+        head, rest = (), list(range(n))
     else:
-        rest = [v for v in verts if v != root]
-        perms = ([root] + list(p) for p in itertools.permutations(rest))
-    for order in perms:
-        key = tuple(
-            w[order[i], order[j]] for i in range(n) for j in range(i, n)
-        )
-        if best is None or key < best:
-            best = key
+        g._check_vertex(root)
+        head, rest = (root,), [v for v in range(n) if v != root]
+    w = g.weights.tolist()
+    best = min(
+        tuple(w[order[i]][order[j]] for i in range(n) for j in range(i, n))
+        for order in (head + p for p in itertools.permutations(rest))
+    )
     return (n, best)
 
 
 def automorphism_orbits(g: Graph) -> list[list[int]]:
-    """Vertex orbits under the automorphism group, brute force."""
-    n = g.n
-    if n > 8:
+    """Vertex orbits under the automorphism group: two vertices share an
+    orbit exactly when their rooted canonical forms agree."""
+    if g.n > 8:
         raise ValueError("orbit computation is limited to n <= 8")
-    w = g.weights
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in itertools.permutations(range(n)):
-        if all(
-            w[i, j] == w[perm[i], perm[j]] for i in range(n) for j in range(i, n)
-        ):
-            for v in range(n):
-                ra, rb = find(v), find(perm[v])
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    orbits: dict[tuple, list[int]] = {}
+    for v in range(g.n):
+        orbits.setdefault(canonical_key(g, root=v), []).append(v)
+    return sorted(orbits.values())
 
 
 def connected_graphs(max_n: int) -> Iterator[Graph]:

@@ -1,13 +1,12 @@
 """Numeric eigendecomposition, eigenvalue supports, and cospectrality.
 
-The eigensolver is a self-contained cyclic Jacobi iteration so that the
-numeric route is independent of the exact polynomial route; the two are
-cross-checked wherever both apply.
+Eigen-data comes from LAPACK (``numpy.linalg.eigh``).  The numeric route
+shares nothing with the exact polynomial route; the two are cross-checked
+wherever both apply.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .graphs import Graph
 
 __all__ = [
     "SUPPORT_TOL",
-    "jacobi_eigh",
     "SpectralDecomposition",
     "decompose",
     "support",
@@ -30,48 +28,6 @@ __all__ = [
 ]
 
 SUPPORT_TOL = 1e-7
-
-
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric
-    matrix by cyclic Jacobi rotations.
-
-    Raises RuntimeError if the off-diagonal mass has not converged after
-    ``max_sweeps`` sweeps.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=0):
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be symmetric")
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = 1e-14 * scale
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[p, q] = a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-    w = a.diagonal().copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)
@@ -107,7 +63,8 @@ def decompose(g: Graph, tol: float | None = None) -> SpectralDecomposition:
         tol = 1e-9 * max(1.0, float(np.linalg.norm(a, np.inf)))
     if tol <= 0:
         raise ValueError("grouping tolerance must be positive")
-    w, v = jacobi_eigh(a)
+    w, v = np.linalg.eigh(a)
+    w, v = w[::-1], v[:, ::-1]
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[groups[-1][-1]] - w[i] < tol:

@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _eig_desc(m: np.ndarray) -> np.ndarray:
-    # numpy's solver, deliberately independent of the Jacobi route
+    # descending eigenvalues only; the interlacing checks need no eigenvectors
     return np.linalg.eigvalsh(m)[::-1]
 
 
@@ -232,10 +232,6 @@ def _split_signature(z: Graph, a: int, b: int):
         raise ValueError("composition endpoints are not strongly cospectral")
     plus = [th for th, s in sig.supported() if s == 1]
     minus = [th for th, s in sig.supported() if s == -1]
-    in_support = set()
-    for th, ia, ib, _ in sig.entries:
-        if ia or ib:
-            in_support.add(th)
     leftover = [th for th, ia, ib, _ in sig.entries if not (ia or ib)]
     return plus, minus, leftover
 

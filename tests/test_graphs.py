@@ -261,6 +261,9 @@ def test_canonical_key_separates_roots():
     p3 = build_path(3)
     assert canonical_key(p3, root=0) == canonical_key(p3, root=2)
     assert canonical_key(p3, root=0) != canonical_key(p3, root=1)
+    for root in (-1, 3):
+        with pytest.raises(ValueError):
+            canonical_key(p3, root=root)
 
 
 def test_automorphism_orbits():
@@ -270,6 +273,69 @@ def test_automorphism_orbits():
     assert sorted(map(sorted, orbits)) == [[0, 3], [1, 2]]
     orbits = automorphism_orbits(build_complete(4))
     assert sorted(map(sorted, orbits)) == [[0, 1, 2, 3]]
+
+
+def isomorphisms_by_brute_force(g1, g2):
+    """Oracle: every permutation p with w1[i, j] == w2[p[i], p[j]]."""
+    if g1.n != g2.n:
+        return []
+    return [
+        p
+        for p in itertools.permutations(range(g1.n))
+        if np.array_equal(g2.weights[np.ix_(p, p)], g1.weights)
+    ]
+
+
+def orbits_by_brute_force(g):
+    auts = isomorphisms_by_brute_force(g, g)
+    return sorted({tuple(sorted({p[v] for p in auts})) for v in range(g.n)})
+
+
+def test_orbits_and_isomorphism_match_brute_force():
+    rng = random.Random(7)
+    graphs = list(connected_graphs(5))
+    for g in graphs:
+        assert automorphism_orbits(g) == [list(o) for o in orbits_by_brute_force(g)]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert are_isomorphic(g, g.relabeled(perm))
+    # one graph per isomorphism class, which the oracle confirms
+    for g1, g2 in itertools.combinations(graphs, 2):
+        assert not isomorphisms_by_brute_force(g1, g2)
+        assert not are_isomorphic(g1, g2)
+
+
+def test_weighted_looped_isomorphism_matches_brute_force():
+    # each partner has the same edge set up to relabelling, so the same
+    # degree sequence, with edge weights and loops dealt out again
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        weights = [rng.choice([1, 2, -1, 0.5]) for _ in edges]
+        loops = [(v, rng.choice([1, -2])) for v in range(n) if rng.random() < 0.4]
+        g1 = Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, weights)], loops)
+        rng.shuffle(weights)
+        looped = rng.sample(range(n), len(loops))
+        g2 = Graph.from_edges(
+            n,
+            [(u, v, w) for (u, v), w in zip(edges, weights)],
+            [(v, w) for v, (_, w) in zip(looped, loops)],
+        )
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = g2.relabeled(perm)
+        assert sorted(map(g1.degree, range(n))) == sorted(map(g2.degree, range(n)))
+        expect = bool(isomorphisms_by_brute_force(g1, g2))
+        outcomes.add(expect)
+        assert are_isomorphic(g1, g2) == expect
+        assert automorphism_orbits(g1) == [list(o) for o in orbits_by_brute_force(g1)]
+    assert outcomes == {True, False}
+    # P3 with a loop at an end or in the middle: equal degrees, not isomorphic
+    end = build_path(3).with_loop(0, 1.0)
+    assert not are_isomorphic(end, build_path(3).with_loop(1, 1.0))
+    assert are_isomorphic(end, build_path(3).with_loop(2, 1.0))
 
 
 def test_connected_graph_counts():

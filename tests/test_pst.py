@@ -28,10 +28,16 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def fidelity_oracle(g, a, b, t):
-    """exp(itA) through numpy's eigendecomposition, nothing shared with the
-    package's spectral code."""
-    w, v = np.linalg.eigh(g.weights)
-    u = v @ np.diag(np.exp(1j * t * w)) @ v.T
+    """|<b|exp(itA)|a>| by scaling and squaring a Taylor series: no
+    eigendecomposition, so nothing is shared with the package's spectral code."""
+    squarings = math.ceil(math.log2(1 + t * np.linalg.norm(g.weights, 1)))
+    m = (1j * t / 2**squarings) * g.weights
+    u = term = np.eye(g.n, dtype=complex)
+    for k in range(1, 30):
+        term = term @ m / k
+        u = u + term
+    for _ in range(squarings):
+        u = u @ u
     return abs(u[b, a])
 
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pstwalk import spectral
 from pstwalk.graphs import (
     Graph,
     build_complete,
@@ -16,7 +17,6 @@ from pstwalk.graphs import (
 from pstwalk.spectral import (
     cospectral,
     decompose,
-    jacobi_eigh,
     projector_entry_via_neutrino,
     strongly_cospectral,
     strongly_cospectral_exact,
@@ -43,22 +43,26 @@ def random_int_graph(rng, n, p=0.5, weighted=False, loops=False):
     return Graph(w)
 
 
-def test_jacobi_matches_numpy_eigh():
+def test_decompose_float_weights_matches_eigvalsh():
     rng = np.random.default_rng(100)
     for _ in range(200):
-        n = rng.integers(1, 11)
-        m = random_symmetric(rng, int(n))
-        w, v = jacobi_eigh(m)
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-        assert np.allclose(w, ref, atol=1e-10 * max(1, np.abs(m).max()))
-        assert np.allclose(v.T @ v, np.eye(int(n)), atol=1e-12)
-        assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-10 * max(1, np.abs(m).max()))
+        n = int(rng.integers(1, 11))
+        g = Graph(random_symmetric(rng, n))
+        dec = decompose(g)
+        expanded = np.repeat(dec.distinct_eigenvalues, dec.multiplicities)
+        ref = np.sort(np.linalg.eigvalsh(g.weights))[::-1]
+        scale = max(1, np.abs(g.weights).max())
+        assert np.allclose(expanded, ref, atol=1e-10 * scale)
+        assert np.allclose(dec.reconstruct(), g.weights, atol=1e-10 * scale)
 
 
-def test_jacobi_handles_diagonal():
-    w, v = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(w, [3.0, 2.0, -1.0])
-    assert np.allclose(np.abs(v), np.eye(3)[:, [0, 2, 1]])
+def test_decompose_diagonal_loops():
+    g = Graph.from_edges(3, loops=[(0, 3.0), (1, -1.0), (2, 2.0)])
+    dec = decompose(g)
+    assert dec.distinct_eigenvalues == pytest.approx([3.0, 2.0, -1.0], abs=1e-12)
+    assert dec.multiplicities == (1, 1, 1)
+    for e, v in zip(dec.projectors, (0, 2, 1)):
+        assert np.allclose(e, np.diag(np.eye(3)[v]), atol=1e-12)
 
 
 def test_decompose_invariants():
@@ -149,6 +153,15 @@ def test_exact_decision_matches_numeric():
         a, b = rng.sample(range(n), 2)
         numeric, _ = strongly_cospectral(g, a, b)
         assert numeric == strongly_cospectral_exact(g, a, b)
+
+
+def test_exact_numeric_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "strongly_cospectral_exact", lambda g, a, b: False)
+    with pytest.raises(RuntimeError, match="disagree"):
+        strongly_cospectral(build_path(3), 0, 2)
+    monkeypatch.setattr(spectral, "strongly_cospectral_exact", lambda g, a, b: True)
+    with pytest.raises(RuntimeError, match="disagree"):
+        strongly_cospectral(build_path(3), 0, 1)
 
 
 def test_exact_decision_canonical_cases():
