@@ -8,11 +8,13 @@ convention.
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, iter_ab_paths
+import numpy as np
+
+from .graphs import Graph
 
 __all__ = [
     "IntPoly",
@@ -310,7 +312,12 @@ def real_roots(p: IntPoly, tol: float = 1e-12) -> list[float]:
 # exact determinants and characteristic polynomials
 
 def bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
+    """Fraction-free (Bareiss) determinant of an integer matrix.
+
+    Nothing in the library calls it: ``charpoly`` runs modulo primes.  It
+    stays as the independent exact oracle that the tests compare
+    ``charpoly`` against, as det(kI - A) == charpoly(g)(k).
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -339,46 +346,122 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _interpolate_monic(values: list[int]) -> IntPoly:
-    """Newton interpolation through (k, values[k]) for k = 0..n; the result
-    must come out with integer coefficients."""
-    pts = list(range(len(values)))
-    dd = [Fraction(v) for v in values]
-    n = len(values)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (pts[i] - pts[i - level])
-    # Horner in the Newton basis
-    coeffs = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):
-        # multiply by (t - pts[i]) then add dd[i]
-        coeffs = [Fraction(0)] + coeffs
-        for j in range(len(coeffs) - 1):
-            coeffs[j] -= pts[i] * coeffs[j + 1]
-        coeffs[0] += dd[i]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return IntPoly(out)
+# Every residue is below 2**26, so a product is below 2**52 and a dot
+# product of n of them, plus a residue, stays below 2**63 while n <= 2**11.
+_PRIME_BITS = 26
+_MAX_ORDER = (2**63 - 2**_PRIME_BITS) // (2**_PRIME_BITS - 1) ** 2
+
+
+@functools.cache
+def _primes() -> tuple[int, ...]:
+    """The primes in [2**26 - 2**16, 2**26), largest first: a fixed list,
+    so every run uses the same moduli."""
+    hi = 2**_PRIME_BITS
+    lo = hi - 2**16
+    root = math.isqrt(hi)
+    small = np.ones(root + 1, dtype=bool)  # sieve of the primes up to root
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = False
+    window = np.ones(hi - lo, dtype=bool)
+    for q in np.flatnonzero(small):
+        window[(-lo) % q :: q] = False
+    return tuple(int(lo + i) for i in np.flatnonzero(window)[::-1])
+
+
+def _coefficient_bound(rows: list[list[int]]) -> int:
+    """prod(1 + r_i), r_i = ceil(||row i||_2).  The coefficient of
+    t**(n-k) is a signed sum of k x k principal minors, each at most the
+    product of its row norms (Hadamard), so it is at most e_k(r) <= this."""
+    bound = 1
+    for row in rows:
+        s = sum(x * x for x in row)
+        r = math.isqrt(s)
+        bound *= 1 + r + (r * r < s)
+    return bound
+
+
+def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(tI - A) mod p, ascending, for A an object
+    array of Python integers.
+
+    A is reduced to upper-Hessenberg form H by similarity over GF(p),
+    pivoting by a row and column swap (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9), then phi is read off the
+    recurrence p_m = (t - h_mm) p_{m-1} - sum_i (h_{m,m-1} ... h_{m-i+1,m-i})
+    h_{m-i,m} p_{m-i-1}.
+    """
+    n = len(a)
+    h = (a % p).astype(np.int64)
+    for m in range(1, n - 1):
+        nonzero = np.flatnonzero(h[m:, m - 1])
+        if not nonzero.size:
+            continue
+        i = m + int(nonzero[0])
+        if i != m:
+            h[[m, i]] = h[[i, m]]
+            h[:, [m, i]] = h[:, [i, m]]
+        u = h[m + 1 :, m - 1] * pow(int(h[m, m - 1]), -1, p) % p
+        # columns left of m - 1 are already zero below the subdiagonal
+        h[m + 1 :, m - 1 :] = (h[m + 1 :, m - 1 :] - np.outer(u, h[m, m - 1 :])) % p
+        h[:, m] = (h[:, m] + h[:, m + 1 :] @ u) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    # prods[i] = h_{m,m-1} h_{m-1,m-2} ... h_{m-i+1,m-i}, prods[0] = 1
+    prods = np.ones(1, dtype=np.int64)
+    for m in range(1, n + 1):
+        if m > 1:
+            prods = np.concatenate(([1], prods * h[m - 1, m - 2] % p))
+        c = prods * h[m - 1 :: -1, m - 1] % p
+        polys[m, 1 : m + 1] = polys[m - 1, :m]
+        polys[m, :m] = (polys[m, :m] - c @ polys[m - 1 :: -1, :m]) % p
+    return polys[n]
+
+
+def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
+    """det(tI - A) for an integer matrix, by residues modulo enough fixed
+    primes to cover twice the coefficient bound, combined by CRT into
+    symmetric residues.  Every prime is valid: the reduction is a
+    similarity over GF(p), so no prime has to be discarded."""
+    n = len(rows)
+    if n > _MAX_ORDER:
+        raise OverflowError(f"charpoly supports up to {_MAX_ORDER} vertices, got {n}")
+    need = 2 * _coefficient_bound(rows)
+    a = np.array(rows, dtype=object)
+    primes = _primes()
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    k = 0
+    while modulus <= need:
+        if k == len(primes):
+            raise OverflowError("weights too large for the fixed prime list")
+        p = primes[k]
+        k += 1
+        residues = _charpoly_mod(a, p)
+        # Garner step: lift x (mod modulus) to x (mod modulus * p)
+        inv = pow(modulus % p, -1, p)
+        for j, r in enumerate(residues.tolist()):
+            coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
+        modulus *= p
+    half = modulus // 2
+    return IntPoly(c - modulus if c > half else c for c in coeffs)
 
 
 def charpoly(g: Graph) -> IntPoly:
-    """det(tI - A), exact, by fraction-free evaluation at t = 0..n and
-    interpolation.  Requires integer weights."""
+    """det(tI - A), exact.  Requires integer weights.
+
+    Multi-modular: Hessenberg reduction modulo a fixed list of primes
+    below 2**26 (numpy int64), as many as the Hadamard bound on the
+    coefficients asks for, then CRT.  Weights beyond int64 work because
+    they are reduced modulo each prime as Python integers first.
+    """
     key = ("charpoly", None)
     cached = g._poly_cache.get(key)
     if cached is not None:
         return cached
-    a = g.int_matrix()
-    n = g.n
-    values = []
-    for k in range(n + 1):
-        m = [[(k if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-        values.append(bareiss_det(m))
-    p = _interpolate_monic(values)
-    if p.degree != n or not p.is_monic:
+    p = _charpoly_of_rows(g.int_matrix())
+    if p.degree != g.n or not p.is_monic:
         raise ArithmeticError("characteristic polynomial failed its shape check")
     g._poly_cache[key] = p
     return p
@@ -444,25 +527,33 @@ def pendant_sqrt2_charpoly(phi_y: IntPoly, phi_y_del: IntPoly) -> IntPoly:
 
 def path_sum_poly(g: Graph, a: int, b: int) -> IntPoly:
     """Sum over all simple a..b paths P of w(P) * phi(G minus P), where
-    w(P) is the product of the edge weights along P.
+    w(P) is the product of the edge weights along P: the (a, b) entry of
+    adj(tI - A) (Godsil, Algebraic Combinatorics, ch. 4).
 
-    On unweighted graphs every w(P) is 1.  The square of this polynomial
-    equals phi(G\\a) phi(G\\b) - phi(G) phi(G\\ab); signed, it gives the
-    numerator of the off-diagonal resolvent entry."""
+    The square of this polynomial equals phi(G\\a) phi(G\\b) - phi(G)
+    phi(G\\ab); signed, it gives the numerator of the off-diagonal
+    resolvent entry.  No path is enumerated: for symmetric A the rank-2
+    update s (e_a e_b^T + e_b e_a^T) gives
+
+        phi(G + s ab) = phi(G) - 2 s P_ab - s**2 phi(G\\ab),
+
+    so with s = 1, P_ab = (phi(G) - phi(G + ab) - phi(G\\ab)) / 2, where
+    G + ab is G with the weight of ab raised by 1."""
+    g._check_vertex(a)
+    g._check_vertex(b)
     if a == b:
         raise ValueError("path endpoints must differ")
     key = ("pathsum", a, b)
     cached = g._poly_cache.get(key)
     if cached is not None:
         return cached
-    w = g.int_matrix()
-    total = IntPoly()
-    for path in iter_ab_paths(g, a, b):
-        weight = 1
-        for u, v in zip(path, path[1:]):
-            weight *= w[u][v]
-        total = total + weight * charpoly_deleted(g, path)
-    # every path reversed has the same vertex set and weight product
+    rows = g.int_matrix()
+    rows[a][b] += 1
+    rows[b][a] += 1
+    twice = charpoly(g) - _charpoly_of_rows(rows) - charpoly_deleted(g, [a, b])
+    if any(c % 2 for c in twice.coeffs):
+        raise ArithmeticError("path sum identity left an odd coefficient")
+    total = IntPoly(c // 2 for c in twice.coeffs)
     g._poly_cache[key] = total
     g._poly_cache[("pathsum", b, a)] = total
     return total

@@ -333,6 +333,7 @@ def pst_certificate(
     grouping_tol: float | None = None,
     support_tol: float = SUPPORT_TOL,
     round_tol: float = ROUND_TOL,
+    dec: SpectralDecomposition | None = None,
 ) -> PstCertificate:
     """Decide perfect state transfer between a and b.
 
@@ -342,10 +343,16 @@ def pst_certificate(
     derived from the phase congruences and cross-validated by evolving
     the walk; a cross-validation miss raises rather than returning a
     wrong certificate.
+
+    ``dec`` is a decomposition of g already at hand; it was grouped with
+    its own tolerance, so giving ``grouping_tol`` as well is an error.
     """
     if a == b:
         raise ValueError("perfect state transfer needs two distinct vertices")
-    dec = decompose(g, tol=grouping_tol)
+    if dec is None:
+        dec = decompose(g, tol=grouping_tol)
+    elif grouping_tol is not None:
+        raise ValueError("give either dec or grouping_tol, not both")
     sc, sig = strongly_cospectral(g, a, b, dec=dec, support_tol=support_tol)
     if not sc:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")

@@ -368,7 +368,8 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
     report = SearchReport(bridge=bridge, max_n=0, source="")
     for (y1, a), (y2, b) in pairs:
         z, ga, gb = compose(y1, a, y2, b, bridge)
-        cert = pst_certificate(z, ga, gb)
+        dec = decompose(z)
+        cert = pst_certificate(z, ga, gb, dec=dec)
         report.instances_tested += 1
         if cert.failure_reason != "not_strongly_cospectral":
             report.strongly_cospectral_pairs += 1
@@ -382,7 +383,7 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
         }
         if cert.success:
             t_best, f_best = fidelity_scan(
-                z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000)
+                z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000), dec=dec
             )
             if f_best < 1.0 - 1e-6:
                 raise RuntimeError(
@@ -398,7 +399,7 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
             )
             if scan_cross_check:
                 report.scan_checked += 1
-                t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
+                t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps, dec=dec)
                 # approximate transfer can creep arbitrarily close to 1, so
                 # only a violation of the certificate threshold counts
                 if f_best >= 1.0 - 1e-6:

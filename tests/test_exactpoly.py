@@ -38,13 +38,14 @@ from pstwalk.graphs import (
     build_path,
     build_star,
     compose,
+    iter_ab_paths,
     one_sum,
 )
 
 
 def charpoly_oracle(g):
     """det(tI - A) by Leibniz expansion over permutations with IntPoly
-    entries, completely independent of the Bareiss + interpolation route."""
+    entries, completely independent of the multi-modular route."""
     n = g.n
     a = g.int_matrix()
     total = IntPoly(())
@@ -220,6 +221,70 @@ def test_charpoly_matches_leibniz_oracle():
         assert charpoly(g) == charpoly_oracle(g)
 
 
+def power(p, k):
+    out = IntPoly((1,))
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(v, v ^ (1 << k)) for v in range(n) for k in range(d) if v < v ^ (1 << k)])
+
+
+def test_charpoly_complete_closed_form():
+    for n in range(1, 41):
+        expected = (T - (n - 1)) * power(T + 1, n - 1)
+        assert charpoly(build_complete(n)) == expected
+
+
+def test_charpoly_path_chebyshev_recurrence():
+    # phi(P_n) = t phi(P_{n-1}) - phi(P_{n-2}), phi(P_0) = 1, phi(P_1) = t
+    prev, cur = IntPoly((1,)), T
+    for n in range(2, 81):
+        prev, cur = cur, T * cur - prev
+        assert charpoly(build_path(n)) == cur
+
+
+def test_charpoly_hypercube_q6():
+    expected = IntPoly((1,))
+    for k in range(7):
+        expected = expected * power(T - (6 - 2 * k), math.comb(6, k))
+    assert charpoly(hypercube(6)) == expected
+
+
+def test_charpoly_weight_beyond_int64():
+    g = Graph.from_edges(2, [(0, 1, 2.0**70)])
+    assert charpoly(g) == T * T - 2**140
+
+
+def test_charpoly_refuses_orders_that_would_overflow_int64():
+    # the check runs before any arithmetic, so shared empty rows suffice
+    with pytest.raises(OverflowError):
+        xp._charpoly_of_rows([[0]] * (xp._MAX_ORDER + 1))
+
+
+def test_charpoly_matches_bareiss_oracle():
+    # bareiss_det is the exact oracle: charpoly(g)(k) == det(kI - A), k = 0..n
+    rng = random.Random(16)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    w[i, j] = w[j, i] = rng.randint(-50, 50)
+            if rng.random() < 0.3:
+                w[i, i] = rng.randint(-50, 50)
+        g = Graph(w)
+        a = g.int_matrix()
+        phi = charpoly(g)
+        for k in range(n + 1):
+            shifted = [[(k if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+            assert phi(k) == bareiss_det(shifted)
+
+
 def test_charpoly_requires_integer_weights():
     g = Graph(np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError):
@@ -321,6 +386,40 @@ def test_path_sum_examples():
     # weighted edge: the path contributes its weight product
     g = Graph(np.array([[0.0, 3.0], [3.0, 0.0]]))
     assert path_sum_poly(g, 0, 1).coeffs == (3,)
+
+
+def path_sum_oracle(g, a, b):
+    """The defining sum: w(P) phi(G minus P) over simple a..b paths P."""
+    w = g.int_matrix()
+    total = IntPoly(())
+    for path in iter_ab_paths(g, a, b):
+        weight = 1
+        for u, v in zip(path, path[1:]):
+            weight *= w[u][v]
+        total = total + weight * charpoly_deleted(g, path)
+    return total
+
+
+def test_path_sum_matches_path_enumeration():
+    # pins sign and weights, which the squared identity cannot tell apart
+    rng = random.Random(18)
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        g = random_int_graph(rng, n, weighted=True, loops=rng.random() < 0.5)
+        a, b = rng.sample(range(n), 2)
+        assert path_sum_poly(g, a, b) == path_sum_oracle(g, a, b)
+
+
+def test_path_sum_complete_closed_form():
+    for n in range(2, 31):
+        assert path_sum_poly(build_complete(n), 0, n - 1) == power(T + 1, n - 2)
+
+
+def test_path_sum_rejects_bad_vertices():
+    g = build_path(3)
+    for a, b in [(0, 3), (3, 0), (-1, 2), (1, 1)]:
+        with pytest.raises(ValueError):
+            path_sum_poly(g, a, b)
 
 
 def test_walk_gf_reduction():

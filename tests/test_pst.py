@@ -23,6 +23,7 @@ from pstwalk.pst import (
     pst_certificate,
     quadratic_integer_structure,
 )
+from pstwalk.spectral import decompose
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -186,6 +187,14 @@ def test_certificate_failures():
 def test_certificate_rejects_same_vertex():
     with pytest.raises(ValueError):
         pst_certificate(build_path(2), 0, 0)
+
+
+def test_certificate_takes_a_decomposition():
+    g = build_path(3)
+    dec = decompose(g)
+    assert pst_certificate(g, 0, 2, dec=dec) == pst_certificate(g, 0, 2)
+    with pytest.raises(ValueError):
+        pst_certificate(g, 0, 2, grouping_tol=1e-8, dec=dec)
 
 
 def test_transfer_at_odd_multiples_only():

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pstwalk import pst, spectral, verify
 from pstwalk.graphs import build_complete, build_cycle, build_double_star, build_path, build_star
 from pstwalk.verify import (
     EquitabilityError,
@@ -175,6 +176,21 @@ def test_search_parallel_matches_serial():
     assert sorted(map(str, serial.pst_successes)) == sorted(
         map(str, parallel.pst_successes)
     )
+
+
+def test_search_decomposes_once_per_pair(monkeypatch):
+    calls = []
+    original = spectral.decompose
+
+    def counting(g, tol=None):
+        calls.append(g.n)
+        return original(g, tol=tol)
+
+    for module in (pst, spectral, verify):
+        monkeypatch.setattr(module, "decompose", counting)
+    report = search_no_pst(2, 3)
+    assert report.instances_tested > 0
+    assert len(calls) == report.instances_tested
 
 
 def test_search_rejects_bad_bridge():
