@@ -21,7 +21,6 @@ from .exactpoly import (
     walk_gf,
 )
 from .graphs import (
-    CompositionSpec,
     Graph,
     GraphParseError,
     build_complete,
@@ -31,7 +30,6 @@ from .graphs import (
     build_path,
     build_star,
     compose,
-    compose_bridge,
     connected_graphs,
     enumerate_ab_paths,
     iter_ab_paths,

@@ -25,9 +25,9 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .pst import ROUND_TOL, evolve_fidelity, fidelity_scan, pst_certificate
+from .pst import CONFIRM_TOL, ROUND_TOL, pst_certificate
 from .spectral import SUPPORT_TOL, cospectral, decompose, strongly_cospectral
-from .verify import SUITE_NAMES, run_suite, search_no_pst
+from .verify import SCAN_THRESHOLD, SUITE_NAMES, run_suite, search_no_pst
 
 SCHEMA_VERSION = "1"
 
@@ -110,7 +110,7 @@ def cmd_charpoly(args) -> int:
 def cmd_spectrum(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args.graph, args.format)
-    dec = decompose(g, tol=args.tol)
+    dec = decompose(g)
     result = {
         "n": g.n,
         "distinct_eigenvalues": list(dec.distinct_eigenvalues),
@@ -134,11 +134,11 @@ def cmd_cospectral(args) -> int:
     result = {"a": args.a, "b": args.b, "cospectral": cospectral(g, args.a, args.b)}
     tolerances = {}
     if args.strong:
-        dec = decompose(g, tol=args.tol)
-        sc, sig = strongly_cospectral(g, args.a, args.b, dec=dec, support_tol=args.support_tol)
+        dec = decompose(g)
+        sc, sig = strongly_cospectral(g, args.a, args.b, dec=dec)
         result["strongly_cospectral"] = sc
         result["signature"] = sig.to_json()
-        tolerances = {"grouping_tol": dec.grouping_tolerance, "support_tol": args.support_tol}
+        tolerances = {"grouping_tol": dec.grouping_tolerance, "support_tol": SUPPORT_TOL}
     _emit("cospectral", _digest(raw), tolerances, result, started)
     line = f"cospectral: {result['cospectral']}"
     if args.strong:
@@ -150,18 +150,11 @@ def cmd_cospectral(args) -> int:
 def cmd_pst(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args.graph, args.format)
-    cert = pst_certificate(
-        g,
-        args.a,
-        args.b,
-        grouping_tol=args.tol,
-        support_tol=args.support_tol,
-        round_tol=args.round_tol,
-    )
+    cert = pst_certificate(g, args.a, args.b)
     result = cert.to_json()
     if cert.success:
-        result["fidelity_confirmation"] = evolve_fidelity(g, args.a, args.b, cert.pst_time)
-    tolerances = {"support_tol": args.support_tol, "round_tol": args.round_tol}
+        result["fidelity_confirmation"] = cert.fidelity_at_time
+    tolerances = {"support_tol": SUPPORT_TOL, "round_tol": ROUND_TOL}
     _emit("pst", _digest(raw), tolerances, result, started)
     if cert.success:
         _say(f"perfect state transfer at t = {cert.pst_time:.12g}")
@@ -175,8 +168,9 @@ def cmd_compose(args) -> int:
     g1, raw1 = _load_graph(args.y1, args.format)
     g2, raw2 = _load_graph(args.y2, args.format)
     z, ga, gb = compose(g1, args.a, g2, args.b, args.bridge)
-    cert = pst_certificate(z, ga, gb)
-    sc, sig = strongly_cospectral(z, ga, gb)
+    dec = decompose(z)
+    cert = pst_certificate(z, ga, gb, dec=dec)
+    sc, _ = strongly_cospectral(z, ga, gb, dec=dec)
     result = {
         "edgelist": serialize_graph(z, "edgelist"),
         "a": ga,
@@ -229,7 +223,7 @@ def cmd_search(args) -> int:
     )
     result = report.to_json()
     result["nontrivial_successes"] = report.nontrivial_successes
-    tolerances = {"scan_threshold": 1e-6, "scan_t_max": args.scan_t_max}
+    tolerances = {"scan_threshold": SCAN_THRESHOLD, "scan_t_max": args.scan_t_max}
     _emit("search", digest, tolerances, result, started)
     _say(
         f"tested {report.instances_tested} compositions, "
@@ -286,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues with multiplicities")
     p.add_argument("graph")
-    p.add_argument("--tol", type=float, default=None, help="eigenvalue grouping tolerance")
     add_format(p)
     p.set_defaults(fn=cmd_spectrum)
 
@@ -295,13 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--strong", action="store_true", help="also decide strong cospectrality")
-    p.add_argument("--tol", type=float, default=None, help="eigenvalue grouping tolerance")
-    p.add_argument(
-        "--support-tol",
-        type=float,
-        default=SUPPORT_TOL,
-        help=f"projector support threshold (default {SUPPORT_TOL:g})",
-    )
     add_format(p)
     p.set_defaults(fn=cmd_cospectral)
 
@@ -310,19 +296,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="perfect state transfer certificate",
         description="Certify perfect state transfer from a to b.  A certified "
         "time is confirmed only if the fidelity |<b|U(t)|a>| there (the "
-        "amplitude's modulus, not its square) is at least 1 - 1e-9.",
+        f"amplitude's modulus, not its square) is at least 1 - {CONFIRM_TOL:g}.",
     )
     p.add_argument("graph")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.add_argument("--tol", type=float, default=None, help="eigenvalue grouping tolerance")
-    p.add_argument("--support-tol", type=float, default=SUPPORT_TOL)
-    p.add_argument(
-        "--round-tol",
-        type=float,
-        default=ROUND_TOL,
-        help=f"integer rounding tolerance (default {ROUND_TOL:g})",
-    )
     add_format(p)
     p.set_defaults(fn=cmd_pst)
 
@@ -346,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify every bridge composition of marked side graphs.  "
         "Each certified failure is cross-checked by a fidelity scan over "
         "[0, --scan-t-max]; a scanned |<b|U(t)|a>| (the amplitude's modulus, "
-        "not its square) of at least 1 - 1e-6 is a scan disagreement.",
+        f"not its square) of at least 1 - {SCAN_THRESHOLD:g} is a scan disagreement.",
     )
     p.add_argument("--bridge", type=int, choices=(2, 3), required=True)
     p.add_argument("--max-n", type=int, default=4, help="largest side graph (default 4)")

@@ -268,7 +268,11 @@ def _bisect_root(p: IntPoly, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def real_roots(p: IntPoly, tol: float = 1e-12) -> list[float]:
+# Isolated roots closer than _ROOT_MERGE_TOL are reported once.
+_ROOT_MERGE_TOL = 1e-12
+
+
+def real_roots(p: IntPoly) -> list[float]:
     """All real roots of p, ascending, without multiplicity.
 
     Isolation by recursion on the derivative (roots are separated by
@@ -303,7 +307,7 @@ def real_roots(p: IntPoly, tol: float = 1e-12) -> list[float]:
     out = solve(p)
     dedup: list[float] = []
     for r in sorted(out):
-        if not dedup or abs(r - dedup[-1]) > tol:
+        if not dedup or abs(r - dedup[-1]) > _ROOT_MERGE_TOL:
             dedup.append(r)
     return dedup
 

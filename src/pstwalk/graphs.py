@@ -8,7 +8,6 @@ they can be shared freely between the exact and numeric layers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphParseError",
-    "CompositionSpec",
     "build_path",
     "build_cycle",
     "build_complete",
@@ -25,7 +23,6 @@ __all__ = [
     "cone",
     "build_double_star",
     "build_extended_double_star",
-    "compose_bridge",
     "compose",
     "one_sum",
     "iter_ab_paths",
@@ -161,31 +158,25 @@ class Graph:
                 w[p[i], p[j]] = self.weights[i, j]
         return Graph(w)
 
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
+    def _reach(self, start: int) -> set[int]:
+        """Vertices reachable from ``start``, by depth-first search."""
+        seen = {start}
+        stack = [start]
         while stack:
             u = stack.pop()
             for v in self.neighbors(u):
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return len(seen) == self.n
+        return seen
+
+    def is_connected(self) -> bool:
+        return len(self._reach(0)) == self.n
 
     def connected_between(self, a: int, b: int) -> bool:
         self._check_vertex(a)
         self._check_vertex(b)
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                return True
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return b in seen
+        return b in self._reach(a)
 
     def articulation_points(self) -> set[int]:
         """Cut vertices, by deletion and recount.  Fine at the sizes used here."""
@@ -202,17 +193,9 @@ class Graph:
         seen: set[int] = set()
         comps = 0
         for start in range(self.n):
-            if start in seen:
-                continue
-            comps += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for v in self.neighbors(u):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
+            if start not in seen:
+                comps += 1
+                seen |= self._reach(start)
         return comps
 
     def _check_vertex(self, v: int) -> None:
@@ -323,26 +306,17 @@ def build_extended_double_star(k: int, ell: int) -> tuple[Graph, int, int]:
 # compositions
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
-    """Bridge composition: y1 and y2 joined by a path on ``bridge_path_vertices``
-    vertices whose endpoints are identified with a in y1 and b in y2."""
-
-    y1: Graph
-    a: int
-    y2: Graph
-    b: int
-    bridge_path_vertices: int = 2
-
-
-def compose_bridge(spec: CompositionSpec) -> tuple[Graph, int, int]:
-    """Glue spec.y1 and spec.y2 along a bridge path.
+def compose(
+    y1: Graph, a: int, y2: Graph, b: int, bridge_path_vertices: int = 2
+) -> tuple[Graph, int, int]:
+    """Join y1 and y2 by a path on ``bridge_path_vertices`` vertices whose
+    endpoints are a in y1 and b in y2.
 
     Vertex layout: y1 keeps its labels, y2 is shifted by n1, the internal
     path vertices (if any) come last.  Returns (graph, a, b) in the new
     labelling.
     """
-    y1, a, y2, b, m = spec.y1, spec.a, spec.y2, spec.b, spec.bridge_path_vertices
+    m = bridge_path_vertices
     y1._check_vertex(a)
     y2._check_vertex(b)
     if m < 2:
@@ -359,10 +333,6 @@ def compose_bridge(spec: CompositionSpec) -> tuple[Graph, int, int]:
         w[u, v] = 1.0
         w[v, u] = 1.0
     return Graph(w), ga, gb
-
-
-def compose(y1: Graph, a: int, y2: Graph, b: int, bridge_path_vertices: int = 2):
-    return compose_bridge(CompositionSpec(y1, a, y2, b, bridge_path_vertices))
 
 
 def one_sum(y1: Graph, b1: int, y2: Graph, b2: int) -> tuple[Graph, int]:

@@ -20,9 +20,10 @@ from functools import reduce
 import numpy as np
 
 from .graphs import Graph
-from .spectral import SUPPORT_TOL, SpectralDecomposition, decompose, strongly_cospectral
+from .spectral import SpectralDecomposition, decompose, strongly_cospectral
 
 __all__ = [
+    "CONFIRM_TOL",
     "ROUND_TOL",
     "PstCertificate",
     "evolve_fidelity",
@@ -33,8 +34,12 @@ __all__ = [
     "StructureFailure",
 ]
 
+# Pair sums and squared gaps within ROUND_TOL of an integer count as integers.
 ROUND_TOL = 1e-6
+# Each eigenvalue must match (alpha + beta sqrt(delta)) / 2 to within _RECON_TOL.
 _RECON_TOL = 1e-7
+# A certified transfer time must show a fidelity of at least 1 - CONFIRM_TOL.
+CONFIRM_TOL = 1e-9
 
 FAILURE_REASONS = (
     "not_strongly_cospectral",
@@ -211,9 +216,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def quadratic_integer_structure(
-    thetas: list[float], round_tol: float = ROUND_TOL
-) -> tuple[int, int, tuple[int, ...]]:
+def quadratic_integer_structure(thetas: list[float]) -> tuple[int, int, tuple[int, ...]]:
     """Find integers alpha, squarefree delta, and integers beta_r with
     theta_r = (alpha + beta_r sqrt(delta)) / 2 for every input eigenvalue.
 
@@ -227,7 +230,7 @@ def quadratic_integer_structure(
     for i, ti in enumerate(thetas):
         for tj in thetas[i:]:
             s = ti + tj
-            if abs(s - round(s)) <= round_tol:
+            if abs(s - round(s)) <= ROUND_TOL:
                 candidates.add(round(s))
     if not candidates:
         raise StructureFailure("no_common_alpha")
@@ -237,19 +240,19 @@ def quadratic_integer_structure(
         for th in thetas:
             d = (2.0 * th - alpha) ** 2
             di = round(d)
-            if abs(d - di) > round_tol:
+            if abs(d - di) > ROUND_TOL:
                 break
             ds.append(di)
         else:
             try:
-                return _extract_betas(thetas, alpha, ds, round_tol)
+                return _extract_betas(thetas, alpha, ds)
             except StructureFailure as exc:
                 if downstream is None:
                     downstream = exc
     raise downstream or StructureFailure("no_common_alpha")
 
 
-def _extract_betas(thetas, alpha, ds, round_tol):
+def _extract_betas(thetas, alpha, ds):
     positive = [d for d in ds if d > 0]
     if not positive:
         # single eigenvalue equal to alpha/2; represent it with beta = 0
@@ -330,9 +333,6 @@ def pst_certificate(
     g: Graph,
     a: int,
     b: int,
-    grouping_tol: float | None = None,
-    support_tol: float = SUPPORT_TOL,
-    round_tol: float = ROUND_TOL,
     dec: SpectralDecomposition | None = None,
 ) -> PstCertificate:
     """Decide perfect state transfer between a and b.
@@ -344,16 +344,13 @@ def pst_certificate(
     the walk; a cross-validation miss raises rather than returning a
     wrong certificate.
 
-    ``dec`` is a decomposition of g already at hand; it was grouped with
-    its own tolerance, so giving ``grouping_tol`` as well is an error.
+    ``dec`` is a decomposition of g already at hand, if any.
     """
     if a == b:
         raise ValueError("perfect state transfer needs two distinct vertices")
     if dec is None:
-        dec = decompose(g, tol=grouping_tol)
-    elif grouping_tol is not None:
-        raise ValueError("give either dec or grouping_tol, not both")
-    sc, sig = strongly_cospectral(g, a, b, dec=dec, support_tol=support_tol)
+        dec = decompose(g)
+    sc, sig = strongly_cospectral(g, a, b, dec=dec)
     if not sc:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")
     supported = sig.supported()
@@ -362,7 +359,7 @@ def pst_certificate(
     )
     base = dict(support=tuple(thetas), sigmas=tuple(sigmas))
     try:
-        alpha, delta, betas = quadratic_integer_structure(thetas, round_tol)
+        alpha, delta, betas = quadratic_integer_structure(thetas)
     except StructureFailure as exc:
         return PstCertificate("fail", a, b, failure_reason=exc.reason, **base)
     base.update(alpha=alpha, delta=delta, betas=betas)
@@ -373,7 +370,7 @@ def pst_certificate(
     ks = tuple(gap // gstar for gap in gaps)
     t = 2.0 * math.pi / (gstar * math.sqrt(delta))
     fid = evolve_fidelity(g, a, b, t, dec=dec)
-    if fid < 1.0 - 1e-9:
+    if fid < 1.0 - CONFIRM_TOL:
         raise RuntimeError(
             f"certificate claims transfer at t={t} but fidelity is {fid}; "
             "tolerance failure"

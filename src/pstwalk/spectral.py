@@ -15,6 +15,7 @@ from . import exactpoly as xp
 from .graphs import Graph
 
 __all__ = [
+    "GROUPING_TOL",
     "SUPPORT_TOL",
     "SpectralDecomposition",
     "decompose",
@@ -27,7 +28,15 @@ __all__ = [
     "walk_module_matrix",
 ]
 
+# Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) share an eigenspace.
+GROUPING_TOL = 1e-9
+# A projector column of norm above SUPPORT_TOL puts its eigenvalue in the support.
 SUPPORT_TOL = 1e-7
+# An eigenvalue handed to projector_entry_via_neutrino must be a root of phi to
+# within _ROOT_TOL relative to the polynomial's size there.
+_ROOT_TOL = 1e-6
+# Lanczos stops once the residual norm drops below _BREAKDOWN_TOL * max(1, ||A||_inf).
+_BREAKDOWN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,22 +56,18 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return sum(th * e for th, e in zip(self.distinct_eigenvalues, self.projectors))
 
-    def support(self, a: int, tol: float = SUPPORT_TOL) -> list[float]:
-        return support(self, a, tol)
+    def support(self, a: int) -> list[float]:
+        return support(self, a)
 
 
-def decompose(g: Graph, tol: float | None = None) -> SpectralDecomposition:
+def decompose(g: Graph) -> SpectralDecomposition:
     """Spectral decomposition of the weighted adjacency matrix.
 
-    Eigenvalues closer than ``tol`` are merged into one eigenspace
-    (single-linkage on the sorted list).  Default tol is
-    1e-9 * max(1, ||A||).
+    Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) are merged
+    into one eigenspace (single-linkage on the sorted list).
     """
     a = g.weights
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.linalg.norm(a, np.inf)))
-    if tol <= 0:
-        raise ValueError("grouping tolerance must be positive")
+    tol = GROUPING_TOL * max(1.0, float(np.linalg.norm(a, np.inf)))
     w, v = np.linalg.eigh(a)
     w, v = w[::-1], v[:, ::-1]
     groups: list[list[int]] = [[0]]
@@ -84,12 +89,12 @@ def decompose(g: Graph, tol: float | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(tuple(thetas), tuple(mults), tuple(projectors), tol)
 
 
-def support(dec: SpectralDecomposition, a: int, tol: float = SUPPORT_TOL) -> list[float]:
-    """Eigenvalues whose eigenspace sees vertex a: ||E_r e_a|| > tol."""
+def support(dec: SpectralDecomposition, a: int) -> list[float]:
+    """Eigenvalues whose eigenspace sees vertex a: ||E_r e_a|| > SUPPORT_TOL."""
     return [
         th
         for th, e in zip(dec.distinct_eigenvalues, dec.projectors)
-        if float(np.linalg.norm(e[:, a])) > tol
+        if float(np.linalg.norm(e[:, a])) > SUPPORT_TOL
     ]
 
 
@@ -161,7 +166,6 @@ def strongly_cospectral(
     a: int,
     b: int,
     dec: SpectralDecomposition | None = None,
-    support_tol: float = SUPPORT_TOL,
 ) -> tuple[bool, SupportSignature]:
     """Decide whether E_r e_a = sigma_r E_r e_b with sigma_r in {+1, -1}
     holds for every eigenspace.
@@ -169,7 +173,7 @@ def strongly_cospectral(
     Numeric decision from the spectral decomposition; for integer weights
     the exact criterion (equal deleted charpolys and simple poles of
     phi(G\\ab)/phi(G)) is computed as well and any disagreement raises,
-    since it signals a tolerance failure rather than a mathematical result.
+    since it signals a numeric failure rather than a mathematical result.
     """
     g._check_vertex(a)
     g._check_vertex(b)
@@ -184,17 +188,17 @@ def strongly_cospectral(
         vb = e[:, b]
         na = float(np.linalg.norm(va))
         nb = float(np.linalg.norm(vb))
-        ia = na > support_tol
-        ib = nb > support_tol
+        ia = na > SUPPORT_TOL
+        ib = nb > SUPPORT_TOL
         sigma = None
         if ia != ib:
             ok = False
         elif ia and ib:
-            if abs(na - nb) > support_tol:
+            if abs(na - nb) > SUPPORT_TOL:
                 ok = False
             else:
                 s = 1 if float(va @ vb) >= 0 else -1
-                if float(np.linalg.norm(va - s * vb)) <= support_tol:
+                if float(np.linalg.norm(va - s * vb)) <= SUPPORT_TOL:
                     sigma = s
                 else:
                     ok = False
@@ -205,7 +209,7 @@ def strongly_cospectral(
         if exact != numeric:
             raise RuntimeError(
                 f"exact ({exact}) and numeric ({numeric}) strong-cospectrality "
-                f"decisions disagree for vertices {a}, {b}; adjust tolerances"
+                f"decisions disagree for vertices {a}, {b}"
             )
     return numeric, SupportSignature(a, b, tuple(entries), numeric)
 
@@ -230,9 +234,7 @@ def _poly_scale_at(p: xp.IntPoly, x: float) -> float:
     return sum(abs(c) * m**k for k, c in enumerate(p.coeffs)) or 1.0
 
 
-def projector_entry_via_neutrino(
-    g: Graph, a: int, b: int, theta: float, tol: float = 1e-6
-) -> float:
+def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> float:
     """<b| E_theta |a> computed from characteristic polynomials alone.
 
     The resolvent entry p(t)/phi(t) (p the deleted charpoly on the
@@ -244,7 +246,7 @@ def projector_entry_via_neutrino(
     g._check_vertex(b)
     phi = xp.charpoly(g)
     sf = xp.squarefree_part(phi)
-    if abs(sf(theta)) > tol * _poly_scale_at(sf, theta):
+    if abs(sf(theta)) > _ROOT_TOL * _poly_scale_at(sf, theta):
         raise ValueError(f"{theta} is not an eigenvalue within tolerance")
     p = xp.charpoly_deleted(g, [a]) if a == b else xp.path_sum_poly(g, a, b)
     if p.is_zero:
@@ -253,7 +255,7 @@ def projector_entry_via_neutrino(
     if gcd.degree > 0:
         p = xp.poly_divexact(p, gcd)
         phi = xp.poly_divexact(phi, gcd)
-    if abs(phi(theta)) > tol * _poly_scale_at(phi, theta):
+    if abs(phi(theta)) > _ROOT_TOL * _poly_scale_at(phi, theta):
         return 0.0  # the pole at theta cancelled entirely
     d = phi.derivative()
     dval = d(theta)
@@ -266,7 +268,7 @@ def projector_entry_via_neutrino(
     return 0.5 * float(lo + hi)
 
 
-def walk_module_matrix(g: Graph, a: int, breakdown_tol: float = 1e-10) -> np.ndarray:
+def walk_module_matrix(g: Graph, a: int) -> np.ndarray:
     """Tridiagonal matrix representing the adjacency action on the walk
     module generated by e_a (Lanczos with full reorthogonalization).
 
@@ -294,7 +296,7 @@ def walk_module_matrix(g: Graph, a: int, breakdown_tol: float = 1e-10) -> np.nda
         r -= Q @ (Q.T @ r)
         r -= Q @ (Q.T @ r)
         beta = float(np.linalg.norm(r))
-        if beta <= breakdown_tol * scale:
+        if beta <= _BREAKDOWN_TOL * scale:
             break
         betas.append(beta)
         basis.append(r / beta)

@@ -17,13 +17,12 @@ from .graphs import (
     build_regular,
     compose,
     cone,
-    connected_graphs,
     marked_graphs,
     one_sum,
     serialize_graph,
 )
 from .pst import fidelity_scan, pst_certificate
-from .spectral import SUPPORT_TOL, decompose, strongly_cospectral, support, walk_module_matrix
+from .spectral import decompose, strongly_cospectral, support, walk_module_matrix
 
 __all__ = [
     "check_cauchy",
@@ -35,6 +34,7 @@ __all__ = [
     "verify_double_star_quotient_relations",
     "verify_support_correspondence_p2",
     "verify_support_correspondence_p3",
+    "SCAN_THRESHOLD",
     "SearchReport",
     "search_no_pst",
     "SuiteResult",
@@ -167,8 +167,12 @@ def equitable_quotient(g: Graph, cells: list[list[int]]) -> QuotientPartition:
     return QuotientPartition(tuple(norm_cells), quotient)
 
 
-def _subset_of_spectrum(sub: np.ndarray, full: np.ndarray, tol: float = 1e-8) -> bool:
-    return all(bool(np.min(np.abs(full - x)) <= tol) for x in sub)
+# A quotient eigenvalue embeds when some graph eigenvalue lies within _EMBED_TOL.
+_EMBED_TOL = 1e-8
+
+
+def _subset_of_spectrum(sub: np.ndarray, full: np.ndarray) -> bool:
+    return all(bool(np.min(np.abs(full - x)) <= _EMBED_TOL) for x in sub)
 
 
 def verify_double_star_quotient_relations(k: int, n: int, slack: float = 1e-9) -> bool:
@@ -212,18 +216,33 @@ def verify_double_star_quotient_relations(k: int, n: int, slack: float = 1e-9) -
 # support correspondence across a bridge
 
 
-def _match_sets(xs: list[float], ys: list[float], tol: float = 1e-6) -> bool:
+# Eigenvalues from different decompositions match within _MATCH_TOL, and a
+# numeric eigenvalue sits on an exact root within _ROOT_TOL.
+_MATCH_TOL = 1e-6
+_ROOT_TOL = 1e-7
+
+
+def _near(x: float, y: float) -> bool:
+    return abs(x - y) <= _MATCH_TOL
+
+
+def _match_sets(xs: list[float], ys: list[float]) -> bool:
     if len(xs) != len(ys):
         return False
-    return all(abs(x - y) <= tol for x, y in zip(sorted(xs), sorted(ys)))
+    return all(_near(x, y) for x, y in zip(sorted(xs), sorted(ys)))
 
 
-def _covered(xs: list[float], pool: list[float], tol: float = 1e-6) -> bool:
-    return all(any(abs(x - y) <= tol for y in pool) for x in xs)
+def _covered(xs: list[float], pool: list[float]) -> bool:
+    return all(any(_near(x, y) for y in pool) for x in xs)
 
 
-def _root_near(p: xp.IntPoly, x: float, tol: float = 1e-9) -> bool:
-    return any(abs(x - r) <= max(tol, 1e-7) for r in xp.real_roots(p))
+def _outside(thetas, supp: list[float]) -> list[float]:
+    """The eigenvalues in ``thetas`` that match none in ``supp``."""
+    return [th for th in thetas if not any(_near(th, s) for s in supp)]
+
+
+def _root_near(p: xp.IntPoly, x: float) -> bool:
+    return any(abs(x - r) <= _ROOT_TOL for r in xp.real_roots(p))
 
 
 def _split_signature(z: Graph, a: int, b: int):
@@ -236,9 +255,7 @@ def _split_signature(z: Graph, a: int, b: int):
     return plus, minus, leftover
 
 
-def verify_support_correspondence_p2(
-    y1: Graph, a: int, y2: Graph, b: int, tol: float = 1e-6
-) -> bool:
+def verify_support_correspondence_p2(y1: Graph, a: int, y2: Graph, b: int) -> bool:
     """For walk-equivalent (y1, a), (y2, b) joined by a bridge edge, check
     that the +1 eigenvalue class equals the support of a (resp. b) in the
     graph with a +1 loop added there, the -1 class matches the -1 loop,
@@ -259,21 +276,16 @@ def verify_support_correspondence_p2(
         s1 = support(d1, a)
         s2 = support(d2, b)
         want = plus if sign == +1 else minus
-        if not (_match_sets(want, s1, tol) and _match_sets(want, s2, tol)):
+        if not (_match_sets(want, s1) and _match_sets(want, s2)):
             return False
         loop_poly_1 = xp.loop_adjusted_charpoly(p1, p1d, sign)
         if not all(_root_near(loop_poly_1, th) for th in want):
             return False
-        pools[sign] = (
-            [th for th in d1.distinct_eigenvalues if not any(abs(th - s) <= tol for s in s1)]
-            + [th for th in d2.distinct_eigenvalues if not any(abs(th - s) <= tol for s in s2)]
-        )
-    return _covered(leftover, pools[+1] + pools[-1], tol)
+        pools[sign] = _outside(d1.distinct_eigenvalues, s1) + _outside(d2.distinct_eigenvalues, s2)
+    return _covered(leftover, pools[+1] + pools[-1])
 
 
-def verify_support_correspondence_p3(
-    y1: Graph, a: int, y2: Graph, b: int, tol: float = 1e-6
-) -> bool:
+def verify_support_correspondence_p3(y1: Graph, a: int, y2: Graph, b: int) -> bool:
     """Same correspondence for the two-edge bridge: the +1 class is the
     support of the attachment vertex in the sqrt(2)-pendant graph (equal
     on both sides), the -1 class is the support of a in y1 itself, and
@@ -298,7 +310,7 @@ def verify_support_correspondence_p3(
     dz1, dz2 = decompose(z1), decompose(z2)
     sp1 = support(dz1, a)
     sp2 = support(dz2, b)
-    if not (_match_sets(plus, sp1, tol) and _match_sets(plus, sp2, tol)):
+    if not (_match_sets(plus, sp1) and _match_sets(plus, sp2)):
         return False
     pend_poly = xp.pendant_sqrt2_charpoly(p1, p1d)
     if not all(_root_near(pend_poly, th) for th in plus):
@@ -307,22 +319,20 @@ def verify_support_correspondence_p3(
     d1, d2 = decompose(y1), decompose(y2)
     s1 = support(d1, a)
     s2 = support(d2, b)
-    if not (_match_sets(minus, s1, tol) and _match_sets(minus, s2, tol)):
+    if not (_match_sets(minus, s1) and _match_sets(minus, s2)):
         return False
 
-    pool = [
-        th for th in d1.distinct_eigenvalues if not any(abs(th - s) <= tol for s in s1)
-    ] + [th for th in d2.distinct_eigenvalues if not any(abs(th - s) <= tol for s in s2)]
-    zero_ok = any(abs(th) <= tol for th in dz1.distinct_eigenvalues) or any(
-        abs(th) <= tol for th in dz2.distinct_eigenvalues
-    )
-    if zero_ok:
+    pool = _outside(d1.distinct_eigenvalues, s1) + _outside(d2.distinct_eigenvalues, s2)
+    if any(_near(th, 0.0) for th in dz1.distinct_eigenvalues + dz2.distinct_eigenvalues):
         pool = pool + [0.0]
-    return _covered(leftover, pool, tol)
+    return _covered(leftover, pool)
 
 
 # ---------------------------------------------------------------------------
 # no-transfer searches
+
+# A scanned fidelity at or above 1 - SCAN_THRESHOLD counts as transfer.
+SCAN_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -385,7 +395,7 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
             t_best, f_best = fidelity_scan(
                 z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000), dec=dec
             )
-            if f_best < 1.0 - 1e-6:
+            if f_best < 1.0 - SCAN_THRESHOLD:
                 raise RuntimeError(
                     f"certificate success not confirmed by scan: {entry}, "
                     f"max fidelity {f_best}"
@@ -402,7 +412,7 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
                 t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps, dec=dec)
                 # approximate transfer can creep arbitrarily close to 1, so
                 # only a violation of the certificate threshold counts
-                if f_best >= 1.0 - 1e-6:
+                if f_best >= 1.0 - SCAN_THRESHOLD:
                     entry["scan_peak"] = f_best
                     entry["scan_t"] = t_best
                     report.scan_disagreements.append(entry)
@@ -425,9 +435,9 @@ def search_no_pst(
     by ``graph_source``) is composed over a bridge with ``bridge`` path
     vertices (2 or 3) and certified.  Certified successes are re-verified
     by a fidelity scan; certified failures are optionally cross-checked by
-    a bounded scan, with any fidelity at or above the certificate
-    threshold 1 - 1e-6 recorded as a disagreement; approximate transfer
-    peaks below that stay silent.
+    a bounded scan, with any fidelity at or above 1 - SCAN_THRESHOLD
+    recorded as a disagreement; approximate transfer peaks below that stay
+    silent.
     """
     if bridge not in (2, 3):
         raise ValueError("bridge must have 2 or 3 path vertices")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from pstwalk import cli, pst, spectral, verify
 from pstwalk.cli import main
 
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
@@ -144,6 +145,70 @@ def test_compose_star_centers(capsys, graph_file):
     res = report["result"]
     assert res["edgelist"].startswith("6 5")
     assert res["analysis"]["certificate"]["status"] == "fail"
+
+
+def test_one_decomposition_per_call(capsys, graph_file, monkeypatch):
+    calls = []
+    original = spectral.decompose
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    for module in (cli, pst, spectral):
+        monkeypatch.setattr(module, "decompose", counting)
+    code, report, _ = run_json(capsys, ["pst", graph_file(P2_EDGELIST), "0", "1"])
+    assert code == 0 and report["result"]["status"] == "success"
+    assert calls == [2]
+    star = graph_file("3 2\n0 1\n0 2\n")
+    calls.clear()
+    code, _, _ = run_json(capsys, ["compose", "--y1", star, "--a", "0", "--y2", star, "--b", "0"])
+    assert code == 0
+    assert calls == [6]
+
+
+def test_envelope_reports_the_fixed_tolerances(capsys, graph_file):
+    assert (spectral.GROUPING_TOL, spectral.SUPPORT_TOL) == (1e-9, 1e-7)
+    assert (pst.ROUND_TOL, verify.SCAN_THRESHOLD) == (1e-6, 1e-6)
+    c4, p3 = graph_file(C4_EDGELIST, "c4.el"), graph_file(P3_EDGELIST, "p3.el")
+    # both graphs have max row sum 2, which scales the grouping tolerance
+    grouping = 2 * spectral.GROUPING_TOL
+    cases = [
+        (["spectrum", c4], {"grouping_tol": grouping}),
+        (
+            ["cospectral", p3, "0", "2", "--strong"],
+            {"grouping_tol": grouping, "support_tol": spectral.SUPPORT_TOL},
+        ),
+        (["pst", p3, "0", "2"], {"support_tol": spectral.SUPPORT_TOL, "round_tol": pst.ROUND_TOL}),
+        (
+            ["search", "--bridge", "2", "--max-n", "1"],
+            {"scan_threshold": verify.SCAN_THRESHOLD, "scan_t_max": 30.0},
+        ),
+    ]
+    for argv, expected in cases:
+        code, report, _ = run_json(capsys, argv)
+        assert code == 0
+        assert report["tolerances"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "{p3}", "--tol", "1e-9"],
+        ["cospectral", "{p3}", "0", "2", "--tol", "1e-9"],
+        ["cospectral", "{p3}", "0", "2", "--strong", "--support-tol", "1e-7"],
+        ["pst", "{p3}", "0", "2", "--tol", "1e-9"],
+        ["pst", "{p3}", "0", "2", "--support-tol", "1e-7"],
+        ["pst", "{p3}", "0", "2", "--round-tol", "1e-6"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_tolerance_flags_are_gone(capsys, graph_file, argv):
+    path = graph_file(P3_EDGELIST)
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "{p3}" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_search_trivial_success(capsys):

@@ -193,8 +193,6 @@ def test_certificate_takes_a_decomposition():
     g = build_path(3)
     dec = decompose(g)
     assert pst_certificate(g, 0, 2, dec=dec) == pst_certificate(g, 0, 2)
-    with pytest.raises(ValueError):
-        pst_certificate(g, 0, 2, grouping_tol=1e-8, dec=dec)
 
 
 def test_transfer_at_odd_multiples_only():
