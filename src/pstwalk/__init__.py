@@ -31,7 +31,6 @@ from .graphs import (
     build_star,
     compose,
     connected_graphs,
-    enumerate_ab_paths,
     iter_ab_paths,
     marked_graphs,
     one_sum,

@@ -168,16 +168,14 @@ def cmd_compose(args) -> int:
     g1, raw1 = _load_graph(args.y1, args.format)
     g2, raw2 = _load_graph(args.y2, args.format)
     z, ga, gb = compose(g1, args.a, g2, args.b, args.bridge)
-    dec = decompose(z)
-    cert = pst_certificate(z, ga, gb, dec=dec)
-    sc, _ = strongly_cospectral(z, ga, gb, dec=dec)
+    cert = pst_certificate(z, ga, gb)
     result = {
         "edgelist": serialize_graph(z, "edgelist"),
         "a": ga,
         "b": gb,
         "analysis": {
             "cospectral": cospectral(z, ga, gb),
-            "strongly_cospectral": sc,
+            "strongly_cospectral": cert.failure_reason != "not_strongly_cospectral",
             "certificate": cert.to_json(),
         },
     }
@@ -341,7 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--instances", type=int, default=None, help="override instance count")
+    p.add_argument(
+        "--instances",
+        type=int,
+        default=None,
+        help="override instance count; for correspondence-p2/-p3, the largest "
+        "side order instead (default 4, at most 7)",
+    )
     p.add_argument("--seed", type=int, default=None, help="override the random seed")
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -23,7 +23,6 @@ __all__ = [
     "poly_gcd",
     "poly_divexact",
     "squarefree_part",
-    "real_roots",
     "bareiss_det",
     "charpoly",
     "charpoly_deleted",
@@ -242,74 +241,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if g.degree <= 0:
         return p
     return poly_divexact(p, g)
-
-
-# ---------------------------------------------------------------------------
-# real root isolation
-
-def _root_bound(p: IntPoly) -> float:
-    lead = abs(p.leading)
-    return 1.0 + max(abs(c) for c in p.coeffs) / lead
-
-
-def _bisect_root(p: IntPoly, lo: float, hi: float) -> float:
-    flo = p(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = p(mid)
-        if fm == 0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# Isolated roots closer than _ROOT_MERGE_TOL are reported once.
-_ROOT_MERGE_TOL = 1e-12
-
-
-def real_roots(p: IntPoly) -> list[float]:
-    """All real roots of p, ascending, without multiplicity.
-
-    Isolation by recursion on the derivative (roots are separated by
-    critical points), then bisection on sign changes.  Intended for
-    polynomials whose roots are all real, such as characteristic
-    polynomials of symmetric matrices, but correct for any input.
-    """
-    p = squarefree_part(p)
-    if p.degree <= 0:
-        return []
-
-    def solve(q: IntPoly) -> list[float]:
-        if q.degree == 1:
-            return [-q.coeffs[0] / q.coeffs[1]]
-        crit = solve(squarefree_part(q.derivative()))
-        bound = _root_bound(q)
-        points = [-bound] + sorted(c for c in crit if -bound < c < bound) + [bound]
-        roots = []
-        for lo, hi in zip(points, points[1:]):
-            flo, fhi = q(lo), q(hi)
-            if flo == 0:
-                roots.append(lo)
-                continue
-            if fhi == 0:
-                continue  # picked up as the lo of the next interval
-            if (flo < 0) != (fhi < 0):
-                roots.append(_bisect_root(q, lo, hi))
-        if q(bound) == 0:
-            roots.append(bound)
-        return roots
-
-    out = solve(p)
-    dedup: list[float] = []
-    for r in sorted(out):
-        if not dedup or abs(r - dedup[-1]) > _ROOT_MERGE_TOL:
-            dedup.append(r)
-    return dedup
 
 
 # ---------------------------------------------------------------------------

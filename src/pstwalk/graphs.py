@@ -26,7 +26,6 @@ __all__ = [
     "compose",
     "one_sum",
     "iter_ab_paths",
-    "enumerate_ab_paths",
     "parse_graph",
     "serialize_graph",
     "are_isomorphic",
@@ -388,18 +387,6 @@ def iter_ab_paths(g: Graph, a: int, b: int) -> Iterator[tuple[int, ...]]:
                 on_path.remove(v)
 
     yield from walk(a)
-
-
-def enumerate_ab_paths(g: Graph, a: int, b: int) -> list[frozenset[int]]:
-    """Vertex sets of all simple a..b paths, one entry per path.
-
-    Distinct paths through the same vertex set each contribute an entry.
-    Ordered lexicographically by sorted vertex tuple.
-    """
-    if not g.connected_between(a, b):
-        raise ValueError(f"vertices {a} and {b} are not connected")
-    sets = [frozenset(p) for p in iter_ab_paths(g, a, b)]
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
 
 
 # ---------------------------------------------------------------------------

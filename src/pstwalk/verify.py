@@ -22,7 +22,7 @@ from .graphs import (
     serialize_graph,
 )
 from .pst import fidelity_scan, pst_certificate
-from .spectral import decompose, strongly_cospectral, support, walk_module_matrix
+from .spectral import decompose, strongly_cospectral_exact, walk_module_matrix
 
 __all__ = [
     "check_cauchy",
@@ -216,43 +216,46 @@ def verify_double_star_quotient_relations(k: int, n: int, slack: float = 1e-9) -
 # support correspondence across a bridge
 
 
-# Eigenvalues from different decompositions match within _MATCH_TOL, and a
-# numeric eigenvalue sits on an exact root within _ROOT_TOL.
-_MATCH_TOL = 1e-6
-_ROOT_TOL = 1e-7
+# For a vertex v of a graph H, phi(H\v)/phi(H) = sum_r (E_r)_vv / (t - theta_r),
+# so its reduced denominator is the support polynomial of v: the product of
+# t - theta over the eigenvalues whose eigenspace sees v.  For strongly
+# cospectral a, b with (E_r)_ab = sigma_r (E_r)_aa, the same reduction of
+# (phi(Z\a) +- P_ab(Z)) / phi(Z) gives the sigma = +1 and sigma = -1 classes.
 
 
-def _near(x: float, y: float) -> bool:
-    return abs(x - y) <= _MATCH_TOL
+def _support_poly(phi_del: xp.IntPoly, phi: xp.IntPoly) -> xp.IntPoly:
+    """prod (t - theta) over the support of v, from phi(H\\v) and phi(H)."""
+    return xp.RationalFunction(phi_del, phi).den
 
 
-def _match_sets(xs: list[float], ys: list[float]) -> bool:
-    if len(xs) != len(ys):
-        return False
-    return all(_near(x, y) for x, y in zip(sorted(xs), sorted(ys)))
+def _nonsupport_poly(phi: xp.IntPoly, supp: xp.IntPoly) -> xp.IntPoly:
+    """prod (t - theta) over the distinct eigenvalues of H outside the support."""
+    return xp.poly_divexact(xp.squarefree_part(phi), supp)
 
 
-def _covered(xs: list[float], pool: list[float]) -> bool:
-    return all(any(_near(x, y) for y in pool) for x in xs)
-
-
-def _outside(thetas, supp: list[float]) -> list[float]:
-    """The eigenvalues in ``thetas`` that match none in ``supp``."""
-    return [th for th in thetas if not any(_near(th, s) for s in supp)]
-
-
-def _root_near(p: xp.IntPoly, x: float) -> bool:
-    return any(abs(x - r) <= _ROOT_TOL for r in xp.real_roots(p))
-
-
-def _split_signature(z: Graph, a: int, b: int):
-    sc, sig = strongly_cospectral(z, a, b)
-    if not sc:
+def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
+    """Side polynomials, then the +1 class, the -1 class and the leftover
+    (eigenvalues outside the support of the endpoints) of the composition,
+    each as the monic product of its t - theta."""
+    p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
+    p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
+    if not xp.walk_equivalent(p1d, p1, p2d, p2):
+        raise ValueError("inputs are not walk equivalent")
+    z, ga, gb = compose(y1, a, y2, b, bridge)
+    if not strongly_cospectral_exact(z, ga, gb):
         raise ValueError("composition endpoints are not strongly cospectral")
-    plus = [th for th, s in sig.supported() if s == 1]
-    minus = [th for th, s in sig.supported() if s == -1]
-    leftover = [th for th, ia, ib, _ in sig.entries if not (ia or ib)]
-    return plus, minus, leftover
+    phi, phi_a = xp.charpoly(z), xp.charpoly_deleted(z, [ga])
+    path = xp.path_sum_poly(z, ga, gb)
+    plus = _support_poly(phi_a + path, phi)
+    minus = _support_poly(phi_a - path, phi)
+    leftover = _nonsupport_poly(phi, plus * minus)
+    return ((p1, p1d), (p2, p2d)), plus, minus, leftover
+
+
+def _divides_pool(leftover: xp.IntPoly, pool: list[xp.IntPoly]) -> bool:
+    """Whether the squarefree leftover divides the product of the pool."""
+    product = math.prod(pool, start=xp.IntPoly((1,)))
+    return xp.poly_gcd(leftover, product).degree == leftover.degree
 
 
 def verify_support_correspondence_p2(y1: Graph, a: int, y2: Graph, b: int) -> bool:
@@ -261,71 +264,44 @@ def verify_support_correspondence_p2(y1: Graph, a: int, y2: Graph, b: int) -> bo
     graph with a +1 loop added there, the -1 class matches the -1 loop,
     and every remaining eigenvalue of the composition is a non-support
     eigenvalue of one of the four loop graphs.
-    """
-    p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
-    p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
-    if not xp.walk_equivalent(p1d, p1, p2d, p2):
-        raise ValueError("inputs are not walk equivalent")
-    z, ga, gb = compose(y1, a, y2, b, 2)
-    plus, minus, leftover = _split_signature(z, ga, gb)
 
-    pools = {}
-    for sign in (+1, -1):
-        d1 = decompose(y1.with_loop(a, float(sign)))
-        d2 = decompose(y2.with_loop(b, float(sign)))
-        s1 = support(d1, a)
-        s2 = support(d2, b)
-        want = plus if sign == +1 else minus
-        if not (_match_sets(want, s1) and _match_sets(want, s2)):
-            return False
-        loop_poly_1 = xp.loop_adjusted_charpoly(p1, p1d, sign)
-        if not all(_root_near(loop_poly_1, th) for th in want):
-            return False
-        pools[sign] = _outside(d1.distinct_eigenvalues, s1) + _outside(d2.distinct_eigenvalues, s2)
-    return _covered(leftover, pools[+1] + pools[-1])
+    Every set is compared as an exact polynomial (the monic product of
+    its t - theta), so no eigenvalue is computed.
+    """
+    sides, plus, minus, leftover = _bridge_classes(y1, a, y2, b, 2)
+    pool = []
+    for sign, cls in ((+1, plus), (-1, minus)):
+        for phi, phi_del in sides:
+            looped = xp.loop_adjusted_charpoly(phi, phi_del, sign)
+            supp = _support_poly(phi_del, looped)
+            if supp != cls:
+                return False
+            pool.append(_nonsupport_poly(looped, supp))
+    return _divides_pool(leftover, pool)
 
 
 def verify_support_correspondence_p3(y1: Graph, a: int, y2: Graph, b: int) -> bool:
     """Same correspondence for the two-edge bridge: the +1 class is the
     support of the attachment vertex in the sqrt(2)-pendant graph (equal
-    on both sides), the -1 class is the support of a in y1 itself, and
-    leftovers are non-support eigenvalues of y1 or y2, with 0 also allowed
-    whenever 0 is an eigenvalue of either pendant graph.
+    on both sides), the -1 class is the support of a (resp. b) in y1
+    (resp. y2) itself, and leftovers are non-support eigenvalues of y1 or
+    y2, with 0 also allowed whenever 0 is an eigenvalue of either pendant
+    graph.
+
+    Compared as exact polynomials, like the one-edge bridge.
     """
-    p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
-    p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
-    if not xp.walk_equivalent(p1d, p1, p2d, p2):
-        raise ValueError("inputs are not walk equivalent")
-    z, ga, gb = compose(y1, a, y2, b, 3)
-    plus, minus, leftover = _split_signature(z, ga, gb)
-
-    def pendant(y: Graph, v: int) -> Graph:
-        n = y.n
-        w = np.zeros((n + 1, n + 1))
-        w[:n, :n] = y.weights
-        w[v, n] = w[n, v] = math.sqrt(2.0)
-        return Graph(w)
-
-    z1, z2 = pendant(y1, a), pendant(y2, b)
-    dz1, dz2 = decompose(z1), decompose(z2)
-    sp1 = support(dz1, a)
-    sp2 = support(dz2, b)
-    if not (_match_sets(plus, sp1) and _match_sets(plus, sp2)):
-        return False
-    pend_poly = xp.pendant_sqrt2_charpoly(p1, p1d)
-    if not all(_root_near(pend_poly, th) for th in plus):
-        return False
-
-    d1, d2 = decompose(y1), decompose(y2)
-    s1 = support(d1, a)
-    s2 = support(d2, b)
-    if not (_match_sets(minus, s1) and _match_sets(minus, s2)):
-        return False
-
-    pool = _outside(d1.distinct_eigenvalues, s1) + _outside(d2.distinct_eigenvalues, s2)
-    if any(_near(th, 0.0) for th in dz1.distinct_eigenvalues + dz2.distinct_eigenvalues):
-        pool = pool + [0.0]
-    return _covered(leftover, pool)
+    sides, plus, minus, leftover = _bridge_classes(y1, a, y2, b, 3)
+    pool = []
+    for phi, phi_del in sides:
+        pendant = xp.pendant_sqrt2_charpoly(phi, phi_del)
+        own = _support_poly(phi_del, phi)
+        # the pendant graph minus its attachment vertex is Y\v plus an isolated vertex
+        if _support_poly(xp.T * phi_del, pendant) != plus or own != minus:
+            return False
+        pool.append(_nonsupport_poly(phi, own))
+        if pendant(0) == 0:
+            pool.append(xp.T)
+    return _divides_pool(leftover, pool)
 
 
 # ---------------------------------------------------------------------------

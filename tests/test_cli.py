@@ -167,6 +167,33 @@ def test_one_decomposition_per_call(capsys, graph_file, monkeypatch):
     assert calls == [6]
 
 
+def test_compose_decides_strong_cospectrality_once(capsys, graph_file, monkeypatch):
+    calls = []
+    original = spectral.strongly_cospectral
+
+    def counting(g, a, b, dec=None):
+        calls.append((a, b))
+        return original(g, a, b, dec=dec)
+
+    for module in (cli, pst):
+        monkeypatch.setattr(module, "strongly_cospectral", counting)
+    star = graph_file("3 2\n0 1\n0 2\n")
+    code, report, _ = run_json(
+        capsys, ["compose", "--y1", star, "--a", "0", "--y2", star, "--b", "0"]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert report["result"]["analysis"]["strongly_cospectral"] is True
+    # a star centre and a leaf are not walk equivalent, so not strongly cospectral
+    code, report, _ = run_json(
+        capsys, ["compose", "--y1", star, "--a", "0", "--y2", star, "--b", "1"]
+    )
+    assert code == 0
+    analysis = report["result"]["analysis"]
+    assert analysis["strongly_cospectral"] is False
+    assert analysis["certificate"]["failure_reason"] == "not_strongly_cospectral"
+
+
 def test_envelope_reports_the_fixed_tolerances(capsys, graph_file):
     assert (spectral.GROUPING_TOL, spectral.SUPPORT_TOL) == (1e-9, 1e-7)
     assert (pst.ROUND_TOL, verify.SCAN_THRESHOLD) == (1e-6, 1e-6)

@@ -25,7 +25,6 @@ from pstwalk.exactpoly import (
     poles_simple,
     poly_divexact,
     poly_gcd,
-    real_roots,
     return_walk_gf,
     squarefree_part,
     walk_equivalent,
@@ -178,24 +177,6 @@ def test_squarefree_part():
     assert squarefree_part(p).coeffs == (-1, 0, 1)
     cube = IntPoly((0, 1)) * IntPoly((0, 1)) * IntPoly((0, 1))
     assert squarefree_part(cube).coeffs == (0, 1)
-
-
-def test_real_roots_known():
-    assert real_roots(IntPoly((-2, 0, 1))) == pytest.approx(
-        [-math.sqrt(2), math.sqrt(2)], abs=1e-9
-    )
-    assert real_roots(IntPoly((1, 0, 1))) == []
-    # (t-1)(t-2)(t-3) expanded
-    p = IntPoly((-6, 11, -6, 1))
-    assert real_roots(p) == pytest.approx([1, 2, 3], abs=1e-9)
-
-
-def test_real_roots_tight_pair():
-    # roots at 0 and 1e-3 must not merge
-    p = IntPoly((0, 1)) * IntPoly((-1, 1000))
-    roots = real_roots(p)
-    assert len(roots) == 2
-    assert roots == pytest.approx([0.0, 1e-3], abs=1e-12)
 
 
 def test_bareiss_det_matches_fraction_elimination():

@@ -22,7 +22,6 @@ from pstwalk.graphs import (
     compose,
     cone,
     connected_graphs,
-    enumerate_ab_paths,
     iter_ab_paths,
     marked_graphs,
     one_sum,
@@ -160,15 +159,16 @@ def test_path_enumeration_matches_brute_force():
 
 
 def test_k4_has_five_paths():
-    # one entry per path: the two 4-vertex paths keep separate entries
-    # even though they use the same vertex set
-    paths = enumerate_ab_paths(build_complete(4), 0, 1)
+    # one entry per path: the two 4-vertex paths are both listed even
+    # though they use the same vertex set
+    paths = list(iter_ab_paths(build_complete(4), 0, 1))
     assert len(paths) == 5
     assert sum(1 for p in paths if len(p) == 4) == 2
+    assert len({frozenset(p) for p in paths if len(p) == 4}) == 1
 
 
 def test_path_counts_on_cycle():
-    assert len(enumerate_ab_paths(build_cycle(5), 0, 2)) == 2
+    assert len(list(iter_ab_paths(build_cycle(5), 0, 2))) == 2
 
 
 def test_edgelist_round_trip():

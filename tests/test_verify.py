@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from pstwalk import pst, spectral, verify
-from pstwalk.graphs import build_complete, build_cycle, build_double_star, build_path, build_star
+from pstwalk.graphs import (
+    Graph,
+    build_complete,
+    build_cycle,
+    build_double_star,
+    build_path,
+    build_star,
+)
 from pstwalk.verify import (
     EquitabilityError,
     check_cauchy,
@@ -147,6 +154,25 @@ def test_support_correspondence_star_centers():
 def test_correspondence_suites_small():
     assert suite_correspondence(2, max_n=3).passed
     assert suite_correspondence(3, max_n=3).passed
+
+
+def test_support_correspondence_huge_weight():
+    # the numeric strong-cospectrality test misjudges these composites
+    # (it raises on the exact/numeric disagreement); the correspondence is
+    # decided on exact polynomials and never asks it
+    k2 = Graph(np.array([[0.0, 2.0**30], [2.0**30, 0.0]]))
+    assert verify_support_correspondence_p2(k2, 0, k2, 0)
+    assert verify_support_correspondence_p3(k2, 0, k2, 0)
+
+
+def test_correspondence_suites_need_no_decomposition(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the support correspondence decomposed a graph")
+
+    for module in (spectral, verify):
+        monkeypatch.setattr(module, "decompose", refuse)
+    assert suite_correspondence(2, max_n=4).passed
+    assert suite_correspondence(3, max_n=4).passed
 
 
 def test_search_tiny():
