@@ -1,4 +1,4 @@
-"""Perfect state transfer: certificates, minimal times, and near misses.
+"""Perfect state transfer: certificates, scaled weights, and near misses.
 
 A certificate is an exact decision built from integer data: eigenvalue
 support in quadratic-integer form, sign pattern, and a parity condition on
@@ -11,13 +11,13 @@ Run with:  python3 demos/perfect_transfer.py
 import math
 
 from pstwalk import (
+    Graph,
     build_cycle,
     build_double_star,
     build_extended_double_star,
     build_path,
     evolve_fidelity,
     fidelity_scan,
-    min_pst_time,
     pst_certificate,
 )
 
@@ -62,14 +62,16 @@ show("S(2,3) centres        ", pst_certificate(g, a, b))
 g, a, b = build_extended_double_star(1, 1)
 show("extended S(1,1)       ", pst_certificate(g, a, b))
 
-banner("Minimal-time arithmetic on its own")
-# Integer eigenvalue gaps with alternating signs: the classic P2 pattern.
-t = min_pst_time([1.0, -1.0], [1, -1])
-print(f"  support (+1, -1), signs (+, -): t = {t:.10f} (pi/2)")
-# Golden-ratio support: gaps are incommensurable with pi, no time exists.
-phi = (1 + math.sqrt(5)) / 2
-t = min_pst_time([phi, phi - 1, -1 / phi], [1, -1, 1])
-print(f"  golden-ratio support: t = {t}")
+banner("Scaled weights: the same decision, a scaled time")
+# Multiplying every weight by 2**k multiplies the spectrum by 2**k, so the
+# transfer time shrinks by 2**k.  The certificate decides on integer
+# polynomials, so the structure survives scales where rounded floats fail.
+for k in (0, 20, 40):
+    cert = pst_certificate(Graph(2**k * p3.weights), 0, 2)
+    print(f"  P3 with weights 2^{k:<2}: {cert.status}, t * 2^{k} = "
+          f"{cert.pst_time * 2**k:.10f}, betas = {cert.betas}")
+# Golden-ratio support (P4 ends): no common alpha, so no time exists.
+show("P4 end to end         ", pst_certificate(p4, 0, 3))
 
 banner("Near misses: approximate transfer without the real thing")
 # S(1,1) is P4 end to end through the certificate's eyes: the quadratic

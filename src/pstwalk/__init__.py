@@ -41,7 +41,6 @@ from .pst import (
     PstCertificate,
     evolve_fidelity,
     fidelity_scan,
-    min_pst_time,
     pst_certificate,
     quadratic_integer_structure,
 )

@@ -25,7 +25,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .pst import CONFIRM_TOL, ROUND_TOL, pst_certificate
+from .pst import CONFIRM_TOL, pst_certificate
 from .spectral import SUPPORT_TOL, cospectral, decompose, strongly_cospectral
 from .verify import SCAN_THRESHOLD, SUITE_NAMES, run_suite, search_no_pst
 
@@ -154,7 +154,7 @@ def cmd_pst(args) -> int:
     result = cert.to_json()
     if cert.success:
         result["fidelity_confirmation"] = cert.fidelity_at_time
-    tolerances = {"support_tol": SUPPORT_TOL, "round_tol": ROUND_TOL}
+    tolerances = {"support_tol": SUPPORT_TOL}
     _emit("pst", _digest(raw), tolerances, result, started)
     if cert.success:
         _say(f"perfect state transfer at t = {cert.pst_time:.12g}")

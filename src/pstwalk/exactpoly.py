@@ -23,6 +23,7 @@ __all__ = [
     "poly_gcd",
     "poly_divexact",
     "squarefree_part",
+    "poly_sqrt",
     "bareiss_det",
     "charpoly",
     "charpoly_deleted",
@@ -33,6 +34,7 @@ __all__ = [
     "pendant_sqrt2_charpoly",
     "path_sum_poly",
     "RationalFunction",
+    "sigma_classes",
     "walk_gf",
     "return_walk_gf",
     "poles_simple",
@@ -241,6 +243,23 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if g.degree <= 0:
         return p
     return poly_divexact(p, g)
+
+
+def poly_sqrt(p: IntPoly) -> IntPoly:
+    """The integer polynomial with positive leading coefficient whose square
+    is p; raises ExactDivisionError when there is none."""
+    if p.is_zero:
+        return p
+    m = p.degree // 2
+    root = [0] * m + [math.isqrt(max(p.leading, 1))]
+    for k in range(m - 1, -1, -1):
+        # t**(m+k) of root**2 is 2 root[m] root[k] plus products of known coefficients
+        c = p.coeffs[m + k] - sum(root[i] * root[m + k - i] for i in range(k + 1, m))
+        root[k] = c // (2 * root[m])
+    out = IntPoly(root)
+    if out * out != p:
+        raise ExactDivisionError("not the square of an integer polynomial")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +582,17 @@ class RationalFunction:
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
+
+
+def sigma_classes(phi: IntPoly, phi_a: IntPoly, path: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """The sigma = +1 and sigma = -1 eigenvalue classes of a strongly
+    cospectral pair a, b, each as the monic product of its t - theta, from
+    phi(G), phi(G\\a) and the path sum P_ab.
+
+    With (E_r)_ab = sigma_r (E_r)_aa, (phi(G\\a) +- P_ab) / phi(G) =
+    sum_r (E_r)_aa (1 +- sigma_r) / (t - theta_r), so the classes are the
+    reduced denominators.  Negating P_ab swaps them."""
+    return RationalFunction(phi_a + path, phi).den, RationalFunction(phi_a - path, phi).den
 
 
 def walk_gf(g: Graph, a: int) -> RationalFunction:

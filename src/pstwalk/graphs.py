@@ -172,11 +172,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self._reach(0)) == self.n
 
-    def connected_between(self, a: int, b: int) -> bool:
-        self._check_vertex(a)
-        self._check_vertex(b)
-        return b in self._reach(a)
-
     def articulation_points(self) -> set[int]:
         """Cut vertices, by deletion and recount.  Fine at the sizes used here."""
         if self.n <= 2:

@@ -1,14 +1,15 @@
-"""Perfect state transfer: fidelity simulation, certificates, minimal times.
+"""Perfect state transfer: fidelity simulation and certificates.
 
 A pair of vertices admits perfect state transfer when |<b| exp(itA) |a>|
-reaches 1.  The certificate decides this exactly from the spectral
-structure: strong cospectrality, a common quadratic-integer form
-theta_r = (alpha + beta_r sqrt(delta)) / 2 over the supported eigenvalues,
-and a parity-compatible integer divisor of the beta gaps.  Transfer times
-are derived directly from the phase congruences t (theta_0 - theta_r) in
-pi Z with the parities dictated by the sigma signs, so the reported
-minimal time is correct independent of any closed form; the certificate
-also records whether the closed form pi / (g sqrt(delta)) happens to match.
+reaches 1.  The certificate decides this from integer polynomials: strong
+cospectrality, the sigma = +1 and sigma = -1 eigenvalue classes of the
+pair, a common quadratic-integer form theta_r = (alpha + beta_r sqrt(delta))
+/ 2 of the supported eigenvalues, and a parity-compatible integer divisor
+of the beta gaps.  Transfer times are derived directly from the phase
+congruences t (theta_0 - theta_r) in pi Z with the parities dictated by the
+sigma signs.  Floats only propose roots, report the support, and
+cross-check: the numeric decomposition must agree with the exact classes,
+and the walk must reach fidelity 1 at the certified time.
 """
 
 from __future__ import annotations
@@ -19,36 +20,22 @@ from functools import reduce
 
 import numpy as np
 
+from .exactpoly import IntPoly, charpoly, charpoly_deleted, poly_divexact, poly_sqrt, sigma_classes
 from .graphs import Graph
 from .spectral import SpectralDecomposition, decompose, strongly_cospectral
 
 __all__ = [
     "CONFIRM_TOL",
-    "ROUND_TOL",
     "PstCertificate",
     "evolve_fidelity",
     "fidelity_scan",
-    "min_pst_time",
     "pst_certificate",
     "quadratic_integer_structure",
     "StructureFailure",
 ]
 
-# Pair sums and squared gaps within ROUND_TOL of an integer count as integers.
-ROUND_TOL = 1e-6
-# Each eigenvalue must match (alpha + beta sqrt(delta)) / 2 to within _RECON_TOL.
-_RECON_TOL = 1e-7
 # A certified transfer time must show a fidelity of at least 1 - CONFIRM_TOL.
 CONFIRM_TOL = 1e-9
-
-FAILURE_REASONS = (
-    "not_strongly_cospectral",
-    "no_common_alpha",
-    "delta_not_consistent",
-    "parity_violation",
-    "no_admissible_g",
-)
-
 
 @dataclass(frozen=True)
 class PstCertificate:
@@ -67,7 +54,6 @@ class PstCertificate:
     ks: tuple[int, ...] | None = None
     pst_time: float | None = None
     fidelity_at_time: float | None = None
-    closed_form_match: bool | None = None
 
     @property
     def success(self) -> bool:
@@ -75,24 +61,11 @@ class PstCertificate:
 
     def to_json(self) -> dict:
         out: dict = {"status": self.status}
-        if self.failure_reason is not None:
-            out["failure_reason"] = self.failure_reason
-        for key in ("alpha", "delta", "g"):
+        for key in ("failure_reason", "alpha", "delta", "g", "betas", "sigmas", "ks",
+                    "pst_time", "fidelity_at_time"):
             val = getattr(self, key)
             if val is not None:
-                out[key] = val
-        if self.betas is not None:
-            out["betas"] = list(self.betas)
-        if self.sigmas is not None:
-            out["sigmas"] = list(self.sigmas)
-        if self.ks is not None:
-            out["ks"] = list(self.ks)
-        if self.pst_time is not None:
-            out["pst_time"] = self.pst_time
-        if self.fidelity_at_time is not None:
-            out["fidelity_at_time"] = self.fidelity_at_time
-        if self.closed_form_match is not None:
-            out["closed_form_match"] = self.closed_form_match
+                out[key] = list(val) if isinstance(val, tuple) else val
         return out
 
 
@@ -191,142 +164,128 @@ class StructureFailure(Exception):
 
 
 def _squarefree_kernel(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
+    """n over its largest square divisor.  Trial division stops once the
+    cofactor is a square, as it is when all weights share a large prime."""
+    out, d = 1, 2
+    while math.isqrt(n) ** 2 != n:
+        if d * d > n:
+            return out * n
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
             n //= d
-            e += 1
-        if e % 2:
             out *= d
         d += 1
-    return out * n
+    return out
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _integer_roots(p: IntPoly, xs) -> set[int]:
+    """The integer roots of p that the floats xs propose.
 
-
-def quadratic_integer_structure(thetas: list[float]) -> tuple[int, int, tuple[int, ...]]:
-    """Find integers alpha, squarefree delta, and integers beta_r with
-    theta_r = (alpha + beta_r sqrt(delta)) / 2 for every input eigenvalue.
-
-    Candidate alphas are pair sums that round to integers; for a
-    candidate to survive, every (2 theta_r - alpha)^2 must round to a
-    nonnegative integer.  Raises StructureFailure with a reason of
-    no_common_alpha, delta_not_consistent, or parity_violation.
-    """
-    thetas = [float(t) for t in thetas]
-    candidates: set[int] = set()
-    for i, ti in enumerate(thetas):
-        for tj in thetas[i:]:
-            s = ti + tj
-            if abs(s - round(s)) <= ROUND_TOL:
-                candidates.add(round(s))
-    if not candidates:
-        raise StructureFailure("no_common_alpha")
-    downstream: StructureFailure | None = None
-    for alpha in sorted(candidates, key=lambda x: (abs(x), x)):
-        ds = []
-        for th in thetas:
-            d = (2.0 * th - alpha) ** 2
-            di = round(d)
-            if abs(d - di) > ROUND_TOL:
+    Newton steps in exact integer arithmetic move round(x) for as long as
+    they shrink, so a proposal that is close but more than 1/2 away (large
+    roots) still lands; only p(r) == 0 accepts r."""
+    dp = p.derivative()
+    found = set()
+    for x in xs:
+        r, last = round(x), None
+        while (v := p(r)) != 0:
+            d = dp(r)
+            if d < 0:
+                v, d = -v, -d
+            step = (2 * v + d) // (2 * d) if d else 0
+            if step == 0 or (last is not None and abs(step) >= last):
                 break
-            ds.append(di)
+            r, last = r - step, abs(step)
         else:
-            try:
-                return _extract_betas(thetas, alpha, ds)
-            except StructureFailure as exc:
-                if downstream is None:
-                    downstream = exc
-    raise downstream or StructureFailure("no_common_alpha")
+            found.add(r)
+    return found
 
 
-def _extract_betas(thetas, alpha, ds):
-    positive = [d for d in ds if d > 0]
-    if not positive:
-        # single eigenvalue equal to alpha/2; represent it with beta = 0
-        return alpha, 1, tuple(0 for _ in ds)
-    delta = _squarefree_kernel(reduce(math.gcd, positive))
-    betas = []
-    for th, d in zip(thetas, ds):
-        q, r = divmod(d, delta)
-        s = math.isqrt(q)
-        if r or s * s != q:
-            raise StructureFailure("delta_not_consistent")
-        beta = s if 2.0 * th - alpha >= 0 else -s
-        if abs(th - (alpha + beta * math.sqrt(delta)) / 2.0) > _RECON_TOL:
-            raise StructureFailure("delta_not_consistent")
-        betas.append(beta)
-    parities = {b % 2 for b in betas}
-    if len(parities) > 1:
-        raise StructureFailure("parity_violation")
-    # theta_r is an algebraic integer, so beta parity must be compatible
-    # with alpha: equal parity when delta is 1 mod 4, both even otherwise.
-    if delta % 4 == 1:
-        if betas[0] % 2 != alpha % 2:
-            raise StructureFailure("parity_violation")
-    else:
-        if betas[0] % 2 or alpha % 2:
-            raise StructureFailure("parity_violation")
-    return alpha, delta, tuple(betas)
+def _half_shift(p: IntPoly, alpha: int) -> IntPoly:
+    """2**deg(p) p((alpha + s) / 2), a polynomial in s with integer coefficients."""
+    out: list[int] = []
+    for k, c in enumerate(reversed(p.coeffs)):
+        # Horner step: out * (alpha + s) + c * 2**k
+        out = [alpha * x + y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c << k
+    return IntPoly(out)
 
 
-def _normalize_support(thetas, sigmas):
-    if len(thetas) != len(sigmas):
-        raise ValueError("eigenvalue and sign lists must have equal length")
-    if any(s not in (1, -1) for s in sigmas):
-        raise ValueError("signs must be +1 or -1")
-    pairs = sorted(zip(map(float, thetas), sigmas), key=lambda p: -p[0])
-    thetas = [p[0] for p in pairs]
-    sigmas = [p[1] for p in pairs]
-    if sigmas and sigmas[0] == -1:  # global phase: normalize sigma_0 = +1
-        sigmas = [-s for s in sigmas]
-    return thetas, sigmas
+def _beta(square: int, delta: int) -> int:
+    q, r = divmod(square, delta)
+    root = math.isqrt(q)
+    if r or root * root != q:
+        raise StructureFailure("delta_not_consistent")
+    return root
 
 
-def _admissible_gs(betas, sigmas):
-    """Divisors g of gcd(beta_0 - beta_r) whose quotients carry the
-    parities (1 - sigma_r)/2, largest first."""
-    gaps = [betas[0] - b for b in betas]
-    eps = [(1 - s) // 2 for s in sigmas]
-    gbig = reduce(math.gcd, gaps)
-    if gbig == 0:
-        return [], gaps, eps
-    good = [
-        q
-        for q in _divisors(gbig)
-        if all((gap // q) % 2 == e for gap, e in zip(gaps, eps))
-    ]
-    return sorted(good, reverse=True), gaps, eps
+def quadratic_integer_structure(
+    poly: IntPoly, thetas: list[float]
+) -> tuple[int, int, tuple[int, ...]]:
+    """Find integers alpha, squarefree delta, and integers beta_r, largest
+    first, with theta_r = (alpha + beta_r sqrt(delta)) / 2 for every root
+    of ``poly``, a monic squarefree integer polynomial with real roots.
 
-
-def min_pst_time(thetas: list[float], sigmas: list[int]) -> float | None:
-    """Smallest t > 0 with t (theta_0 - theta_r) an integer multiple of pi
-    whose parity is even exactly when sigma_r = +1, or None when no such t
-    exists (incommensurable gaps or parity obstruction).
+    ``thetas`` approximate the roots and only propose candidates; every
+    accepted root is an exact root.  The integer roots are split off.  With
+    none left, alpha is the pair sum of least size.  Otherwise the rest has
+    its k roots in conjugate pairs (alpha +- s) / 2, so alpha is minus
+    twice its t**(k-1) coefficient over k, 2**k rest((alpha + s) / 2) is
+    even in s, and its roots in s**2 are integers.  Raises StructureFailure
+    with a reason of no_common_alpha or delta_not_consistent.
     """
-    thetas, sigmas = _normalize_support(thetas, sigmas)
-    if len(thetas) < 2:
-        return None
-    try:
-        _, delta, betas = quadratic_integer_structure(thetas)
-    except StructureFailure:
-        return None
-    good, _, _ = _admissible_gs(betas, sigmas)
-    if not good:
-        return None
-    return 2.0 * math.pi / (good[0] * math.sqrt(delta))
+    roots = sorted(_integer_roots(poly, thetas))
+    rest = reduce(poly_divexact, (IntPoly((-r, 1)) for r in roots), poly)
+    squares: set[int] = set()
+    if rest.degree == 0:
+        sums = (x + y for i, x in enumerate(roots) for y in roots[i:])
+        alpha = min(sums, key=lambda s: (abs(s), s))
+    else:
+        alpha, rem = divmod(-2 * rest.coeffs[-2], rest.degree)
+        shifted = _half_shift(rest, alpha).coeffs
+        if rem or any(shifted[1::2]):
+            raise StructureFailure("no_common_alpha")
+        in_squares = IntPoly(shifted[::2])
+        squares = _integer_roots(in_squares, [(2 * th - alpha) ** 2 for th in thetas])
+        if len(squares) != in_squares.degree:
+            raise StructureFailure("no_common_alpha")
+    gaps = [2 * r - alpha for r in roots]
+    positive = [g * g for g in gaps if g] + sorted(squares)
+    # a single root alpha / 2 has no positive square; it gets delta 1, beta 0
+    delta = _squarefree_kernel(math.gcd(*positive) or 1)
+    betas = [_beta(g * g, delta) * (1 if g > 0 else -1) for g in gaps]
+    for u in squares:
+        betas += [_beta(u, delta), -_beta(u, delta)]
+    # No parity check is needed: each root is an algebraic integer, so beta
+    # has the parity of alpha when delta is 1 mod 4, and both are even otherwise.
+    return alpha, delta, tuple(sorted(betas, reverse=True))
+
+
+def _class_signs(plus: IntPoly, alpha: int, delta: int, betas) -> tuple[int, ...]:
+    """sigma_r of each root (alpha + beta_r sqrt(delta)) / 2, scaled so that
+    sigma_0 = +1: +1 where ``plus`` vanishes.  2**deg(plus) plus at the root
+    is x + y sqrt(delta), computed exactly."""
+    shifted = _half_shift(plus, alpha).coeffs
+    even, odd = IntPoly(shifted[::2]), IntPoly(shifted[1::2])
+    signs = []
+    for beta in betas:
+        x, y = even(beta * beta * delta), beta * odd(beta * beta * delta)
+        signs.append(1 if (x + y == 0 if delta == 1 else x == y == 0) else -1)
+    return tuple(s * signs[0] for s in signs)
+
+
+def _admissible_g(gaps: list[int], sigmas) -> int | None:
+    """The largest divisor g of gcd(gaps) whose quotients gap / g are odd
+    exactly where sigma_r = -1, or None.  An odd factor of g changes no
+    quotient's parity, so g is the odd part of the gcd times the largest
+    power of two that works."""
+    big = reduce(math.gcd, gaps)
+    twos = (big & -big).bit_length() - 1
+    for j in range(twos, -1, -1):
+        if all((gap >> j) % 2 == (1 - s) // 2 for gap, s in zip(gaps, sigmas)):
+            return big >> twos << j
+    return None
 
 
 def pst_certificate(
@@ -335,38 +294,58 @@ def pst_certificate(
     b: int,
     dec: SpectralDecomposition | None = None,
 ) -> PstCertificate:
-    """Decide perfect state transfer between a and b.
+    """Decide perfect state transfer between a and b.  Requires integer
+    weights.
 
     Checks, in order: strong cospectrality, the common quadratic-integer
-    form of the supported eigenvalues, beta parity consistency, and an
-    admissible gap divisor.  On success the minimal transfer time is
-    derived from the phase congruences and cross-validated by evolving
-    the walk; a cross-validation miss raises rather than returning a
-    wrong certificate.
+    form of the roots of m+ m- (the sigma = +1 and sigma = -1 classes, so
+    the supported eigenvalues), and an admissible gap divisor.  On success
+    the minimal transfer time is derived from the phase congruences and
+    cross-validated by evolving the walk.  A support size or sign pattern
+    on which the numeric decomposition and the exact classes disagree, or
+    a cross-validation miss, raises rather than returning a wrong
+    certificate.
 
-    ``dec`` is a decomposition of g already at hand, if any.
+    A failure names the first check that fails: not_strongly_cospectral,
+    no_common_alpha, delta_not_consistent or no_admissible_g.  ``dec`` is a
+    decomposition of g already at hand, if any.
     """
     if a == b:
         raise ValueError("perfect state transfer needs two distinct vertices")
+    if not g.integer_flag:
+        raise ValueError("perfect state transfer certificate needs integer weights")
     if dec is None:
         dec = decompose(g)
     sc, sig = strongly_cospectral(g, a, b, dec=dec)
     if not sc:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")
-    supported = sig.supported()
-    thetas, sigmas = _normalize_support(
-        [th for th, _ in supported], [s for _, s in supported]
-    )
-    base = dict(support=tuple(thetas), sigmas=tuple(sigmas))
+    supported = sorted(sig.supported(), reverse=True)
+    thetas = [th for th, _ in supported]
+    # global phase: normalize sigma_0 = +1
+    sigmas = tuple(s * supported[0][1] for _, s in supported)
+    base = dict(support=tuple(thetas), sigmas=sigmas)
+    phi, phi_a = charpoly(g), charpoly_deleted(g, [a])
+    # P_ab up to sign: P_ab**2 = phi(G\a) phi(G\b) - phi(G) phi(G\ab), and
+    # phi(G\b) = phi(G\a).  The other sign swaps the classes, which the
+    # sigma_0 = +1 normalization undoes.
+    path = poly_sqrt(phi_a * phi_a - phi * charpoly_deleted(g, [a, b]))
+    plus, minus = sigma_classes(phi, phi_a, path)
+    if plus.degree + minus.degree != len(thetas):
+        raise RuntimeError(
+            f"exact support has {plus.degree + minus.degree} eigenvalues, "
+            f"numeric support {len(thetas)}"
+        )
     try:
-        alpha, delta, betas = quadratic_integer_structure(thetas)
+        alpha, delta, betas = quadratic_integer_structure(plus * minus, thetas)
     except StructureFailure as exc:
         return PstCertificate("fail", a, b, failure_reason=exc.reason, **base)
+    if _class_signs(plus, alpha, delta, betas) != sigmas:
+        raise RuntimeError(f"exact and numeric sigma signs disagree for vertices {a}, {b}")
     base.update(alpha=alpha, delta=delta, betas=betas)
-    good, gaps, _ = _admissible_gs(betas, sigmas)
-    if not good:
+    gaps = [betas[0] - beta for beta in betas]
+    gstar = _admissible_g(gaps, sigmas)
+    if gstar is None:
         return PstCertificate("fail", a, b, failure_reason="no_admissible_g", **base)
-    gstar = good[0]
     ks = tuple(gap // gstar for gap in gaps)
     t = 2.0 * math.pi / (gstar * math.sqrt(delta))
     fid = evolve_fidelity(g, a, b, t, dec=dec)
@@ -375,15 +354,6 @@ def pst_certificate(
             f"certificate claims transfer at t={t} but fidelity is {fid}; "
             "tolerance failure"
         )
-    closed_form = math.pi / (gstar * math.sqrt(delta))
     return PstCertificate(
-        "success",
-        a,
-        b,
-        g=gstar,
-        ks=ks,
-        pst_time=t,
-        fidelity_at_time=fid,
-        closed_form_match=abs(closed_form - t) <= 1e-9 * t,
-        **base,
+        "success", a, b, g=gstar, ks=ks, pst_time=t, fidelity_at_time=fid, **base
     )

@@ -218,9 +218,8 @@ def verify_double_star_quotient_relations(k: int, n: int, slack: float = 1e-9) -
 
 # For a vertex v of a graph H, phi(H\v)/phi(H) = sum_r (E_r)_vv / (t - theta_r),
 # so its reduced denominator is the support polynomial of v: the product of
-# t - theta over the eigenvalues whose eigenspace sees v.  For strongly
-# cospectral a, b with (E_r)_ab = sigma_r (E_r)_aa, the same reduction of
-# (phi(Z\a) +- P_ab(Z)) / phi(Z) gives the sigma = +1 and sigma = -1 classes.
+# t - theta over the eigenvalues whose eigenspace sees v.  The sigma classes
+# of the composition come from the same reduction (exactpoly.sigma_classes).
 
 
 def _support_poly(phi_del: xp.IntPoly, phi: xp.IntPoly) -> xp.IntPoly:
@@ -245,9 +244,7 @@ def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     if not strongly_cospectral_exact(z, ga, gb):
         raise ValueError("composition endpoints are not strongly cospectral")
     phi, phi_a = xp.charpoly(z), xp.charpoly_deleted(z, [ga])
-    path = xp.path_sum_poly(z, ga, gb)
-    plus = _support_poly(phi_a + path, phi)
-    minus = _support_poly(phi_a - path, phi)
+    plus, minus = xp.sigma_classes(phi, phi_a, xp.path_sum_poly(z, ga, gb))
     leftover = _nonsupport_poly(phi, plus * minus)
     return ((p1, p1d), (p2, p2d)), plus, minus, leftover
 

@@ -121,6 +121,11 @@ def test_pst_same_vertex_is_input_error(capsys, graph_file):
     assert main(["pst", graph_file(P2_EDGELIST), "1", "1"]) == 2
 
 
+def test_pst_rejects_fractional_weights(capsys, graph_file):
+    assert main(["pst", graph_file("2 1\n0 1 0.5\n"), "0", "1"]) == 2
+    assert "integer weights" in capsys.readouterr().err
+
+
 def test_compose_two_singletons(capsys, graph_file):
     path = graph_file(K1_EDGELIST)
     code, report, _ = run_json(
@@ -196,7 +201,7 @@ def test_compose_decides_strong_cospectrality_once(capsys, graph_file, monkeypat
 
 def test_envelope_reports_the_fixed_tolerances(capsys, graph_file):
     assert (spectral.GROUPING_TOL, spectral.SUPPORT_TOL) == (1e-9, 1e-7)
-    assert (pst.ROUND_TOL, verify.SCAN_THRESHOLD) == (1e-6, 1e-6)
+    assert verify.SCAN_THRESHOLD == 1e-6
     c4, p3 = graph_file(C4_EDGELIST, "c4.el"), graph_file(P3_EDGELIST, "p3.el")
     # both graphs have max row sum 2, which scales the grouping tolerance
     grouping = 2 * spectral.GROUPING_TOL
@@ -206,7 +211,7 @@ def test_envelope_reports_the_fixed_tolerances(capsys, graph_file):
             ["cospectral", p3, "0", "2", "--strong"],
             {"grouping_tol": grouping, "support_tol": spectral.SUPPORT_TOL},
         ),
-        (["pst", p3, "0", "2"], {"support_tol": spectral.SUPPORT_TOL, "round_tol": pst.ROUND_TOL}),
+        (["pst", p3, "0", "2"], {"support_tol": spectral.SUPPORT_TOL}),
         (
             ["search", "--bridge", "2", "--max-n", "1"],
             {"scan_threshold": verify.SCAN_THRESHOLD, "scan_t_max": 30.0},

@@ -25,7 +25,9 @@ from pstwalk.exactpoly import (
     poles_simple,
     poly_divexact,
     poly_gcd,
+    poly_sqrt,
     return_walk_gf,
+    sigma_classes,
     squarefree_part,
     walk_equivalent,
     walk_gf,
@@ -177,6 +179,32 @@ def test_squarefree_part():
     assert squarefree_part(p).coeffs == (-1, 0, 1)
     cube = IntPoly((0, 1)) * IntPoly((0, 1)) * IntPoly((0, 1))
     assert squarefree_part(cube).coeffs == (0, 1)
+
+
+def test_poly_sqrt():
+    rng = random.Random(3)
+    for _ in range(60):
+        p = IntPoly(rng.randint(-2**70, 2**70) for _ in range(rng.randint(1, 9)))
+        if p.is_zero:
+            continue
+        root = poly_sqrt(p * p)
+        assert root == (p if p.leading > 0 else -p)
+    assert poly_sqrt(IntPoly()) == IntPoly()
+    for not_square in ((-1, 0, 1), (0, 0, 0, 1), (0, 0, 2), (0, 0, -1), (1, 0, 1)):
+        with pytest.raises(ExactDivisionError):
+            poly_sqrt(IntPoly(not_square))
+
+
+def test_sigma_classes():
+    # P2: theta = 1 has sigma = +1, theta = -1 has sigma = -1; negating P swaps them
+    p2 = build_path(2)
+    phi, phi_a, path = charpoly(p2), charpoly_deleted(p2, [0]), path_sum_poly(p2, 0, 1)
+    assert sigma_classes(phi, phi_a, path) == (IntPoly((-1, 1)), IntPoly((1, 1)))
+    assert sigma_classes(phi, phi_a, -path) == (IntPoly((1, 1)), IntPoly((-1, 1)))
+    # P3 ends: sqrt 2 and -sqrt 2 have sigma = +1, 0 has sigma = -1
+    p3 = build_path(3)
+    plus, minus = sigma_classes(charpoly(p3), charpoly_deleted(p3, [0]), path_sum_poly(p3, 0, 2))
+    assert (plus, minus) == (IntPoly((-2, 0, 1)), T)
 
 
 def test_bareiss_det_matches_fraction_elimination():

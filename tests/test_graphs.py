@@ -396,10 +396,3 @@ def test_articulation_points():
     g, a, b = build_double_star(2, 2)
     assert set(g.articulation_points()) == {a, b}
     assert set(build_cycle(5).articulation_points()) == set()
-
-
-def test_connected_between():
-    g = Graph(np.zeros((3, 3)))
-    assert not g.connected_between(0, 2)
-    p = build_path(3)
-    assert p.connected_between(0, 2)

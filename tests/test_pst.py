@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from pstwalk.exactpoly import IntPoly
 from pstwalk.graphs import (
     Graph,
     build_complete,
@@ -19,7 +20,6 @@ from pstwalk.pst import (
     StructureFailure,
     evolve_fidelity,
     fidelity_scan,
-    min_pst_time,
     pst_certificate,
     quadratic_integer_structure,
 )
@@ -107,42 +107,46 @@ def test_fidelity_scan_validates_input():
         fidelity_scan(build_path(2), 0, 1, 1.0, 0)
 
 
-def test_min_pst_time_examples():
-    assert min_pst_time([1.0, -1.0], [1, -1]) == pytest.approx(math.pi / 2)
-    assert min_pst_time(
-        [math.sqrt(2), 0.0, -math.sqrt(2)], [1, -1, 1]
-    ) == pytest.approx(math.pi / math.sqrt(2))
-    golden = [PHI, 1 / PHI, -1 / PHI, -PHI]
-    assert min_pst_time(golden, [1, -1, 1, -1]) is None
-
-
-def test_min_pst_time_input_validation():
-    with pytest.raises(ValueError):
-        min_pst_time([1.0, -1.0], [1])
-    with pytest.raises(ValueError):
-        min_pst_time([1.0, -1.0], [1, 2])
-    assert min_pst_time([1.0], [1]) is None
-
-
 def test_quadratic_structure_examples():
-    assert quadratic_integer_structure([1.0, -1.0]) == (0, 1, (2, -2))
-    alpha, delta, betas = quadratic_integer_structure(
-        [math.sqrt(2), 0.0, -math.sqrt(2)]
-    )
-    assert (alpha, delta, betas) == (0, 2, (2, 0, -2))
-    alpha, delta, betas = quadratic_integer_structure(
-        [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
-    )
-    assert (alpha, delta, betas) == (1, 5, (1, -1))
+    assert quadratic_integer_structure(IntPoly([-1, 0, 1]), [1.0, -1.0]) == (0, 1, (2, -2))
+    # P3: sqrt 2, 0, -sqrt 2
+    assert quadratic_integer_structure(
+        IntPoly([0, -2, 0, 1]), [math.sqrt(2), 0.0, -math.sqrt(2)]
+    ) == (0, 2, (2, 0, -2))
+    assert quadratic_integer_structure(
+        IntPoly([-1, -1, 1]), [PHI, 1 - PHI]
+    ) == (1, 5, (1, -1))
+    # all-integer roots take the pair sum of least size, then the smaller
+    assert quadratic_integer_structure(
+        IntPoly([-6, 11, -6, 1]), [1.0, 2.0, 3.0]
+    ) == (2, 1, (4, 2, 0))
+    assert quadratic_integer_structure(IntPoly([-3, 1]), [3.0]) == (6, 1, (0,))
+
+
+def test_quadratic_structure_floats_only_propose():
+    # the proposals may be off by much more than 1/2; every root is still exact
+    big = 2**40
+    p = IntPoly([0, -2 * big * big, 0, 1])  # t (t**2 - 2**81)
+    off = [math.sqrt(2) * big + 1e3, 7.0, -math.sqrt(2) * big - 1e3]
+    assert quadratic_integer_structure(p, off) == (0, 2, (2 * big, 0, -2 * big))
+    # a proposal near no root finds none
+    with pytest.raises(StructureFailure) as err:
+        quadratic_integer_structure(IntPoly([-1, 0, 1]), [1.0, 0.4])
+    assert err.value.reason == "no_common_alpha"
 
 
 def test_quadratic_structure_failures():
-    with pytest.raises(StructureFailure) as err:
-        quadratic_integer_structure([PHI, 1 / PHI, -1 / PHI, -PHI])
-    assert err.value.reason == "no_common_alpha"
-    with pytest.raises(StructureFailure) as err:
-        quadratic_integer_structure([math.sqrt(2), -math.sqrt(3)])
-    assert err.value.reason in ("no_common_alpha", "delta_not_consistent")
+    golden = [PHI, 1 / PHI, -1 / PHI, -PHI]
+    for poly, thetas, reason in (
+        (IntPoly([1, 0, -3, 0, 1]), golden, "no_common_alpha"),  # P4
+        (IntPoly([-2, 0, 0, 1]), [2 ** (1 / 3)], "no_common_alpha"),  # t**3 - 2
+        # (t**2 - 1)(t**2 - 2) and (t**2 - 2)(t**2 - 3)
+        (IntPoly([2, 0, -3, 0, 1]), [1, -1, 2**0.5, -(2**0.5)], "delta_not_consistent"),
+        (IntPoly([6, 0, -5, 0, 1]), [3**0.5, 2**0.5, -(2**0.5), -(3**0.5)], "delta_not_consistent"),
+    ):
+        with pytest.raises(StructureFailure) as err:
+            quadratic_integer_structure(poly, thetas)
+        assert err.value.reason == reason
 
 
 def test_certificate_p2():
@@ -154,8 +158,6 @@ def test_certificate_p2():
     assert cert.g == 4
     assert cert.ks == (0, 1)
     assert cert.fidelity_at_time >= 1 - 1e-9
-    # the bare closed form would give pi/4 here, half the true minimal time
-    assert cert.closed_form_match is False
 
 
 def test_certificate_p3_ends():
@@ -182,6 +184,54 @@ def test_certificate_failures():
     assert pst_certificate(g, a, b).failure_reason == "not_strongly_cospectral"
     g, a, b = build_extended_double_star(1, 1)
     assert pst_certificate(g, a, b).failure_reason == "delta_not_consistent"
+
+
+@pytest.mark.parametrize("k", [20, 30, 40])
+def test_certificate_scales_with_the_weights(k):
+    # multiplying every weight by 2**k divides the transfer time by 2**k;
+    # rounded floats lose the quadratic structure at these scales
+    s = 2**k
+    cases = (
+        (build_path(2), 0, 1, math.pi / 2 ** (k + 1)),
+        (build_path(3), 0, 2, math.pi / (s * math.sqrt(2))),
+        (build_cycle(4), 0, 2, math.pi / 2 ** (k + 1)),
+    )
+    for g, a, b, t in cases:
+        cert = pst_certificate(Graph(s * g.weights), a, b)
+        assert cert.success
+        assert cert.pst_time == pytest.approx(t, rel=1e-12)
+    g, a, b = build_double_star(2, 2)
+    assert pst_certificate(Graph(s * g.weights), a, b).failure_reason == "no_admissible_g"
+
+
+def test_certificate_prime_weight():
+    # every squared gap carries p**2; finding delta must not trial-divide up to p
+    p = 2**31 - 1
+    cert = pst_certificate(Graph(p * build_path(3).weights), 0, 2)
+    assert (cert.alpha, cert.delta, cert.betas) == (0, 2, (2 * p, 0, -2 * p))
+    assert cert.pst_time == pytest.approx(math.pi / (p * math.sqrt(2)), rel=1e-12)
+
+
+def test_certificate_needs_integer_weights():
+    # K2 with weight 1/2 transfers at t = pi, but the exact layer has no
+    # polynomials for it
+    g = Graph(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    assert evolve_fidelity(g, 0, 1, math.pi) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="integer weights"):
+        pst_certificate(g, 0, 1)
+
+
+def test_double_star_failure_reasons():
+    # S(k,k): the centres' support is (+-1 +- sqrt(4k+1)) / 2, with a common
+    # alpha only when 4k + 1 is a square, and then the gaps have no
+    # admissible divisor; E(k,k): +-sqrt(k+2), +-sqrt(k), 0 never share a delta
+    for k in range(1, 17):
+        g, a, b = build_double_star(k, k)
+        square = math.isqrt(4 * k + 1) ** 2 == 4 * k + 1
+        expected = "no_admissible_g" if square else "no_common_alpha"
+        assert pst_certificate(g, a, b).failure_reason == expected, k
+        g, a, b = build_extended_double_star(k, k)
+        assert pst_certificate(g, a, b).failure_reason == "delta_not_consistent", k
 
 
 def test_certificate_rejects_same_vertex():

@@ -219,6 +219,20 @@ def test_search_decomposes_once_per_pair(monkeypatch):
     assert len(calls) == report.instances_tested
 
 
+@pytest.mark.parametrize(
+    "bridge, histogram",
+    [
+        (2, {"no_admissible_g": 1, "no_common_alpha": 14, "not_strongly_cospectral": 240}),
+        (3, {"delta_not_consistent": 4, "no_common_alpha": 11, "not_strongly_cospectral": 240}),
+    ],
+)
+def test_search_failure_histogram(bridge, histogram):
+    report = search_no_pst(bridge, 4, scan_cross_check=False)
+    assert report.instances_tested == 256
+    assert report.failure_histogram == histogram
+    assert len(report.pst_successes) == 1
+
+
 def test_search_rejects_bad_bridge():
     with pytest.raises(ValueError):
         search_no_pst(4, 2)
