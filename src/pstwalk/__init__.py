@@ -14,7 +14,6 @@ from .exactpoly import (
     charpoly_deleted,
     one_sum_charpoly,
     path_sum_poly,
-    poles_simple,
     return_walk_gf,
     squarefree_part,
     walk_equivalent,

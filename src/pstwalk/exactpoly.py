@@ -37,7 +37,6 @@ __all__ = [
     "sigma_classes",
     "walk_gf",
     "return_walk_gf",
-    "poles_simple",
     "walk_equivalent",
 ]
 
@@ -584,15 +583,35 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
-def sigma_classes(phi: IntPoly, phi_a: IntPoly, path: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """The sigma = +1 and sigma = -1 eigenvalue classes of a strongly
-    cospectral pair a, b, each as the monic product of its t - theta, from
-    phi(G), phi(G\\a) and the path sum P_ab.
+def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
+    """The reduced denominators m+, m- of (phi(G\\a) +- P_ab) / phi(G), or
+    None when a and b are not cospectral.  Requires integer weights.
 
-    With (E_r)_ab = sigma_r (E_r)_aa, (phi(G\\a) +- P_ab) / phi(G) =
-    sum_r (E_r)_aa (1 +- sigma_r) / (t - theta_r), so the classes are the
-    reduced denominators.  Negating P_ab swaps them."""
-    return RationalFunction(phi_a + path, phi).den, RationalFunction(phi_a - path, phi).den
+    phi(G\\a) and phi(G\\b) are compared first, so a pair that is not
+    cospectral costs those two charpolys only.  P_ab, up to sign, is the
+    square root of phi(G\\a)**2 - phi(G) phi(G\\ab); the root with a
+    positive leading coefficient is taken, and the other sign would swap
+    m+ and m-.  The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r)
+    and |(E_r)_ab| <= (E_r)_aa = (E_r)_bb, with equality exactly when
+    E_r e_a = +-E_r e_b.  So m+ and m- are coprime exactly when a and b are
+    strongly cospectral (Godsil and Smith, "Strongly cospectral vertices"),
+    and then they are the sigma = +1 and sigma = -1 eigenvalue classes,
+    each the monic product of its t - theta."""
+    g._check_vertex(a)
+    g._check_vertex(b)
+    if a == b:
+        raise ValueError("sigma classes need two distinct vertices")
+    key = ("sigma", frozenset((a, b)))
+    if key in g._poly_cache:
+        return g._poly_cache[key]
+    phi_a = charpoly_deleted(g, [a])
+    classes = None
+    if phi_a == charpoly_deleted(g, [b]):
+        phi = charpoly(g)
+        path = poly_sqrt(phi_a * phi_a - phi * charpoly_deleted(g, [a, b]))
+        classes = tuple(RationalFunction(phi_a + s * path, phi).den for s in (1, -1))
+    g._poly_cache[key] = classes
+    return classes
 
 
 def walk_gf(g: Graph, a: int) -> RationalFunction:
@@ -613,17 +632,6 @@ def return_walk_gf(g: Graph, a: int) -> RationalFunction:
     phi_del = charpoly_deleted(g, [a])
     den = T * phi_del
     return RationalFunction(den - phi, den)
-
-
-def poles_simple(num: IntPoly, den: IntPoly) -> bool:
-    """True when every pole of num/den is simple after reduction."""
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    g = poly_gcd(num, den)
-    d = poly_divexact(den, g) if g.degree > 0 else den
-    if d.degree <= 0:
-        return True
-    return poly_gcd(d, d.derivative()).degree == 0
 
 
 def walk_equivalent(

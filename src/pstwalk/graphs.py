@@ -109,7 +109,7 @@ class Graph:
         """Weights as exact Python integers.  Requires integer_flag."""
         if not self._integer:
             raise ValueError("graph has non-integer weights")
-        return [[int(round(x)) for x in row] for row in self.weights]
+        return [[int(x) for x in row] for row in self.weights.tolist()]
 
     def neighbors(self, u: int) -> list[int]:
         return [v for v in range(self.n) if v != u and self.weights[u, v] != 0]

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exactpoly import IntPoly, charpoly, charpoly_deleted, poly_divexact, poly_sqrt, sigma_classes
+from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
 from .spectral import SpectralDecomposition, decompose, strongly_cospectral
 
@@ -324,12 +324,9 @@ def pst_certificate(
     # global phase: normalize sigma_0 = +1
     sigmas = tuple(s * supported[0][1] for _, s in supported)
     base = dict(support=tuple(thetas), sigmas=sigmas)
-    phi, phi_a = charpoly(g), charpoly_deleted(g, [a])
-    # P_ab up to sign: P_ab**2 = phi(G\a) phi(G\b) - phi(G) phi(G\ab), and
-    # phi(G\b) = phi(G\a).  The other sign swaps the classes, which the
-    # sigma_0 = +1 normalization undoes.
-    path = poly_sqrt(phi_a * phi_a - phi * charpoly_deleted(g, [a, b]))
-    plus, minus = sigma_classes(phi, phi_a, path)
+    # the exact decision inside strongly_cospectral cached the classes; which
+    # one is +1 does not matter, as the sigma_0 = +1 normalization undoes a swap
+    plus, minus = sigma_classes(g, a, b)
     if plus.degree + minus.degree != len(thetas):
         raise RuntimeError(
             f"exact support has {plus.degree + minus.degree} eigenvalues, "

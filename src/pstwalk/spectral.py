@@ -30,13 +30,12 @@ __all__ = [
 
 # Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) share an eigenspace.
 GROUPING_TOL = 1e-9
-# A projector column of norm above SUPPORT_TOL puts its eigenvalue in the support.
+# A projector column of norm above SUPPORT_TOL puts its eigenvalue in the support;
+# for non-integer weights, column norms within SUPPORT_TOL count as equal.
 SUPPORT_TOL = 1e-7
 # An eigenvalue handed to projector_entry_via_neutrino must be a root of phi to
 # within _ROOT_TOL relative to the polynomial's size there.
 _ROOT_TOL = 1e-6
-# Lanczos stops once the residual norm drops below _BREAKDOWN_TOL * max(1, ||A||_inf).
-_BREAKDOWN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,31 +98,23 @@ def support(dec: SpectralDecomposition, a: int) -> list[float]:
 
 
 def cospectral(g: Graph, a: int, b: int) -> bool:
-    """Whether G\\a and G\\b are cospectral.
+    """Whether G\\a and G\\b are cospectral, that is, (E_r)_aa = (E_r)_bb
+    for every eigenspace.
 
-    Exact deleted-charpoly comparison for integer weights, otherwise a
-    numeric moment comparison.  When true and the graph is simple
-    unweighted, equal degrees are asserted as a consistency check.
+    Exact deleted-charpoly comparison for integer weights; otherwise the
+    projector column norms ||E_r e_a|| and ||E_r e_b|| of ``decompose``
+    must agree to within SUPPORT_TOL.
     """
     g._check_vertex(a)
     g._check_vertex(b)
     if a == b:
         return True
     if g.integer_flag:
-        result = xp.charpoly_deleted(g, [a]) == xp.charpoly_deleted(g, [b])
-    else:
-        w = g.weights
-        scale = max(1.0, float(np.linalg.norm(w, np.inf)))
-        m = np.eye(g.n)
-        result = True
-        for _ in range(g.n):
-            m = m @ w
-            if abs(m[a, a] - m[b, b]) > 1e-8 * scale ** g.n:
-                result = False
-                break
-    if result and g.is_simple_unweighted and g.degree(a) != g.degree(b):
-        raise RuntimeError("cospectral vertices with unequal degrees; tolerance failure")
-    return result
+        return xp.charpoly_deleted(g, [a]) == xp.charpoly_deleted(g, [b])
+    return all(
+        abs(float(np.linalg.norm(e[:, a])) - float(np.linalg.norm(e[:, b]))) <= SUPPORT_TOL
+        for e in decompose(g).projectors
+    )
 
 
 @dataclass(frozen=True)
@@ -171,8 +162,8 @@ def strongly_cospectral(
     holds for every eigenspace.
 
     Numeric decision from the spectral decomposition; for integer weights
-    the exact criterion (equal deleted charpolys and simple poles of
-    phi(G\\ab)/phi(G)) is computed as well and any disagreement raises,
+    the exact criterion (``strongly_cospectral_exact``) is computed as well
+    and any disagreement raises,
     since it signals a numeric failure rather than a mathematical result.
     """
     g._check_vertex(a)
@@ -215,18 +206,17 @@ def strongly_cospectral(
 
 
 def strongly_cospectral_exact(g: Graph, a: int, b: int) -> bool:
-    """Exact strong-cospectrality decision for integer weights: the deleted
-    characteristic polynomials agree and phi(G\\ab)/phi(G) has only simple
-    poles after reduction."""
+    """Exact strong-cospectrality decision for integer weights: a and b are
+    cospectral and their sigma classes m+ and m- share no eigenvalue
+    (``exactpoly.sigma_classes``)."""
     g._check_vertex(a)
     g._check_vertex(b)
     if a == b:
         raise ValueError("strong cospectrality needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("exact decision needs integer weights")
-    if xp.charpoly_deleted(g, [a]) != xp.charpoly_deleted(g, [b]):
-        return False
-    return xp.poles_simple(xp.charpoly_deleted(g, [a, b]), xp.charpoly(g))
+    classes = xp.sigma_classes(g, a, b)
+    return classes is not None and xp.poly_gcd(*classes).degree == 0
 
 
 def _poly_scale_at(p: xp.IntPoly, x: float) -> float:
@@ -238,9 +228,10 @@ def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> floa
     """<b| E_theta |a> computed from characteristic polynomials alone.
 
     The resolvent entry p(t)/phi(t) (p the deleted charpoly on the
-    diagonal, the signed path sum off the diagonal) has only simple poles
-    once reduced, so the projector entry is the residue p(theta)/phi'(theta)
-    of the reduced fraction, or 0 when theta is no longer a pole.
+    diagonal, the signed path sum off the diagonal) has only simple poles,
+    so once reduced its denominator is squarefree and the projector entry
+    is the residue p(theta)/phi'(theta) of the reduced fraction, or 0 when
+    theta is no longer a pole.
     """
     g._check_vertex(a)
     g._check_vertex(b)
@@ -249,37 +240,23 @@ def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> floa
     if abs(sf(theta)) > _ROOT_TOL * _poly_scale_at(sf, theta):
         raise ValueError(f"{theta} is not an eigenvalue within tolerance")
     p = xp.charpoly_deleted(g, [a]) if a == b else xp.path_sum_poly(g, a, b)
-    if p.is_zero:
-        return 0.0
-    gcd = xp.poly_gcd(p, phi)
-    if gcd.degree > 0:
-        p = xp.poly_divexact(p, gcd)
-        phi = xp.poly_divexact(phi, gcd)
-    if abs(phi(theta)) > _ROOT_TOL * _poly_scale_at(phi, theta):
+    r = xp.RationalFunction(p, phi)
+    if abs(r.den(theta)) > _ROOT_TOL * _poly_scale_at(r.den, theta):
         return 0.0  # the pole at theta cancelled entirely
-    d = phi.derivative()
-    dval = d(theta)
-    if abs(dval) > 1e-12 * _poly_scale_at(d, theta):
-        return float(p(theta)) / float(dval)
-    # ill-conditioned residue; fall back to averaged evaluation nearby
-    eps = 1e-6
-    lo = (theta - eps - theta) * p(theta - eps) / phi(theta - eps)
-    hi = (theta + eps - theta) * p(theta + eps) / phi(theta + eps)
-    return 0.5 * float(lo + hi)
+    return float(r.num(theta)) / float(r.den.derivative()(theta))
 
 
 def walk_module_matrix(g: Graph, a: int) -> np.ndarray:
     """Tridiagonal matrix representing the adjacency action on the walk
     module generated by e_a (Lanczos with full reorthogonalization).
 
-    The first basis vector is e_a and the dimension equals the number of
-    eigenvalues in the support of a.
+    The first basis vector is e_a, and the run takes as many steps as a has
+    eigenvalues in its support (``support``), the dimension of the module.
     """
     g._check_vertex(a)
+    dim = len(support(decompose(g), a))
     A = g.weights
-    n = g.n
-    scale = max(1.0, float(np.linalg.norm(A, np.inf)))
-    q = np.zeros(n)
+    q = np.zeros(g.n)
     q[a] = 1.0
     basis = [q]
     alphas = []
@@ -287,24 +264,15 @@ def walk_module_matrix(g: Graph, a: int) -> np.ndarray:
     while True:
         q = basis[-1]
         w = A @ q
-        alpha = float(q @ w)
-        alphas.append(alpha)
-        r = w - alpha * q
+        alphas.append(float(q @ w))
+        if len(basis) == dim:
+            break
+        r = w - alphas[-1] * q
         if len(basis) > 1:
             r -= betas[-1] * basis[-2]
         Q = np.column_stack(basis)
         r -= Q @ (Q.T @ r)
         r -= Q @ (Q.T @ r)
-        beta = float(np.linalg.norm(r))
-        if beta <= _BREAKDOWN_TOL * scale:
-            break
-        betas.append(beta)
-        basis.append(r / beta)
-    m = len(alphas)
-    t = np.zeros((m, m))
-    for i, al in enumerate(alphas):
-        t[i, i] = al
-    for i, be in enumerate(betas):
-        t[i, i + 1] = be
-        t[i + 1, i] = be
-    return t
+        betas.append(float(np.linalg.norm(r)))
+        basis.append(r / betas[-1])
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)

@@ -22,7 +22,7 @@ from .graphs import (
     serialize_graph,
 )
 from .pst import fidelity_scan, pst_certificate
-from .spectral import decompose, strongly_cospectral_exact, walk_module_matrix
+from .spectral import decompose, walk_module_matrix
 
 __all__ = [
     "check_cauchy",
@@ -241,11 +241,13 @@ def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     if not xp.walk_equivalent(p1d, p1, p2d, p2):
         raise ValueError("inputs are not walk equivalent")
     z, ga, gb = compose(y1, a, y2, b, bridge)
-    if not strongly_cospectral_exact(z, ga, gb):
+    # the bridge is the only a..b path, so P_ab = phi(Y1\a) phi(Y2\b) is
+    # monic: it is the root sigma_classes takes, and the classes do not swap
+    classes = xp.sigma_classes(z, ga, gb)
+    if classes is None or xp.poly_gcd(*classes).degree > 0:
         raise ValueError("composition endpoints are not strongly cospectral")
-    phi, phi_a = xp.charpoly(z), xp.charpoly_deleted(z, [ga])
-    plus, minus = xp.sigma_classes(phi, phi_a, xp.path_sum_poly(z, ga, gb))
-    leftover = _nonsupport_poly(phi, plus * minus)
+    plus, minus = classes
+    leftover = _nonsupport_poly(xp.charpoly(z), plus * minus)
     return ((p1, p1d), (p2, p2d)), plus, minus, leftover
 
 

@@ -22,7 +22,6 @@ from pstwalk.exactpoly import (
     one_sum_charpoly,
     path_sum_poly,
     pendant_sqrt2_charpoly,
-    poles_simple,
     poly_divexact,
     poly_gcd,
     poly_sqrt,
@@ -196,15 +195,20 @@ def test_poly_sqrt():
 
 
 def test_sigma_classes():
-    # P2: theta = 1 has sigma = +1, theta = -1 has sigma = -1; negating P swaps them
-    p2 = build_path(2)
-    phi, phi_a, path = charpoly(p2), charpoly_deleted(p2, [0]), path_sum_poly(p2, 0, 1)
-    assert sigma_classes(phi, phi_a, path) == (IntPoly((-1, 1)), IntPoly((1, 1)))
-    assert sigma_classes(phi, phi_a, -path) == (IntPoly((1, 1)), IntPoly((-1, 1)))
+    # P2: theta = 1 has sigma = +1, theta = -1 has sigma = -1
+    assert sigma_classes(build_path(2), 0, 1) == (IntPoly((-1, 1)), IntPoly((1, 1)))
     # P3 ends: sqrt 2 and -sqrt 2 have sigma = +1, 0 has sigma = -1
     p3 = build_path(3)
-    plus, minus = sigma_classes(charpoly(p3), charpoly_deleted(p3, [0]), path_sum_poly(p3, 0, 2))
-    assert (plus, minus) == (IntPoly((-2, 0, 1)), T)
+    assert sigma_classes(p3, 0, 2) == (IntPoly((-2, 0, 1)), T)
+    assert sigma_classes(p3, 2, 0) == sigma_classes(p3, 0, 2)
+    assert sigma_classes(p3, 0, 1) is None  # not cospectral
+    # C4 adjacent pair: cospectral, but E_0 e_0 and E_0 e_1 are orthogonal,
+    # so 0 falls in both classes
+    assert sigma_classes(build_cycle(4), 0, 1) == (T * (T - 2), T * (T + 2))
+    with pytest.raises(ValueError):
+        sigma_classes(p3, 1, 1)
+    with pytest.raises(ValueError):
+        sigma_classes(Graph(np.array([[0.0, 0.5], [0.5, 0.0]])), 0, 1)
 
 
 def test_bareiss_det_matches_fraction_elimination():
@@ -455,15 +459,6 @@ def test_return_walk_gf_single_vertex():
     f = return_walk_gf(g, 0)
     # 1 - t/(t*1) = 0 for the empty walk generating function at a bare vertex
     assert f.num.is_zero
-
-
-def test_poles_simple():
-    c4 = build_cycle(4)
-    phi = charpoly(c4)
-    # adjacent pair: double pole survives the reduction
-    assert not poles_simple(charpoly_deleted(c4, [0, 1]), phi)
-    # antipodal pair: all poles simple
-    assert poles_simple(charpoly_deleted(c4, [0, 2]), phi)
 
 
 def test_walk_equivalent():

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pstwalk import exactpoly as xp
 from pstwalk import spectral
 from pstwalk.graphs import (
     Graph,
@@ -13,6 +14,8 @@ from pstwalk.graphs import (
     build_cycle,
     build_path,
     build_star,
+    compose,
+    marked_graphs,
 )
 from pstwalk.spectral import (
     cospectral,
@@ -115,10 +118,27 @@ def test_cospectral_examples():
 
 
 def test_cospectral_numeric_path():
-    # same decisions when weights force the moment-based route
+    # same decisions when weights force the eigenspace route
     g = Graph(build_path(3).weights * 0.5)
     assert cospectral(g, 0, 2)
     assert not cospectral(g, 0, 1)
+    p5 = Graph(build_path(5).weights * 0.5)
+    assert cospectral(p5, 0, 4) and cospectral(p5, 1, 3)
+    assert not cospectral(p5, 0, 2)
+
+
+def test_cospectral_float_weights_see_every_eigenspace():
+    # P3 (a = 0), P3 with weights 1.5, 1 (b = 3, on the 1.5 edge) and K1,9:
+    # a has 1 closed 2-walk and b has 2.25, so they are not cospectral,
+    # however large the star makes ||A||
+    w = np.zeros((16, 16))
+    for u, v, wt in [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.5), (4, 5, 1.0)]:
+        w[u, v] = w[v, u] = wt
+    w[6, 7:] = w[7:, 6] = 1.0
+    g = Graph(w)
+    assert (g.weights @ g.weights)[[0, 3], [0, 3]].tolist() == [1.0, 2.25]
+    assert not cospectral(g, 0, 3)
+    assert cospectral(g, 0, 2) and cospectral(g, 7, 15)
 
 
 def test_strongly_cospectral_examples():
@@ -166,13 +186,82 @@ def test_exact_numeric_disagreement_raises(monkeypatch):
 
 def test_exact_decision_canonical_cases():
     c4 = build_cycle(4)
+    # adjacent pair: phi(G\\ab)/phi(G) keeps a double pole at 0, and 0 is in
+    # both sigma classes
     assert not strongly_cospectral_exact(c4, 0, 1)
+    # antipodal pair: all poles simple
     assert strongly_cospectral_exact(c4, 0, 2)
     p4 = build_path(4)
     assert strongly_cospectral_exact(p4, 0, 3)
     assert strongly_cospectral_exact(p4, 1, 2)
     with pytest.raises(ValueError):
         strongly_cospectral_exact(Graph(np.array([[0.0, 0.5], [0.5, 0.0]])), 0, 1)
+
+
+def poles_simple_oracle(g, a, b):
+    """The earlier exact decision: equal deleted charpolys, and only simple
+    poles in phi(G\\ab)/phi(G) after reduction.  Runs on a fresh copy so it
+    shares no cached polynomial with the decision under test."""
+    g = Graph(g.weights)
+    if xp.charpoly_deleted(g, [a]) != xp.charpoly_deleted(g, [b]):
+        return False
+    num, den = xp.charpoly_deleted(g, [a, b]), xp.charpoly(g)
+    common = xp.poly_gcd(num, den)
+    d = xp.poly_divexact(den, common) if common.degree > 0 else den
+    return d.degree <= 0 or xp.poly_gcd(d, d.derivative()).degree == 0
+
+
+def test_exact_decision_matches_oracle_on_small_bridges():
+    marked = list(marked_graphs(4))
+    decided = []
+    for bridge in (2, 3):
+        for y1, a in marked:
+            for y2, b in marked:
+                z, ga, gb = compose(y1, a, y2, b, bridge)
+                sc = strongly_cospectral_exact(z, ga, gb)
+                assert sc == poles_simple_oracle(z, ga, gb)
+                decided.append(sc)
+    assert 0 < sum(decided) < len(decided)
+
+
+def test_exact_decision_matches_oracle_on_weighted_looped_graphs():
+    rng = random.Random(106)
+    outcomes = {"not_cospectral": 0, "cospectral_only": 0, "strongly": 0}
+    for i in range(320):
+        n = rng.randint(1, 4)
+        y = random_int_graph(rng, n, p=0.6, weighted=True, loops=True)
+        if i % 2:
+            # a relabelled copy across a bridge: a, b are swapped by an
+            # automorphism, so always cospectral, not always strongly
+            a = rng.randrange(n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g, a, b = compose(y, a, y.relabeled(perm), perm[a], rng.choice((2, 3)))
+        else:
+            g = random_int_graph(rng, n + 3, weighted=True, loops=True)
+            a, b = rng.sample(range(g.n), 2)
+        sc = strongly_cospectral_exact(g, a, b)
+        assert sc == poles_simple_oracle(g, a, b)
+        if sc:
+            outcomes["strongly"] += 1
+        elif cospectral(g, a, b):
+            outcomes["cospectral_only"] += 1
+        else:
+            outcomes["not_cospectral"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_non_cospectral_pair_costs_two_charpolys(monkeypatch):
+    calls = []
+    real = xp._charpoly_of_rows
+    monkeypatch.setattr(xp, "_charpoly_of_rows", lambda rows: calls.append(1) or real(rows))
+    p3 = build_path(3)
+    assert not strongly_cospectral_exact(p3, 0, 1)
+    assert len(calls) == 2
+    # a cospectral pair adds phi(G) and phi(G\\ab); a repeat is served from the cache
+    assert strongly_cospectral_exact(p3, 0, 2)
+    assert strongly_cospectral_exact(p3, 2, 0)
+    assert len(calls) == 5
 
 
 def test_neutrino_matches_projectors():
@@ -232,3 +321,5 @@ def test_walk_module_spectrum_interlaces():
         # Krylov eigenvalues are Ritz values: inside the spectrum's range
         assert tw[0] >= gw[0] - 1e-8
         assert tw[-1] <= gw[-1] + 1e-8
+        # the module is invariant, so its spectrum is exactly the support of v
+        assert np.allclose(tw, sorted(support(decompose(g), v)), atol=1e-8)

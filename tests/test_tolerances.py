@@ -3,7 +3,9 @@
 A tolerance constant is a module-level assignment in ``src/pstwalk/*.py``
 whose name ends in ``_TOL`` or ``THRESHOLD``.  README lists each one as
 `` `module.NAME = value` `` with the value the code assigns, and lists no
-other.
+other.  No other float literal below 1e-3 may appear in the code, so a
+threshold cannot hide inside a function; ``verify.py`` is exempt, because
+README documents the slacks of its suites.
 """
 
 import ast
@@ -14,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "pstwalk").glob("*.py"))
 README = ROOT / "README.md"
 ENTRY = re.compile(r"`(\w+)\.(\w+) = ([^`]+)`")
+SMALL = 1e-3
+EXEMPT = {"verify.py"}
 
 
 def is_tolerance(name: str) -> bool:
@@ -29,6 +33,19 @@ def module_constants(source: str) -> dict[str, float]:
                 if isinstance(target, ast.Name) and is_tolerance(target.id):
                     found[target.id] = ast.literal_eval(node.value)
     return found
+
+
+def small_float_lines(source: str) -> list[int]:
+    """Lines holding a float literal in (0, SMALL) outside a module-level
+    assignment."""
+    lines = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < sub.value < SMALL:
+                lines.append(sub.lineno)
+    return lines
 
 
 def readme_constants(text: str) -> dict[str, float]:
@@ -53,6 +70,8 @@ def test_checkers_read_what_they_should():
         "## Next\n\n- `m.B_THRESHOLD = 9`\n"
     )
     assert readme_constants(readme) == {"m.A_TOL": 1e-7, "m.GONE_TOL": 1.0}
+    code = "A_TOL = 1e-6\n\ndef f(x=1e-9):\n    return x < -5e-4 or x > 1e-3 or x == 0.0\n"
+    assert small_float_lines(code) == [3, 4]
 
 
 def test_every_tolerance_is_listed_with_its_value():
@@ -64,3 +83,12 @@ def test_every_tolerance_is_listed_with_its_value():
 
 def test_every_listed_tolerance_exists():
     assert sorted(set(readme_constants(README.read_text())) - set(code_constants())) == []
+
+
+def test_no_small_float_outside_module_constants():
+    found = {
+        path.name: lines
+        for path in MODULES
+        if path.name not in EXEMPT and (lines := small_float_lines(path.read_text()))
+    }
+    assert found == {}
