@@ -39,6 +39,7 @@ from .graphs import (
 from .pst import (
     PstCertificate,
     evolve_fidelity,
+    fidelity_ceiling,
     fidelity_scan,
     pst_certificate,
     quadratic_integer_structure,

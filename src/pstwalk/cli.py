@@ -228,7 +228,9 @@ def cmd_search(args) -> int:
         f"{report.strongly_cospectral_pairs} strongly cospectral, "
         f"{len(report.pst_successes)} with transfer "
         f"({len(report.nontrivial_successes)} nontrivial), "
-        f"{len(report.scan_disagreements)} scan disagreements"
+        f"{len(report.scan_disagreements)} scan disagreements; "
+        f"{report.ceiling_settled} failures settled by the fidelity ceiling "
+        f"(largest ceiling without strong cospectrality {report.max_ceiling:.6g})"
     )
     if report.nontrivial_successes or report.scan_disagreements:
         return 1
@@ -320,9 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "search",
         help="exhaustive transfer search across a bridge",
         description="Certify every bridge composition of marked side graphs.  "
-        "Each certified failure is cross-checked by a fidelity scan over "
-        "[0, --scan-t-max]; a scanned |<b|U(t)|a>| (the amplitude's modulus, "
-        f"not its square) of at least 1 - {SCAN_THRESHOLD:g} is a scan disagreement.",
+        "Each certified failure is cross-checked.  The fidelity ceiling "
+        "sum_r |(E_r)_ab| bounds |<b|U(t)|a>| (the amplitude's modulus, not its "
+        f"square) at every t; below 1 - {SCAN_THRESHOLD:g} it settles the failure.  "
+        "Otherwise, as on every strongly cospectral pair, a fidelity scan over "
+        "[0, --scan-t-max] runs, and a scanned fidelity of at least "
+        f"1 - {SCAN_THRESHOLD:g} is a scan disagreement.",
     )
     p.add_argument("--bridge", type=int, choices=(2, 3), required=True)
     p.add_argument("--max-n", type=int, default=4, help="largest side graph (default 4)")

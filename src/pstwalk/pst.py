@@ -28,6 +28,7 @@ __all__ = [
     "CONFIRM_TOL",
     "PstCertificate",
     "evolve_fidelity",
+    "fidelity_ceiling",
     "fidelity_scan",
     "pst_certificate",
     "quadratic_integer_structure",
@@ -88,6 +89,23 @@ def evolve_fidelity(
     g._check_vertex(b)
     thetas, weights = _phase_data(g, a, b, dec)
     return float(abs(np.sum(np.exp(1j * t * thetas) * weights)))
+
+
+def fidelity_ceiling(
+    g: Graph, a: int, b: int, dec: SpectralDecomposition | None = None
+) -> float:
+    """C(a, b) = sum_r |(E_r)_ba|, a bound on |<b| exp(itA) |a>| for every t.
+
+    C <= 1 by Cauchy-Schwarz on |E_r e_a| |E_r e_b|, with equality exactly
+    when a and b are strongly cospectral (Godsil & Smith, "Strongly
+    cospectral vertices", 2017).  Reads the same projector entries as
+    ``fidelity_scan``, so a scan on the same ``dec`` never peaks above C
+    beyond rounding.
+    """
+    g._check_vertex(a)
+    g._check_vertex(b)
+    _, weights = _phase_data(g, a, b, dec)
+    return float(np.sum(np.abs(weights)))
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .graphs import (
     one_sum,
     serialize_graph,
 )
-from .pst import fidelity_scan, pst_certificate
+from .pst import fidelity_ceiling, fidelity_scan, pst_certificate
 from .spectral import decompose, walk_module_matrix
 
 __all__ = [
@@ -306,7 +307,8 @@ def verify_support_correspondence_p3(y1: Graph, a: int, y2: Graph, b: int) -> bo
 # ---------------------------------------------------------------------------
 # no-transfer searches
 
-# A scanned fidelity at or above 1 - SCAN_THRESHOLD counts as transfer.
+# A scanned fidelity at or above 1 - SCAN_THRESHOLD counts as transfer, and a
+# fidelity ceiling below it rules transfer out at every t.
 SCAN_THRESHOLD = 1e-6
 
 
@@ -320,6 +322,8 @@ class SearchReport:
     pst_successes: list = field(default_factory=list)
     failure_histogram: dict = field(default_factory=dict)
     scan_checked: int = 0
+    ceiling_settled: int = 0
+    max_ceiling: float = 0.0
     scan_disagreements: list = field(default_factory=list)
 
     @property
@@ -333,6 +337,8 @@ class SearchReport:
         for k, v in other.failure_histogram.items():
             self.failure_histogram[k] = self.failure_histogram.get(k, 0) + v
         self.scan_checked += other.scan_checked
+        self.ceiling_settled += other.ceiling_settled
+        self.max_ceiling = max(self.max_ceiling, other.max_ceiling)
         self.scan_disagreements.extend(other.scan_disagreements)
 
     def to_json(self) -> dict:
@@ -344,6 +350,8 @@ class SearchReport:
             "failure_histogram": dict(sorted(self.failure_histogram.items())),
             "scan_cross_check": {
                 "instances": self.scan_checked,
+                "ceiling_settled": self.ceiling_settled,
+                "max_ceiling": self.max_ceiling,
                 "disagreements": self.scan_disagreements,
             },
         }
@@ -355,9 +363,8 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
         z, ga, gb = compose(y1, a, y2, b, bridge)
         dec = decompose(z)
         cert = pst_certificate(z, ga, gb, dec=dec)
+        ceiling = fidelity_ceiling(z, ga, gb, dec=dec)
         report.instances_tested += 1
-        if cert.failure_reason != "not_strongly_cospectral":
-            report.strongly_cospectral_pairs += 1
         entry = {
             "y1": serialize_graph(y1, "graph6"),
             "a": a,
@@ -366,6 +373,15 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
             "n1": y1.n,
             "n2": y2.n,
         }
+        if cert.failure_reason == "not_strongly_cospectral":
+            report.max_ceiling = max(report.max_ceiling, ceiling)
+        else:
+            report.strongly_cospectral_pairs += 1
+            # strong cospectrality makes the ceiling exactly 1
+            if ceiling < 1.0 - SCAN_THRESHOLD:
+                raise RuntimeError(
+                    f"strongly cospectral pair has fidelity ceiling {ceiling}: {entry}"
+                )
         if cert.success:
             t_best, f_best = fidelity_scan(
                 z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000), dec=dec
@@ -384,6 +400,10 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
             )
             if scan_cross_check:
                 report.scan_checked += 1
+                if ceiling < 1.0 - SCAN_THRESHOLD:
+                    # no t, inside the scan window or beyond it, can reach the threshold
+                    report.ceiling_settled += 1
+                    continue
                 t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps, dec=dec)
                 # approximate transfer can creep arbitrarily close to 1, so
                 # only a violation of the certificate threshold counts
@@ -409,10 +429,15 @@ def search_no_pst(
     rooted isomorphism class up to ``max_n`` vertices, or the pairs yielded
     by ``graph_source``) is composed over a bridge with ``bridge`` path
     vertices (2 or 3) and certified.  Certified successes are re-verified
-    by a fidelity scan; certified failures are optionally cross-checked by
-    a bounded scan, with any fidelity at or above 1 - SCAN_THRESHOLD
-    recorded as a disagreement; approximate transfer peaks below that stay
-    silent.
+    by a fidelity scan.  Certified failures are optionally cross-checked.
+    The fidelity ceiling bounds the fidelity at every t, so a ceiling below
+    1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
+    cospectral pair, a bounded scan runs, and a fidelity at or above
+    1 - SCAN_THRESHOLD is recorded as a disagreement (approximate transfer
+    peaks below that stay silent).  A strongly cospectral pair whose
+    ceiling is below 1 - SCAN_THRESHOLD raises.  Successes and
+    disagreements are sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does
+    not change the report.
     """
     if bridge not in (2, 3):
         raise ValueError("bridge must have 2 or 3 path vertices")
@@ -442,8 +467,9 @@ def search_no_pst(
             ]
             for fut in futures:
                 report.merge(fut.result())
-        report.pst_successes.sort(key=lambda e: (e["n1"], e["n2"], e["y1"], e["y2"]))
-        report.scan_disagreements.sort(key=lambda e: (e["n1"], e["n2"], e["y1"], e["y2"]))
+    order = operator.itemgetter("n1", "n2", "y1", "a", "y2", "b")
+    report.pst_successes.sort(key=order)
+    report.scan_disagreements.sort(key=order)
     report.max_n = max_n
     report.source = source
     report.bridge = bridge

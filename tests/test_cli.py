@@ -253,6 +253,23 @@ def test_search_trivial_success(capsys):
     assert "1 with transfer" in err
 
 
+def test_search_reports_the_fidelity_ceiling(capsys):
+    argv = ["search", "--bridge", "2", "--max-n", "2"]
+    code, report, err = run_json(capsys, argv)
+    assert code == 0
+    check = report["result"]["scan_cross_check"]
+    # K1 - K1 succeeds; of the three failures only P2 - P2
+    # (the path P4, mirror-symmetric) is strongly cospectral and scanned
+    assert (check["instances"], check["ceiling_settled"]) == (3, 2)
+    assert check["max_ceiling"] == pytest.approx(1 / math.sqrt(2), abs=1e-11)
+    assert "2 failures settled by the fidelity ceiling" in err
+    code, report, _ = run_json(capsys, argv + ["--no-scan"])
+    assert code == 0
+    check = report["result"]["scan_cross_check"]
+    assert (check["instances"], check["ceiling_settled"]) == (0, 0)
+    assert check["max_ceiling"] == pytest.approx(1 / math.sqrt(2), abs=1e-11)
+
+
 def test_search_stdin_graph6(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"@\n")))
     code, report, _ = run_json(

@@ -15,15 +15,20 @@ from pstwalk.graphs import (
     build_double_star,
     build_extended_double_star,
     build_path,
+    build_star,
+    compose,
+    marked_graphs,
 )
 from pstwalk.pst import (
     StructureFailure,
     evolve_fidelity,
+    fidelity_ceiling,
     fidelity_scan,
     pst_certificate,
     quadratic_integer_structure,
 )
-from pstwalk.spectral import decompose
+from pstwalk.spectral import decompose, strongly_cospectral
+from pstwalk.verify import SCAN_THRESHOLD
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -105,6 +110,48 @@ def test_fidelity_scan_validates_input():
         fidelity_scan(build_path(2), 0, 1, 0.0, 10)
     with pytest.raises(ValueError):
         fidelity_scan(build_path(2), 0, 1, 1.0, 0)
+
+
+def test_fidelity_ceiling_examples():
+    # mirror pairs are strongly cospectral, so the ceiling is 1
+    for g, a, b in ((build_path(2), 0, 1), (build_path(4), 0, 3), (build_path(4), 1, 2)):
+        assert fidelity_ceiling(g, a, b) == pytest.approx(1.0, abs=1e-12)
+    # a vertex against itself: sum_r (E_r)_aa = 1
+    assert fidelity_ceiling(build_path(4), 1, 1) == pytest.approx(1.0, abs=1e-12)
+    # P3 end and middle: (E_r)_10 is -sqrt(2)/4, 0, sqrt(2)/4 at theta = -sqrt 2, 0, sqrt 2
+    p3 = build_path(3)
+    assert fidelity_ceiling(p3, 0, 1) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    # star K_{1,3}: a leaf against the centre, and two leaves
+    star = build_star(3)
+    assert fidelity_ceiling(star, 1, 0) == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+    # leaves: 1/6 at each of +-sqrt 3, -1/3 from the two-dimensional eigenspace of 0
+    assert fidelity_ceiling(star, 1, 2) == pytest.approx(2 / 3, abs=1e-12)
+    dec = decompose(star)
+    assert fidelity_ceiling(star, 0, 1, dec=dec) == fidelity_ceiling(star, 0, 1)
+    with pytest.raises(ValueError):
+        fidelity_ceiling(p3, 0, 3)
+
+
+def test_fidelity_ceiling_bounds_every_bridge_scan():
+    """Every n <= 4 marked pair over both bridges: no scan peaks above the
+    ceiling, and the ceiling stays below the scan threshold off strong
+    cospectrality (it is 1 on strongly cospectral pairs)."""
+    marked = list(marked_graphs(4))
+    off_sc = []
+    for bridge in (2, 3):
+        for y1, a in marked:
+            for y2, b in marked:
+                z, ga, gb = compose(y1, a, y2, b, bridge)
+                dec = decompose(z)
+                ceiling = fidelity_ceiling(z, ga, gb, dec=dec)
+                _, peak = fidelity_scan(z, ga, gb, 30.0, 6000, dec=dec)
+                assert peak <= ceiling + 1e-12
+                if strongly_cospectral(z, ga, gb, dec=dec)[0]:
+                    assert ceiling == pytest.approx(1.0, abs=1e-9)
+                else:
+                    off_sc.append(ceiling)
+    assert len(off_sc) == 2 * 240
+    assert max(off_sc) < 1 - SCAN_THRESHOLD
 
 
 def test_quadratic_structure_examples():

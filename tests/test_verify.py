@@ -16,6 +16,7 @@ from pstwalk.graphs import (
     build_star,
 )
 from pstwalk.verify import (
+    SCAN_THRESHOLD,
     EquitabilityError,
     check_cauchy,
     check_kyfan,
@@ -195,13 +196,62 @@ def test_search_bridge3_tiny():
 
 
 def test_search_parallel_matches_serial():
-    serial = search_no_pst(2, 3, scan_cross_check=False)
-    parallel = search_no_pst(2, 3, scan_cross_check=False, jobs=2)
-    assert serial.instances_tested == parallel.instances_tested
-    assert serial.failure_histogram == parallel.failure_histogram
-    assert sorted(map(str, serial.pst_successes)) == sorted(
-        map(str, parallel.pst_successes)
-    )
+    for scan in (False, True):
+        serial = search_no_pst(2, 3, scan_cross_check=scan)
+        parallel = search_no_pst(2, 3, scan_cross_check=scan, jobs=2)
+        assert serial.instances_tested == parallel.instances_tested
+        assert serial.failure_histogram == parallel.failure_histogram
+        assert serial.to_json() == parallel.to_json()
+        assert (serial.ceiling_settled > 0) == scan
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    original = verify.fidelity_scan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "fidelity_scan", counting)
+    return calls
+
+
+def test_search_scans_only_strongly_cospectral_pairs(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    report = search_no_pst(2, 4)
+    assert report.strongly_cospectral_pairs == 16
+    assert len(scans) == report.strongly_cospectral_pairs
+    # the ceiling settles the other failures, and they still count as checked
+    assert report.scan_checked == 255
+    assert report.ceiling_settled == 240
+    assert report.max_ceiling < 1 - SCAN_THRESHOLD
+    data = report.to_json()["scan_cross_check"]
+    assert (data["instances"], data["ceiling_settled"]) == (255, 240)
+    assert data["max_ceiling"] == report.max_ceiling
+
+
+def test_search_without_scans_still_reports_the_ceiling():
+    report = search_no_pst(2, 4, scan_cross_check=False)
+    assert (report.scan_checked, report.ceiling_settled) == (0, 0)
+    assert 0 < report.max_ceiling < 1 - SCAN_THRESHOLD
+
+
+def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    monkeypatch.setattr(verify, "fidelity_ceiling", lambda *args, **kwargs: 1.0)
+    report = search_no_pst(2, 4)
+    assert report.ceiling_settled == 0
+    assert report.scan_checked == 255
+    assert len(scans) == 255 + len(report.pst_successes)
+    assert report.scan_disagreements == []
+
+
+def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
+    monkeypatch.setattr(verify, "fidelity_ceiling", lambda *args, **kwargs: 0.5)
+    # K1 - K1 across the bridge is the path itself: strongly cospectral ends
+    with pytest.raises(RuntimeError, match="fidelity ceiling"):
+        search_no_pst(2, 1)
 
 
 def test_search_decomposes_once_per_pair(monkeypatch):
