@@ -20,6 +20,7 @@ from pstwalk import (
     projector_entry_via_neutrino,
     strongly_cospectral,
     strongly_cospectral_exact,
+    support,
     walk_module_matrix,
 )
 
@@ -42,8 +43,8 @@ banner("Eigenvalue support of a vertex")
 p3 = build_path(3)
 d3 = decompose(p3)
 print(f"  P3 spectrum: {[round(t, 10) for t in d3.distinct_eigenvalues]}")
-print(f"  support of end vertex:    {[round(t, 10) for t in d3.support(0)]}")
-print(f"  support of middle vertex: {[round(t, 10) for t in d3.support(1)]}")
+print(f"  support of end vertex:    {[round(t, 10) for t in support(p3, 0)]}")
+print(f"  support of middle vertex: {[round(t, 10) for t in support(p3, 1)]}")
 print("  (the middle vertex misses eigenvalue 0: its projector column vanishes)")
 
 banner("Cospectral vs strongly cospectral")

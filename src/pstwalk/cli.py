@@ -134,11 +134,13 @@ def cmd_cospectral(args) -> int:
     result = {"a": args.a, "b": args.b, "cospectral": cospectral(g, args.a, args.b)}
     tolerances = {}
     if args.strong:
-        dec = decompose(g)
-        sc, sig = strongly_cospectral(g, args.a, args.b, dec=dec)
+        sc, sig = strongly_cospectral(g, args.a, args.b)
         result["strongly_cospectral"] = sc
         result["signature"] = sig.to_json()
-        tolerances = {"grouping_tol": dec.grouping_tolerance, "support_tol": SUPPORT_TOL}
+        tolerances = {
+            "grouping_tol": decompose(g).grouping_tolerance,
+            "support_tol": SUPPORT_TOL,
+        }
     _emit("cospectral", _digest(raw), tolerances, result, started)
     line = f"cospectral: {result['cospectral']}"
     if args.strong:

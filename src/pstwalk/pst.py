@@ -7,9 +7,9 @@ pair, a common quadratic-integer form theta_r = (alpha + beta_r sqrt(delta))
 / 2 of the supported eigenvalues, and a parity-compatible integer divisor
 of the beta gaps.  Transfer times are derived directly from the phase
 congruences t (theta_0 - theta_r) in pi Z with the parities dictated by the
-sigma signs.  Floats only propose roots, report the support, and
-cross-check: the numeric decomposition must agree with the exact classes,
-and the walk must reach fidelity 1 at the certified time.
+sigma signs.  Floats only propose roots and cross-check: the numeric
+decomposition must agree with the exact classes, and the walk must reach
+fidelity 1 at the certified time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
-from .spectral import SpectralDecomposition, decompose, strongly_cospectral
+from .spectral import decompose, strongly_cospectral
 
 __all__ = [
     "CONFIRM_TOL",
@@ -46,7 +46,6 @@ class PstCertificate:
     a: int
     b: int
     failure_reason: str | None = None
-    support: tuple[float, ...] | None = None
     sigmas: tuple[int, ...] | None = None
     alpha: int | None = None
     delta: int | None = None
@@ -73,38 +72,36 @@ class PstCertificate:
 # ---------------------------------------------------------------------------
 # fidelity
 
-def _phase_data(g: Graph, a: int, b: int, dec: SpectralDecomposition | None):
-    if dec is None:
-        dec = decompose(g)
+def _phase_data(g: Graph, a: int, b: int):
+    dec = decompose(g)
     thetas = np.array(dec.distinct_eigenvalues)
     weights = np.array([e[b, a] for e in dec.projectors])
     return thetas, weights
 
 
-def evolve_fidelity(
-    g: Graph, a: int, b: int, t: float, dec: SpectralDecomposition | None = None
-) -> float:
+def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
     """|<b| exp(itA) |a>| at time t."""
     g._check_vertex(a)
     g._check_vertex(b)
-    thetas, weights = _phase_data(g, a, b, dec)
+    thetas, weights = _phase_data(g, a, b)
     return float(abs(np.sum(np.exp(1j * t * thetas) * weights)))
 
 
-def fidelity_ceiling(
-    g: Graph, a: int, b: int, dec: SpectralDecomposition | None = None
-) -> float:
+def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
     """C(a, b) = sum_r |(E_r)_ba|, a bound on |<b| exp(itA) |a>| for every t.
 
-    C <= 1 by Cauchy-Schwarz on |E_r e_a| |E_r e_b|, with equality exactly
-    when a and b are strongly cospectral (Godsil & Smith, "Strongly
-    cospectral vertices", 2017).  Reads the same projector entries as
-    ``fidelity_scan``, so a scan on the same ``dec`` never peaks above C
+    With s_r the sign of (E_r)_ab and sum_r (E_r)_aa = sum_r (E_r)_bb = 1,
+
+        1 - C = 1/2 sum_r ||E_r e_a - s_r E_r e_b||**2,
+
+    so C <= 1, with equality exactly when a and b are strongly cospectral
+    (Godsil & Smith, "Strongly cospectral vertices", 2017).  Reads the same
+    projector entries as ``fidelity_scan``, so a scan never peaks above C
     beyond rounding.
     """
     g._check_vertex(a)
     g._check_vertex(b)
-    _, weights = _phase_data(g, a, b, dec)
+    _, weights = _phase_data(g, a, b)
     return float(np.sum(np.abs(weights)))
 
 
@@ -132,7 +129,6 @@ def fidelity_scan(
     b: int,
     t_max: float,
     steps: int,
-    dec: SpectralDecomposition | None = None,
 ) -> tuple[float, float]:
     """Maximum fidelity over a uniform t grid on [0, t_max] with ``steps``
     intervals, refined around the best grid point by golden-section search.
@@ -145,7 +141,7 @@ def fidelity_scan(
         raise ValueError("fidelity scan needs two distinct vertices")
     if t_max <= 0 or steps < 1:
         raise ValueError("need t_max > 0 and steps >= 1")
-    thetas, weights = _phase_data(g, a, b, dec)
+    thetas, weights = _phase_data(g, a, b)
     ts = np.linspace(0.0, float(t_max), steps + 1)
     best_t = 0.0
     best_f = -1.0
@@ -306,12 +302,7 @@ def _admissible_g(gaps: list[int], sigmas) -> int | None:
     return None
 
 
-def pst_certificate(
-    g: Graph,
-    a: int,
-    b: int,
-    dec: SpectralDecomposition | None = None,
-) -> PstCertificate:
+def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     """Decide perfect state transfer between a and b.  Requires integer
     weights.
 
@@ -325,23 +316,20 @@ def pst_certificate(
     certificate.
 
     A failure names the first check that fails: not_strongly_cospectral,
-    no_common_alpha, delta_not_consistent or no_admissible_g.  ``dec`` is a
-    decomposition of g already at hand, if any.
+    no_common_alpha, delta_not_consistent or no_admissible_g.
     """
     if a == b:
         raise ValueError("perfect state transfer needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("perfect state transfer certificate needs integer weights")
-    if dec is None:
-        dec = decompose(g)
-    sc, sig = strongly_cospectral(g, a, b, dec=dec)
+    sc, sig = strongly_cospectral(g, a, b)
     if not sc:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")
     supported = sorted(sig.supported(), reverse=True)
     thetas = [th for th, _ in supported]
     # global phase: normalize sigma_0 = +1
     sigmas = tuple(s * supported[0][1] for _, s in supported)
-    base = dict(support=tuple(thetas), sigmas=sigmas)
+    base = dict(sigmas=sigmas)
     # the exact decision inside strongly_cospectral cached the classes; which
     # one is +1 does not matter, as the sigma_0 = +1 normalization undoes a swap
     plus, minus = sigma_classes(g, a, b)
@@ -363,7 +351,7 @@ def pst_certificate(
         return PstCertificate("fail", a, b, failure_reason="no_admissible_g", **base)
     ks = tuple(gap // gstar for gap in gaps)
     t = 2.0 * math.pi / (gstar * math.sqrt(delta))
-    fid = evolve_fidelity(g, a, b, t, dec=dec)
+    fid = evolve_fidelity(g, a, b, t)
     if fid < 1.0 - CONFIRM_TOL:
         raise RuntimeError(
             f"certificate claims transfer at t={t} but fidelity is {fid}; "

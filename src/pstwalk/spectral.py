@@ -48,23 +48,21 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
     grouping_tolerance: float
 
-    @property
-    def n(self) -> int:
-        return self.projectors[0].shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return sum(th * e for th, e in zip(self.distinct_eigenvalues, self.projectors))
-
-    def support(self, a: int) -> list[float]:
-        return support(self, a)
 
 
 def decompose(g: Graph) -> SpectralDecomposition:
     """Spectral decomposition of the weighted adjacency matrix.
 
     Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) are merged
-    into one eigenspace (single-linkage on the sorted list).
+    into one eigenspace (single-linkage on the sorted list).  The result is
+    kept on the graph with its polynomials, so each graph runs one ``eigh``.
     """
+    key = ("decompose", None)
+    cached = g._poly_cache.get(key)
+    if cached is not None:
+        return cached
     a = g.weights
     tol = GROUPING_TOL * max(1.0, float(np.linalg.norm(a, np.inf)))
     w, v = np.linalg.eigh(a)
@@ -85,11 +83,15 @@ def decompose(g: Graph) -> SpectralDecomposition:
         thetas.append(float(np.mean(w[idx])))
         mults.append(len(idx))
         projectors.append(e)
-    return SpectralDecomposition(tuple(thetas), tuple(mults), tuple(projectors), tol)
+    dec = SpectralDecomposition(tuple(thetas), tuple(mults), tuple(projectors), tol)
+    g._poly_cache[key] = dec
+    return dec
 
 
-def support(dec: SpectralDecomposition, a: int) -> list[float]:
+def support(g: Graph, a: int) -> list[float]:
     """Eigenvalues whose eigenspace sees vertex a: ||E_r e_a|| > SUPPORT_TOL."""
+    g._check_vertex(a)
+    dec = decompose(g)
     return [
         th
         for th, e in zip(dec.distinct_eigenvalues, dec.projectors)
@@ -152,12 +154,7 @@ class SupportSignature:
         }
 
 
-def strongly_cospectral(
-    g: Graph,
-    a: int,
-    b: int,
-    dec: SpectralDecomposition | None = None,
-) -> tuple[bool, SupportSignature]:
+def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignature]:
     """Decide whether E_r e_a = sigma_r E_r e_b with sigma_r in {+1, -1}
     holds for every eigenspace.
 
@@ -170,8 +167,7 @@ def strongly_cospectral(
     g._check_vertex(b)
     if a == b:
         raise ValueError("strong cospectrality needs two distinct vertices")
-    if dec is None:
-        dec = decompose(g)
+    dec = decompose(g)
     entries = []
     ok = True
     for th, e in zip(dec.distinct_eigenvalues, dec.projectors):
@@ -253,8 +249,7 @@ def walk_module_matrix(g: Graph, a: int) -> np.ndarray:
     The first basis vector is e_a, and the run takes as many steps as a has
     eigenvalues in its support (``support``), the dimension of the module.
     """
-    g._check_vertex(a)
-    dim = len(support(decompose(g), a))
+    dim = len(support(g, a))
     A = g.weights
     q = np.zeros(g.n)
     q[a] = 1.0

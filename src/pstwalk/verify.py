@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .graphs import (
     serialize_graph,
 )
 from .pst import fidelity_ceiling, fidelity_scan, pst_certificate
-from .spectral import decompose, walk_module_matrix
+from .spectral import decompose, strongly_cospectral_exact, walk_module_matrix
 
 __all__ = [
     "check_cauchy",
@@ -242,12 +243,12 @@ def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     if not xp.walk_equivalent(p1d, p1, p2d, p2):
         raise ValueError("inputs are not walk equivalent")
     z, ga, gb = compose(y1, a, y2, b, bridge)
-    # the bridge is the only a..b path, so P_ab = phi(Y1\a) phi(Y2\b) is
-    # monic: it is the root sigma_classes takes, and the classes do not swap
-    classes = xp.sigma_classes(z, ga, gb)
-    if classes is None or xp.poly_gcd(*classes).degree > 0:
+    if not strongly_cospectral_exact(z, ga, gb):
         raise ValueError("composition endpoints are not strongly cospectral")
-    plus, minus = classes
+    # the decision cached the classes.  The bridge is the only a..b path, so
+    # P_ab = phi(Y1\a) phi(Y2\b) is monic: it is the root sigma_classes
+    # takes, and the classes do not swap
+    plus, minus = xp.sigma_classes(z, ga, gb)
     leftover = _nonsupport_poly(xp.charpoly(z), plus * minus)
     return ((p1, p1d), (p2, p2d)), plus, minus, leftover
 
@@ -357,22 +358,22 @@ class SearchReport:
         }
 
 
+def _pair_record(y1: Graph, a: int, y2: Graph, b: int, **extra) -> dict:
+    """A searched pair as the report names it: each side in graph6 when it
+    is simple and unweighted, as an edgelist otherwise."""
+    def name(g: Graph) -> str:
+        return serialize_graph(g, "graph6" if g.is_simple_unweighted else "edgelist")
+
+    return {"y1": name(y1), "a": a, "y2": name(y2), "b": b, "n1": y1.n, "n2": y2.n, **extra}
+
+
 def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
     report = SearchReport(bridge=bridge, max_n=0, source="")
     for (y1, a), (y2, b) in pairs:
         z, ga, gb = compose(y1, a, y2, b, bridge)
-        dec = decompose(z)
-        cert = pst_certificate(z, ga, gb, dec=dec)
-        ceiling = fidelity_ceiling(z, ga, gb, dec=dec)
+        cert = pst_certificate(z, ga, gb)
+        ceiling = fidelity_ceiling(z, ga, gb)
         report.instances_tested += 1
-        entry = {
-            "y1": serialize_graph(y1, "graph6"),
-            "a": a,
-            "y2": serialize_graph(y2, "graph6"),
-            "b": b,
-            "n1": y1.n,
-            "n2": y2.n,
-        }
         if cert.failure_reason == "not_strongly_cospectral":
             report.max_ceiling = max(report.max_ceiling, ceiling)
         else:
@@ -380,20 +381,21 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
             # strong cospectrality makes the ceiling exactly 1
             if ceiling < 1.0 - SCAN_THRESHOLD:
                 raise RuntimeError(
-                    f"strongly cospectral pair has fidelity ceiling {ceiling}: {entry}"
+                    f"strongly cospectral pair has fidelity ceiling {ceiling}: "
+                    f"{_pair_record(y1, a, y2, b)}"
                 )
         if cert.success:
             t_best, f_best = fidelity_scan(
-                z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000), dec=dec
+                z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000)
             )
             if f_best < 1.0 - SCAN_THRESHOLD:
                 raise RuntimeError(
-                    f"certificate success not confirmed by scan: {entry}, "
-                    f"max fidelity {f_best}"
+                    f"certificate success not confirmed by scan: "
+                    f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
                 )
-            entry["pst_time"] = cert.pst_time
-            entry["scan_peak"] = f_best
-            report.pst_successes.append(entry)
+            report.pst_successes.append(
+                _pair_record(y1, a, y2, b, pst_time=cert.pst_time, scan_peak=f_best)
+            )
         else:
             report.failure_histogram[cert.failure_reason] = (
                 report.failure_histogram.get(cert.failure_reason, 0) + 1
@@ -404,13 +406,13 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
                     # no t, inside the scan window or beyond it, can reach the threshold
                     report.ceiling_settled += 1
                     continue
-                t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps, dec=dec)
+                t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
                 # approximate transfer can creep arbitrarily close to 1, so
                 # only a violation of the certificate threshold counts
                 if f_best >= 1.0 - SCAN_THRESHOLD:
-                    entry["scan_peak"] = f_best
-                    entry["scan_t"] = t_best
-                    report.scan_disagreements.append(entry)
+                    report.scan_disagreements.append(
+                        _pair_record(y1, a, y2, b, scan_peak=f_best, scan_t=t_best)
+                    )
     return report
 
 
@@ -437,7 +439,8 @@ def search_no_pst(
     peaks below that stay silent).  A strongly cospectral pair whose
     ceiling is below 1 - SCAN_THRESHOLD raises.  Successes and
     disagreements are sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does
-    not change the report.
+    not change the report.  The pairs are strided over at most ``jobs``
+    worker processes, never more than there are pairs or CPUs.
     """
     if bridge not in (2, 3):
         raise ValueError("bridge must have 2 or 3 path vertices")
@@ -450,20 +453,25 @@ def search_no_pst(
             marked = [(g, v) for g, v in marked if g.n <= max_n]
         source = "stream"
     pairs = list(itertools.product(marked, marked))
-    if jobs <= 1:
+    # a fork pool starts all its workers at once, so never ask for idle ones
+    workers = min(jobs, len(pairs), os.cpu_count() or 1)
+    if workers <= 1:
         report = _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [pairs[i::jobs] for i in range(jobs)]
         report = SearchReport(bridge=bridge, max_n=max_n, source=source)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _search_pairs, chunk, bridge, scan_cross_check, scan_t_max, scan_steps
+                    _search_pairs,
+                    pairs[i::workers],
+                    bridge,
+                    scan_cross_check,
+                    scan_t_max,
+                    scan_steps,
                 )
-                for chunk in chunks
-                if chunk
+                for i in range(workers)
             ]
             for fut in futures:
                 report.merge(fut.result())

@@ -27,7 +27,7 @@ from pstwalk.pst import (
     pst_certificate,
     quadratic_integer_structure,
 )
-from pstwalk.spectral import decompose, strongly_cospectral
+from pstwalk.spectral import strongly_cospectral
 from pstwalk.verify import SCAN_THRESHOLD
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -126,8 +126,6 @@ def test_fidelity_ceiling_examples():
     assert fidelity_ceiling(star, 1, 0) == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     # leaves: 1/6 at each of +-sqrt 3, -1/3 from the two-dimensional eigenspace of 0
     assert fidelity_ceiling(star, 1, 2) == pytest.approx(2 / 3, abs=1e-12)
-    dec = decompose(star)
-    assert fidelity_ceiling(star, 0, 1, dec=dec) == fidelity_ceiling(star, 0, 1)
     with pytest.raises(ValueError):
         fidelity_ceiling(p3, 0, 3)
 
@@ -142,11 +140,10 @@ def test_fidelity_ceiling_bounds_every_bridge_scan():
         for y1, a in marked:
             for y2, b in marked:
                 z, ga, gb = compose(y1, a, y2, b, bridge)
-                dec = decompose(z)
-                ceiling = fidelity_ceiling(z, ga, gb, dec=dec)
-                _, peak = fidelity_scan(z, ga, gb, 30.0, 6000, dec=dec)
+                ceiling = fidelity_ceiling(z, ga, gb)
+                _, peak = fidelity_scan(z, ga, gb, 30.0, 6000)
                 assert peak <= ceiling + 1e-12
-                if strongly_cospectral(z, ga, gb, dec=dec)[0]:
+                if strongly_cospectral(z, ga, gb)[0]:
                     assert ceiling == pytest.approx(1.0, abs=1e-9)
                 else:
                     off_sc.append(ceiling)
@@ -284,12 +281,6 @@ def test_double_star_failure_reasons():
 def test_certificate_rejects_same_vertex():
     with pytest.raises(ValueError):
         pst_certificate(build_path(2), 0, 0)
-
-
-def test_certificate_takes_a_decomposition():
-    g = build_path(3)
-    dec = decompose(g)
-    assert pst_certificate(g, 0, 2, dec=dec) == pst_certificate(g, 0, 2)
 
 
 def test_transfer_at_odd_multiples_only():

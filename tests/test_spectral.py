@@ -1,6 +1,7 @@
 """Eigendecomposition, supports, cospectrality, and projector identities."""
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -96,12 +97,21 @@ def test_decompose_groups_multiplicities():
     assert dec.multiplicities == (1, 4)
 
 
-def test_support_examples():
+def test_decomposition_is_kept_on_the_graph():
     p3 = build_path(3)
     dec = decompose(p3)
-    assert support(dec, 0) == pytest.approx([math.sqrt(2), 0.0, -math.sqrt(2)], abs=1e-9)
+    assert decompose(p3) is dec
+    copy = pickle.loads(pickle.dumps(p3))
+    fresh = decompose(copy)
+    assert fresh is not dec
+    assert fresh.distinct_eigenvalues == dec.distinct_eigenvalues
+
+
+def test_support_examples():
+    p3 = build_path(3)
+    assert support(p3, 0) == pytest.approx([math.sqrt(2), 0.0, -math.sqrt(2)], abs=1e-9)
     # the zero eigenvector vanishes at the middle vertex
-    assert support(dec, 1) == pytest.approx([math.sqrt(2), -math.sqrt(2)], abs=1e-9)
+    assert support(p3, 1) == pytest.approx([math.sqrt(2), -math.sqrt(2)], abs=1e-9)
 
 
 def test_cospectral_examples():
@@ -322,4 +332,4 @@ def test_walk_module_spectrum_interlaces():
         assert tw[0] >= gw[0] - 1e-8
         assert tw[-1] <= gw[-1] + 1e-8
         # the module is invariant, so its spectrum is exactly the support of v
-        assert np.allclose(tw, sorted(support(decompose(g), v)), atol=1e-8)
+        assert np.allclose(tw, sorted(support(g, v)), atol=1e-8)

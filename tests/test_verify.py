@@ -1,12 +1,14 @@
 """Interlacing checks, quotients, support correspondence, and the search."""
 
+import concurrent.futures
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
-from pstwalk import pst, spectral, verify
+from pstwalk import spectral, verify
 from pstwalk.graphs import (
     Graph,
     build_complete,
@@ -256,14 +258,13 @@ def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
 
 def test_search_decomposes_once_per_pair(monkeypatch):
     calls = []
-    original = spectral.decompose
+    original = np.linalg.eigh
 
-    def counting(g):
-        calls.append(g.n)
-        return original(g)
+    def counting(a):
+        calls.append(len(a))
+        return original(a)
 
-    for module in (pst, spectral, verify):
-        monkeypatch.setattr(module, "decompose", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     report = search_no_pst(2, 3)
     assert report.instances_tested > 0
     assert len(calls) == report.instances_tested
@@ -281,6 +282,48 @@ def test_search_failure_histogram(bridge, histogram):
     assert report.instances_tested == 256
     assert report.failure_histogram == histogram
     assert len(report.pst_successes) == 1
+
+
+def test_search_accepts_sides_graph6_cannot_encode():
+    k1 = Graph.from_edges(1)
+    looped = Graph.from_edges(1, loops=[(0, 1)])
+    source = [(k1, 0), (looped, 0)]
+    report = search_no_pst(2, 0, graph_source=source)
+    # sorted by side name, so the looped pair (second in pair order) comes first
+    named = [(s["y1"], s["y2"]) for s in report.pst_successes]
+    assert named == [("1 0\nloop 0 1\n", "1 0\nloop 0 1\n"), ("@", "@")]
+    assert report.to_json() == search_no_pst(2, 0, graph_source=source, jobs=2).to_json()
+    report = search_no_pst(3, 0, graph_source=source)
+    assert [s["y1"] for s in report.pst_successes] == ["@"]
+    assert report.failure_histogram == {"no_admissible_g": 1, "not_strongly_cospectral": 2}
+
+
+def test_search_starts_no_idle_workers(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    serial = search_no_pst(2, 2).to_json()  # 4 pairs
+    cases = ((64, 500, [4]), (3, 500, [3]), (64, 2, [2]), (1, 500, []), (None, 500, []))
+    for cpus, jobs, pools in cases:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started.clear()
+        assert search_no_pst(2, 2, jobs=jobs).to_json() == serial
+        assert started == pools
 
 
 def test_search_rejects_bad_bridge():
