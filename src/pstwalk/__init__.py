@@ -10,6 +10,7 @@ from .exactpoly import (
     RationalFunction,
     bridge_charpoly_p2,
     bridge_charpoly_p3,
+    bridge_compose,
     charpoly,
     charpoly_deleted,
     one_sum_charpoly,

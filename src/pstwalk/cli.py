@@ -4,8 +4,10 @@ Every subcommand reads graphs from files or standard input, writes one
 JSON report to standard output, and prints a short human summary to
 standard error.  Exit codes: 0 for a normal or expected outcome, 1 for an
 unexpected mathematical outcome (a failed verification suite, a
-certificate that does not survive cross-checks, a search that finds
-transfer where none should exist), 2 for bad input.
+certificate that does not survive cross-checks, an exact identity that
+does not hold, a search that finds transfer where none should exist), 2
+for bad input (graphs too large or weights too heavy for the exact layer
+among them).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     automorphism_orbits,
-    compose,
     parse_graph,
     serialize_graph,
 )
@@ -169,7 +170,7 @@ def cmd_compose(args) -> int:
     started = time.perf_counter()
     g1, raw1 = _load_graph(args.y1, args.format)
     g2, raw2 = _load_graph(args.y2, args.format)
-    z, ga, gb = compose(g1, args.a, g2, args.b, args.bridge)
+    z, ga, gb = xp.bridge_compose(g1, args.a, g2, args.b, args.bridge)
     cert = pst_certificate(z, ga, gb)
     result = {
         "edgelist": serialize_graph(z, "edgelist"),
@@ -314,6 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bridge",
         type=int,
+        choices=(2, 3),
         default=2,
         help="vertices on the bridge path, endpoints included (default 2)",
     )
@@ -363,10 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphParseError, ValueError, OSError) as exc:
+    except (GraphParseError, ValueError, OSError, OverflowError) as exc:
+        # caught before its base class ArithmeticError: an order or weights
+        # beyond the exact layer's fixed prime list are bad input
         _say(f"input error: {exc}")
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         _say(f"verification failure: {exc}")
         return 1
 

@@ -4,6 +4,11 @@ Everything here is big-integer exact.  Characteristic polynomials are of
 tI - A for the weighted adjacency matrix A.  The empty graph has
 characteristic polynomial 1; several identities below lean on that
 convention.
+
+``bridge_compose`` joins two marked graphs by a bridge and seeds the
+composite with the four polynomials the exact decisions read, built from
+the sides' polynomials by the bridge identities, so no composite is ever
+handed to ``charpoly``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, compose
 
 __all__ = [
     "IntPoly",
@@ -30,6 +35,7 @@ __all__ = [
     "one_sum_charpoly",
     "bridge_charpoly_p2",
     "bridge_charpoly_p3",
+    "bridge_compose",
     "loop_adjusted_charpoly",
     "pendant_sqrt2_charpoly",
     "path_sum_poly",
@@ -510,6 +516,44 @@ def path_sum_poly(g: Graph, a: int, b: int) -> IntPoly:
     g._poly_cache[key] = total
     g._poly_cache[("pathsum", b, a)] = total
     return total
+
+
+# ---------------------------------------------------------------------------
+# bridge composites seeded from their sides
+
+def bridge_compose(
+    y1: Graph, a: int, y2: Graph, b: int, bridge: int
+) -> tuple[Graph, int, int]:
+    """``graphs.compose(y1, a, y2, b, bridge)`` for a bridge of 2 or 3 path
+    vertices, with phi(Z), phi(Z\\a), phi(Z\\b) and phi(Z\\ab) already in
+    the composite's cache, built from phi(Y1), phi(Y1\\a), phi(Y2) and
+    phi(Y2\\b) (Schwenk, "Computing the characteristic polynomial of a
+    graph", 1974).  Deleting an endpoint leaves disjoint unions: on the P2
+    bridge Z\\a = (Y1\\a) + Y2; on the P3 bridge Y2 keeps the middle vertex
+    as a pendant at b, whose phi is t phi(Y2) - phi(Y2\\b), and Z\\ab keeps
+    it isolated.  A composite with non-integer weights gets nothing, so the
+    exact layer rejects it as before."""
+    if bridge not in (2, 3):
+        raise ValueError("bridge identities cover 2 or 3 path vertices")
+    z, ga, gb = compose(y1, a, y2, b, bridge)
+    if not z.integer_flag:
+        return z, ga, gb
+    p1, p1d = charpoly(y1), charpoly_deleted(y1, [a])
+    p2, p2d = charpoly(y2), charpoly_deleted(y2, [b])
+    if bridge == 2:
+        phi = bridge_charpoly_p2(p1, p1d, p2, p2d)
+        phi_a, phi_b, phi_ab = p1d * p2, p1 * p2d, p1d * p2d
+    else:
+        phi = bridge_charpoly_p3(p1, p1d, p2, p2d)
+        phi_a, phi_b, phi_ab = p1d * (T * p2 - p2d), (T * p1 - p1d) * p2d, T * p1d * p2d
+    # the keys charpoly and charpoly_deleted look up
+    z._poly_cache.update({
+        ("charpoly", None): phi,
+        ("charpoly", frozenset((ga,))): phi_a,
+        ("charpoly", frozenset((gb,))): phi_b,
+        ("charpoly", frozenset((ga, gb))): phi_ab,
+    })
+    return z, ga, gb
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,11 @@ def _nonsupport_poly(phi: xp.IntPoly, supp: xp.IntPoly) -> xp.IntPoly:
 def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     """Side polynomials, then the +1 class, the -1 class and the leftover
     (eigenvalues outside the support of the endpoints) of the composition,
-    each as the monic product of its t - theta."""
+    each as the monic product of its t - theta.
+
+    The composite is built by ``graphs.compose`` and its polynomials come
+    from ``charpoly``, not from ``exactpoly.bridge_compose``: these suites
+    stay an independent check of the bridge identities the search uses."""
     p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
     p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
     if not xp.walk_equivalent(p1d, p1, p2d, p2):
@@ -370,7 +374,7 @@ def _pair_record(y1: Graph, a: int, y2: Graph, b: int, **extra) -> dict:
 def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
     report = SearchReport(bridge=bridge, max_n=0, source="")
     for (y1, a), (y2, b) in pairs:
-        z, ga, gb = compose(y1, a, y2, b, bridge)
+        z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
         cert = pst_certificate(z, ga, gb)
         ceiling = fidelity_ceiling(z, ga, gb)
         report.instances_tested += 1
@@ -430,8 +434,10 @@ def search_no_pst(
     Every ordered pair of marked graphs (connected, one representative per
     rooted isomorphism class up to ``max_n`` vertices, or the pairs yielded
     by ``graph_source``) is composed over a bridge with ``bridge`` path
-    vertices (2 or 3) and certified.  Certified successes are re-verified
-    by a fidelity scan.  Certified failures are optionally cross-checked.
+    vertices (2 or 3) and certified.  The composite's polynomials come from
+    the sides' by the bridge identities (``exactpoly.bridge_compose``).
+    Certified successes are re-verified by a fidelity scan.  Certified
+    failures are optionally cross-checked.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
     1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
     cospectral pair, a bounded scan runs, and a fidelity at or above

@@ -1,26 +1,34 @@
-"""Every function the traced benchmark wraps exists in the package.
+"""The benchmark's targets and stored reference agree with the package.
 
 ``perfbench/layers.py`` names its targets as ``module.function`` strings and
 the tracer looks each one up with a bare ``getattr``, so a rename in
-``src/pstwalk`` would otherwise break only the traced benchmark run.
+``src/pstwalk`` would otherwise break only the traced benchmark run.  Likewise
+``perfbench/workloads.py`` compares the seed-0 bridge-search reports with a
+stored reference, so a drift of the search report would otherwise fail only
+the benchmark.
 """
 
 import importlib
 import importlib.util
+import random
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_resolves():
-    layers = load_layers()
+    layers = load_bench_module("layers")
     assert layers.TARGETS
     missing = []
     for name in list(layers.TARGETS) + list(layers.CALL_COUNTS):
@@ -28,3 +36,17 @@ def test_every_traced_target_resolves():
         if not callable(getattr(importlib.import_module(f"pstwalk.{module}"), function, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_bridge_search_matches_the_stored_reference():
+    workloads = load_bench_module("workloads")
+    mods = SimpleNamespace(
+        graphs=importlib.import_module("pstwalk.graphs"),
+        verify=importlib.import_module("pstwalk.verify"),
+    )
+    wl = workloads.BridgeSearch()
+    assert wl.load_reference(0) is not None
+    ops = wl.make_inputs(mods, random.Random(0), 0)
+    assert len(ops) == 9
+    misses = [wl.check(op, wl.run(mods, op, wl.prepare(mods, op))) for op in ops]
+    assert misses == [None] * len(ops)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pstwalk import cli, pst, spectral, verify
+from pstwalk import exactpoly as xp
 from pstwalk.cli import main
 
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
@@ -325,6 +326,30 @@ def test_input_errors_exit_2(capsys, graph_file):
     assert main(["cospectral", graph_file(P3_EDGELIST), "1", "1"]) == 2
     err = capsys.readouterr().err
     assert "input error" in err
+
+
+def test_order_beyond_the_exact_layer_is_an_input_error(capsys, graph_file, monkeypatch):
+    monkeypatch.setattr(xp, "_MAX_ORDER", 2)
+    assert main(["charpoly", graph_file(P3_EDGELIST)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_failed_exact_identity_is_a_verification_failure(capsys, graph_file, monkeypatch):
+    def refuse(p):
+        raise xp.ExactDivisionError("not the square of an integer polynomial")
+
+    monkeypatch.setattr(xp, "poly_sqrt", refuse)
+    assert main(["pst", graph_file(P3_EDGELIST), "0", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "square" in err
+
+
+def test_compose_rejects_bridges_without_identities(capsys, graph_file):
+    path = graph_file(K1_EDGELIST)
+    with pytest.raises(SystemExit) as exc:
+        main(["compose", "--y1", path, "--a", "0", "--y2", path, "--b", "0", "--bridge", "4"])
+    assert exc.value.code == 2
 
 
 def test_parse_error_reports_line(capsys, graph_file):

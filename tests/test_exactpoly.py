@@ -16,6 +16,7 @@ from pstwalk.exactpoly import (
     bareiss_det,
     bridge_charpoly_p2,
     bridge_charpoly_p3,
+    bridge_compose,
     charpoly,
     charpoly_deleted,
     loop_adjusted_charpoly,
@@ -39,8 +40,10 @@ from pstwalk.graphs import (
     build_star,
     compose,
     iter_ab_paths,
+    marked_graphs,
     one_sum,
 )
+from pstwalk.verify import random_connected_graph, search_no_pst
 
 
 def charpoly_oracle(g):
@@ -370,6 +373,60 @@ def test_bridge_factorization_under_walk_equivalence():
     assert lhs == loop_adjusted_charpoly(p, pd, -1) * loop_adjusted_charpoly(p, pd, 1)
     z3, _, _ = compose(g, 0, g, 0, 3)
     assert charpoly(z3) == p * (pendant_sqrt2_charpoly(p, pd))
+
+
+def _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge):
+    """Each polynomial bridge_compose seeds equals a charpoly of a fresh
+    copy of the composite, which has no cache."""
+    z, ga, gb = bridge_compose(y1, a, y2, b, bridge)
+    assert (ga, gb) == compose(y1, a, y2, b, bridge)[1:]
+    fresh = Graph(z.weights)
+    for gone in ((), (ga,), (gb,), (ga, gb)):
+        key = ("charpoly", frozenset(gone) if gone else None)
+        assert z._poly_cache[key] == charpoly_deleted(fresh, gone), (bridge, gone)
+
+
+def test_bridge_compose_seeds_every_marked_pair():
+    marked = list(marked_graphs(4))
+    pairs = list(itertools.product(marked, marked))
+    assert len(pairs) * 2 * 4 == 2048  # checks: two bridges, four polynomials
+    for (y1, a), (y2, b) in pairs:
+        for bridge in (2, 3):
+            _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge)
+
+
+def test_bridge_compose_seeds_weighted_looped_sides():
+    rng = random.Random(11)
+    for _ in range(30):
+        y1 = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
+        y2 = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
+        a, b = rng.randrange(y1.n), rng.randrange(y2.n)
+        for bridge in (2, 3):
+            _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge)
+
+
+def test_bridge_compose_seeds_nothing_on_non_integer_weights():
+    half = Graph.from_edges(2, [(0, 1, 0.5)])
+    z, ga, gb = bridge_compose(half, 0, build_path(2), 0, 2)
+    assert z == compose(half, 0, build_path(2), 0, 2)[0]
+    assert z._poly_cache == {}
+
+
+def test_bridge_compose_rejects_other_bridges():
+    for bridge in (1, 4):
+        with pytest.raises(ValueError, match="2 or 3"):
+            bridge_compose(build_path(2), 0, build_path(2), 0, bridge)
+
+
+def test_search_rejects_a_wrong_bridge_identity(monkeypatch):
+    # a sign flip in the P3 identity makes phi(Z\a)**2 - phi(Z) phi(Z\ab)
+    # no square on a cospectral pair, so poly_sqrt refuses it
+    def flipped(p1, p1d, p2, p2d):
+        return T * p1 * p2 - p2 * p1d + p1 * p2d
+
+    monkeypatch.setattr(xp, "bridge_charpoly_p3", flipped)
+    with pytest.raises(ExactDivisionError):
+        search_no_pst(3, 3)
 
 
 def test_path_sum_squared_identity():

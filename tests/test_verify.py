@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from pstwalk import exactpoly as xp
 from pstwalk import spectral, verify
 from pstwalk.graphs import (
     Graph,
@@ -268,6 +269,24 @@ def test_search_decomposes_once_per_pair(monkeypatch):
     report = search_no_pst(2, 3)
     assert report.instances_tested > 0
     assert len(calls) == report.instances_tested
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_search_takes_composite_polynomials_from_the_sides(monkeypatch, bridge):
+    orders = []
+    original = xp._charpoly_of_rows
+
+    def recording(rows):
+        orders.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(xp, "_charpoly_of_rows", recording)
+    report = search_no_pst(bridge, 4)
+    assert (report.instances_tested, report.strongly_cospectral_pairs) == (256, 16)
+    assert report.ceiling_settled == 240
+    # 10 side graphs and 15 side deletions (deleting K1's only vertex leaves 1)
+    assert 0 < len(orders) <= 25
+    assert max(orders) <= 4
 
 
 @pytest.mark.parametrize(
