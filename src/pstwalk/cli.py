@@ -192,14 +192,18 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def _stdin_marked_graphs():
+def _stdin_marked_graphs(max_n: int):
     data = sys.stdin.buffer.read()
     graphs = []
-    for line in data.decode("ascii").splitlines():
+    for lineno, line in enumerate(data.decode("ascii").splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         g = parse_graph(line, "graph6")
+        if g.n > max_n:
+            raise GraphParseError(f"stdin line {lineno}: {g.n} vertices, above --max-n {max_n}")
+        if not g.is_connected():
+            raise GraphParseError(f"stdin line {lineno}: graph is disconnected")
         for orbit in automorphism_orbits(g):
             graphs.append((g, orbit[0]))
     return graphs, data
@@ -207,8 +211,14 @@ def _stdin_marked_graphs():
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
+    counts = {"--max-n": args.max_n, "--jobs": args.jobs, "--scan-steps": args.scan_steps}
+    for flag, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if not args.scan_t_max > 0:
+        raise ValueError(f"--scan-t-max must be positive, got {args.scan_t_max}")
     if args.stdin_graph6:
-        source, raw = _stdin_marked_graphs()
+        source, raw = _stdin_marked_graphs(args.max_n)
         digest = _digest(raw)
     else:
         source = None

@@ -73,10 +73,10 @@ class PstCertificate:
 # fidelity
 
 def _phase_data(g: Graph, a: int, b: int):
+    """Eigenvalues theta_r and entries (E_r)_ab, from rows a and b of the
+    eigenvectors."""
     dec = decompose(g)
-    thetas = np.array(dec.distinct_eigenvalues)
-    weights = np.array([e[b, a] for e in dec.projectors])
-    return thetas, weights
+    return np.array(dec.distinct_eigenvalues), dec.sums(dec.vectors[a] * dec.vectors[b])
 
 
 def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:

@@ -8,6 +8,7 @@ wherever both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,8 @@ __all__ = [
 
 # Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) share an eigenspace.
 GROUPING_TOL = 1e-9
-# A projector column of norm above SUPPORT_TOL puts its eigenvalue in the support;
-# for non-integer weights, column norms within SUPPORT_TOL count as equal.
+# ||E_r e_a|| above SUPPORT_TOL puts theta_r in the support of a; for
+# non-integer weights, such norms within SUPPORT_TOL count as equal.
 SUPPORT_TOL = 1e-7
 # An eigenvalue handed to projector_entry_via_neutrino must be a root of phi to
 # within _ROOT_TOL relative to the polynomial's size there.
@@ -40,16 +41,34 @@ _ROOT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending), multiplicities, and orthogonal
-    projectors onto the eigenspaces."""
+    """Distinct eigenvalues (descending), multiplicities, and the ``eigh``
+    eigenvector matrix, its columns grouped eigenspace by eigenspace.
+
+    With V_r the columns of eigenspace r, E_r = V_r V_r^T, so a projector
+    entry reads two rows: (E_r)_ab = sums(V[a] * V[b]).
+    """
 
     distinct_eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    projectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     grouping_tolerance: float
 
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        return np.cumsum((0,) + self.multiplicities[:-1])
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Sum x over each eigenspace's columns (last axis)."""
+        return np.add.reduceat(x, self._starts, axis=-1)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The n x n projectors E_r, built anew on every access."""
+        return tuple(c @ c.T for c in np.split(self.vectors, self._starts[1:], axis=1))
+
     def reconstruct(self) -> np.ndarray:
-        return sum(th * e for th, e in zip(self.distinct_eigenvalues, self.projectors))
+        v = self.vectors
+        return (v * np.repeat(self.distinct_eigenvalues, self.multiplicities)) @ v.T
 
 
 def decompose(g: Graph) -> SpectralDecomposition:
@@ -66,24 +85,13 @@ def decompose(g: Graph) -> SpectralDecomposition:
     a = g.weights
     tol = GROUPING_TOL * max(1.0, float(np.linalg.norm(a, np.inf)))
     w, v = np.linalg.eigh(a)
-    w, v = w[::-1], v[:, ::-1]
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[groups[-1][-1]] - w[i] < tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    thetas = []
-    mults = []
-    projectors = []
-    for idx in groups:
-        cols = v[:, idx]
-        e = cols @ cols.T
-        e.setflags(write=False)
-        thetas.append(float(np.mean(w[idx])))
-        mults.append(len(idx))
-        projectors.append(e)
-    dec = SpectralDecomposition(tuple(thetas), tuple(mults), tuple(projectors), tol)
+    w = w[::-1]
+    v = np.ascontiguousarray(v[:, ::-1])
+    v.setflags(write=False)
+    starts = np.flatnonzero(np.r_[True, w[:-1] - w[1:] >= tol])
+    mults = np.diff(np.r_[starts, len(w)])
+    thetas = np.add.reduceat(w, starts) / mults
+    dec = SpectralDecomposition(tuple(thetas.tolist()), tuple(mults.tolist()), v, tol)
     g._poly_cache[key] = dec
     return dec
 
@@ -92,11 +100,8 @@ def support(g: Graph, a: int) -> list[float]:
     """Eigenvalues whose eigenspace sees vertex a: ||E_r e_a|| > SUPPORT_TOL."""
     g._check_vertex(a)
     dec = decompose(g)
-    return [
-        th
-        for th, e in zip(dec.distinct_eigenvalues, dec.projectors)
-        if float(np.linalg.norm(e[:, a])) > SUPPORT_TOL
-    ]
+    norms = np.sqrt(dec.sums(dec.vectors[a] ** 2))
+    return [th for th, na in zip(dec.distinct_eigenvalues, norms) if na > SUPPORT_TOL]
 
 
 def cospectral(g: Graph, a: int, b: int) -> bool:
@@ -104,8 +109,8 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     for every eigenspace.
 
     Exact deleted-charpoly comparison for integer weights; otherwise the
-    projector column norms ||E_r e_a|| and ||E_r e_b|| of ``decompose``
-    must agree to within SUPPORT_TOL.
+    norms ||E_r e_a|| and ||E_r e_b||, read from rows a and b of the
+    eigenvectors of ``decompose``, must agree to within SUPPORT_TOL.
     """
     g._check_vertex(a)
     g._check_vertex(b)
@@ -113,10 +118,9 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
         return True
     if g.integer_flag:
         return xp.charpoly_deleted(g, [a]) == xp.charpoly_deleted(g, [b])
-    return all(
-        abs(float(np.linalg.norm(e[:, a])) - float(np.linalg.norm(e[:, b]))) <= SUPPORT_TOL
-        for e in decompose(g).projectors
-    )
+    dec = decompose(g)
+    na, nb = np.sqrt(dec.sums(dec.vectors[[a, b]] ** 2))
+    return bool(np.all(np.abs(na - nb) <= SUPPORT_TOL))
 
 
 @dataclass(frozen=True)
@@ -168,29 +172,24 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
     if a == b:
         raise ValueError("strong cospectrality needs two distinct vertices")
     dec = decompose(g)
-    entries = []
-    ok = True
-    for th, e in zip(dec.distinct_eigenvalues, dec.projectors):
-        va = e[:, a]
-        vb = e[:, b]
-        na = float(np.linalg.norm(va))
-        nb = float(np.linalg.norm(vb))
-        ia = na > SUPPORT_TOL
-        ib = nb > SUPPORT_TOL
-        sigma = None
-        if ia != ib:
-            ok = False
-        elif ia and ib:
-            if abs(na - nb) > SUPPORT_TOL:
-                ok = False
-            else:
-                s = 1 if float(va @ vb) >= 0 else -1
-                if float(np.linalg.norm(va - s * vb)) <= SUPPORT_TOL:
-                    sigma = s
-                else:
-                    ok = False
-        entries.append((float(th), ia, ib, sigma))
-    numeric = ok
+    va, vb = dec.vectors[a], dec.vectors[b]
+    # ||E_r e_a||^2, ||E_r e_b||^2, (E_r)_ab and ||E_r (e_a -+ e_b)||^2; the
+    # last two come from row differences, with no cancellation
+    aa, bb, ab, minus, plus = dec.sums(
+        np.array([va * va, vb * vb, va * vb, (va - vb) ** 2, (va + vb) ** 2])
+    )
+    na, nb = np.sqrt(aa), np.sqrt(bb)
+    positive = ab >= 0
+    signs = np.where(positive, 1, -1)
+    gap = np.sqrt(np.where(positive, minus, plus))
+    ia = na > SUPPORT_TOL
+    ib = nb > SUPPORT_TOL
+    parallel = ia & ib & (np.abs(na - nb) <= SUPPORT_TOL) & (gap <= SUPPORT_TOL)
+    numeric = bool(((ia == ib) & (parallel | ~ia)).all())
+    entries = [
+        (th, bool(x), bool(y), int(s) if p else None)
+        for th, x, y, s, p in zip(dec.distinct_eigenvalues, ia, ib, signs, parallel)
+    ]
     if g.integer_flag:
         exact = strongly_cospectral_exact(g, a, b)
         if exact != numeric:

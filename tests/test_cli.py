@@ -283,6 +283,43 @@ def test_search_stdin_graph6(capsys, monkeypatch):
     assert report["result"]["instances_tested"] == 1
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran on bad input")
+
+    monkeypatch.setattr(cli, "search_no_pst", refuse)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-n", "0"],
+        ["--jobs", "0"],
+        ["--scan-steps", "0"],
+        ["--scan-t-max", "-5"],
+    ],
+    ids=["max-n", "jobs", "scan-steps", "scan-t-max"],
+)
+def test_search_rejects_bad_options(capsys, no_search, flags):
+    assert main(["search", "--bridge", "2"] + flags) == 2
+    assert f"input error: {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, reason",
+    [
+        (b"@\nDhC\n", "line 2: 5 vertices, above --max-n 4"),  # P5
+        (b"\nA?\n", "line 2: graph is disconnected"),  # two isolated vertices
+    ],
+    ids=["larger-than-max-n", "disconnected"],
+)
+def test_search_rejects_bad_stdin_graphs(capsys, monkeypatch, no_search, lines, reason):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(lines)))
+    assert main(["search", "--bridge", "2", "--stdin-graph6"]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_verify_suite(capsys):
     code, report, err = run_json(
         capsys, ["verify", "--suite", "onesum", "--instances", "10"]

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pstwalk.graphs import (
     compose,
     marked_graphs,
 )
+from pstwalk.pst import evolve_fidelity, fidelity_ceiling
 from pstwalk.spectral import (
     cospectral,
     decompose,
@@ -105,6 +107,89 @@ def test_decomposition_is_kept_on_the_graph():
     fresh = decompose(copy)
     assert fresh is not dec
     assert fresh.distinct_eigenvalues == dec.distinct_eigenvalues
+
+
+def column_readings(g, a, b, t_values):
+    """Pair readings from the columns of each projector E_r = dec.projectors[r],
+    the oracle for the row sums the library reads: ||E_r e_a||, the sign and
+    parallelism of E_r e_a and E_r e_b, and the phases sum_r (E_r)_ba e^(i t theta_r)."""
+    tol = spectral.SUPPORT_TOL
+    dec = decompose(g)
+    supp_a, supp_b, sigmas = [], [], []
+    cospec = strong = True
+    entries = []
+    for th, e in zip(dec.distinct_eigenvalues, dec.projectors):
+        va, vb = e[:, a], e[:, b]
+        na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
+        ia, ib = na > tol, nb > tol
+        if ia:
+            supp_a.append(th)
+        if ib:
+            supp_b.append(th)
+        cospec = cospec and abs(na - nb) <= tol
+        sigma = None
+        if ia != ib:
+            strong = False
+        elif ia:
+            s = 1 if float(va @ vb) >= 0 else -1
+            if abs(na - nb) <= tol and float(np.linalg.norm(va - s * vb)) <= tol:
+                sigma = s
+            else:
+                strong = False
+        sigmas.append(sigma)
+        entries.append(float(e[b, a]))
+    thetas = np.array(dec.distinct_eigenvalues)
+    fids = [float(abs(np.sum(np.exp(1j * t * thetas) * entries))) for t in t_values]
+    return supp_a, supp_b, cospec, strong, sigmas, float(np.sum(np.abs(entries))), fids
+
+
+def test_row_readings_match_projector_columns():
+    rng = random.Random(107)
+    nprng = np.random.default_rng(107)
+    times = (0.0, 0.7, 2.9, 11.3)
+    kinds = set()
+    for i in range(100):
+        n = rng.randint(2, 10)
+        if i % 4 == 1:
+            keep = np.triu(nprng.random(size=(n, n)) < 0.5)
+            g = Graph(np.where(keep | keep.T, random_symmetric(nprng, n), 0.0))
+        else:
+            g = random_int_graph(rng, n, p=rng.choice((0.3, 0.6)), weighted=i % 2 == 0, loops=True)
+            if i % 4 == 3:
+                # the integer graph's symmetries, with non-integer weights
+                g = Graph(g.weights * math.sqrt(2))
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                supp_a, supp_b, cospec, strong, sigmas, ceiling, fids = column_readings(
+                    g, a, b, times
+                )
+                assert support(g, a) == supp_a and support(g, b) == supp_b
+                if not g.integer_flag:
+                    assert cospectral(g, a, b) == cospec
+                sc, sig = strongly_cospectral(g, a, b)
+                assert sc == strong
+                assert [s for _, _, _, s in sig.entries] == sigmas
+                assert fidelity_ceiling(g, a, b) == pytest.approx(ceiling, abs=1e-12)
+                got = [evolve_fidelity(g, a, b, t) for t in times]
+                assert got == pytest.approx(fids, abs=1e-12)
+                kinds.add((g.integer_flag, sc))
+    # integer and float weights, with and without strong cospectrality
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_decomposition_holds_one_eigenvector_matrix():
+    g = build_path(300)
+    tracemalloc.start()
+    try:
+        dec = decompose(g)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.vectors.shape == (300, 300) and len(dec.multiplicities) == 300
+    # one n x n matrix is 0.7 MB; one projector per eigenvalue would be 216 MB
+    assert held < 5 * 2**20
 
 
 def test_support_examples():

@@ -109,6 +109,18 @@ def test_equitable_quotient_rejects_uneven_partition():
         equitable_quotient(g, [[], [0, 1, 2, 3]])
 
 
+def test_quotient_polynomial_must_divide_exactly():
+    g, a, b = build_double_star(2, 3)
+    cells = [[a], [1, 2], [b], [4, 5, 6]]
+    counts = verify._cell_counts(g, equitable_quotient(g, cells).cells)
+    assert counts == [[0, 2, 1, 0], [1, 0, 0, 0], [1, 0, 0, 3], [0, 0, 1, 0]]
+    assert verify._quotient_embeds(g, counts)
+    for i, j in ((0, 0), (0, 1), (2, 3), (3, 2)):
+        perturbed = [row[:] for row in counts]
+        perturbed[i][j] += 1
+        assert not verify._quotient_embeds(g, perturbed)
+
+
 def test_double_star_quotient_relations():
     # K_{1,3} with an apex loop: theta^2 - theta - 3 = 0
     assert verify_double_star_quotient_relations(0, 3)
