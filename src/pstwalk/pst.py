@@ -14,6 +14,7 @@ fidelity 1 at the certified time.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -84,7 +85,12 @@ def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
     g._check_vertex(a)
     g._check_vertex(b)
     thetas, weights = _phase_data(g, a, b)
-    return float(abs(np.sum(np.exp(1j * t * thetas) * weights)))
+    return _amplitude(thetas.tolist(), weights.tolist(), t)
+
+
+def _amplitude(thetas: list[float], weights: list[float], t: float) -> float:
+    """|sum_r w_r exp(i theta_r t)|, over Python floats."""
+    return abs(sum([w * cmath.exp(1j * th * t) for th, w in zip(thetas, weights)]))
 
 
 def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
@@ -133,6 +139,16 @@ def fidelity_scan(
     """Maximum fidelity over a uniform t grid on [0, t_max] with ``steps``
     intervals, refined around the best grid point by golden-section search.
 
+    The grid is factorised: with C = ceil(sqrt(steps + 1)), grid time
+    t_k = (jC + i) dt, so the amplitudes sum_r w_r exp(i theta_r t_k) are
+    the entries of coarse @ fine.T, where coarse[j, r] = exp(i theta_r jC dt)
+    and fine[i, r] = w_r exp(i theta_r i dt).  That takes about
+    2 sqrt(steps) d complex exponentials for d eigenvalues, not steps d.
+    The coarse rows go in blocks of at most 200 000 grid points (or one row,
+    when a row is longer), so memory stays bounded for any ``steps``.  The
+    refinement evaluates the amplitude over Python floats, bracketed by one
+    grid step either side, and is kept only when it beats the grid.
+
     Returns (t_best, fidelity_best).
     """
     g._check_vertex(a)
@@ -142,25 +158,26 @@ def fidelity_scan(
     if t_max <= 0 or steps < 1:
         raise ValueError("need t_max > 0 and steps >= 1")
     thetas, weights = _phase_data(g, a, b)
-    ts = np.linspace(0.0, float(t_max), steps + 1)
-    best_t = 0.0
-    best_f = -1.0
-    chunk = 200_000
-    for k in range(0, len(ts), chunk):
-        block = ts[k : k + chunk]
-        vals = np.abs(np.exp(1j * np.outer(block, thetas)) @ weights)
+    t_max = float(t_max)
+    dt = t_max / steps
+    points = steps + 1
+    width = math.isqrt(steps) + 1  # ceil(sqrt(points))
+    fine = np.exp(1j * np.outer(np.arange(width) * dt, thetas)) * weights
+    height = -(-points // width)
+    block = max(1, 200_000 // width)
+    best_k, best_f = 0, -1.0
+    for j0 in range(0, height, block):
+        js = np.arange(j0, min(j0 + block, height))
+        coarse = np.exp(1j * np.outer(js * width * dt, thetas))
+        vals = np.abs(coarse @ fine.T).ravel()[: points - j0 * width]
         i = int(np.argmax(vals))
         if vals[i] > best_f:
-            best_f = float(vals[i])
-            best_t = float(block[i])
-    dt = float(t_max) / steps
-
-    def f(t: float) -> float:
-        return float(abs(np.sum(np.exp(1j * t * thetas) * weights)))
-
+            best_k, best_f = j0 * width + i, float(vals[i])
+    best_t = best_k * dt if best_k < steps else t_max  # the last grid time is t_max
+    thetas, weights = thetas.tolist(), weights.tolist()
     lo = max(0.0, best_t - dt)
-    hi = min(float(t_max), best_t + dt)
-    t_ref, f_ref = _golden_max(f, lo, hi)
+    hi = min(t_max, best_t + dt)
+    t_ref, f_ref = _golden_max(lambda t: _amplitude(thetas, weights, t), lo, hi)
     if f_ref > best_f:
         return t_ref, f_ref
     return best_t, best_f

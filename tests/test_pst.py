@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +22,14 @@ from pstwalk.graphs import (
 )
 from pstwalk.pst import (
     StructureFailure,
+    _golden_max,
     evolve_fidelity,
     fidelity_ceiling,
     fidelity_scan,
     pst_certificate,
     quadratic_integer_structure,
 )
-from pstwalk.spectral import strongly_cospectral
+from pstwalk.spectral import decompose, strongly_cospectral
 from pstwalk.verify import SCAN_THRESHOLD
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -110,6 +112,117 @@ def test_fidelity_scan_validates_input():
         fidelity_scan(build_path(2), 0, 1, 0.0, 10)
     with pytest.raises(ValueError):
         fidelity_scan(build_path(2), 0, 1, 1.0, 0)
+
+
+def scan_oracle(thetas, weights, t_max, steps):
+    """The fidelity scan computed point by point: the whole grid as
+    exp(1j * outer(ts, thetas)) @ weights in chunks of 200 000 points, then
+    the same golden-section refinement over a numpy amplitude.  Returns the
+    scan's (t_best, fidelity_best) and the best grid value."""
+    ts = np.linspace(0.0, t_max, steps + 1)
+    best_t, best_f = 0.0, -1.0
+    for k in range(0, len(ts), 200_000):
+        block = ts[k : k + 200_000]
+        vals = np.abs(np.exp(1j * np.outer(block, thetas)) @ weights)
+        i = int(np.argmax(vals))
+        if vals[i] > best_f:
+            best_t, best_f = float(block[i]), float(vals[i])
+    dt = t_max / steps
+    t_ref, f_ref = _golden_max(
+        lambda t: float(abs(np.sum(np.exp(1j * t * thetas) * weights))),
+        max(0.0, best_t - dt),
+        min(t_max, best_t + dt),
+    )
+    if f_ref > best_f:
+        return t_ref, f_ref, best_f
+    return best_t, best_f, best_f
+
+
+def scan_test_graph(rng, nprng, i):
+    """Integer weights with loops (unweighted or weighted), or float weights
+    with loops, on 2 to 10 vertices."""
+    n = rng.randint(2, 10)
+    if i % 3 == 2:
+        keep = np.triu(nprng.random(size=(n, n)) < 0.5)  # the diagonal gives loops
+        m = nprng.normal(size=(n, n)) * 2.0
+        return Graph(np.where(keep | keep.T, m + m.T, 0.0))
+    w = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.5:
+                w[u, v] = w[v, u] = rng.choice([-2, -1, 1, 3]) if i % 3 else 1
+        if rng.random() < 0.3:
+            w[u, u] = rng.choice([-1, 1, 2])
+    return Graph(w)
+
+
+def test_fidelity_scan_matches_the_pointwise_grid():
+    """The factorised grid and the scalar refinement give the peak of the
+    pointwise scan, on every ordered pair of 60 seeded graphs, with the
+    (t_max, steps) settings taken in turn."""
+    rng = random.Random(113)
+    nprng = np.random.default_rng(113)
+    settings = [(t, s) for t in (0.5, 30.0, 200.0) for s in (1, 2, 17, 6000, 6001)]
+    seen = set()
+    k = 0
+    for i in range(60):
+        g = scan_test_graph(rng, nprng, i)
+        seen.add(g.integer_flag)
+        dec = decompose(g)
+        thetas = np.array(dec.distinct_eigenvalues)
+        projectors = dec.projectors
+        for a in range(g.n):
+            for b in range(g.n):
+                if a == b:
+                    continue
+                t_max, steps = settings[k % len(settings)]
+                k += 1
+                t_best, peak = fidelity_scan(g, a, b, t_max, steps)
+                weights = np.array([e[b, a] for e in projectors])
+                _, want, grid_best = scan_oracle(thetas, weights, t_max, steps)
+                assert 0.0 <= t_best <= t_max
+                assert peak == pytest.approx(want, abs=1e-12)
+                assert evolve_fidelity(g, a, b, t_best) == pytest.approx(peak, abs=1e-12)
+                assert peak >= grid_best - 1e-12
+    assert seen == {True, False} and k > 6 * len(settings)
+
+
+def bridge_composite():
+    """The 8-vertex P2 composite of a 4-vertex marked graph with itself,
+    with 7 distinct eigenvalues."""
+    y, a = list(marked_graphs(4))[-3]
+    z, ga, gb = compose(y, a, y, a, 2)
+    assert z.n == 8 and len(decompose(z).distinct_eigenvalues) == 7
+    return z, ga, gb
+
+
+def test_fidelity_scan_takes_about_two_sqrt_steps_exponentials(monkeypatch):
+    z, ga, gb = bridge_composite()
+    d = len(decompose(z).distinct_eigenvalues)
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    fidelity_scan(z, ga, gb, 30.0, 6000)
+    assert 0 < sum(counted) <= 4 * (math.sqrt(6001) + 1) * d
+
+
+def test_fidelity_scan_memory_stays_bounded():
+    z, ga, gb = bridge_composite()
+    decompose(z)
+    tracemalloc.start()
+    try:
+        t_best, peak = fidelity_scan(z, ga, gb, 30.0, 4_000_000)
+        _, held = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evolve_fidelity(z, ga, gb, t_best) == pytest.approx(peak, abs=1e-12)
+    # the 4 000 001 grid times alone would take 32 MB
+    assert held < 32 * 2**20
 
 
 def test_fidelity_ceiling_examples():

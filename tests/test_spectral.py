@@ -222,6 +222,23 @@ def test_cospectral_numeric_path():
     assert not cospectral(p5, 0, 2)
 
 
+def test_cospectral_float_weights_resolve_a_small_asymmetry():
+    """P5 with edge weights 1.5 has mirror-image ends; scaling one pendant
+    edge by 1 + eps moves the eigenspace norms of the ends apart by up to
+    eps / sqrt(3).  The float branch must see that from well below 0.05
+    down to near SUPPORT_TOL, and forgive it at rounding level."""
+    for eps, expect in ((1e-12, True), (1e-5, False), (1e-4, False), (1e-3, False)):
+        w = build_path(5).weights * 1.5
+        w[3, 4] = w[4, 3] = 1.5 * (1 + eps)
+        g = Graph(w)
+        dec = decompose(g)
+        na, nb = np.sqrt(dec.sums(dec.vectors[[0, 4]] ** 2))
+        gap = float(np.max(np.abs(na - nb)))
+        assert gap == pytest.approx(eps / math.sqrt(3), rel=1e-3, abs=1e-12)
+        assert cospectral(g, 0, 4) is expect
+        assert cospectral(g, 1, 3) is expect
+
+
 def test_cospectral_float_weights_see_every_eigenspace():
     # P3 (a = 0), P3 with weights 1.5, 1 (b = 3, on the 1.5 edge) and K1,9:
     # a has 1 closed 2-walk and b has 2.25, so they are not cospectral,
