@@ -1,10 +1,13 @@
 """Exhaustive no-transfer searches and the verification suites.
 
-The search composes every pair of marked connected graphs across a short
-bridge, runs the certificate on the joined endpoints, and cross-checks each
-verdict.  A failure is settled by the fidelity ceiling sum_r |(E_r)_ab|,
-which bounds the fidelity at every time, or, when the pair is strongly
-cospectral and the ceiling is 1, by a fidelity scan.  At desk scale the
+The search joins every pair of marked connected graphs across a short
+bridge.  A pair whose sides are not walk-equivalent (different reduced
+phi(Y\\v)/phi(Y)) cannot even be cospectral across the bridge, so it fails
+with no composite built; the others get the certificate on the joined
+endpoints.  Every verdict is cross-checked.  A failure is settled by the
+fidelity ceiling sum_r |(E_r)_ab|, which bounds the fidelity at every
+time, or, when the pair is strongly cospectral and the ceiling is 1, by a
+fidelity scan.  At desk scale the
 only composition with transfer is the trivial one: two single vertices,
 which just build the bridge path itself.
 
@@ -33,6 +36,7 @@ for bridge in (2, 3):
         print(f"    sides n={hit['n1']} and n={hit['n2']}: the bare bridge"
               f" path, transfer at t = {hit['pst_time']:.6f}")
     print(f"  nontrivial transfers:       {len(report.nontrivial_successes)}")
+    print(f"  pairs settled by side buckets: {report.bucket_settled}")
     print(f"  failures settled by the ceiling: {report.ceiling_settled}"
           f" (largest ceiling off strong cospectrality {report.max_ceiling:.4f})")
     print(f"  scan cross-check disagreements: {len(report.scan_disagreements)}")

@@ -242,6 +242,7 @@ def cmd_search(args) -> int:
         f"{len(report.pst_successes)} with transfer "
         f"({len(report.nontrivial_successes)} nontrivial), "
         f"{len(report.scan_disagreements)} scan disagreements; "
+        f"{report.bucket_settled} pairs settled by side buckets, "
         f"{report.ceiling_settled} failures settled by the fidelity ceiling "
         f"(largest ceiling without strong cospectrality {report.max_ceiling:.6g})"
     )

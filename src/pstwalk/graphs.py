@@ -24,6 +24,7 @@ __all__ = [
     "build_double_star",
     "build_extended_double_star",
     "compose",
+    "compose_weights",
     "one_sum",
     "iter_ab_paths",
     "parse_graph",
@@ -310,23 +311,33 @@ def compose(
     path vertices (if any) come last.  Returns (graph, a, b) in the new
     labelling.
     """
-    m = bridge_path_vertices
     y1._check_vertex(a)
     y2._check_vertex(b)
+    w = compose_weights(y1.weights[None], [a], y2.weights[None], [b], bridge_path_vertices)
+    return Graph(w[0]), a, y1.n + b
+
+
+def compose_weights(
+    w1: np.ndarray, a, w2: np.ndarray, b, bridge_path_vertices: int = 2
+) -> np.ndarray:
+    """The weight matrices of ``compose`` for a stack of side pairs, in its
+    vertex layout: w1 of shape (k, n1, n1) and w2 of shape (k, n2, n2) with
+    endpoints a[i] in w1[i] and b[i] in w2[i] give shape (k, n, n), n = n1 + n2
+    + bridge_path_vertices - 2."""
+    m = bridge_path_vertices
     if m < 2:
         raise ValueError("bridge path needs at least its two endpoints")
-    n1, n2 = y1.n, y2.n
-    inner = m - 2
-    n = n1 + n2 + inner
-    w = np.zeros((n, n))
-    w[:n1, :n1] = y1.weights
-    w[n1 : n1 + n2, n1 : n1 + n2] = y2.weights
-    ga, gb = a, n1 + b
-    chain = [ga] + [n1 + n2 + i for i in range(inner)] + [gb]
+    count, n1, n2 = len(w1), w1.shape[-1], w2.shape[-1]
+    n = n1 + n2 + m - 2
+    w = np.zeros((count, n, n))
+    w[:, :n1, :n1] = w1
+    w[:, n1 : n1 + n2, n1 : n1 + n2] = w2
+    rows = np.arange(count)
+    chain = [np.asarray(a)] + [n1 + n2 + i for i in range(m - 2)] + [n1 + np.asarray(b)]
     for u, v in zip(chain, chain[1:]):
-        w[u, v] = 1.0
-        w[v, u] = 1.0
-    return Graph(w), ga, gb
+        w[rows, u, v] = 1.0
+        w[rows, v, u] = 1.0
+    return w
 
 
 def one_sum(y1: Graph, b1: int, y2: Graph, b2: int) -> tuple[Graph, int]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
-from .spectral import decompose, strongly_cospectral
+from .spectral import decompose, pair_readings, strongly_cospectral
 
 __all__ = [
     "CONFIRM_TOL",
@@ -103,12 +103,14 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
     so C <= 1, with equality exactly when a and b are strongly cospectral
     (Godsil & Smith, "Strongly cospectral vertices", 2017).  Reads the same
     projector entries as ``fidelity_scan``, so a scan never peaks above C
-    beyond rounding.
+    beyond rounding, through ``spectral.pair_readings``, the reading the
+    bridge search takes for a whole stack of composites.
     """
     g._check_vertex(a)
     g._check_vertex(b)
-    _, weights = _phase_data(g, a, b)
-    return float(np.sum(np.abs(weights)))
+    dec = decompose(g)
+    _, ceiling = pair_readings(dec.vectors[None], dec.starts, [a], [b])
+    return float(ceiling[0])
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:

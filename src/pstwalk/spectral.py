@@ -20,6 +20,9 @@ __all__ = [
     "SUPPORT_TOL",
     "SpectralDecomposition",
     "decompose",
+    "eigenspaces",
+    "adopt_decomposition",
+    "pair_readings",
     "support",
     "cospectral",
     "SupportSignature",
@@ -37,6 +40,8 @@ SUPPORT_TOL = 1e-7
 # An eigenvalue handed to projector_entry_via_neutrino must be a root of phi to
 # within _ROOT_TOL relative to the polynomial's size there.
 _ROOT_TOL = 1e-6
+# where a graph keeps its decomposition, beside its polynomials
+_DECOMPOSE_KEY = ("decompose", None)
 
 
 @dataclass(frozen=True)
@@ -54,17 +59,18 @@ class SpectralDecomposition:
     grouping_tolerance: float
 
     @cached_property
-    def _starts(self) -> np.ndarray:
+    def starts(self) -> np.ndarray:
+        """The first column of each eigenspace."""
         return np.cumsum((0,) + self.multiplicities[:-1])
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Sum x over each eigenspace's columns (last axis)."""
-        return np.add.reduceat(x, self._starts, axis=-1)
+        return np.add.reduceat(x, self.starts, axis=-1)
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
         """The n x n projectors E_r, built anew on every access."""
-        return tuple(c @ c.T for c in np.split(self.vectors, self._starts[1:], axis=1))
+        return tuple(c @ c.T for c in np.split(self.vectors, self.starts[1:], axis=1))
 
     def reconstruct(self) -> np.ndarray:
         v = self.vectors
@@ -78,22 +84,51 @@ def decompose(g: Graph) -> SpectralDecomposition:
     into one eigenspace (single-linkage on the sorted list).  The result is
     kept on the graph with its polynomials, so each graph runs one ``eigh``.
     """
-    key = ("decompose", None)
-    cached = g._poly_cache.get(key)
-    if cached is not None:
-        return cached
-    a = g.weights
-    tol = GROUPING_TOL * max(1.0, float(np.linalg.norm(a, np.inf)))
-    w, v = np.linalg.eigh(a)
-    w = w[::-1]
-    v = np.ascontiguousarray(v[:, ::-1])
-    v.setflags(write=False)
-    starts = np.flatnonzero(np.r_[True, w[:-1] - w[1:] >= tol])
-    mults = np.diff(np.r_[starts, len(w)])
-    thetas = np.add.reduceat(w, starts) / mults
-    dec = SpectralDecomposition(tuple(thetas.tolist()), tuple(mults.tolist()), v, tol)
-    g._poly_cache[key] = dec
-    return dec
+    cached = g._poly_cache.get(_DECOMPOSE_KEY)
+    if cached is None:
+        cached = g._poly_cache[_DECOMPOSE_KEY] = _stack_member(eigenspaces(g.weights), 0)
+    return cached
+
+
+def eigenspaces(mats: np.ndarray):
+    """One ``eigh`` over symmetric matrices of shape (..., n, n), one matrix
+    or a stack, grouped as ``decompose`` groups.
+
+    Returns the eigenvalues (..., n) and the eigenvectors (..., n, n), both
+    in descending eigenvalue order, each matrix's grouping tolerance
+    GROUPING_TOL * max(1, ||A||_inf), and the flat indices into all the
+    matrices' columns, in order, at which an eigenspace starts.
+    """
+    tol = GROUPING_TOL * np.maximum(1.0, np.abs(mats).sum(axis=-1).max(axis=-1))
+    w, v = np.linalg.eigh(mats)
+    w, v = w[..., ::-1], v[..., ::-1]
+    split = np.ones(w.shape, dtype=bool)
+    split[..., 1:] = w[..., :-1] - w[..., 1:] >= tol[..., None]
+    return w, v, tol, np.flatnonzero(split)
+
+
+def _stack_member(spaces, i: int) -> SpectralDecomposition:
+    """Matrix i, counted in order over the leading axes, of ``eigenspaces``
+    output as a SpectralDecomposition."""
+    w, v, tol, starts = spaces
+    n = w.shape[-1]
+    starts = starts[np.searchsorted(starts, i * n) : np.searchsorted(starts, (i + 1) * n)] - i * n
+    vectors = np.ascontiguousarray(v.reshape(-1, n, n)[i])
+    vectors.setflags(write=False)
+    mults = np.diff(np.r_[starts, n])
+    thetas = np.add.reduceat(w.reshape(-1, n)[i], starts) / mults
+    return SpectralDecomposition(
+        tuple(thetas.tolist()), tuple(mults.tolist()), vectors, float(np.reshape(tol, -1)[i])
+    )
+
+
+def adopt_decomposition(g: Graph, mats: np.ndarray, spaces, i: int) -> None:
+    """Keep matrix i of the stack ``mats``, decomposed by ``eigenspaces``
+    into ``spaces``, as the decomposition of g, so ``decompose(g)`` runs no
+    ``eigh`` of its own.  mats[i] must be g's weight matrix."""
+    if not np.array_equal(mats[i], g.weights):
+        raise ValueError("stack member is not the graph's weight matrix")
+    g._poly_cache[_DECOMPOSE_KEY] = _stack_member(spaces, i)
 
 
 def support(g: Graph, a: int) -> list[float]:
@@ -121,6 +156,40 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     dec = decompose(g)
     na, nb = np.sqrt(dec.sums(dec.vectors[[a, b]] ** 2))
     return bool(np.all(np.abs(na - nb) <= SUPPORT_TOL))
+
+
+def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
+    """The numeric strong-cospectrality rule on rows a and b of eigenvector
+    matrices, one row each (n,) or stacked (k, n) with eigenspaces starting
+    at the flat column indices ``starts``.
+
+    Per eigenspace: (E_r)_ab, whether r is in the support of a and of b,
+    whether E_r e_a = +-E_r e_b, and whether the eigenspace agrees with
+    strong cospectrality (both supports or neither, and parallel).
+    """
+    # ||E_r e_a||^2, ||E_r e_b||^2, (E_r)_ab and ||E_r (e_a -+ e_b)||^2; the
+    # last two come from row differences, with no cancellation
+    rows = np.stack([va * va, vb * vb, va * vb, (va - vb) ** 2, (va + vb) ** 2])
+    aa, bb, ab, minus, plus = np.add.reduceat(rows.reshape(5, -1), starts, axis=-1)
+    na, nb = np.sqrt(aa), np.sqrt(bb)
+    gap = np.sqrt(np.where(ab >= 0, minus, plus))
+    ia = na > SUPPORT_TOL
+    ib = nb > SUPPORT_TOL
+    parallel = ia & ib & (np.abs(na - nb) <= SUPPORT_TOL) & (gap <= SUPPORT_TOL)
+    return ab, ia, ib, parallel, (ia == ib) & (parallel | ~ia)
+
+
+def pair_readings(
+    vectors: np.ndarray, starts: np.ndarray, a, b
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix i of a stack (eigenvectors (k, n, n) and eigenspace
+    starts as ``eigenspaces`` gives them), the numeric strong-cospectrality
+    decision of a[i], b[i], by the rule ``strongly_cospectral`` reads, and
+    the fidelity ceiling sum_r |(E_r)_ab| (``pst.fidelity_ceiling``)."""
+    rows = np.arange(len(vectors))
+    ab, _, _, _, agrees = _pair_rule(vectors[rows, a], vectors[rows, b], starts)
+    firsts = np.searchsorted(starts, rows * vectors.shape[-1])
+    return np.logical_and.reduceat(agrees, firsts), np.add.reduceat(np.abs(ab), firsts)
 
 
 @dataclass(frozen=True)
@@ -172,20 +241,9 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
     if a == b:
         raise ValueError("strong cospectrality needs two distinct vertices")
     dec = decompose(g)
-    va, vb = dec.vectors[a], dec.vectors[b]
-    # ||E_r e_a||^2, ||E_r e_b||^2, (E_r)_ab and ||E_r (e_a -+ e_b)||^2; the
-    # last two come from row differences, with no cancellation
-    aa, bb, ab, minus, plus = dec.sums(
-        np.array([va * va, vb * vb, va * vb, (va - vb) ** 2, (va + vb) ** 2])
-    )
-    na, nb = np.sqrt(aa), np.sqrt(bb)
-    positive = ab >= 0
-    signs = np.where(positive, 1, -1)
-    gap = np.sqrt(np.where(positive, minus, plus))
-    ia = na > SUPPORT_TOL
-    ib = nb > SUPPORT_TOL
-    parallel = ia & ib & (np.abs(na - nb) <= SUPPORT_TOL) & (gap <= SUPPORT_TOL)
-    numeric = bool(((ia == ib) & (parallel | ~ia)).all())
+    ab, ia, ib, parallel, agrees = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
+    numeric = bool(agrees.all())
+    signs = np.where(ab >= 0, 1, -1)
     entries = [
         (th, bool(x), bool(y), int(s) if p else None)
         for th, x, y, s, p in zip(dec.distinct_eigenvalues, ia, ib, signs, parallel)

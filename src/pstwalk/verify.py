@@ -18,13 +18,21 @@ from .graphs import (
     Graph,
     build_regular,
     compose,
+    compose_weights,
     cone,
     marked_graphs,
     one_sum,
     serialize_graph,
 )
-from .pst import fidelity_ceiling, fidelity_scan, pst_certificate
-from .spectral import decompose, strongly_cospectral_exact, walk_module_matrix
+from .pst import fidelity_scan, pst_certificate
+from .spectral import (
+    adopt_decomposition,
+    decompose,
+    eigenspaces,
+    pair_readings,
+    strongly_cospectral_exact,
+    walk_module_matrix,
+)
 
 __all__ = [
     "check_cauchy",
@@ -336,6 +344,7 @@ class SearchReport:
     strongly_cospectral_pairs: int = 0
     pst_successes: list = field(default_factory=list)
     failure_histogram: dict = field(default_factory=dict)
+    bucket_settled: int = 0
     scan_checked: int = 0
     ceiling_settled: int = 0
     max_ceiling: float = 0.0
@@ -351,6 +360,7 @@ class SearchReport:
         self.pst_successes.extend(other.pst_successes)
         for k, v in other.failure_histogram.items():
             self.failure_histogram[k] = self.failure_histogram.get(k, 0) + v
+        self.bucket_settled += other.bucket_settled
         self.scan_checked += other.scan_checked
         self.ceiling_settled += other.ceiling_settled
         self.max_ceiling = max(self.max_ceiling, other.max_ceiling)
@@ -365,6 +375,7 @@ class SearchReport:
             "failure_histogram": dict(sorted(self.failure_histogram.items())),
             "scan_cross_check": {
                 "instances": self.scan_checked,
+                "bucket_settled": self.bucket_settled,
                 "ceiling_settled": self.ceiling_settled,
                 "max_ceiling": self.max_ceiling,
                 "disagreements": self.scan_disagreements,
@@ -372,61 +383,116 @@ class SearchReport:
         }
 
 
-def _pair_record(y1: Graph, a: int, y2: Graph, b: int, **extra) -> dict:
-    """A searched pair as the report names it: each side in graph6 when it
-    is simple and unweighted, as an edgelist otherwise."""
-    def name(g: Graph) -> str:
-        return serialize_graph(g, "graph6" if g.is_simple_unweighted else "edgelist")
+def _side_name(g: Graph) -> str:
+    """A side as the report names it: in graph6 when it is simple and
+    unweighted, as an edgelist otherwise."""
+    return serialize_graph(g, "graph6" if g.is_simple_unweighted else "edgelist")
 
-    return {"y1": name(y1), "a": a, "y2": name(y2), "b": b, "n1": y1.n, "n2": y2.n, **extra}
+
+def _pair_record(y1: Graph, a: int, y2: Graph, b: int, **extra) -> dict:
+    names = {"y1": _side_name(y1), "a": a, "y2": _side_name(y2), "b": b}
+    return {**names, "n1": y1.n, "n2": y2.n, **extra}
+
+
+def _bucket_key(g: Graph, v: int) -> xp.RationalFunction:
+    """phi(Y\\v) / phi(Y), reduced.  Two sides share it exactly when they
+    are walk-equivalent, and by the 1-sum lemma that is exactly when their
+    ends are cospectral in the composite, over either bridge."""
+    return xp.RationalFunction(xp.charpoly_deleted(g, [v]), xp.charpoly(g))
+
+
+def _stacked_composites(shape, bridge: int):
+    """The composites of side pairs that share (n1, n2), as one stack of
+    weight matrices in the layout of ``graphs.compose``, decomposed by one
+    ``eigh``: (mats, spaces, numeric, ceilings), the last two being each
+    pair's numeric strong-cospectrality reading and fidelity ceiling."""
+    n1 = shape[0][0][0].n
+    ends1 = np.array([a for (_, a), _ in shape])
+    ends2 = np.array([b for _, (_, b) in shape])
+    mats = compose_weights(
+        np.stack([y1.weights for (y1, _), _ in shape]),
+        ends1,
+        np.stack([y2.weights for _, (y2, _) in shape]),
+        ends2,
+        bridge,
+    )
+    spaces = eigenspaces(mats)
+    _, vectors, _, starts = spaces
+    # the second side's labels are shifted by n1
+    numeric, ceilings = pair_readings(vectors, starts, ends1, n1 + ends2)
+    return mats, spaces, numeric, ceilings
 
 
 def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
     report = SearchReport(bridge=bridge, max_n=0, source="")
-    for (y1, a), (y2, b) in pairs:
-        z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
-        cert = pst_certificate(z, ga, gb)
-        ceiling = fidelity_ceiling(z, ga, gb)
-        report.instances_tested += 1
-        if cert.failure_reason == "not_strongly_cospectral":
-            report.max_ceiling = max(report.max_ceiling, ceiling)
-        else:
-            report.strongly_cospectral_pairs += 1
-            # strong cospectrality makes the ceiling exactly 1
-            if ceiling < 1.0 - SCAN_THRESHOLD:
-                raise RuntimeError(
-                    f"strongly cospectral pair has fidelity ceiling {ceiling}: "
-                    f"{_pair_record(y1, a, y2, b)}"
-                )
-        if cert.success:
-            t_best, f_best = fidelity_scan(
-                z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000)
-            )
-            if f_best < 1.0 - SCAN_THRESHOLD:
-                raise RuntimeError(
-                    f"certificate success not confirmed by scan: "
-                    f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
-                )
-            report.pst_successes.append(
-                _pair_record(y1, a, y2, b, pst_time=cert.pst_time, scan_peak=f_best)
-            )
-        else:
-            report.failure_histogram[cert.failure_reason] = (
-                report.failure_histogram.get(cert.failure_reason, 0) + 1
-            )
-            if scan_cross_check:
-                report.scan_checked += 1
-                if ceiling < 1.0 - SCAN_THRESHOLD:
-                    # no t, inside the scan window or beyond it, can reach the threshold
-                    report.ceiling_settled += 1
-                    continue
-                t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
-                # approximate transfer can creep arbitrarily close to 1, so
-                # only a violation of the certificate threshold counts
-                if f_best >= 1.0 - SCAN_THRESHOLD:
-                    report.scan_disagreements.append(
-                        _pair_record(y1, a, y2, b, scan_peak=f_best, scan_t=t_best)
+    keys: dict = {}
+    shapes: dict = {}
+    for pair in pairs:
+        for g, v in pair:
+            if (id(g), v) not in keys:
+                keys[id(g), v] = _bucket_key(g, v)
+        shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
+    for (n1, _), shape in shapes.items():
+        mats, spaces, numeric, ceilings = _stacked_composites(shape, bridge)
+        for i, ((y1, a), (y2, b)) in enumerate(shape):
+            report.instances_tested += 1
+            ceiling = float(ceilings[i])
+            if keys[id(y1), a] == keys[id(y2), b]:
+                z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
+                adopt_decomposition(z, mats, spaces, i)
+                cert = pst_certificate(z, ga, gb)
+                reason = cert.failure_reason
+            else:
+                # a and b are not cospectral in Z: decided with no composite
+                report.bucket_settled += 1
+                if numeric[i]:
+                    raise RuntimeError(
+                        "exact (False) and numeric (True) strong-cospectrality decisions "
+                        f"disagree for vertices {a}, {n1 + b}: "
+                        f"{_pair_record(y1, a, y2, b)}"
                     )
+                z, cert, reason = None, None, "not_strongly_cospectral"
+            if reason == "not_strongly_cospectral":
+                report.max_ceiling = max(report.max_ceiling, ceiling)
+            else:
+                report.strongly_cospectral_pairs += 1
+                # strong cospectrality makes the ceiling exactly 1
+                if ceiling < 1.0 - SCAN_THRESHOLD:
+                    raise RuntimeError(
+                        f"strongly cospectral pair has fidelity ceiling {ceiling}: "
+                        f"{_pair_record(y1, a, y2, b)}"
+                    )
+            if cert is not None and cert.success:
+                t_best, f_best = fidelity_scan(
+                    z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000)
+                )
+                if f_best < 1.0 - SCAN_THRESHOLD:
+                    raise RuntimeError(
+                        f"certificate success not confirmed by scan: "
+                        f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
+                    )
+                report.pst_successes.append(
+                    _pair_record(y1, a, y2, b, pst_time=cert.pst_time, scan_peak=f_best)
+                )
+                continue
+            report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + 1
+            if not scan_cross_check:
+                continue
+            report.scan_checked += 1
+            if ceiling < 1.0 - SCAN_THRESHOLD:
+                # no t, inside the scan window or beyond it, can reach the threshold
+                report.ceiling_settled += 1
+                continue
+            if z is None:
+                z, ga, gb = compose(y1, a, y2, b, bridge)
+                adopt_decomposition(z, mats, spaces, i)
+            t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
+            # approximate transfer can creep arbitrarily close to 1, so
+            # only a violation of the certificate threshold counts
+            if f_best >= 1.0 - SCAN_THRESHOLD:
+                report.scan_disagreements.append(
+                    _pair_record(y1, a, y2, b, scan_peak=f_best, scan_t=t_best)
+                )
     return report
 
 
@@ -443,11 +509,19 @@ def search_no_pst(
 
     Every ordered pair of marked graphs (connected, one representative per
     rooted isomorphism class up to ``max_n`` vertices, or the pairs yielded
-    by ``graph_source``) is composed over a bridge with ``bridge`` path
-    vertices (2 or 3) and certified.  The composite's polynomials come from
-    the sides' by the bridge identities (``exactpoly.bridge_compose``).
-    Certified successes are re-verified by a fidelity scan.  Certified
-    failures are optionally cross-checked.
+    by ``graph_source``, which must have integer weights) is joined over a
+    bridge with ``bridge`` path vertices (2 or 3).  Each side (Y, v) gets
+    one exact key, the reduced phi(Y\\v) / phi(Y); a pair whose sides
+    differ in it is not even cospectral in the composite, so it fails as
+    not strongly cospectral with no composite Graph and no polynomial
+    (``bucket_settled``).  Only pairs with equal keys are certified, their
+    polynomials taken from the sides' by the bridge identities
+    (``exactpoly.bridge_compose``).  The pairs that share (n1, n2) are
+    decomposed by one stacked ``eigh``, which gives every pair its numeric
+    strong-cospectrality reading and fidelity ceiling; a numeric "strongly
+    cospectral" on a pair the keys settled raises.
+    Certified successes are re-verified by a fidelity scan.  Failures are
+    optionally cross-checked.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
     1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
     cospectral pair, a bounded scan runs, and a fidelity at or above
@@ -467,6 +541,11 @@ def search_no_pst(
         marked = [(g, v) for g, v in graph_source if g.is_connected()]
         if max_n:
             marked = [(g, v) for g, v in marked if g.n <= max_n]
+        for g, _ in marked:
+            if not g.integer_flag:
+                raise ValueError(
+                    f"search needs integer weights; side {_side_name(g)!r} has others"
+                )
         source = "stream"
     pairs = list(itertools.product(marked, marked))
     # a fork pool starts all its workers at once, so never ask for idle ones

@@ -263,9 +263,9 @@ def test_search_reports_the_fidelity_ceiling(capsys):
     check = report["result"]["scan_cross_check"]
     # K1 - K1 succeeds; of the three failures only P2 - P2
     # (the path P4, mirror-symmetric) is strongly cospectral and scanned
-    assert (check["instances"], check["ceiling_settled"]) == (3, 2)
+    assert (check["instances"], check["bucket_settled"], check["ceiling_settled"]) == (3, 2, 2)
     assert check["max_ceiling"] == pytest.approx(1 / math.sqrt(2), abs=1e-11)
-    assert "2 failures settled by the fidelity ceiling" in err
+    assert "2 pairs settled by side buckets, 2 failures settled by the fidelity ceiling" in err
     code, report, _ = run_json(capsys, argv + ["--no-scan"])
     assert code == 0
     check = report["result"]["scan_cross_check"]

@@ -1,6 +1,7 @@
 """Interlacing checks, quotients, support correspondence, and the search."""
 
 import concurrent.futures
+import itertools
 import math
 import os
 import random
@@ -17,7 +18,11 @@ from pstwalk.graphs import (
     build_double_star,
     build_path,
     build_star,
+    compose,
+    marked_graphs,
 )
+from pstwalk.pst import fidelity_ceiling
+from pstwalk.spectral import adopt_decomposition, decompose, strongly_cospectral
 from pstwalk.verify import (
     SCAN_THRESHOLD,
     EquitabilityError,
@@ -218,6 +223,8 @@ def test_search_parallel_matches_serial():
         assert serial.failure_histogram == parallel.failure_histogram
         assert serial.to_json() == parallel.to_json()
         assert (serial.ceiling_settled > 0) == scan
+        # 25 pairs, 5 of them sharing a side bucket
+        assert serial.bucket_settled == parallel.bucket_settled == 20
 
 
 def _count_scans(monkeypatch):
@@ -241,8 +248,9 @@ def test_search_scans_only_strongly_cospectral_pairs(monkeypatch):
     assert report.scan_checked == 255
     assert report.ceiling_settled == 240
     assert report.max_ceiling < 1 - SCAN_THRESHOLD
+    assert report.bucket_settled == 240
     data = report.to_json()["scan_cross_check"]
-    assert (data["instances"], data["ceiling_settled"]) == (255, 240)
+    assert (data["instances"], data["bucket_settled"], data["ceiling_settled"]) == (255, 240, 240)
     assert data["max_ceiling"] == report.max_ceiling
 
 
@@ -252,9 +260,21 @@ def test_search_without_scans_still_reports_the_ceiling():
     assert 0 < report.max_ceiling < 1 - SCAN_THRESHOLD
 
 
+def _fix_ceilings(monkeypatch, value):
+    """Make the stacked reading, which the search takes every pair's ceiling
+    from, report ``value`` as each ceiling."""
+    original = verify.pair_readings
+
+    def fixed(*args):
+        numeric, ceilings = original(*args)
+        return numeric, np.full_like(ceilings, value)
+
+    monkeypatch.setattr(verify, "pair_readings", fixed)
+
+
 def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
     scans = _count_scans(monkeypatch)
-    monkeypatch.setattr(verify, "fidelity_ceiling", lambda *args, **kwargs: 1.0)
+    _fix_ceilings(monkeypatch, 1.0)
     report = search_no_pst(2, 4)
     assert report.ceiling_settled == 0
     assert report.scan_checked == 255
@@ -263,24 +283,32 @@ def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
 
 
 def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
-    monkeypatch.setattr(verify, "fidelity_ceiling", lambda *args, **kwargs: 0.5)
+    _fix_ceilings(monkeypatch, 0.5)
     # K1 - K1 across the bridge is the path itself: strongly cospectral ends
     with pytest.raises(RuntimeError, match="fidelity ceiling"):
         search_no_pst(2, 1)
 
 
 def test_search_decomposes_once_per_pair(monkeypatch):
-    calls = []
+    matrices = []
     original = np.linalg.eigh
 
     def counting(a):
-        calls.append(len(a))
+        matrices.append(math.prod(np.shape(a)[:-2]))
         return original(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     report = search_no_pst(2, 3)
     assert report.instances_tested > 0
-    assert len(calls) == report.instances_tested
+    assert sum(matrices) == report.instances_tested
+    # with every failure scanned, the composites built for the scans adopt
+    # their stacked decompositions too
+    matrices.clear()
+    _fix_ceilings(monkeypatch, 1.0)
+    report = search_no_pst(2, 3)
+    assert report.scan_checked == report.instances_tested - 1
+    assert report.ceiling_settled == 0
+    assert sum(matrices) == report.instances_tested
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -313,6 +341,117 @@ def test_search_failure_histogram(bridge, histogram):
     assert report.instances_tested == 256
     assert report.failure_histogram == histogram
     assert len(report.pst_successes) == 1
+
+
+@pytest.mark.parametrize(
+    "bridge, histogram, max_ceiling",
+    [
+        (
+            2,
+            {"delta_not_consistent": 2, "no_admissible_g": 1, "no_common_alpha": 70,
+             "not_strongly_cospectral": 5402},
+            0.9857225453222067,
+        ),
+        (
+            3,
+            {"delta_not_consistent": 5, "no_common_alpha": 68, "not_strongly_cospectral": 5402},
+            0.9714285714285716,
+        ),
+    ],
+)
+def test_search_exhaustive_n5_report(bridge, histogram, max_ceiling):
+    report = search_no_pst(bridge, 5)
+    assert (report.instances_tested, report.strongly_cospectral_pairs) == (5476, 74)
+    assert report.failure_histogram == histogram
+    settled = (report.bucket_settled, report.ceiling_settled, report.scan_checked)
+    assert settled == (5402, 5402, 5475)
+    assert [(s["y1"], s["a"], s["y2"], s["b"]) for s in report.pst_successes] == [("@", 0, "@", 0)]
+    assert report.scan_disagreements == []
+    # the stacked sums may round differently from a per-graph sum
+    assert report.max_ceiling == pytest.approx(max_ceiling, abs=1e-12)
+
+
+def _oracle_pairs():
+    """Every ordered pair of marked_graphs(4), then 30 seeded pairs of
+    weighted sides with loops, every third a side and a relabelled copy."""
+    marked = list(marked_graphs(4))
+    pairs = list(itertools.product(marked, marked))
+    rng = random.Random(1414)
+    for i in range(30):
+        y1 = random_connected_graph(rng, rng.randint(1, 4), weighted=True, loops=True)
+        a = rng.randrange(y1.n)
+        if i % 3 == 0:
+            perm = list(range(y1.n))
+            rng.shuffle(perm)
+            y2, b = y1.relabeled(perm), perm[a]
+        else:
+            y2 = random_connected_graph(rng, rng.randint(1, 4), weighted=True, loops=True)
+            b = rng.randrange(y2.n)
+        pairs.append(((y1, a), (y2, b)))
+    return pairs
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_side_buckets_decide_cospectrality_in_the_composite(bridge):
+    apart = []
+    for (y1, a), (y2, b) in _oracle_pairs():
+        z, ga, gb = compose(y1, a, y2, b, bridge)
+        apart.append(verify._bucket_key(y1, a) != verify._bucket_key(y2, b))
+        assert apart[-1] == (xp.sigma_classes(z, ga, gb) is None)
+    assert 0 < sum(apart) < len(apart)
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_stacked_readings_match_the_single_graph_readers(bridge):
+    shapes = {}
+    for pair in _oracle_pairs():
+        shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
+    for shape in shapes.values():
+        mats, spaces, numeric, ceilings = verify._stacked_composites(shape, bridge)
+        for i, ((y1, a), (y2, b)) in enumerate(shape):
+            z, ga, gb = compose(y1, a, y2, b, bridge)
+            assert np.array_equal(mats[i], z.weights)
+            assert numeric[i] == strongly_cospectral(z, ga, gb)[0]
+            assert abs(ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
+            # the stack member a composite adopts reads like its own eigh
+            adopted = Graph(z.weights)
+            adopt_decomposition(adopted, mats, spaces, i)
+            mine, own = decompose(adopted), decompose(z)
+            assert mine.multiplicities == own.multiplicities
+            thetas = (mine.distinct_eigenvalues, own.distinct_eigenvalues)
+            assert np.allclose(*thetas, rtol=0, atol=1e-12)
+            entries = [d.sums(d.vectors[ga] * d.vectors[gb]) for d in (mine, own)]
+            assert np.allclose(*entries, rtol=0, atol=1e-12)
+
+
+def test_adopt_decomposition_refuses_another_graphs_matrix():
+    mats = np.stack([build_path(3).weights, build_cycle(3).weights])
+    spaces = spectral.eigenspaces(mats)
+    with pytest.raises(ValueError, match="not the graph's weight matrix"):
+        adopt_decomposition(build_path(3), mats, spaces, 1)
+
+
+def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
+    # K1 and an end of P2 across the one-edge bridge make P3 with an end and
+    # its middle: every norm ||E_r e_v|| is at most 1/sqrt(2), so a support
+    # tolerance of 0.8 leaves both supports empty and reads True
+    monkeypatch.setattr(spectral, "SUPPORT_TOL", 0.8)
+    k1, p2 = Graph.from_edges(1), build_path(2)
+    assert verify._bucket_key(k1, 0) != verify._bucket_key(p2, 0)
+    disagree = r"numeric \(True\) strong-cospectrality decisions disagree"
+    with pytest.raises(RuntimeError, match=disagree):
+        verify._search_pairs([((k1, 0), (p2, 0))], 2, True, 30.0, 6000)
+
+
+def test_search_rejects_non_integer_sides_before_composing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair was composed")
+
+    monkeypatch.setattr(verify, "compose_weights", refuse)
+    monkeypatch.setattr(xp, "bridge_compose", refuse)
+    half = Graph.from_edges(2, [(0, 1, 0.5)])
+    with pytest.raises(ValueError, match=r"integer weights.*0 1 0\.5"):
+        search_no_pst(2, 0, graph_source=[(build_path(3), 0), (half, 0)])
 
 
 def test_search_accepts_sides_graph6_cannot_encode():
