@@ -20,6 +20,7 @@ import time
 
 from . import exactpoly as xp
 from .graphs import (
+    CANONICAL_MAX_N,
     Graph,
     GraphParseError,
     automorphism_orbits,
@@ -204,6 +205,10 @@ def _stdin_marked_graphs(max_n: int):
             raise GraphParseError(f"stdin line {lineno}: {g.n} vertices, above --max-n {max_n}")
         if not g.is_connected():
             raise GraphParseError(f"stdin line {lineno}: graph is disconnected")
+        if g.n > CANONICAL_MAX_N:
+            raise GraphParseError(
+                f"stdin line {lineno}: {g.n} vertices, above the orbit limit {CANONICAL_MAX_N}"
+            )
         for orbit in automorphism_orbits(g):
             graphs.append((g, orbit[0]))
     return graphs, data

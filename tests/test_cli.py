@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from pstwalk import cli, pst, spectral, verify
+from pstwalk import cli, graphs, pst, spectral, verify
 from pstwalk import exactpoly as xp
 from pstwalk.cli import main
 
@@ -318,6 +318,15 @@ def test_search_rejects_bad_stdin_graphs(capsys, monkeypatch, no_search, lines, 
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(lines)))
     assert main(["search", "--bridge", "2", "--stdin-graph6"]) == 2
     assert reason in capsys.readouterr().err
+
+
+def test_search_names_the_stdin_line_above_the_orbit_limit(capsys, monkeypatch, no_search):
+    n = graphs.CANONICAL_MAX_N + 1
+    cycle = graphs.serialize_graph(graphs.build_cycle(n), "graph6").encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"@\n" + cycle + b"\n")))
+    assert main(["search", "--bridge", "2", "--max-n", str(n), "--stdin-graph6"]) == 2
+    err = capsys.readouterr().err
+    assert f"stdin line 2: {n} vertices, above the orbit limit {n - 1}" in err
 
 
 def test_verify_suite(capsys):

@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from pstwalk import graphs
 from pstwalk.graphs import (
+    CANONICAL_MAX_N,
     Graph,
     GraphParseError,
     are_isomorphic,
@@ -339,12 +341,171 @@ def test_weighted_looped_isomorphism_matches_brute_force():
 
 
 def test_connected_graph_counts():
-    # classic counts of connected graphs up to isomorphism
+    # connected graphs (OEIS A001349) and rooted connected graphs up to
+    # isomorphism, n = 1..7
     assert sum(1 for g in connected_graphs(1) if g.n == 1) == 1
-    by_n = {}
-    for g in connected_graphs(5):
-        by_n[g.n] = by_n.get(g.n, 0) + 1
-    assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    graphs_by_n, rooted_by_n = {}, {}
+    last = None
+    for g, _ in marked_graphs(7):
+        if g is not last:
+            graphs_by_n[g.n] = graphs_by_n.get(g.n, 0) + 1
+            last = g
+        rooted_by_n[g.n] = rooted_by_n.get(g.n, 0) + 1
+    assert graphs_by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    assert rooted_by_n == {1: 1, 2: 1, 3: 3, 4: 11, 5: 58, 6: 407, 7: 4306}
+    with pytest.raises(ValueError, match="n <= 7"):
+        next(connected_graphs(8))
+
+
+def canonical_key_by_brute_force(g, root=None):
+    """Oracle: the least row-major upper triangle, diagonal included, over
+    all n! vertex orders (root first when given)."""
+    n = g.n
+    head, rest = ((), range(n)) if root is None else ((root,), [v for v in range(n) if v != root])
+    w = g.weights.tolist()
+    return (
+        n,
+        min(
+            tuple(w[order[i]][order[j]] for i in range(n) for j in range(i, n))
+            for order in (head + p for p in itertools.permutations(rest))
+        ),
+    )
+
+
+def connected_graphs_by_mask_loop(max_n):
+    """Oracle: every edge mask on n vertices in increasing order (bit k the
+    k-th pair of ``combinations``), the first connected graph of each class
+    kept, classes sorted by (edges, canonical key)."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        found = {}
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+            g = Graph.from_edges(n, edges)
+            if g.is_connected():
+                found.setdefault(canonical_key_by_brute_force(g), (len(edges), g))
+        for key, (m, g) in sorted(found.items(), key=lambda item: (item[1][0], item[0])):
+            yield g
+
+
+def atlas_graphs(max_n):
+    """Every graph of networkx's atlas (all graphs up to 7 vertices) with 1
+    to max_n vertices, as (networkx graph, Graph)."""
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if 1 <= n <= max_n:
+            yield h, Graph(nx.to_numpy_array(h, nodelist=range(n)))
+
+
+def test_canonical_key_matches_brute_force_on_the_atlas():
+    count = 0
+    for _, g in atlas_graphs(6):
+        assert canonical_key(g) == canonical_key_by_brute_force(g)
+        for v in range(g.n):
+            assert canonical_key(g, root=v) == canonical_key_by_brute_force(g, root=v)
+        count += 1
+    assert count == 208
+    # weighted, looped and negative entries take the same least key
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                w[i, j] = w[j, i] = rng.choice([0, 0, 1, 2, -1, 0.5])
+        g = Graph(w)
+        root = rng.randrange(n)
+        assert canonical_key(g) == canonical_key_by_brute_force(g)
+        assert canonical_key(g, root=root) == canonical_key_by_brute_force(g, root=root)
+
+
+def test_orbits_match_networkx_automorphisms():
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    count = 0
+    for h, g in atlas_graphs(7):
+        orbit = {v: {v} for v in h}
+        for aut in GraphMatcher(h, h).isomorphisms_iter():
+            for v, u in aut.items():
+                orbit[v].add(u)
+        expect = sorted(sorted(o) for o in {frozenset(o) for o in orbit.values()})
+        assert automorphism_orbits(g) == expect
+        count += 1
+    assert count == 1252
+
+
+def edge_mask(w, order):
+    """Edge mask of the graph whose vertex i is ``order[i]``, bit k the k-th
+    pair of ``combinations``."""
+    pairs = itertools.combinations(range(len(order)), 2)
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if w[order[i]][order[j]])
+
+
+def test_marked_graphs_match_the_mask_loop():
+    expect = [(g, orbit[0]) for g in connected_graphs_by_mask_loop(5) for orbit in orbits_by_brute_force(g)]
+    got = list(marked_graphs(5))
+    assert len(got) == len(expect) == 74
+    for (g, v), (h, u) in zip(got, expect):
+        assert np.array_equal(g.weights, h.weights)
+        assert v == u
+    # the loop is too slow at n = 6; there, each class must still come in
+    # the labelling with the least edge mask, the one the loop meets first
+    six = [g for g in connected_graphs(6) if g.n == 6]
+    assert len(six) == 112
+    for g in six:
+        w = g.weights.tolist()
+        assert edge_mask(w, range(6)) == min(edge_mask(w, p) for p in itertools.permutations(range(6)))
+
+
+def test_twins_keep_symmetric_graphs_cheap(monkeypatch):
+    # K_n, stars and K_{m,n} tie at every choice; without twin pruning the
+    # key would explore n! orders
+    calls = []
+    split = graphs._split
+    monkeypatch.setattr(graphs, "_split", lambda *args: calls.append(1) or split(*args))
+    k44 = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
+    for g in (build_complete(8), build_star(7), k44):
+        calls.clear()
+        canonical_key(g)
+        automorphism_orbits(g)
+        assert len(calls) <= 2 * g.n * g.n
+
+
+def petersen():
+    return Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)],
+    )
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(u, u | 1 << k) for u in range(n) for k in range(d) if not u >> k & 1])
+
+
+def test_symmetric_graphs_up_to_the_order_limit():
+    assert CANONICAL_MAX_N == 16
+    q4 = hypercube(4)
+    for g in (build_complete(16), build_cycle(16), petersen(), q4):
+        assert automorphism_orbits(g) == [list(range(g.n))]
+    assert automorphism_orbits(build_star(15)) == [[0], list(range(1, 16))]
+    # Q4 is the 4 x 4 torus C4 x C4, but not the 4-regular circulant C16(1, 2)
+    rng = random.Random(4)
+    perm = list(range(16))
+    rng.shuffle(perm)
+    torus = Graph.from_edges(
+        16, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(4) for j in range(4)]
+        + [(4 * i + j, 4 * ((i + 1) % 4) + j) for i in range(4) for j in range(4)]
+    )
+    assert are_isomorphic(q4, torus.relabeled(perm))
+    assert not are_isomorphic(q4, build_regular(16, 4))
+    big = build_cycle(17)
+    for call in (canonical_key, automorphism_orbits, lambda g: are_isomorphic(g, g)):
+        with pytest.raises(ValueError, match="n <= 16"):
+            call(big)
 
 
 def test_connected_graphs_are_connected_and_deduped():
