@@ -5,10 +5,13 @@ tI - A for the weighted adjacency matrix A.  The empty graph has
 characteristic polynomial 1; several identities below lean on that
 convention.
 
-``bridge_compose`` joins two marked graphs by a bridge and seeds the
-composite with the four polynomials the exact decisions read, built from
-the sides' polynomials by the bridge identities, so no composite is ever
-handed to ``charpoly``.
+The exact decisions read four polynomials of a vertex pair: phi(G) and
+the entries of adj(tI - A) at aa, bb and ab, which are phi(G\\a),
+phi(G\\b) and the path sum P_ab.  ``charpoly`` gives phi(G); the three
+entries come from walk counts against it in one lift, with no further
+charpoly.  ``bridge_compose`` joins two marked graphs by a bridge and
+seeds the composite with all four, built from the sides' polynomials by
+the bridge identities, so no composite is ever handed to ``charpoly``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "poly_gcd",
     "poly_divexact",
     "squarefree_part",
-    "poly_sqrt",
     "bareiss_det",
     "charpoly",
     "charpoly_deleted",
@@ -250,23 +252,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return poly_divexact(p, g)
 
 
-def poly_sqrt(p: IntPoly) -> IntPoly:
-    """The integer polynomial with positive leading coefficient whose square
-    is p; raises ExactDivisionError when there is none."""
-    if p.is_zero:
-        return p
-    m = p.degree // 2
-    root = [0] * m + [math.isqrt(max(p.leading, 1))]
-    for k in range(m - 1, -1, -1):
-        # t**(m+k) of root**2 is 2 root[m] root[k] plus products of known coefficients
-        c = p.coeffs[m + k] - sum(root[i] * root[m + k - i] for i in range(k + 1, m))
-        root[k] = c // (2 * root[m])
-    out = IntPoly(root)
-    if out * out != p:
-        raise ExactDivisionError("not the square of an integer polynomial")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact determinants and characteristic polynomials
 
@@ -378,18 +363,19 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
-    """det(tI - A) for an integer matrix, by residues modulo enough fixed
-    primes to cover twice the coefficient bound, combined by CRT into
-    symmetric residues.  Every prime is valid: the reduction is a
-    similarity over GF(p), so no prime has to be discarded."""
+def _lift(rows: list[list[int]], residues) -> list[int]:
+    """Integers bounded in absolute value by the coefficient bound of the
+    integer matrix ``rows``, from ``residues(a, p)``, their residues modulo
+    p (A an object array of Python integers): as many fixed primes as
+    cover twice the bound, combined by Garner's CRT into symmetric
+    residues."""
     n = len(rows)
     if n > _MAX_ORDER:
         raise OverflowError(f"charpoly supports up to {_MAX_ORDER} vertices, got {n}")
     need = 2 * _coefficient_bound(rows)
     a = np.array(rows, dtype=object)
     primes = _primes()
-    coeffs = [0] * (n + 1)
+    values: list[int] = []
     modulus = 1
     k = 0
     while modulus <= need:
@@ -397,14 +383,22 @@ def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
             raise OverflowError("weights too large for the fixed prime list")
         p = primes[k]
         k += 1
-        residues = _charpoly_mod(a, p)
+        rs = residues(a, p).tolist()
+        values = values or [0] * len(rs)
         # Garner step: lift x (mod modulus) to x (mod modulus * p)
         inv = pow(modulus % p, -1, p)
-        for j, r in enumerate(residues.tolist()):
-            coeffs[j] += modulus * ((r - coeffs[j]) * inv % p)
+        for j, r in enumerate(rs):
+            values[j] += modulus * ((r - values[j]) * inv % p)
         modulus *= p
     half = modulus // 2
-    return IntPoly(c - modulus if c > half else c for c in coeffs)
+    return [v - modulus if v > half else v for v in values]
+
+
+def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
+    """det(tI - A) for an integer matrix, lifted from its residues.  Every
+    prime is valid: the reduction is a similarity over GF(p), so no prime
+    has to be discarded."""
+    return IntPoly(_lift(rows, _charpoly_mod))
 
 
 def charpoly(g: Graph) -> IntPoly:
@@ -426,9 +420,60 @@ def charpoly(g: Graph) -> IntPoly:
     return p
 
 
+def _adjugate_mod(a: np.ndarray, p: int, phi: IntPoly, x: int, y: int) -> np.ndarray:
+    """Entries (x, x), (y, y) and (x, y) of adj(tI - A) mod p, each as n
+    coefficients ascending, one entry after the other.
+
+    With phi = sum_j c_j t**(n-j), adj(tI - A) = phi(t) (tI - A)**-1 and
+    (tI - A)**-1 = sum_k A**k t**(-k-1), so the coefficient of t**(n-1-m)
+    in entry (u, v) is sum_{j<=m} c_j (A**(m-j))_uv (Godsil, Algebraic
+    Combinatorics, ch. 4).  The walk counts (A**k)_uv, k < n, are read off
+    A**k [e_x e_y].
+    """
+    n = len(a)
+    h = (a % p).astype(np.int64)
+    powers = np.zeros((n, n, 2), dtype=np.int64)
+    powers[0, [x, y], [0, 1]] = 1
+    for k in range(1, n):
+        np.remainder(h @ powers[k - 1], p, out=powers[k])
+    walks = powers[:, [x, y, x], [0, 1, 1]]
+    c = np.array([coeff % p for coeff in reversed(phi.coeffs)], dtype=np.int64)
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    toeplitz = np.where(lag >= 0, c[lag], 0)
+    return (toeplitz @ walks % p)[::-1].T.ravel()
+
+
+def _adjugate_entries(g: Graph, phi: IntPoly, a: int, b: int) -> None:
+    """Put phi(G\\a), phi(G\\b) and, when a != b, P_ab = adj(tI - A)_ab
+    into ``g._poly_cache``, from walk counts against phi = phi(G): one
+    lift, no charpoly.  Entries already cached are kept.
+
+    The lift takes the bound of ``charpoly``, and it covers adj(tI - A):
+    the coefficient of t**(n-1-k) in adj_ab is a signed sum of k x k minors
+    of A on rows S + {a} and columns S + {b}, one per (k-1)-subset S of the
+    other vertices.  Each minor is at most prod_{i in S + {a}} r_i
+    (Hadamard), and the sets S + {a} are distinct k-subsets, so the sum is
+    at most e_k(r) <= prod(1 + r_i).  A diagonal entry is phi(G\\a),
+    whose coefficients are sums of principal minors avoiding a.
+    """
+    n = g.n
+    values = _lift(g.int_matrix(), lambda m, p: _adjugate_mod(m, p, phi, a, b))
+    phi_a, phi_b, path = (IntPoly(values[i * n : (i + 1) * n]) for i in range(3))
+    cache = g._poly_cache
+    cache.setdefault(("charpoly", frozenset((a,))), phi_a)
+    cache.setdefault(("charpoly", frozenset((b,))), phi_b)
+    if a != b:
+        cache.setdefault(("pathsum", a, b), path)
+        cache.setdefault(("pathsum", b, a), path)
+
+
 def charpoly_deleted(g: Graph, deleted: Iterable[int]) -> IntPoly:
     """Characteristic polynomial of the induced subgraph with ``deleted``
-    removed.  Deleting every vertex yields the constant 1."""
+    removed.  Deleting every vertex yields the constant 1.
+
+    One deleted vertex v gives the diagonal entry adj(tI - A)_vv, from walk
+    counts against phi(G) (``_adjugate_entries``); a larger deletion is the
+    charpoly of the induced subgraph."""
     gone = frozenset(int(v) for v in deleted)
     for v in gone:
         g._check_vertex(v)
@@ -440,9 +485,12 @@ def charpoly_deleted(g: Graph, deleted: Iterable[int]) -> IntPoly:
     cached = g._poly_cache.get(key)
     if cached is not None:
         return cached
-    p = charpoly(g.delete(gone))
-    g._poly_cache[key] = p
-    return p
+    if len(gone) == 1:
+        (v,) = gone
+        _adjugate_entries(g, charpoly(g), v, v)
+    else:
+        g._poly_cache[key] = charpoly(g.delete(gone))
+    return g._poly_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -491,31 +539,17 @@ def path_sum_poly(g: Graph, a: int, b: int) -> IntPoly:
 
     The square of this polynomial equals phi(G\\a) phi(G\\b) - phi(G)
     phi(G\\ab); signed, it gives the numerator of the off-diagonal
-    resolvent entry.  No path is enumerated: for symmetric A the rank-2
-    update s (e_a e_b^T + e_b e_a^T) gives
-
-        phi(G + s ab) = phi(G) - 2 s P_ab - s**2 phi(G\\ab),
-
-    so with s = 1, P_ab = (phi(G) - phi(G + ab) - phi(G\\ab)) / 2, where
-    G + ab is G with the weight of ab raised by 1."""
+    resolvent entry.  No path is enumerated: the entry is the convolution
+    of phi(G) with the walk counts (A**k)_ab (``_adjugate_entries``), which
+    also caches phi(G\\a) and phi(G\\b)."""
     g._check_vertex(a)
     g._check_vertex(b)
     if a == b:
         raise ValueError("path endpoints must differ")
     key = ("pathsum", a, b)
-    cached = g._poly_cache.get(key)
-    if cached is not None:
-        return cached
-    rows = g.int_matrix()
-    rows[a][b] += 1
-    rows[b][a] += 1
-    twice = charpoly(g) - _charpoly_of_rows(rows) - charpoly_deleted(g, [a, b])
-    if any(c % 2 for c in twice.coeffs):
-        raise ArithmeticError("path sum identity left an odd coefficient")
-    total = IntPoly(c // 2 for c in twice.coeffs)
-    g._poly_cache[key] = total
-    g._poly_cache[("pathsum", b, a)] = total
-    return total
+    if key not in g._poly_cache:
+        _adjugate_entries(g, charpoly(g), a, b)
+    return g._poly_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +559,16 @@ def bridge_compose(
     y1: Graph, a: int, y2: Graph, b: int, bridge: int
 ) -> tuple[Graph, int, int]:
     """``graphs.compose(y1, a, y2, b, bridge)`` for a bridge of 2 or 3 path
-    vertices, with phi(Z), phi(Z\\a), phi(Z\\b) and phi(Z\\ab) already in
-    the composite's cache, built from phi(Y1), phi(Y1\\a), phi(Y2) and
-    phi(Y2\\b) (Schwenk, "Computing the characteristic polynomial of a
-    graph", 1974).  Deleting an endpoint leaves disjoint unions: on the P2
-    bridge Z\\a = (Y1\\a) + Y2; on the P3 bridge Y2 keeps the middle vertex
-    as a pendant at b, whose phi is t phi(Y2) - phi(Y2\\b), and Z\\ab keeps
-    it isolated.  A composite with non-integer weights gets nothing, so the
-    exact layer rejects it as before."""
+    vertices, with phi(Z), phi(Z\\a), phi(Z\\b) and the path sum P_ab
+    already in the composite's cache, built from phi(Y1), phi(Y1\\a),
+    phi(Y2) and phi(Y2\\b) (Schwenk, "Computing the characteristic
+    polynomial of a graph", 1974).  Deleting an endpoint leaves disjoint
+    unions: on the P2 bridge Z\\a = (Y1\\a) + Y2; on the P3 bridge Y2
+    keeps the middle vertex as a pendant at b, whose phi is
+    t phi(Y2) - phi(Y2\\b).  The bridge is the only a..b path, of weight 1,
+    and removing it leaves (Y1\\a) + (Y2\\b), so P_ab = phi(Y1\\a)
+    phi(Y2\\b) on both bridges.  A composite with non-integer weights gets
+    nothing, so the exact layer rejects it as before."""
     if bridge not in (2, 3):
         raise ValueError("bridge identities cover 2 or 3 path vertices")
     z, ga, gb = compose(y1, a, y2, b, bridge)
@@ -542,16 +578,18 @@ def bridge_compose(
     p2, p2d = charpoly(y2), charpoly_deleted(y2, [b])
     if bridge == 2:
         phi = bridge_charpoly_p2(p1, p1d, p2, p2d)
-        phi_a, phi_b, phi_ab = p1d * p2, p1 * p2d, p1d * p2d
+        phi_a, phi_b = p1d * p2, p1 * p2d
     else:
         phi = bridge_charpoly_p3(p1, p1d, p2, p2d)
-        phi_a, phi_b, phi_ab = p1d * (T * p2 - p2d), (T * p1 - p1d) * p2d, T * p1d * p2d
-    # the keys charpoly and charpoly_deleted look up
+        phi_a, phi_b = p1d * (T * p2 - p2d), (T * p1 - p1d) * p2d
+    path = p1d * p2d
+    # the keys charpoly, charpoly_deleted and path_sum_poly look up
     z._poly_cache.update({
         ("charpoly", None): phi,
         ("charpoly", frozenset((ga,))): phi_a,
         ("charpoly", frozenset((gb,))): phi_b,
-        ("charpoly", frozenset((ga, gb))): phi_ab,
+        ("pathsum", ga, gb): path,
+        ("pathsum", gb, ga): path,
     })
     return z, ga, gb
 
@@ -631,12 +669,15 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     """The reduced denominators m+, m- of (phi(G\\a) +- P_ab) / phi(G), or
     None when a and b are not cospectral.  Requires integer weights.
 
-    phi(G\\a) and phi(G\\b) are compared first, so a pair that is not
-    cospectral costs those two charpolys only.  P_ab, up to sign, is the
-    square root of phi(G\\a)**2 - phi(G) phi(G\\ab); the root with a
-    positive leading coefficient is taken, and the other sign would swap
-    m+ and m-.  The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r)
-    and |(E_r)_ab| <= (E_r)_aa = (E_r)_bb, with equality exactly when
+    phi(G\\a), phi(G\\b) and P_ab are the entries of adj(tI - A) at aa,
+    bb and ab, read from walk counts against phi(G) in one lift
+    (``_adjugate_entries``), so a pair costs phi(G) and no other charpoly.
+    Every pair is checked against Jacobi's identity: phi(G) must divide
+    phi(G\\a) phi(G\\b) - P_ab**2 exactly (the quotient is phi(G\\ab)),
+    or ExactDivisionError is raised.  P_ab is taken with a positive
+    leading coefficient; the other sign would swap m+ and m-.  The
+    fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) and
+    |(E_r)_ab| <= (E_r)_aa = (E_r)_bb, with equality exactly when
     E_r e_a = +-E_r e_b.  So m+ and m- are coprime exactly when a and b are
     strongly cospectral (Godsil and Smith, "Strongly cospectral vertices"),
     and then they are the sigma = +1 and sigma = -1 eigenvalue classes,
@@ -648,11 +689,16 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     key = ("sigma", frozenset((a, b)))
     if key in g._poly_cache:
         return g._poly_cache[key]
-    phi_a = charpoly_deleted(g, [a])
+    phi = charpoly(g)
+    if ("pathsum", a, b) not in g._poly_cache:
+        _adjugate_entries(g, phi, a, b)
+    path = g._poly_cache[("pathsum", a, b)]
+    phi_a, phi_b = charpoly_deleted(g, [a]), charpoly_deleted(g, [b])
+    poly_divexact(phi_a * phi_b - path * path, phi)
     classes = None
-    if phi_a == charpoly_deleted(g, [b]):
-        phi = charpoly(g)
-        path = poly_sqrt(phi_a * phi_a - phi * charpoly_deleted(g, [a, b]))
+    if phi_a == phi_b:
+        if not path.is_zero and path.leading < 0:
+            path = -path
         classes = tuple(RationalFunction(phi_a + s * path, phi).den for s in (1, -1))
     g._poly_cache[key] = classes
     return classes

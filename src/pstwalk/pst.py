@@ -113,7 +113,7 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
     return float(ceiling[0])
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)

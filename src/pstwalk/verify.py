@@ -268,8 +268,8 @@ def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     if not strongly_cospectral_exact(z, ga, gb):
         raise ValueError("composition endpoints are not strongly cospectral")
     # the decision cached the classes.  The bridge is the only a..b path, so
-    # P_ab = phi(Y1\a) phi(Y2\b) is monic: it is the root sigma_classes
-    # takes, and the classes do not swap
+    # P_ab = phi(Y1\a) phi(Y2\b) is monic: sigma_classes keeps its sign,
+    # and the classes do not swap
     plus, minus = xp.sigma_classes(z, ga, gb)
     leftover = _nonsupport_poly(xp.charpoly(z), plus * minus)
     return ((p1, p1d), (p2, p2d)), plus, minus, leftover

@@ -382,13 +382,24 @@ def test_order_beyond_the_exact_layer_is_an_input_error(capsys, graph_file, monk
 
 
 def test_failed_exact_identity_is_a_verification_failure(capsys, graph_file, monkeypatch):
-    def refuse(p):
-        raise xp.ExactDivisionError("not the square of an integer polynomial")
+    # phi(G) is the divisor of one exact division only: the Jacobi check
+    # phi(G) | phi(G\a) phi(G\b) - P_ab**2 in sigma_classes
+    phi = xp.charpoly(graphs.build_path(3))
+    real = xp.poly_divexact
+    refused = []
 
-    monkeypatch.setattr(xp, "poly_sqrt", refuse)
+    def refuse(p, q):
+        if q == phi:
+            refused.append(p)
+            raise xp.ExactDivisionError("Jacobi identity refused")
+        return real(p, q)
+
+    monkeypatch.setattr(xp, "poly_divexact", refuse)
     assert main(["pst", graph_file(P3_EDGELIST), "0", "2"]) == 1
     err = capsys.readouterr().err
-    assert "verification failure" in err and "square" in err
+    assert "verification failure" in err and "Jacobi identity refused" in err
+    # P3 minus both ends is K1, so the dividend is phi(G) t
+    assert refused == [phi * xp.T]
 
 
 def test_compose_rejects_bridges_without_identities(capsys, graph_file):

@@ -25,7 +25,6 @@ from pstwalk.exactpoly import (
     pendant_sqrt2_charpoly,
     poly_divexact,
     poly_gcd,
-    poly_sqrt,
     return_walk_gf,
     sigma_classes,
     squarefree_part,
@@ -181,6 +180,24 @@ def test_squarefree_part():
     assert squarefree_part(p).coeffs == (-1, 0, 1)
     cube = IntPoly((0, 1)) * IntPoly((0, 1)) * IntPoly((0, 1))
     assert squarefree_part(cube).coeffs == (0, 1)
+
+
+def poly_sqrt(p):
+    """The integer polynomial with positive leading coefficient whose square
+    is p; raises ExactDivisionError when there is none.  The oracle of
+    ``sigma_classes_oracle``, which took P_ab as this root."""
+    if p.is_zero:
+        return p
+    m = p.degree // 2
+    root = [0] * m + [math.isqrt(max(p.leading, 1))]
+    for k in range(m - 1, -1, -1):
+        # t**(m+k) of root**2 is 2 root[m] root[k] plus products of known coefficients
+        c = p.coeffs[m + k] - sum(root[i] * root[m + k - i] for i in range(k + 1, m))
+        root[k] = c // (2 * root[m])
+    out = IntPoly(root)
+    if out * out != p:
+        raise ExactDivisionError("not the square of an integer polynomial")
+    return out
 
 
 def test_poly_sqrt():
@@ -376,14 +393,20 @@ def test_bridge_factorization_under_walk_equivalence():
 
 
 def _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge):
-    """Each polynomial bridge_compose seeds equals a charpoly of a fresh
-    copy of the composite, which has no cache."""
+    """Each polynomial bridge_compose seeds equals the one computed on a
+    fresh copy of the composite, which has no cache: phi(Z), phi(Z\\a) and
+    phi(Z\\b) as charpolys of induced subgraphs, P_ab by path enumeration.
+    Nothing else is seeded."""
     z, ga, gb = bridge_compose(y1, a, y2, b, bridge)
     assert (ga, gb) == compose(y1, a, y2, b, bridge)[1:]
     fresh = Graph(z.weights)
-    for gone in ((), (ga,), (gb,), (ga, gb)):
-        key = ("charpoly", frozenset(gone) if gone else None)
-        assert z._poly_cache[key] == charpoly_deleted(fresh, gone), (bridge, gone)
+    assert z._poly_cache[("charpoly", None)] == charpoly(fresh), bridge
+    for v in (ga, gb):
+        seeded = z._poly_cache[("charpoly", frozenset((v,)))]
+        assert seeded == charpoly(fresh.delete([v])), (bridge, v)
+    path = path_sum_oracle(fresh, ga, gb)
+    assert z._poly_cache[("pathsum", ga, gb)] == z._poly_cache[("pathsum", gb, ga)] == path
+    assert len(z._poly_cache) == 5
 
 
 def test_bridge_compose_seeds_every_marked_pair():
@@ -419,8 +442,8 @@ def test_bridge_compose_rejects_other_bridges():
 
 
 def test_search_rejects_a_wrong_bridge_identity(monkeypatch):
-    # a sign flip in the P3 identity makes phi(Z\a)**2 - phi(Z) phi(Z\ab)
-    # no square on a cospectral pair, so poly_sqrt refuses it
+    # a sign flip in the P3 identity gives a phi(Z) that does not divide
+    # phi(Z\a) phi(Z\b) - P_ab**2, so the Jacobi check refuses it
     def flipped(p1, p1d, p2, p2d):
         return T * p1 * p2 - p2 * p1d + p1 * p2d
 
@@ -490,6 +513,137 @@ def test_path_sum_rejects_bad_vertices():
     for a, b in [(0, 3), (3, 0), (-1, 2), (1, 1)]:
         with pytest.raises(ValueError):
             path_sum_poly(g, a, b)
+
+
+def rank2_path_sum(g, a, b):
+    """P_ab by the rank-2 identity path_sum_poly took before walk counts:
+    raising the weight of ab by 1 gives phi(G + ab) = phi(G) - 2 P_ab -
+    phi(G\\ab)."""
+    rows = g.int_matrix()
+    rows[a][b] += 1
+    rows[b][a] += 1
+    twice = charpoly(g) - xp._charpoly_of_rows(rows) - charpoly_deleted(g, [a, b])
+    assert not any(c % 2 for c in twice.coeffs)
+    return IntPoly(c // 2 for c in twice.coeffs)
+
+
+def deleted_det(g, v, k):
+    """det(kI - A) on the rows and columns other than v, by Bareiss."""
+    a = g.int_matrix()
+    keep = [i for i in range(g.n) if i != v]
+    return bareiss_det([[(k if i == j else 0) - a[i][j] for j in keep] for i in keep])
+
+
+def assert_adjugate_matches_oracles(w, a, b):
+    """phi(G\\v) and P_ab from walk counts, read once through the pair
+    (path_sum_poly first) and once per vertex (charpoly_deleted alone),
+    against the charpoly of the induced subgraph, Bareiss determinants,
+    path enumeration and the rank-2 identity, each on its own copy."""
+    paired, single = Graph(w), Graph(w)
+    path = path_sum_poly(paired, a, b)
+    assert path == path_sum_oracle(Graph(w), a, b) == rank2_path_sum(Graph(w), a, b)
+    for v in (a, b):
+        phi_v = charpoly_deleted(single, [v])
+        assert charpoly_deleted(paired, [v]) == phi_v == charpoly(Graph(w).delete([v]))
+        assert all(phi_v(k) == deleted_det(paired, v, k) for k in range(-2, len(w) + 1))
+    return path
+
+
+def test_adjugate_entries_match_oracles_on_weighted_looped_graphs():
+    rng = random.Random(19)
+    zero = 0  # pairs in different components among them
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        g = random_int_graph(rng, n, weighted=True, loops=rng.random() < 0.6)
+        a, b = rng.sample(range(n), 2)
+        zero += assert_adjugate_matches_oracles(g.weights, a, b).is_zero
+    assert 0 < zero < 60
+
+
+def test_adjugate_entries_reduce_weights_beyond_int64():
+    # a path 0-1-2-3 with a 2**70 edge, a negative edge and loops: the lift
+    # needs several primes, and each reduces the weights as Python integers
+    w = np.zeros((4, 4))
+    for u, v, x in ((0, 1, 2.0**70), (1, 2, -3.0), (2, 3, 1.0)):
+        w[u, v] = w[v, u] = x
+    w[0, 0], w[3, 3] = -1.0, 2.0**70
+    for a, b in ((0, 3), (1, 2), (0, 2), (3, 1)):
+        assert_adjugate_matches_oracles(w, a, b)
+    # the one 0..1 path is the edge, and it leaves 2-3 with the 2**70 loop
+    assert path_sum_poly(Graph(w), 0, 1) == 2**70 * (T * T - 2**70 * T - 1)
+
+
+def test_adjugate_entries_of_a_disconnected_pair():
+    # no a..b path: P_ab = 0, and sigma_classes reads it with no leading
+    # coefficient to make positive
+    two_k2 = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    assert assert_adjugate_matches_oracles(two_k2.weights, 0, 2).is_zero
+    assert sigma_classes(two_k2, 0, 2) == sigma_classes_oracle(two_k2, 0, 2)
+    assert sigma_classes(two_k2, 0, 2) == (T * T - 1, T * T - 1)
+
+
+def test_adjugate_entries_on_one_and_two_vertices():
+    k1 = Graph(np.array([[3.0]]))
+    xp._adjugate_entries(k1, charpoly(k1), 0, 0)
+    assert k1._poly_cache[("charpoly", frozenset((0,)))] == IntPoly((1,))
+    assert charpoly_deleted(k1, [0]) == IntPoly((1,))
+    k2 = Graph(np.array([[-2.0, 5.0], [5.0, 1.0]]))
+    assert assert_adjugate_matches_oracles(k2.weights, 0, 1) == IntPoly((5,))
+    assert charpoly_deleted(k2, [0]) == T - 1
+    assert charpoly_deleted(k2, [1]) == T + 2
+
+
+def sigma_classes_oracle(g, a, b):
+    """sigma_classes as it was before walk counts, on a fresh copy:
+    phi(G\\a), phi(G\\b) and phi(G\\ab) as charpolys of induced subgraphs,
+    and P_ab as the square root of phi(G\\a)**2 - phi(G) phi(G\\ab) with a
+    positive leading coefficient."""
+    g = Graph(g.weights)
+    phi_a = charpoly(g.delete([a]))
+    if phi_a != charpoly(g.delete([b])):
+        return None
+    phi = charpoly(g)
+    path = poly_sqrt(phi_a * phi_a - phi * charpoly_deleted(g, [a, b]))
+    return tuple(xp.RationalFunction(phi_a + s * path, phi).den for s in (1, -1))
+
+
+def test_sigma_classes_unchanged_on_every_small_bridge_pair():
+    # every n <= 5 pair on both bridges, on the composite the search seeds
+    # (each passes the Jacobi check); the cospectral ones also on a cold
+    # copy, which runs the walk counts, and by the earlier square-root route
+    marked = list(marked_graphs(5))
+    cospectral = 0
+    for bridge in (2, 3):
+        for (y1, a), (y2, b) in itertools.product(marked, marked):
+            z, ga, gb = bridge_compose(y1, a, y2, b, bridge)
+            classes = sigma_classes(z, ga, gb)
+            if classes is None:
+                continue
+            cospectral += 1
+            assert classes == sigma_classes(Graph(z.weights), ga, gb)
+            assert classes == sigma_classes_oracle(z, ga, gb)
+    assert cospectral == 2 * len(marked)  # the self-pairs only
+
+
+def test_sigma_classes_unchanged_on_negated_bridges():
+    # a side joined to a relabelled copy of itself by a P2 bridge of weight
+    # +-1: always cospectral, and the -1 bridge gives P_ab a negative
+    # leading coefficient, which sigma_classes makes positive
+    rng = random.Random(20)
+    negative = 0
+    for _ in range(60):
+        y = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
+        v = rng.randrange(y.n)
+        perm = list(range(y.n))
+        rng.shuffle(perm)
+        z, a, b = compose(y, v, y.relabeled(perm), perm[v], 2)
+        w = z.weights.copy()
+        w[a, b] = w[b, a] = rng.choice((1.0, -1.0))
+        g = Graph(w)
+        negative += path_sum_poly(g, a, b).leading < 0
+        classes = sigma_classes(g, a, b)
+        assert classes is not None and classes == sigma_classes_oracle(g, a, b)
+    assert 0 < negative < 60
 
 
 def test_walk_gf_reduction():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pstwalk import pst
 from pstwalk.exactpoly import IntPoly
 from pstwalk.graphs import (
     Graph,
@@ -209,6 +210,25 @@ def test_fidelity_scan_takes_about_two_sqrt_steps_exponentials(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     fidelity_scan(z, ga, gb, 30.0, 6000)
     assert 0 < sum(counted) <= 4 * (math.sqrt(6001) + 1) * d
+
+
+def test_fidelity_scan_refines_in_at_most_43_amplitudes(monkeypatch):
+    # golden section: two first points, one per iteration, one at the end
+    counted = []
+    amplitude = pst._amplitude
+
+    def counting_amplitude(*args):
+        counted.append(1)
+        return amplitude(*args)
+
+    monkeypatch.setattr(pst, "_amplitude", counting_amplitude)
+    z, ga, gb = bridge_composite()
+    fidelity_scan(z, ga, gb, 30.0, 6000)
+    assert 0 < len(counted) <= 43
+    counted.clear()
+    t, f = fidelity_scan(build_path(2), 0, 1, 4.0, 3)  # grid 0, 4/3, 8/3, 4
+    assert len(counted) <= 43
+    assert t == pytest.approx(math.pi / 2, abs=1e-7) and f == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fidelity_scan_memory_stays_bounded():

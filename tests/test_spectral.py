@@ -363,17 +363,21 @@ def test_exact_decision_matches_oracle_on_weighted_looped_graphs():
     assert min(outcomes.values()) > 0, outcomes
 
 
-def test_non_cospectral_pair_costs_two_charpolys(monkeypatch):
-    calls = []
+def test_non_cospectral_pair_costs_one_charpoly(monkeypatch):
+    calls, deletions = [], []
     real = xp._charpoly_of_rows
     monkeypatch.setattr(xp, "_charpoly_of_rows", lambda rows: calls.append(1) or real(rows))
+    real_delete = Graph.delete
+    monkeypatch.setattr(Graph, "delete", lambda g, vs: deletions.append(vs) or real_delete(g, vs))
     p3 = build_path(3)
     assert not strongly_cospectral_exact(p3, 0, 1)
-    assert len(calls) == 2
-    # a cospectral pair adds phi(G) and phi(G\\ab); a repeat is served from the cache
+    assert len(calls) == 1
+    # phi(G\\a), phi(G\\b) and P_ab come from walk counts against phi(G):
+    # another pair adds no charpoly, and a repeat is served from the cache
     assert strongly_cospectral_exact(p3, 0, 2)
     assert strongly_cospectral_exact(p3, 2, 0)
-    assert len(calls) == 5
+    assert len(calls) == 1
+    assert deletions == []
 
 
 def test_neutrino_matches_projectors():
