@@ -21,7 +21,6 @@ __all__ = [
     "SpectralDecomposition",
     "decompose",
     "eigenspaces",
-    "adopt_decomposition",
     "pair_readings",
     "support",
     "cospectral",
@@ -67,15 +66,6 @@ class SpectralDecomposition:
         """Sum x over each eigenspace's columns (last axis)."""
         return np.add.reduceat(x, self.starts, axis=-1)
 
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """The n x n projectors E_r, built anew on every access."""
-        return tuple(c @ c.T for c in np.split(self.vectors, self.starts[1:], axis=1))
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * np.repeat(self.distinct_eigenvalues, self.multiplicities)) @ v.T
-
 
 def decompose(g: Graph) -> SpectralDecomposition:
     """Spectral decomposition of the weighted adjacency matrix.
@@ -86,7 +76,14 @@ def decompose(g: Graph) -> SpectralDecomposition:
     """
     cached = g._poly_cache.get(_DECOMPOSE_KEY)
     if cached is None:
-        cached = g._poly_cache[_DECOMPOSE_KEY] = _stack_member(eigenspaces(g.weights), 0)
+        w, v, tol, starts = eigenspaces(g.weights)
+        vectors = np.ascontiguousarray(v)
+        vectors.setflags(write=False)
+        mults = np.diff(np.r_[starts, g.n])
+        thetas = np.add.reduceat(w, starts) / mults
+        cached = g._poly_cache[_DECOMPOSE_KEY] = SpectralDecomposition(
+            tuple(thetas.tolist()), tuple(mults.tolist()), vectors, float(tol)
+        )
     return cached
 
 
@@ -105,30 +102,6 @@ def eigenspaces(mats: np.ndarray):
     split = np.ones(w.shape, dtype=bool)
     split[..., 1:] = w[..., :-1] - w[..., 1:] >= tol[..., None]
     return w, v, tol, np.flatnonzero(split)
-
-
-def _stack_member(spaces, i: int) -> SpectralDecomposition:
-    """Matrix i, counted in order over the leading axes, of ``eigenspaces``
-    output as a SpectralDecomposition."""
-    w, v, tol, starts = spaces
-    n = w.shape[-1]
-    starts = starts[np.searchsorted(starts, i * n) : np.searchsorted(starts, (i + 1) * n)] - i * n
-    vectors = np.ascontiguousarray(v.reshape(-1, n, n)[i])
-    vectors.setflags(write=False)
-    mults = np.diff(np.r_[starts, n])
-    thetas = np.add.reduceat(w.reshape(-1, n)[i], starts) / mults
-    return SpectralDecomposition(
-        tuple(thetas.tolist()), tuple(mults.tolist()), vectors, float(np.reshape(tol, -1)[i])
-    )
-
-
-def adopt_decomposition(g: Graph, mats: np.ndarray, spaces, i: int) -> None:
-    """Keep matrix i of the stack ``mats``, decomposed by ``eigenspaces``
-    into ``spaces``, as the decomposition of g, so ``decompose(g)`` runs no
-    ``eigh`` of its own.  mats[i] must be g's weight matrix."""
-    if not np.array_equal(mats[i], g.weights):
-        raise ValueError("stack member is not the graph's weight matrix")
-    g._poly_cache[_DECOMPOSE_KEY] = _stack_member(spaces, i)
 
 
 def support(g: Graph, a: int) -> list[float]:
@@ -152,6 +125,9 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     if a == b:
         return True
     if g.integer_flag:
+        # phi(G\a) and phi(G\b) from one paired lift, as sigma_classes takes them
+        if ("pathsum", a, b) not in g._poly_cache:
+            xp._adjugate_entries(g, xp.charpoly(g), a, b)
         return xp.charpoly_deleted(g, [a]) == xp.charpoly_deleted(g, [b])
     dec = decompose(g)
     na, nb = np.sqrt(dec.sums(dec.vectors[[a, b]] ** 2))

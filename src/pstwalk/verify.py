@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .pst import fidelity_scan, pst_certificate
 from .spectral import (
-    adopt_decomposition,
     decompose,
     eigenspaces,
     pair_readings,
@@ -401,26 +400,29 @@ def _bucket_key(g: Graph, v: int) -> xp.RationalFunction:
     return xp.RationalFunction(xp.charpoly_deleted(g, [v]), xp.charpoly(g))
 
 
-def _stacked_composites(shape, bridge: int):
+# composites per stacked eigh: each chunk's pairs are finished before the
+# next is built, so the search's memory does not grow with a shape
+_CHUNK = 4096
+
+
+def _stacked_composites(pairs, bridge: int):
     """The composites of side pairs that share (n1, n2), as one stack of
     weight matrices in the layout of ``graphs.compose``, decomposed by one
-    ``eigh``: (mats, spaces, numeric, ceilings), the last two being each
-    pair's numeric strong-cospectrality reading and fidelity ceiling."""
-    n1 = shape[0][0][0].n
-    ends1 = np.array([a for (_, a), _ in shape])
-    ends2 = np.array([b for _, (_, b) in shape])
+    ``eigh``: each pair's numeric strong-cospectrality reading and fidelity
+    ceiling."""
+    n1 = pairs[0][0][0].n
+    ends1 = np.array([a for (_, a), _ in pairs])
+    ends2 = np.array([b for _, (_, b) in pairs])
     mats = compose_weights(
-        np.stack([y1.weights for (y1, _), _ in shape]),
+        np.stack([y1.weights for (y1, _), _ in pairs]),
         ends1,
-        np.stack([y2.weights for _, (y2, _) in shape]),
+        np.stack([y2.weights for _, (y2, _) in pairs]),
         ends2,
         bridge,
     )
-    spaces = eigenspaces(mats)
-    _, vectors, _, starts = spaces
+    _, vectors, _, starts = eigenspaces(mats)
     # the second side's labels are shifted by n1
-    numeric, ceilings = pair_readings(vectors, starts, ends1, n1 + ends2)
-    return mats, spaces, numeric, ceilings
+    return pair_readings(vectors, starts, ends1, n1 + ends2)
 
 
 def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
@@ -432,14 +434,18 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
             if (id(g), v) not in keys:
                 keys[id(g), v] = _bucket_key(g, v)
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
-    for (n1, _), shape in shapes.items():
-        mats, spaces, numeric, ceilings = _stacked_composites(shape, bridge)
-        for i, ((y1, a), (y2, b)) in enumerate(shape):
+    chunks = (
+        (n1, shape[lo : lo + _CHUNK])
+        for (n1, _), shape in shapes.items()
+        for lo in range(0, len(shape), _CHUNK)
+    )
+    for n1, chunk in chunks:
+        numeric, ceilings = _stacked_composites(chunk, bridge)
+        for i, ((y1, a), (y2, b)) in enumerate(chunk):
             report.instances_tested += 1
             ceiling = float(ceilings[i])
             if keys[id(y1), a] == keys[id(y2), b]:
                 z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
-                adopt_decomposition(z, mats, spaces, i)
                 cert = pst_certificate(z, ga, gb)
                 reason = cert.failure_reason
             else:
@@ -485,7 +491,6 @@ def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
                 continue
             if z is None:
                 z, ga, gb = compose(y1, a, y2, b, bridge)
-                adopt_decomposition(z, mats, spaces, i)
             t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
             # approximate transfer can creep arbitrarily close to 1, so
             # only a violation of the certificate threshold counts
@@ -517,9 +522,11 @@ def search_no_pst(
     (``bucket_settled``).  Only pairs with equal keys are certified, their
     polynomials taken from the sides' by the bridge identities
     (``exactpoly.bridge_compose``).  The pairs that share (n1, n2) are
-    decomposed by one stacked ``eigh``, which gives every pair its numeric
-    strong-cospectrality reading and fidelity ceiling; a numeric "strongly
-    cospectral" on a pair the keys settled raises.
+    read in chunks of at most 4096 composites, one stacked ``eigh`` each,
+    which give every pair its numeric strong-cospectrality reading and
+    fidelity ceiling; a numeric "strongly cospectral" on a pair the keys
+    settled raises.  A composite the search builds, to certify or to scan
+    a pair, decomposes itself.
     Certified successes are re-verified by a fidelity scan.  Failures are
     optionally cross-checked.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below

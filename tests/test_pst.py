@@ -171,7 +171,8 @@ def test_fidelity_scan_matches_the_pointwise_grid():
         seen.add(g.integer_flag)
         dec = decompose(g)
         thetas = np.array(dec.distinct_eigenvalues)
-        projectors = dec.projectors
+        # E_r = V_r V_r^T, from the eigenvector columns of eigenspace r
+        projectors = [c @ c.T for c in np.split(dec.vectors, dec.starts[1:], axis=1)]
         for a in range(g.n):
             for b in range(g.n):
                 if a == b:

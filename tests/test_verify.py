@@ -22,7 +22,7 @@ from pstwalk.graphs import (
     marked_graphs,
 )
 from pstwalk.pst import fidelity_ceiling
-from pstwalk.spectral import adopt_decomposition, decompose, strongly_cospectral
+from pstwalk.spectral import strongly_cospectral
 from pstwalk.verify import (
     SCAN_THRESHOLD,
     EquitabilityError,
@@ -289,7 +289,8 @@ def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
         search_no_pst(2, 1)
 
 
-def test_search_decomposes_once_per_pair(monkeypatch):
+def _count_eigh_matrices(monkeypatch):
+    """The number of matrices each ``eigh`` call receives, one entry a call."""
     matrices = []
     original = np.linalg.eigh
 
@@ -298,17 +299,33 @@ def test_search_decomposes_once_per_pair(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return matrices
+
+
+def test_search_decomposes_once_per_pair(monkeypatch):
+    matrices = _count_eigh_matrices(monkeypatch)
     report = search_no_pst(2, 3)
-    assert report.instances_tested > 0
-    assert sum(matrices) == report.instances_tested
-    # with every failure scanned, the composites built for the scans adopt
-    # their stacked decompositions too
+    # 25 stacked readings, and the 5 same-bucket composites that the
+    # certificate decomposes on their own
+    assert (report.instances_tested, report.bucket_settled) == (25, 20)
+    assert sum(matrices) == 25 + 5
+    # with every failure scanned, the 20 composites built for the scans
+    # decompose themselves too
     matrices.clear()
     _fix_ceilings(monkeypatch, 1.0)
     report = search_no_pst(2, 3)
     assert report.scan_checked == report.instances_tested - 1
     assert report.ceiling_settled == 0
-    assert sum(matrices) == report.instances_tested
+    assert sum(matrices) == 25 + 5 + 20
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_search_reads_shapes_in_chunks(monkeypatch, bridge):
+    whole = search_no_pst(bridge, 4).to_json()
+    matrices = _count_eigh_matrices(monkeypatch)
+    monkeypatch.setattr(verify, "_CHUNK", 3)
+    assert search_no_pst(bridge, 4).to_json() == whole
+    assert 0 < max(matrices) <= 3
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -407,28 +424,11 @@ def test_stacked_readings_match_the_single_graph_readers(bridge):
     for pair in _oracle_pairs():
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
     for shape in shapes.values():
-        mats, spaces, numeric, ceilings = verify._stacked_composites(shape, bridge)
+        numeric, ceilings = verify._stacked_composites(shape, bridge)
         for i, ((y1, a), (y2, b)) in enumerate(shape):
             z, ga, gb = compose(y1, a, y2, b, bridge)
-            assert np.array_equal(mats[i], z.weights)
             assert numeric[i] == strongly_cospectral(z, ga, gb)[0]
             assert abs(ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
-            # the stack member a composite adopts reads like its own eigh
-            adopted = Graph(z.weights)
-            adopt_decomposition(adopted, mats, spaces, i)
-            mine, own = decompose(adopted), decompose(z)
-            assert mine.multiplicities == own.multiplicities
-            thetas = (mine.distinct_eigenvalues, own.distinct_eigenvalues)
-            assert np.allclose(*thetas, rtol=0, atol=1e-12)
-            entries = [d.sums(d.vectors[ga] * d.vectors[gb]) for d in (mine, own)]
-            assert np.allclose(*entries, rtol=0, atol=1e-12)
-
-
-def test_adopt_decomposition_refuses_another_graphs_matrix():
-    mats = np.stack([build_path(3).weights, build_cycle(3).weights])
-    spaces = spectral.eigenspaces(mats)
-    with pytest.raises(ValueError, match="not the graph's weight matrix"):
-        adopt_decomposition(build_path(3), mats, spaces, 1)
 
 
 def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
