@@ -30,7 +30,6 @@ __all__ = [
     "iter_ab_paths",
     "parse_graph",
     "serialize_graph",
-    "are_isomorphic",
     "canonical_key",
     "automorphism_orbits",
     "connected_graphs",
@@ -564,12 +563,6 @@ CANONICAL_MAX_N = 16
 def _check_order(n: int) -> None:
     if n > CANONICAL_MAX_N:
         raise ValueError(f"canonical forms are limited to n <= {CANONICAL_MAX_N}, got {n}")
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n:
-        return False
-    return canonical_key(g1) == canonical_key(g2)
 
 
 def canonical_key(g: Graph, root: int | None = None) -> tuple:

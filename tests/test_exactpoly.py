@@ -42,7 +42,8 @@ from pstwalk.graphs import (
     marked_graphs,
     one_sum,
 )
-from pstwalk.verify import random_connected_graph, search_no_pst
+from pstwalk.pst import pst_certificate
+from pstwalk.verify import _bucket_key, random_connected_graph, search_no_pst
 
 
 def charpoly_oracle(g):
@@ -163,6 +164,173 @@ def test_poly_gcd_random_products():
         g = poly_gcd(common * a, common * b)
         # the primitive part of the planted factor divides the gcd exactly
         poly_divexact(g, common.primitive_part())
+
+
+def _pseudo_rem(p, q):
+    """Pseudo-remainder: lc(q)**(deg p - deg q + 1) * p mod q, exactly."""
+    dq = q.degree
+    lq = q.leading
+    r = p
+    while not r.is_zero and r.degree >= dq:
+        k = r.degree - dq
+        top = r.leading
+        r = lq * r - top * IntPoly((0,) * k + q.coeffs)  # top t**k q
+    return r
+
+
+def poly_gcd_oracle(p, q):
+    """Primitive gcd with positive leading coefficient by the primitive
+    pseudo-remainder sequence: no integer packing, no heuristic step."""
+    a, b = p, q
+    if a.is_zero and b.is_zero:
+        return IntPoly()
+    a = a.primitive_part()
+    b = b.primitive_part()
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        r = _pseudo_rem(a, b).primitive_part()
+        a, b = b, r
+    return a if a.leading > 0 else -a
+
+
+def planted_gcd_pairs(seed, count, max_degree=40, bits=80):
+    """Seeded (p, q) with a planted common factor, contents and signs: the
+    factor and both cofactors have coefficients up to 2**bits and random
+    degrees summing to at most ``max_degree`` on each side."""
+    rng = random.Random(seed)
+
+    def rand_poly(deg, size):
+        top = rng.randint(1, size) * rng.choice((1, -1))
+        return IntPoly([rng.randint(-size, size) for _ in range(deg)] + [top])
+
+    pairs = []
+    for _ in range(count):
+        size = 2 ** rng.randint(1, bits)
+        dg = rng.randint(0, max_degree // 2)
+        common = rand_poly(dg, size)
+        f = rand_poly(rng.randint(0, max_degree - dg), size)
+        g = rand_poly(rng.randint(0, max_degree - dg), size)
+        p = rng.randint(1, 2**20) * rng.choice((1, -1)) * common * f
+        q = rng.randint(1, 2**20) * rng.choice((1, -1)) * common * g
+        pairs.append((p, q))
+    return pairs
+
+
+def test_poly_gcd_matches_oracle_on_planted_factors():
+    for p, q in planted_gcd_pairs(18, 60):
+        g = poly_gcd(p, q)
+        assert g.coeffs == poly_gcd_oracle(p, q).coeffs
+        assert g == poly_gcd(q, p)
+
+
+def test_poly_gcd_zero_and_constant_inputs():
+    a = IntPoly((6, -4, -2))  # -2 (t^2 + 2t - 3)
+    cases = [
+        (IntPoly(), IntPoly()),
+        (a, IntPoly()),
+        (IntPoly(), a),
+        (IntPoly(), IntPoly((-7,))),
+        (IntPoly((-7,)), IntPoly()),
+        (IntPoly((4,)), IntPoly((-6,))),
+        (IntPoly((-3,)), a),
+        (a, IntPoly((1,))),
+        (a, -a),
+    ]
+    for p, q in cases:
+        assert poly_gcd(p, q).coeffs == poly_gcd_oracle(p, q).coeffs
+    assert poly_gcd(a, IntPoly()).coeffs == (-3, 2, 1)
+    assert poly_gcd(IntPoly((4,)), IntPoly((-6,))).coeffs == (1,)
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_poly_gcd_matches_oracle_on_a_search(bridge, monkeypatch):
+    seen = []
+    original = xp.poly_gcd
+
+    def recording(p, q):
+        seen.append((p, q, original(p, q)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(xp, "poly_gcd", recording)
+    search_no_pst(bridge, 4)
+    assert len(seen) > 50
+    for p, q, g in seen:
+        assert g.coeffs == poly_gcd_oracle(p, q).coeffs
+
+
+def test_poly_gcd_packs_at_the_larger_norm():
+    # at xi = 2**7, from the norm of t - 1 alone, gcd(2t - 383, t - 1) at xi
+    # is 127, whose balanced digits read t - 1 and pass the cofactor test
+    assert poly_gcd(IntPoly((-383, 2)), IntPoly((-1, 1))).coeffs == (1,)
+    # 2t^2 + 13t - 32 and t^3 - 4t: at xi = 16 the digits read t
+    p, q = IntPoly((-32, 13, 2)), IntPoly((0, -4, 0, 1))
+    assert poly_gcd(p, q).coeffs == poly_gcd_oracle(p, q).coeffs == (1,)
+
+
+def test_balanced_digits_round_trip():
+    for coeffs in [(3, -5, 2), (-7, 0, 0, 1), (8, 8), (-7, 1), (1,), (-1,)]:
+        for k in (4, 5, 9):
+            assert xp._unpack(xp._pack(coeffs, k), k) == list(coeffs)
+    # the digit 2**(k-1) stays positive; -2**(k-1) borrows from the next
+    assert xp._unpack(8, 4) == [8]
+    assert xp._unpack(-8, 4) == [8, -1]
+
+
+def _refusing(monkeypatch, refusals):
+    """Wrap the cofactor test so that it refuses its first ``refusals``
+    calls; returns the list of the wrapped test's own answers."""
+    answers = []
+    original = xp._exact_cofactor
+
+    def refusing(*args):
+        answers.append(original(*args))
+        return answers[-1] and len(answers) > refusals
+
+    monkeypatch.setattr(xp, "_exact_cofactor", refusing)
+    return answers
+
+
+def test_poly_gcd_refuses_a_spurious_first_reading(monkeypatch):
+    # gcd(1 + 2t + 3t^2 + 3t^3, 5 + 5t - t^3) = 1, but at the first xi the
+    # integer gcd's digits read t - 97: its cofactors are not exact
+    p, q = IntPoly((1, 2, 3, 3)), IntPoly((5, 5, 0, -1))
+    answers = _refusing(monkeypatch, 0)
+    assert poly_gcd(p, q).coeffs == poly_gcd_oracle(p, q).coeffs == (1,)
+    assert False in answers and answers[-1] is True
+
+
+def test_poly_gcd_widens_past_a_refused_reading(monkeypatch):
+    pairs = planted_gcd_pairs(19, 25, max_degree=16, bits=30)
+    pairs.append((IntPoly((-32, 13, 2)), IntPoly((0, -4, 0, 1))))
+    answers = _refusing(monkeypatch, 1)
+    for p, q in pairs:
+        answers.clear()
+        assert poly_gcd(p, q).coeffs == poly_gcd_oracle(p, q).coeffs
+        assert len(answers) >= 3  # the refused attempt, then both cofactors
+
+
+def _count_gcds(monkeypatch):
+    calls = []
+    original = xp.poly_gcd
+
+    def counting(p, q):
+        calls.append(1)
+        return original(p, q)
+
+    monkeypatch.setattr(xp, "poly_gcd", counting)
+    return calls
+
+
+def test_certificate_and_bucket_key_route_through_poly_gcd(monkeypatch):
+    calls = _count_gcds(monkeypatch)
+    cert = pst_certificate(build_path(5), 0, 4)  # strongly cospectral ends
+    assert cert.failure_reason != "not_strongly_cospectral"
+    # (phi(G\a) +- P_ab) / phi(G) reduced, then gcd(m+, m-)
+    assert len(calls) == 3
+    calls.clear()
+    _bucket_key(build_star(3), 0)
+    assert len(calls) == 1
 
 
 def test_poly_divexact():
