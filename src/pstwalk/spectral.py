@@ -116,7 +116,8 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     """Whether G\\a and G\\b are cospectral, that is, (E_r)_aa = (E_r)_bb
     for every eigenspace.
 
-    Exact deleted-charpoly comparison for integer weights; otherwise the
+    Exact for integer weights, by ``exactpoly.sigma_classes``, which
+    compares phi(G\\a) with phi(G\\b) after its Jacobi check; otherwise the
     norms ||E_r e_a|| and ||E_r e_b||, read from rows a and b of the
     eigenvectors of ``decompose``, must agree to within SUPPORT_TOL.
     """
@@ -125,10 +126,7 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     if a == b:
         return True
     if g.integer_flag:
-        # phi(G\a) and phi(G\b) from one paired lift, as sigma_classes takes them
-        if ("pathsum", a, b) not in g._poly_cache:
-            xp._adjugate_entries(g, xp.charpoly(g), a, b)
-        return xp.charpoly_deleted(g, [a]) == xp.charpoly_deleted(g, [b])
+        return xp.sigma_classes(g, a, b) is not None
     dec = decompose(g)
     na, nb = np.sqrt(dec.sums(dec.vectors[[a, b]] ** 2))
     return bool(np.all(np.abs(na - nb) <= SUPPORT_TOL))

@@ -4,7 +4,6 @@ exhaustive no-transfer searches."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
@@ -393,68 +392,71 @@ def _pair_record(y1: Graph, a: int, y2: Graph, b: int, **extra) -> dict:
     return {**names, "n1": y1.n, "n2": y2.n, **extra}
 
 
-def _bucket_key(g: Graph, v: int) -> xp.RationalFunction:
-    """phi(Y\\v) / phi(Y), reduced.  Two sides share it exactly when they
-    are walk-equivalent, and by the 1-sum lemma that is exactly when their
-    ends are cospectral in the composite, over either bridge."""
-    return xp.RationalFunction(xp.charpoly_deleted(g, [v]), xp.charpoly(g))
-
-
 # composites per stacked eigh: each chunk's pairs are finished before the
 # next is built, so the search's memory does not grow with a shape
 _CHUNK = 4096
 
 
-def _stacked_composites(pairs, bridge: int):
-    """The composites of side pairs that share (n1, n2), as one stack of
-    weight matrices in the layout of ``graphs.compose``, decomposed by one
-    ``eigh``: each pair's numeric strong-cospectrality reading and fidelity
-    ceiling."""
-    n1 = pairs[0][0][0].n
-    ends1 = np.array([a for (_, a), _ in pairs])
-    ends2 = np.array([b for _, (_, b) in pairs])
+def _chunks(sides) -> list:
+    """The search's chunks over every ordered pair of ``sides``, as
+    (first, second, lo): first and second hold the indices of the sides of
+    one order each, and the chunk covers pairs lo .. lo + _CHUNK - 1 of
+    that shape, pair k being (first[k // len(second)], second[k % len(second)])."""
+    groups: dict = {}
+    for i, (g, _) in enumerate(sides):
+        groups.setdefault(g.n, []).append(i)
+    return [
+        (first, second, lo)
+        for first in groups.values()
+        for second in groups.values()
+        for lo in range(0, len(first) * len(second), _CHUNK)
+    ]
+
+
+def _stacked_composites(firsts, seconds, bridge: int):
+    """The composites of the side pairs (firsts[k], seconds[k]), which share
+    (n1, n2), as one stack of weight matrices in the layout of
+    ``graphs.compose``, decomposed by one ``eigh``: each pair's numeric
+    strong-cospectrality reading and fidelity ceiling."""
+    ends1 = np.array([a for _, a in firsts])
+    ends2 = np.array([b for _, b in seconds])
     mats = compose_weights(
-        np.stack([y1.weights for (y1, _), _ in pairs]),
+        np.stack([y1.weights for y1, _ in firsts]),
         ends1,
-        np.stack([y2.weights for _, (y2, _) in pairs]),
+        np.stack([y2.weights for y2, _ in seconds]),
         ends2,
         bridge,
     )
     _, vectors, _, starts = eigenspaces(mats)
     # the second side's labels are shifted by n1
-    return pair_readings(vectors, starts, ends1, n1 + ends2)
+    return pair_readings(vectors, starts, ends1, firsts[0][0].n + ends2)
 
 
-def _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps):
+def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
+    """The report over chunks part, part + parts, ... of ``_chunks(sides)``."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
-    keys: dict = {}
-    shapes: dict = {}
-    for pair in pairs:
-        for g, v in pair:
-            if (id(g), v) not in keys:
-                keys[id(g), v] = _bucket_key(g, v)
-        shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
-    chunks = (
-        (n1, shape[lo : lo + _CHUNK])
-        for (n1, _), shape in shapes.items()
-        for lo in range(0, len(shape), _CHUNK)
-    )
-    for n1, chunk in chunks:
-        numeric, ceilings = _stacked_composites(chunk, bridge)
-        for i, ((y1, a), (y2, b)) in enumerate(chunk):
+    keys = [xp.walk_gf(g, v) for g, v in sides]
+    for first, second, lo in _chunks(sides)[part::parts]:
+        ks = range(lo, min(lo + _CHUNK, len(first) * len(second)))
+        i1 = [first[k // len(second)] for k in ks]
+        i2 = [second[k % len(second)] for k in ks]
+        numeric, ceilings = _stacked_composites(
+            [sides[i] for i in i1], [sides[j] for j in i2], bridge
+        )
+        for i, j, read, ceiling in zip(i1, i2, numeric, ceilings.tolist()):
+            (y1, a), (y2, b) = sides[i], sides[j]
             report.instances_tested += 1
-            ceiling = float(ceilings[i])
-            if keys[id(y1), a] == keys[id(y2), b]:
+            if keys[i] == keys[j]:
                 z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
                 cert = pst_certificate(z, ga, gb)
                 reason = cert.failure_reason
             else:
                 # a and b are not cospectral in Z: decided with no composite
                 report.bucket_settled += 1
-                if numeric[i]:
+                if read:
                     raise RuntimeError(
                         "exact (False) and numeric (True) strong-cospectrality decisions "
-                        f"disagree for vertices {a}, {n1 + b}: "
+                        f"disagree for vertices {a}, {y1.n + b}: "
                         f"{_pair_record(y1, a, y2, b)}"
                     )
                 z, cert, reason = None, None, "not_strongly_cospectral"
@@ -521,9 +523,11 @@ def search_no_pst(
     not strongly cospectral with no composite Graph and no polynomial
     (``bucket_settled``).  Only pairs with equal keys are certified, their
     polynomials taken from the sides' by the bridge identities
-    (``exactpoly.bridge_compose``).  The pairs that share (n1, n2) are
-    read in chunks of at most 4096 composites, one stacked ``eigh`` each,
-    which give every pair its numeric strong-cospectrality reading and
+    (``exactpoly.bridge_compose``).  No list of pairs is built: the sides
+    are grouped by order, the pairs of each (n1, n2) shape are read in
+    chunks of at most 4096, each pair recovered from its index, and each
+    chunk's composites go through one stacked ``eigh``,
+    which gives every pair its numeric strong-cospectrality reading and
     fidelity ceiling; a numeric "strongly cospectral" on a pair the keys
     settled raises.  A composite the search builds, to certify or to scan
     a pair, decomposes itself.
@@ -536,8 +540,9 @@ def search_no_pst(
     peaks below that stay silent).  A strongly cospectral pair whose
     ceiling is below 1 - SCAN_THRESHOLD raises.  Successes and
     disagreements are sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does
-    not change the report.  The pairs are strided over at most ``jobs``
-    worker processes, never more than there are pairs or CPUs.
+    not change the report.  Worker i of w = min(jobs, chunks, CPUs)
+    processes is sent the side list and reads chunks i, i + w, ...; a
+    serial run is worker 0 of 1.
     """
     if bridge not in (2, 3):
         raise ValueError("bridge must have 2 or 3 path vertices")
@@ -554,35 +559,24 @@ def search_no_pst(
                     f"search needs integer weights; side {_side_name(g)!r} has others"
                 )
         source = "stream"
-    pairs = list(itertools.product(marked, marked))
     # a fork pool starts all its workers at once, so never ask for idle ones
-    workers = min(jobs, len(pairs), os.cpu_count() or 1)
+    workers = min(jobs, len(_chunks(marked)), os.cpu_count() or 1)
+    args = (bridge, scan_cross_check, scan_t_max, scan_steps)
+    report = SearchReport(bridge=bridge, max_n=max_n, source=source)
     if workers <= 1:
-        report = _search_pairs(pairs, bridge, scan_cross_check, scan_t_max, scan_steps)
+        report.merge(_search_part(marked, 0, 1, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        report = SearchReport(bridge=bridge, max_n=max_n, source=source)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _search_pairs,
-                    pairs[i::workers],
-                    bridge,
-                    scan_cross_check,
-                    scan_t_max,
-                    scan_steps,
-                )
-                for i in range(workers)
+                pool.submit(_search_part, marked, i, workers, *args) for i in range(workers)
             ]
             for fut in futures:
                 report.merge(fut.result())
     order = operator.itemgetter("n1", "n2", "y1", "a", "y2", "b")
     report.pst_successes.sort(key=order)
     report.scan_disagreements.sort(key=order)
-    report.max_n = max_n
-    report.source = source
-    report.bridge = bridge
     return report
 
 

@@ -43,7 +43,7 @@ from pstwalk.graphs import (
     one_sum,
 )
 from pstwalk.pst import pst_certificate
-from pstwalk.verify import _bucket_key, random_connected_graph, search_no_pst
+from pstwalk.verify import random_connected_graph, search_no_pst
 
 
 def charpoly_oracle(g):
@@ -329,7 +329,7 @@ def test_certificate_and_bucket_key_route_through_poly_gcd(monkeypatch):
     # (phi(G\a) +- P_ab) / phi(G) reduced, then gcd(m+, m-)
     assert len(calls) == 3
     calls.clear()
-    _bucket_key(build_star(3), 0)
+    walk_gf(build_star(3), 0)
     assert len(calls) == 1
 
 

@@ -326,6 +326,8 @@ def test_search_reads_shapes_in_chunks(monkeypatch, bridge):
     monkeypatch.setattr(verify, "_CHUNK", 3)
     assert search_no_pst(bridge, 4).to_json() == whole
     assert 0 < max(matrices) <= 3
+    # forked workers read the same small chunks
+    assert search_no_pst(bridge, 4, jobs=2).to_json() == whole
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -413,7 +415,7 @@ def test_side_buckets_decide_cospectrality_in_the_composite(bridge):
     apart = []
     for (y1, a), (y2, b) in _oracle_pairs():
         z, ga, gb = compose(y1, a, y2, b, bridge)
-        apart.append(verify._bucket_key(y1, a) != verify._bucket_key(y2, b))
+        apart.append(xp.walk_gf(y1, a) != xp.walk_gf(y2, b))
         assert apart[-1] == (xp.sigma_classes(z, ga, gb) is None)
     assert 0 < sum(apart) < len(apart)
 
@@ -424,7 +426,8 @@ def test_stacked_readings_match_the_single_graph_readers(bridge):
     for pair in _oracle_pairs():
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
     for shape in shapes.values():
-        numeric, ceilings = verify._stacked_composites(shape, bridge)
+        firsts, seconds = zip(*shape)
+        numeric, ceilings = verify._stacked_composites(firsts, seconds, bridge)
         for i, ((y1, a), (y2, b)) in enumerate(shape):
             z, ga, gb = compose(y1, a, y2, b, bridge)
             assert numeric[i] == strongly_cospectral(z, ga, gb)[0]
@@ -437,10 +440,11 @@ def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
     # tolerance of 0.8 leaves both supports empty and reads True
     monkeypatch.setattr(spectral, "SUPPORT_TOL", 0.8)
     k1, p2 = Graph.from_edges(1), build_path(2)
-    assert verify._bucket_key(k1, 0) != verify._bucket_key(p2, 0)
+    assert xp.walk_gf(k1, 0) != xp.walk_gf(p2, 0)
     disagree = r"numeric \(True\) strong-cospectrality decisions disagree"
     with pytest.raises(RuntimeError, match=disagree):
-        verify._search_pairs([((k1, 0), (p2, 0))], 2, True, 30.0, 6000)
+        # the second of the four one-pair chunks is (K1, P2)
+        verify._search_part([(k1, 0), (p2, 0)], 1, 4, 2, True, 30.0, 6000)
 
 
 def test_search_rejects_non_integer_sides_before_composing(monkeypatch):
@@ -469,7 +473,7 @@ def test_search_accepts_sides_graph6_cannot_encode():
 
 
 def test_search_starts_no_idle_workers(monkeypatch):
-    started = []
+    started, submitted = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -482,18 +486,44 @@ def test_search_starts_no_idle_workers(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted.append(args)
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
+    def handed_off(sides):
+        # every worker gets the whole side list, never pairs, and its own part
+        workers = started[0]
+        names = [(verify._side_name(g), v) for g, v in sides]
+        assert len(submitted) == workers
+        for sent, part, parts, *_ in submitted:
+            assert [(verify._side_name(g), v) for g, v in sent] == names
+            assert parts == workers
+        assert sorted(part for _, part, *_ in submitted) == list(range(workers))
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    serial = search_no_pst(2, 2).to_json()  # 4 pairs
+    sides = list(marked_graphs(2))
+    serial = search_no_pst(2, 2).to_json()  # 2 sides, 4 shapes of one pair each
     cases = ((64, 500, [4]), (3, 500, [3]), (64, 2, [2]), (1, 500, []), (None, 500, []))
     for cpus, jobs, pools in cases:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         started.clear()
+        submitted.clear()
         assert search_no_pst(2, 2, jobs=jobs).to_json() == serial
         assert started == pools
+        if pools:
+            handed_off(sides)
+    # one shape of 4 pairs in chunks of 2: two chunks, so two workers
+    p3 = build_path(3)
+    sides = [(p3, 0), (p3, 1)]
+    serial = search_no_pst(2, 0, graph_source=sides).to_json()
+    monkeypatch.setattr(verify, "_CHUNK", 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    started.clear()
+    submitted.clear()
+    assert search_no_pst(2, 0, graph_source=sides, jobs=8).to_json() == serial
+    assert started == [2]
+    handed_off(sides)
 
 
 def test_search_rejects_bad_bridge():
