@@ -97,8 +97,7 @@ def cmd_charpoly(args) -> int:
         raise GraphParseError("exact characteristic polynomial needs integer weights")
     result = {"n": g.n, "charpoly": _poly_json(xp.charpoly(g))}
     if args.deleted:
-        for v in args.deleted:
-            g._check_vertex(v)
+        g._check_vertex(*args.deleted)
         if len(set(args.deleted)) != len(args.deleted):
             raise GraphParseError("repeated vertex in --deleted")
         result["deleted_vertices"] = sorted(args.deleted)
@@ -129,8 +128,7 @@ def cmd_spectrum(args) -> int:
 def cmd_cospectral(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args.graph, args.format)
-    g._check_vertex(args.a)
-    g._check_vertex(args.b)
+    g._check_vertex(args.a, args.b)
     if args.a == args.b:
         raise GraphParseError("need two distinct vertices")
     result = {"a": args.a, "b": args.b, "cospectral": cospectral(g, args.a, args.b)}

@@ -465,22 +465,24 @@ def charpoly(g: Graph) -> IntPoly:
 
 
 def _adjugate_mod(a: np.ndarray, p: int, phi: IntPoly, x: int, y: int) -> np.ndarray:
-    """Entries (x, x), (y, y) and (x, y) of adj(tI - A) mod p, each as n
-    coefficients ascending, one entry after the other.
+    """Entries (x, x), (y, y) and (x, y) of adj(tI - A) mod p, or only
+    (x, x) when x == y, each as n coefficients ascending, one entry after
+    the other.
 
     With phi = sum_j c_j t**(n-j), adj(tI - A) = phi(t) (tI - A)**-1 and
     (tI - A)**-1 = sum_k A**k t**(-k-1), so the coefficient of t**(n-1-m)
     in entry (u, v) is sum_{j<=m} c_j (A**(m-j))_uv (Godsil, Algebraic
     Combinatorics, ch. 4).  The walk counts (A**k)_uv, k < n, are read off
-    A**k [e_x e_y].
+    A**k [e_x e_y], or A**k e_x when x == y.
     """
     n = len(a)
     h = (a % p).astype(np.int64)
-    powers = np.zeros((n, n, 2), dtype=np.int64)
-    powers[0, [x, y], [0, 1]] = 1
+    cols = [x] if x == y else [x, y]
+    powers = np.zeros((n, n, len(cols)), dtype=np.int64)
+    powers[0, cols, range(len(cols))] = 1
     for k in range(1, n):
         np.remainder(h @ powers[k - 1], p, out=powers[k])
-    walks = powers[:, [x, y, x], [0, 1, 1]]
+    walks = powers[:, [x], [0]] if x == y else powers[:, [x, y, x], [0, 1, 1]]
     c = np.array([coeff % p for coeff in reversed(phi.coeffs)], dtype=np.int64)
     lag = np.subtract.outer(np.arange(n), np.arange(n))
     toeplitz = np.where(lag >= 0, c[lag], 0)
@@ -502,11 +504,11 @@ def _adjugate_entries(g: Graph, phi: IntPoly, a: int, b: int) -> None:
     """
     n = g.n
     values = _lift(g.int_matrix(), lambda m, p: _adjugate_mod(m, p, phi, a, b))
-    phi_a, phi_b, path = (IntPoly(values[i * n : (i + 1) * n]) for i in range(3))
     cache = g._poly_cache
-    cache.setdefault(("charpoly", frozenset((a,))), phi_a)
-    cache.setdefault(("charpoly", frozenset((b,))), phi_b)
+    cache.setdefault(("charpoly", frozenset((a,))), IntPoly(values[:n]))
     if a != b:
+        phi_b, path = IntPoly(values[n : 2 * n]), IntPoly(values[2 * n :])
+        cache.setdefault(("charpoly", frozenset((b,))), phi_b)
         cache.setdefault(("pathsum", a, b), path)
         cache.setdefault(("pathsum", b, a), path)
 
@@ -519,8 +521,7 @@ def charpoly_deleted(g: Graph, deleted: Iterable[int]) -> IntPoly:
     counts against phi(G) (``_adjugate_entries``); a larger deletion is the
     charpoly of the induced subgraph."""
     gone = frozenset(int(v) for v in deleted)
-    for v in gone:
-        g._check_vertex(v)
+    g._check_vertex(*gone)
     if len(gone) == g.n:
         return IntPoly((1,))
     if not gone:
@@ -586,10 +587,7 @@ def path_sum_poly(g: Graph, a: int, b: int) -> IntPoly:
     resolvent entry.  No path is enumerated: the entry is the convolution
     of phi(G) with the walk counts (A**k)_ab (``_adjugate_entries``), which
     also caches phi(G\\a) and phi(G\\b)."""
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise ValueError("path endpoints must differ")
+    g._check_pair(a, b, "path endpoints must differ")
     key = ("pathsum", a, b)
     if key not in g._poly_cache:
         _adjugate_entries(g, charpoly(g), a, b)
@@ -726,10 +724,7 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     strongly cospectral (Godsil and Smith, "Strongly cospectral vertices"),
     and then they are the sigma = +1 and sigma = -1 eigenvalue classes,
     each the monic product of its t - theta."""
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise ValueError("sigma classes need two distinct vertices")
+    g._check_pair(a, b, "sigma classes need two distinct vertices")
     key = ("sigma", frozenset((a, b)))
     if key in g._poly_cache:
         return g._poly_cache[key]

@@ -140,8 +140,7 @@ class Graph:
     def delete(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the complement of ``vertices`` (must be proper)."""
         gone = set(vertices)
-        for v in gone:
-            self._check_vertex(v)
+        self._check_vertex(*gone)
         keep = [v for v in range(self.n) if v not in gone]
         if not keep:
             raise ValueError("cannot delete every vertex; the empty graph is not representable")
@@ -152,10 +151,8 @@ class Graph:
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
         w = np.zeros_like(self.weights)
-        p = list(perm)
-        for i in range(self.n):
-            for j in range(self.n):
-                w[p[i], p[j]] = self.weights[i, j]
+        p = np.asarray(perm)
+        w[p[:, None], p] = self.weights
         return Graph(w)
 
     def _reach(self, start: int) -> set[int]:
@@ -193,9 +190,16 @@ class Graph:
                 seen |= self._reach(start)
         return comps
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+    def _check_vertex(self, *vertices: int) -> None:
+        for v in vertices:
+            if not (0 <= v < self.n):
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
+
+    def _check_pair(self, a: int, b: int, message: str) -> None:
+        """Both vertices in range and distinct, or ValueError(message)."""
+        self._check_vertex(a, b)
+        if a == b:
+            raise ValueError(message)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -353,16 +357,9 @@ def one_sum(y1: Graph, b1: int, y2: Graph, b2: int) -> tuple[Graph, int]:
     n = n1 + n2 - 1
     w = np.zeros((n, n))
     w[:n1, :n1] = y1.weights
-    other = [v for v in range(n2) if v != b2]
-    pos = {v: n1 + i for i, v in enumerate(other)}
-    pos[b2] = b1
-    for u in range(n2):
-        for v in range(n2):
-            if y2.weights[u, v] != 0:
-                if u == v == b2:
-                    w[b1, b1] += y2.weights[u, v]
-                else:
-                    w[pos[u], pos[v]] += y2.weights[u, v]
+    # y2's vertices in the new labelling: b2 lands on b1, the rest follow y1
+    pos = np.array([*range(n1, n1 + b2), b1, *range(n1 + b2, n)])
+    w[pos[:, None], pos] += y2.weights
     return Graph(w), b1
 
 
@@ -373,10 +370,7 @@ def one_sum(y1: Graph, b1: int, y2: Graph, b2: int) -> tuple[Graph, int]:
 def iter_ab_paths(g: Graph, a: int, b: int) -> Iterator[tuple[int, ...]]:
     """All simple a..b paths as vertex sequences, in DFS order with
     ascending neighbor exploration."""
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise ValueError("path endpoints must differ")
+    g._check_pair(a, b, "path endpoints must differ")
     path = [a]
     on_path = {a}
 

@@ -82,8 +82,7 @@ def _phase_data(g: Graph, a: int, b: int):
 
 def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
     """|<b| exp(itA) |a>| at time t."""
-    g._check_vertex(a)
-    g._check_vertex(b)
+    g._check_vertex(a, b)
     thetas, weights = _phase_data(g, a, b)
     return _amplitude(thetas.tolist(), weights.tolist(), t)
 
@@ -106,8 +105,7 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
     beyond rounding, through ``spectral.pair_readings``, the reading the
     bridge search takes for a whole stack of composites.
     """
-    g._check_vertex(a)
-    g._check_vertex(b)
+    g._check_vertex(a, b)
     dec = decompose(g)
     _, ceiling = pair_readings(dec.vectors[None], dec.starts, [a], [b])
     return float(ceiling[0])
@@ -153,10 +151,7 @@ def fidelity_scan(
 
     Returns (t_best, fidelity_best).
     """
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise ValueError("fidelity scan needs two distinct vertices")
+    g._check_pair(a, b, "fidelity scan needs two distinct vertices")
     if t_max <= 0 or steps < 1:
         raise ValueError("need t_max > 0 and steps >= 1")
     thetas, weights = _phase_data(g, a, b)
@@ -337,8 +332,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     A failure names the first check that fails: not_strongly_cospectral,
     no_common_alpha, delta_not_consistent or no_admissible_g.
     """
-    if a == b:
-        raise ValueError("perfect state transfer needs two distinct vertices")
+    g._check_pair(a, b, "perfect state transfer needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("perfect state transfer certificate needs integer weights")
     sc, sig = strongly_cospectral(g, a, b)

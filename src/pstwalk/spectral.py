@@ -8,7 +8,6 @@ wherever both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +32,11 @@ __all__ = [
 
 # Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) share an eigenspace.
 GROUPING_TOL = 1e-9
-# ||E_r e_a|| above SUPPORT_TOL puts theta_r in the support of a; for
-# non-integer weights, such norms within SUPPORT_TOL count as equal.
+# ||E_r e_a|| above SUPPORT_TOL puts theta_r in the support of a; such
+# norms, and E_r e_a and +-E_r e_b, within SUPPORT_TOL count as equal.
 SUPPORT_TOL = 1e-7
-# An eigenvalue handed to projector_entry_via_neutrino must be a root of phi to
-# within _ROOT_TOL relative to the polynomial's size there.
+# An eigenvalue handed to projector_entry_via_neutrino must be a root of the
+# squarefree part of phi to within _ROOT_TOL relative to its size there.
 _ROOT_TOL = 1e-6
 # where a graph keeps its decomposition, beside its polynomials
 _DECOMPOSE_KEY = ("decompose", None)
@@ -46,7 +45,8 @@ _DECOMPOSE_KEY = ("decompose", None)
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct eigenvalues (descending), multiplicities, and the ``eigh``
-    eigenvector matrix, its columns grouped eigenspace by eigenspace.
+    eigenvector matrix, its columns grouped eigenspace by eigenspace, with
+    ``starts`` the first column of each eigenspace.
 
     With V_r the columns of eigenspace r, E_r = V_r V_r^T, so a projector
     entry reads two rows: (E_r)_ab = sums(V[a] * V[b]).
@@ -56,11 +56,7 @@ class SpectralDecomposition:
     multiplicities: tuple[int, ...]
     vectors: np.ndarray
     grouping_tolerance: float
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """The first column of each eigenspace."""
-        return np.cumsum((0,) + self.multiplicities[:-1])
+    starts: np.ndarray
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Sum x over each eigenspace's columns (last axis)."""
@@ -79,10 +75,11 @@ def decompose(g: Graph) -> SpectralDecomposition:
         w, v, tol, starts = eigenspaces(g.weights)
         vectors = np.ascontiguousarray(v)
         vectors.setflags(write=False)
+        starts.setflags(write=False)
         mults = np.diff(np.r_[starts, g.n])
         thetas = np.add.reduceat(w, starts) / mults
         cached = g._poly_cache[_DECOMPOSE_KEY] = SpectralDecomposition(
-            tuple(thetas.tolist()), tuple(mults.tolist()), vectors, float(tol)
+            tuple(thetas.tolist()), tuple(mults.tolist()), vectors, float(tol), starts
         )
     return cached
 
@@ -105,11 +102,11 @@ def eigenspaces(mats: np.ndarray):
 
 
 def support(g: Graph, a: int) -> list[float]:
-    """Eigenvalues whose eigenspace sees vertex a: ||E_r e_a|| > SUPPORT_TOL."""
+    """Eigenvalues whose eigenspace sees vertex a (``_pair_rule``)."""
     g._check_vertex(a)
     dec = decompose(g)
-    norms = np.sqrt(dec.sums(dec.vectors[a] ** 2))
-    return [th for th, na in zip(dec.distinct_eigenvalues, norms) if na > SUPPORT_TOL]
+    _, in_support, *_ = _pair_rule(dec.vectors[a], dec.vectors[a], dec.starts)
+    return [th for th, x in zip(dec.distinct_eigenvalues, in_support) if x]
 
 
 def cospectral(g: Graph, a: int, b: int) -> bool:
@@ -119,17 +116,16 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     Exact for integer weights, by ``exactpoly.sigma_classes``, which
     compares phi(G\\a) with phi(G\\b) after its Jacobi check; otherwise the
     norms ||E_r e_a|| and ||E_r e_b||, read from rows a and b of the
-    eigenvectors of ``decompose``, must agree to within SUPPORT_TOL.
+    eigenvectors of ``decompose``, must agree by ``_pair_rule``.
     """
-    g._check_vertex(a)
-    g._check_vertex(b)
+    g._check_vertex(a, b)
     if a == b:
         return True
     if g.integer_flag:
         return xp.sigma_classes(g, a, b) is not None
     dec = decompose(g)
-    na, nb = np.sqrt(dec.sums(dec.vectors[[a, b]] ** 2))
-    return bool(np.all(np.abs(na - nb) <= SUPPORT_TOL))
+    _, _, _, equal, _, _ = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
+    return bool(equal.all())
 
 
 def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
@@ -138,8 +134,9 @@ def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
     at the flat column indices ``starts``.
 
     Per eigenspace: (E_r)_ab, whether r is in the support of a and of b,
-    whether E_r e_a = +-E_r e_b, and whether the eigenspace agrees with
-    strong cospectrality (both supports or neither, and parallel).
+    whether ||E_r e_a|| = ||E_r e_b||, whether E_r e_a = +-E_r e_b, and
+    whether the eigenspace agrees with strong cospectrality (both supports
+    or neither, and parallel).  The only reader of SUPPORT_TOL.
     """
     # ||E_r e_a||^2, ||E_r e_b||^2, (E_r)_ab and ||E_r (e_a -+ e_b)||^2; the
     # last two come from row differences, with no cancellation
@@ -149,8 +146,9 @@ def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
     gap = np.sqrt(np.where(ab >= 0, minus, plus))
     ia = na > SUPPORT_TOL
     ib = nb > SUPPORT_TOL
-    parallel = ia & ib & (np.abs(na - nb) <= SUPPORT_TOL) & (gap <= SUPPORT_TOL)
-    return ab, ia, ib, parallel, (ia == ib) & (parallel | ~ia)
+    equal = np.abs(na - nb) <= SUPPORT_TOL
+    parallel = ia & ib & equal & (gap <= SUPPORT_TOL)
+    return ab, ia, ib, equal, parallel, (ia == ib) & (parallel | ~ia)
 
 
 def pair_readings(
@@ -161,7 +159,7 @@ def pair_readings(
     decision of a[i], b[i], by the rule ``strongly_cospectral`` reads, and
     the fidelity ceiling sum_r |(E_r)_ab| (``pst.fidelity_ceiling``)."""
     rows = np.arange(len(vectors))
-    ab, _, _, _, agrees = _pair_rule(vectors[rows, a], vectors[rows, b], starts)
+    ab, *_, agrees = _pair_rule(vectors[rows, a], vectors[rows, b], starts)
     firsts = np.searchsorted(starts, rows * vectors.shape[-1])
     return np.logical_and.reduceat(agrees, firsts), np.add.reduceat(np.abs(ab), firsts)
 
@@ -210,12 +208,9 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
     and any disagreement raises,
     since it signals a numeric failure rather than a mathematical result.
     """
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise ValueError("strong cospectrality needs two distinct vertices")
+    g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
     dec = decompose(g)
-    ab, ia, ib, parallel, agrees = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
+    ab, ia, ib, _, parallel, agrees = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
     numeric = bool(agrees.all())
     signs = np.where(ab >= 0, 1, -1)
     entries = [
@@ -236,10 +231,7 @@ def strongly_cospectral_exact(g: Graph, a: int, b: int) -> bool:
     """Exact strong-cospectrality decision for integer weights: a and b are
     cospectral and their sigma classes m+ and m- share no eigenvalue
     (``exactpoly.sigma_classes``)."""
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if a == b:
-        raise ValueError("strong cospectrality needs two distinct vertices")
+    g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("exact decision needs integer weights")
     classes = xp.sigma_classes(g, a, b)
@@ -255,22 +247,20 @@ def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> floa
     """<b| E_theta |a> computed from characteristic polynomials alone.
 
     The resolvent entry p(t)/phi(t) (p the deleted charpoly on the
-    diagonal, the signed path sum off the diagonal) has only simple poles,
-    so once reduced its denominator is squarefree and the projector entry
-    is the residue p(theta)/phi'(theta) of the reduced fraction, or 0 when
-    theta is no longer a pole.
+    diagonal, the signed path sum off the diagonal) is
+    sum_r (E_r)_ab / (t - theta_r), with only simple poles.  So with sf the
+    squarefree part of phi, N = p sf / phi = sum_r (E_r)_ab sf / (t - theta_r)
+    is an integer polynomial, and (E_r)_ab = N(theta_r) / sf'(theta_r): the
+    exact residue, which vanishes where the pole cancelled.
     """
-    g._check_vertex(a)
-    g._check_vertex(b)
+    g._check_vertex(a, b)
     phi = xp.charpoly(g)
     sf = xp.squarefree_part(phi)
     if abs(sf(theta)) > _ROOT_TOL * _poly_scale_at(sf, theta):
         raise ValueError(f"{theta} is not an eigenvalue within tolerance")
     p = xp.charpoly_deleted(g, [a]) if a == b else xp.path_sum_poly(g, a, b)
-    r = xp.RationalFunction(p, phi)
-    if abs(r.den(theta)) > _ROOT_TOL * _poly_scale_at(r.den, theta):
-        return 0.0  # the pole at theta cancelled entirely
-    return float(r.num(theta)) / float(r.den.derivative()(theta))
+    residue = xp.poly_divexact(p * sf, phi)
+    return float(residue(theta)) / float(sf.derivative()(theta))
 
 
 def walk_module_matrix(g: Graph, a: int) -> np.ndarray:

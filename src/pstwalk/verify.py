@@ -25,6 +25,8 @@ from .graphs import (
 )
 from .pst import fidelity_scan, pst_certificate
 from .spectral import (
+    GROUPING_TOL,
+    SUPPORT_TOL,
     decompose,
     eigenspaces,
     pair_readings,
@@ -52,12 +54,17 @@ __all__ = [
 ]
 
 
+# The eigenvalue and rounding-level comparisons of this module read
+# spectral.GROUPING_TOL, the gap that separates eigenspaces in decompose;
+# the neutrino suite's spot check reads spectral.SUPPORT_TOL.
+
+
 def _eig_desc(m: np.ndarray) -> np.ndarray:
     # descending eigenvalues only; the interlacing checks need no eigenvectors
     return np.linalg.eigvalsh(m)[::-1]
 
 
-def check_cauchy(a: np.ndarray, s: np.ndarray, slack: float = 1e-9) -> bool:
+def check_cauchy(a: np.ndarray, s: np.ndarray) -> bool:
     """Cauchy interlacing for B = S^T A S with S^T S = I (m columns):
     lambda_k(A) >= lambda_k(B) and the reversed-order counterpart."""
     a = np.asarray(a, dtype=float)
@@ -65,7 +72,7 @@ def check_cauchy(a: np.ndarray, s: np.ndarray, slack: float = 1e-9) -> bool:
     if s.ndim != 2 or a.shape[0] != s.shape[0]:
         raise ValueError("isometry has incompatible shape")
     m = s.shape[1]
-    if not np.allclose(s.T @ s, np.eye(m), atol=1e-9):
+    if not np.allclose(s.T @ s, np.eye(m), atol=GROUPING_TOL):
         raise ValueError("columns are not orthonormal")
     b = s.T @ a @ s
     la = _eig_desc(a)
@@ -73,14 +80,14 @@ def check_cauchy(a: np.ndarray, s: np.ndarray, slack: float = 1e-9) -> bool:
     la_up = la[::-1]
     lb_up = lb[::-1]
     for k in range(m):
-        if la[k] < lb[k] - slack:
+        if la[k] < lb[k] - GROUPING_TOL:
             return False
-        if lb_up[k] < la_up[k] - slack:
+        if lb_up[k] < la_up[k] - GROUPING_TOL:
             return False
     return True
 
 
-def check_weyl(a: np.ndarray, b: np.ndarray, slack: float = 1e-9) -> bool:
+def check_weyl(a: np.ndarray, b: np.ndarray) -> bool:
     """Weyl inequalities for eigenvalues of A + B, both directions."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -92,16 +99,16 @@ def check_weyl(a: np.ndarray, b: np.ndarray, slack: float = 1e-9) -> bool:
     lab = _eig_desc(a + b)
     for k in range(1, n + 1):
         for i in range(1, k + 1):
-            if lab[k - 1] > la[i - 1] + lb[k - i] + slack:
+            if lab[k - 1] > la[i - 1] + lb[k - i] + GROUPING_TOL:
                 return False
         for i in range(k, n + 1):
             j = k - i + n
-            if lab[k - 1] < la[i - 1] + lb[j - 1] - slack:
+            if lab[k - 1] < la[i - 1] + lb[j - 1] - GROUPING_TOL:
                 return False
     return True
 
 
-def check_kyfan(a: np.ndarray, b: np.ndarray, slack: float = 1e-9) -> bool:
+def check_kyfan(a: np.ndarray, b: np.ndarray) -> bool:
     """Ky Fan partial sums: sum of the k largest eigenvalues is subadditive."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -110,7 +117,7 @@ def check_kyfan(a: np.ndarray, b: np.ndarray, slack: float = 1e-9) -> bool:
     pa = np.cumsum(_eig_desc(a))
     pb = np.cumsum(_eig_desc(b))
     pab = np.cumsum(_eig_desc(a + b))
-    return bool(np.all(pab <= pa + pb + slack))
+    return bool(np.all(pab <= pa + pb + GROUPING_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +170,7 @@ def equitable_quotient(g: Graph, cells: list[list[int]]) -> QuotientPartition:
             sums = [float(w[np.ix_([u], list(cj))].sum()) for u in ci]
             ref = sums[0]
             for u, s in zip(ci, sums):
-                bad = (s != ref) if exact else (abs(s - ref) > 1e-9)
+                bad = (s != ref) if exact else (abs(s - ref) > GROUPING_TOL)
                 if bad:
                     raise EquitabilityError(
                         f"vertex {u} breaks equitability toward cell {j}: "
@@ -192,7 +199,7 @@ def _quotient_embeds(g: Graph, b: list[list[int]]) -> bool:
     return True
 
 
-def verify_double_star_quotient_relations(k: int, n: int, slack: float = 1e-9) -> bool:
+def verify_double_star_quotient_relations(k: int, n: int) -> bool:
     """Desk check of the cone-with-loop quotient algebra.
 
     Builds the cone over a k-regular graph on n vertices, adds a +1 and a
@@ -210,22 +217,24 @@ def verify_double_star_quotient_relations(k: int, n: int, slack: float = 1e-9) -
     base = build_regular(n, k)
     y = cone(base)
     rest = list(range(1, n + 1))
+    # rounding of a product or sum of the quotient's eigenvalues
+    tol = GROUPING_TOL * (abs(k) + n + 1)
     results = []
     thetas = None
     for sign in (+1, -1):
         yl = y.with_loop(0, sign)
         q = equitable_quotient(yl, [[0], rest]).quotient
         expected = np.array([[float(sign), math.sqrt(n)], [math.sqrt(n), float(k)]])
-        ok = bool(np.allclose(q, expected, atol=slack))
+        ok = bool(np.allclose(q, expected, atol=GROUPING_TOL))
         eig = _eig_desc(q)
-        prod_ok = abs(eig[0] * eig[1] - (sign * k - n)) <= max(slack, 1e-9 * (abs(k) + n + 1))
-        sum_ok = abs(eig[0] + eig[1] - (k + sign)) <= max(slack, 1e-9 * (abs(k) + n + 1))
+        prod_ok = abs(eig[0] * eig[1] - (sign * k - n)) <= tol
+        sum_ok = abs(eig[0] + eig[1] - (k + sign)) <= tol
         embed_ok = _quotient_embeds(yl, _cell_counts(yl, [[0], rest]))
         results.append(ok and prod_ok and sum_ok and embed_ok)
         if sign == +1:
             thetas = eig
     shifted = (thetas[0] - 1.0) * (thetas[1] - 1.0)
-    identification = abs(shifted - (-k - n)) <= 1e-9 * (abs(k) + n + 1)
+    identification = abs(shifted - (-k - n)) <= tol
     results.append(identification == (k == 0))
     return all(results)
 
@@ -744,7 +753,7 @@ def suite_neutrino(instances: int = 200, seed: int = 20240802) -> SuiteResult:
             entries = dec.sums(dec.vectors[a] * dec.vectors[b])
             for th, entry in zip(dec.distinct_eigenvalues, entries):
                 got = projector_entry_via_neutrino(g, a, b, th)
-                if abs(got - float(entry)) > 1e-7:
+                if abs(got - float(entry)) > SUPPORT_TOL:
                     result.failures.append(f"projector-entry #{i} theta={th}")
     return result
 
@@ -779,7 +788,7 @@ def suite_interlacing(instances: int = 200, seed: int = 20240803) -> SuiteResult
             e0[0, 0] = 1.0
             up = _eig_desc(t + e0)
             down = _eig_desc(t - e0)
-            _record(result, bool(np.all(up >= down - 1e-9)), f"loop-shift #{i}")
+            _record(result, bool(np.all(up >= down - GROUPING_TOL)), f"loop-shift #{i}")
     return result
 
 

@@ -231,13 +231,13 @@ def test_projector_entries_match_exact_formula(capsys):
 
 def test_interlacing_suite(capsys):
     """Cauchy, Weyl, and Ky Fan eigenvalue inequalities on 200 random
-    instances each at slack 1e-9.
+    instances each, compared at spectral.GROUPING_TOL (1e-9).
     """
     t0 = time.perf_counter()
     suite = suite_interlacing(200)
     elapsed = time.perf_counter() - t0
     _report(capsys, 7, suite.passed,
-            f"200 instances of each inequality family, slack 1e-9 "
+            f"200 instances of each inequality family, tolerance 1e-9 "
             f"({elapsed:.1f}s)" if suite.passed else str(suite.failures[:5]))
     assert suite.passed, suite.failures[:5]
 

@@ -761,6 +761,29 @@ def test_adjugate_entries_on_one_and_two_vertices():
     assert charpoly_deleted(k2, [1]) == T + 2
 
 
+def test_adjugate_lift_of_one_deletion_lifts_one_entry(monkeypatch):
+    # a single-vertex deletion steps one walk column and lifts only the
+    # (v, v) entry: n values, where a pair lifts 3n
+    lifted = []
+    original = xp._lift
+
+    def counting(rows, residues):
+        values = original(rows, residues)
+        lifted.append(len(values))
+        return values
+
+    monkeypatch.setattr(xp, "_lift", counting)
+    w = build_path(6).weights
+    g = Graph(w)
+    charpoly(g)
+    expected = charpoly(Graph(w).delete([2]))
+    lifted.clear()
+    assert charpoly_deleted(g, [2]) == expected
+    assert lifted == [6]
+    path_sum_poly(g, 0, 5)
+    assert lifted == [6, 18]
+
+
 def sigma_classes_oracle(g, a, b):
     """sigma_classes as it was before walk counts, on a fresh copy:
     phi(G\\a), phi(G\\b) and phi(G\\ab) as charpolys of induced subgraphs,

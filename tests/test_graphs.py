@@ -154,6 +154,31 @@ def test_one_sum_counts():
     assert z.degree(b) == 4
 
 
+def test_one_sum_and_relabel_match_their_entrywise_definitions():
+    rng = np.random.default_rng(12)
+
+    def weighted(n):
+        w = rng.integers(-2, 3, size=(n, n)) * rng.random((n, n))
+        return Graph(w + w.T)
+
+    for _ in range(40):
+        y1, y2 = weighted(int(rng.integers(1, 6))), weighted(int(rng.integers(1, 6)))
+        b1, b2 = int(rng.integers(y1.n)), int(rng.integers(y2.n))
+        z, b = one_sum(y1, b1, y2, b2)
+        n1 = y1.n
+        pos = [b1 if v == b2 else n1 + v - (v > b2) for v in range(y2.n)]
+        w = np.zeros((n1 + y2.n - 1,) * 2)
+        w[:n1, :n1] = y1.weights
+        for u, v in itertools.product(range(y2.n), repeat=2):
+            w[pos[u], pos[v]] += y2.weights[u, v]
+        assert b == b1 and np.array_equal(z.weights, w)
+        perm = [int(x) for x in rng.permutation(z.n)]
+        r = np.zeros_like(w)
+        for u, v in itertools.product(range(z.n), repeat=2):
+            r[perm[u], perm[v]] = w[u, v]
+        assert np.array_equal(z.relabeled(perm).weights, r)
+
+
 def test_path_enumeration_matches_brute_force():
     rng = random.Random(11)
     for _ in range(60):

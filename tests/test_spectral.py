@@ -434,6 +434,21 @@ def test_neutrino_zero_off_support():
     assert projector_entry_via_neutrino(p3, 0, 1, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_neutrino_on_a_repeated_root():
+    # phi(K1,3) = t**2 (t**2 - 3): eigenvalue 0 has multiplicity 2, and its
+    # eigenspace is orthogonal to the centre
+    star = build_star(3)
+    dec = decompose(star)
+    assert dec.multiplicities == (1, 2, 1)
+    for th, e in zip(dec.distinct_eigenvalues, projectors(dec)):
+        for a, b in ((0, 0), (1, 1), (0, 1), (1, 2), (3, 2)):
+            assert projector_entry_via_neutrino(star, a, b, th) == pytest.approx(
+                float(e[a, b]), abs=1e-12
+            )
+    assert projector_entry_via_neutrino(star, 0, 0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert projector_entry_via_neutrino(star, 1, 1, 0.0) == pytest.approx(2 / 3, abs=1e-12)
+
+
 def test_neutrino_rejects_non_eigenvalue():
     with pytest.raises(ValueError):
         projector_entry_via_neutrino(build_path(3), 0, 1, 0.3)

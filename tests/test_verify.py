@@ -54,12 +54,14 @@ def test_check_cauchy_on_deletions():
         assert check_cauchy(a, s)
 
 
-def test_check_cauchy_detects_direction():
-    # negative slack turns the true inequalities into violated ones
+def test_check_cauchy_detects_direction(monkeypatch):
+    # eigenvalues of the compression B read 10 too high break interlacing
     a = np.diag([3.0, 1.0, -2.0])
     s = np.eye(3)[:, :2]
     assert check_cauchy(a, s)
-    assert not check_cauchy(a, s, slack=-10.0)
+    eig_desc = verify._eig_desc
+    monkeypatch.setattr(verify, "_eig_desc", lambda m: eig_desc(m) + 10.0 * (len(m) == 2))
+    assert not check_cauchy(a, s)
 
 
 def test_check_cauchy_rejects_bad_isometry():
@@ -70,7 +72,7 @@ def test_check_cauchy_rejects_bad_isometry():
         check_cauchy(a, np.eye(2))
 
 
-def test_check_weyl_and_kyfan():
+def test_check_weyl_and_kyfan(monkeypatch):
     nprng = np.random.default_rng(301)
     for _ in range(100):
         n = int(nprng.integers(1, 9))
@@ -82,7 +84,12 @@ def test_check_weyl_and_kyfan():
         assert check_kyfan(a, b)
     with pytest.raises(ValueError):
         check_weyl(np.eye(2), np.eye(3))
-    assert not check_weyl(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), slack=-5.0)
+    # eigenvalues of A + B read 5 too high break both inequalities
+    a = b = np.diag([1.0, 0.0])
+    eig_desc = verify._eig_desc
+    monkeypatch.setattr(verify, "_eig_desc", lambda m: eig_desc(m) + 5.0 * (m[0, 0] == 2))
+    assert not check_weyl(a, b)
+    assert not check_kyfan(a, b)
 
 
 def test_equitable_quotient_star():
