@@ -128,9 +128,7 @@ def cmd_spectrum(args) -> int:
 def cmd_cospectral(args) -> int:
     started = time.perf_counter()
     g, raw = _load_graph(args.graph, args.format)
-    g._check_vertex(args.a, args.b)
-    if args.a == args.b:
-        raise GraphParseError("need two distinct vertices")
+    g._check_pair(args.a, args.b, "need two distinct vertices")
     result = {"a": args.a, "b": args.b, "cospectral": cospectral(g, args.a, args.b)}
     tolerances = {}
     if args.strong:
@@ -218,8 +216,8 @@ def cmd_search(args) -> int:
     for flag, value in counts.items():
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    if not args.scan_t_max > 0:
-        raise ValueError(f"--scan-t-max must be positive, got {args.scan_t_max}")
+    if not 0 < args.scan_t_max < float("inf"):
+        raise ValueError(f"--scan-t-max must be positive and finite, got {args.scan_t_max}")
     if args.stdin_graph6:
         source, raw = _stdin_marked_graphs(args.max_n)
         digest = _digest(raw)

@@ -9,9 +9,10 @@ The exact decisions read four polynomials of a vertex pair: phi(G) and
 the entries of adj(tI - A) at aa, bb and ab, which are phi(G\\a),
 phi(G\\b) and the path sum P_ab.  ``charpoly`` gives phi(G); the three
 entries come from walk counts against it in one lift, with no further
-charpoly.  ``bridge_compose`` joins two marked graphs by a bridge and
-seeds the composite with all four, built from the sides' polynomials by
-the bridge identities, so no composite is ever handed to ``charpoly``.
+charpoly.  A bridge composite needs none of them: the sigma classes of
+its ends depend only on the sides' common reduced key N / D =
+phi(Y\\v) / phi(Y) (``bridge_classes``), and ``bridge_compose`` seeds
+them, with the derivation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "charpoly_deleted",
     "one_sum_charpoly",
     "bridge_charpoly_p2",
-    "bridge_charpoly_p3",
+    "bridge_classes",
     "bridge_compose",
     "loop_adjusted_charpoly",
     "pendant_sqrt2_charpoly",
@@ -556,13 +557,6 @@ def bridge_charpoly_p2(
     return phi_y1 * phi_y2 - phi_y1_del * phi_y2_del
 
 
-def bridge_charpoly_p3(
-    phi_y1: IntPoly, phi_y1_del: IntPoly, phi_y2: IntPoly, phi_y2_del: IntPoly
-) -> IntPoly:
-    """phi of Y1 and Y2 joined by a two-edge path (one middle vertex)."""
-    return T * phi_y1 * phi_y2 - phi_y2 * phi_y1_del - phi_y1 * phi_y2_del
-
-
 def loop_adjusted_charpoly(phi_y: IntPoly, phi_y_del: IntPoly, sign: int) -> IntPoly:
     """phi of Y with a loop of weight ``sign`` (+1 or -1) added at a,
     from phi(Y) and phi(Y minus a)."""
@@ -592,48 +586,6 @@ def path_sum_poly(g: Graph, a: int, b: int) -> IntPoly:
     if key not in g._poly_cache:
         _adjugate_entries(g, charpoly(g), a, b)
     return g._poly_cache[key]
-
-
-# ---------------------------------------------------------------------------
-# bridge composites seeded from their sides
-
-def bridge_compose(
-    y1: Graph, a: int, y2: Graph, b: int, bridge: int
-) -> tuple[Graph, int, int]:
-    """``graphs.compose(y1, a, y2, b, bridge)`` for a bridge of 2 or 3 path
-    vertices, with phi(Z), phi(Z\\a), phi(Z\\b) and the path sum P_ab
-    already in the composite's cache, built from phi(Y1), phi(Y1\\a),
-    phi(Y2) and phi(Y2\\b) (Schwenk, "Computing the characteristic
-    polynomial of a graph", 1974).  Deleting an endpoint leaves disjoint
-    unions: on the P2 bridge Z\\a = (Y1\\a) + Y2; on the P3 bridge Y2
-    keeps the middle vertex as a pendant at b, whose phi is
-    t phi(Y2) - phi(Y2\\b).  The bridge is the only a..b path, of weight 1,
-    and removing it leaves (Y1\\a) + (Y2\\b), so P_ab = phi(Y1\\a)
-    phi(Y2\\b) on both bridges.  A composite with non-integer weights gets
-    nothing, so the exact layer rejects it as before."""
-    if bridge not in (2, 3):
-        raise ValueError("bridge identities cover 2 or 3 path vertices")
-    z, ga, gb = compose(y1, a, y2, b, bridge)
-    if not z.integer_flag:
-        return z, ga, gb
-    p1, p1d = charpoly(y1), charpoly_deleted(y1, [a])
-    p2, p2d = charpoly(y2), charpoly_deleted(y2, [b])
-    if bridge == 2:
-        phi = bridge_charpoly_p2(p1, p1d, p2, p2d)
-        phi_a, phi_b = p1d * p2, p1 * p2d
-    else:
-        phi = bridge_charpoly_p3(p1, p1d, p2, p2d)
-        phi_a, phi_b = p1d * (T * p2 - p2d), (T * p1 - p1d) * p2d
-    path = p1d * p2d
-    # the keys charpoly, charpoly_deleted and path_sum_poly look up
-    z._poly_cache.update({
-        ("charpoly", None): phi,
-        ("charpoly", frozenset((ga,))): phi_a,
-        ("charpoly", frozenset((gb,))): phi_b,
-        ("pathsum", ga, gb): path,
-        ("pathsum", gb, ga): path,
-    })
-    return z, ga, gb
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +665,13 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
 
     phi(G\\a), phi(G\\b) and P_ab are the entries of adj(tI - A) at aa,
     bb and ab, read from walk counts against phi(G) in one lift
-    (``_adjugate_entries``), so a pair costs phi(G) and no other charpoly.
-    Every pair is checked against Jacobi's identity: phi(G) must divide
-    phi(G\\a) phi(G\\b) - P_ab**2 exactly (the quotient is phi(G\\ab)),
-    or ExactDivisionError is raised.  P_ab is taken with a positive
-    leading coefficient; the other sign would swap m+ and m-.  The
-    fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) and
+    (``_adjugate_entries``), so a pair costs phi(G) and no other charpoly
+    (a ``bridge_compose`` composite holds its classes already).  Every
+    pair read this way is checked against Jacobi's identity: phi(G) must
+    divide phi(G\\a) phi(G\\b) - P_ab**2 exactly (the quotient is
+    phi(G\\ab)), or ExactDivisionError is raised.  P_ab is taken with a
+    positive leading coefficient; the other sign would swap m+ and m-.
+    The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) and
     |(E_r)_ab| <= (E_r)_aa = (E_r)_bb, with equality exactly when
     E_r e_a = +-E_r e_b.  So m+ and m- are coprime exactly when a and b are
     strongly cospectral (Godsil and Smith, "Strongly cospectral vertices"),
@@ -741,6 +694,60 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
         classes = tuple(RationalFunction(phi_a + s * path, phi).den for s in (1, -1))
     g._poly_cache[key] = classes
     return classes
+
+
+# ---------------------------------------------------------------------------
+# bridge composites seeded from their sides
+
+def bridge_classes(phi: IntPoly, phi_del: IntPoly, bridge: int) -> tuple[IntPoly, IntPoly]:
+    """The sigma classes (m+, m-) of the endpoints of a bridge composite of
+    two walk-equivalent sides, from phi(Y) and phi(Y\\v) of either side
+    (the support correspondence across a bridge, ``bridge_compose``).  On
+    the P2 bridge they are the supports of v in Y with a +1 and with a -1
+    loop at v.  On the P3 bridge they are the support of the attachment
+    vertex in the sqrt(2)-pendant graph, which minus that vertex is Y\\v
+    plus an isolated vertex, then the support of v in Y.  A support is the
+    reduced denominator of the deleted over the whole polynomial, so the
+    side's polynomials and its reduced key give the same classes."""
+    if bridge == 2:
+        return tuple(
+            RationalFunction(phi_del, loop_adjusted_charpoly(phi, phi_del, s)).den
+            for s in (1, -1)
+        )
+    if bridge == 3:
+        pendant = pendant_sqrt2_charpoly(phi, phi_del)
+        return RationalFunction(T * phi_del, pendant).den, RationalFunction(phi_del, phi).den
+    raise ValueError("bridge identities cover 2 or 3 path vertices")
+
+
+def bridge_compose(
+    y1: Graph, a: int, y2: Graph, b: int, bridge: int
+) -> tuple[Graph, int, int]:
+    """``graphs.compose(y1, a, y2, b, bridge)`` for a bridge of 2 or 3 path
+    vertices, with the sigma classes of the ends in the composite's cache
+    (where ``sigma_classes`` looks): ``bridge_classes`` of the first side
+    when the sides are walk equivalent, else None.  No composite
+    polynomial is formed.
+
+    With phi_i = phi(Yi) and d_i = phi(Yi\\v), by Schwenk (1974) phi(Z) =
+    phi_1 phi_2 - d_1 d_2 and phi(Z\\a) = d_1 phi_2 on P2, phi(Z) =
+    t phi_1 phi_2 - d_1 phi_2 - phi_1 d_2 and phi(Z\\a) = d_1 (t phi_2 - d_2)
+    on P3, and P_ab = d_1 d_2 (the bridge is the only a..b path).  So a
+    and b are cospectral exactly when d_1 / phi_1 = d_2 / phi_2.  Then,
+    with that key reduced to N / D, phi_i = g_i D and d_i = g_i N, the
+    factor g_1 g_2 cancels from (phi(Z\\a) +- P_ab) / phi(Z), which reduces
+    to N / (D -+ N) on P2, and to t N / (t D - 2N) and N / D on P3.  A
+    composite with non-integer weights gets nothing."""
+    if bridge not in (2, 3):
+        raise ValueError("bridge identities cover 2 or 3 path vertices")
+    z, ga, gb = compose(y1, a, y2, b, bridge)
+    if not z.integer_flag:
+        return z, ga, gb
+    p1, p1d = charpoly(y1), charpoly_deleted(y1, [a])
+    p2, p2d = charpoly(y2), charpoly_deleted(y2, [b])
+    classes = bridge_classes(p1, p1d, bridge) if walk_equivalent(p1d, p1, p2d, p2) else None
+    z._poly_cache[("sigma", frozenset((ga, gb)))] = classes
+    return z, ga, gb
 
 
 def walk_gf(g: Graph, a: int) -> RationalFunction:

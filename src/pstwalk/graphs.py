@@ -62,6 +62,8 @@ class Graph:
             raise ValueError("weight matrix must be square")
         if w.shape[0] < 1:
             raise ValueError("a graph needs at least one vertex")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
         w.setflags(write=False)

@@ -152,8 +152,8 @@ def fidelity_scan(
     Returns (t_best, fidelity_best).
     """
     g._check_pair(a, b, "fidelity scan needs two distinct vertices")
-    if t_max <= 0 or steps < 1:
-        raise ValueError("need t_max > 0 and steps >= 1")
+    if not 0 < t_max < math.inf or steps < 1:
+        raise ValueError("need 0 < t_max < inf and steps >= 1")
     thetas, weights = _phase_data(g, a, b)
     t_max = float(t_max)
     dt = t_max / steps

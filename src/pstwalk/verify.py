@@ -245,13 +245,9 @@ def verify_double_star_quotient_relations(k: int, n: int) -> bool:
 
 # For a vertex v of a graph H, phi(H\v)/phi(H) = sum_r (E_r)_vv / (t - theta_r),
 # so its reduced denominator is the support polynomial of v: the product of
-# t - theta over the eigenvalues whose eigenspace sees v.  The sigma classes
-# of the composition come from the same reduction (exactpoly.sigma_classes).
-
-
-def _support_poly(phi_del: xp.IntPoly, phi: xp.IntPoly) -> xp.IntPoly:
-    """prod (t - theta) over the support of v, from phi(H\\v) and phi(H)."""
-    return xp.RationalFunction(phi_del, phi).den
+# t - theta over the eigenvalues whose eigenspace sees v.  The sides' classes
+# are such supports (exactpoly.bridge_classes); the composition's come from
+# its own polynomials (exactpoly.sigma_classes).
 
 
 def _nonsupport_poly(phi: xp.IntPoly, supp: xp.IntPoly) -> xp.IntPoly:
@@ -259,14 +255,14 @@ def _nonsupport_poly(phi: xp.IntPoly, supp: xp.IntPoly) -> xp.IntPoly:
     return xp.poly_divexact(xp.squarefree_part(phi), supp)
 
 
-def _bridge_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
+def _composite_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     """Side polynomials, then the +1 class, the -1 class and the leftover
     (eigenvalues outside the support of the endpoints) of the composition,
     each as the monic product of its t - theta.
 
-    The composite is built by ``graphs.compose`` and its polynomials come
-    from ``charpoly``, not from ``exactpoly.bridge_compose``: these suites
-    stay an independent check of the bridge identities the search uses."""
+    The composite is built by ``graphs.compose`` and its classes come from
+    its own ``charpoly``, not from ``exactpoly.bridge_compose``: these suites
+    stay an independent check of the bridge classes the search uses."""
     p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
     p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
     if not xp.walk_equivalent(p1d, p1, p2d, p2):
@@ -291,22 +287,21 @@ def _divides_pool(leftover: xp.IntPoly, pool: list[xp.IntPoly]) -> bool:
 def verify_support_correspondence_p2(y1: Graph, a: int, y2: Graph, b: int) -> bool:
     """For walk-equivalent (y1, a), (y2, b) joined by a bridge edge, check
     that the +1 eigenvalue class equals the support of a (resp. b) in the
-    graph with a +1 loop added there, the -1 class matches the -1 loop,
-    and every remaining eigenvalue of the composition is a non-support
-    eigenvalue of one of the four loop graphs.
+    graph with a +1 loop added there, the -1 class matches the -1 loop
+    (``exactpoly.bridge_classes`` of each side), and every remaining
+    eigenvalue of the composition is a non-support eigenvalue of one of
+    the four loop graphs.
 
     Every set is compared as an exact polynomial (the monic product of
     its t - theta), so no eigenvalue is computed.
     """
-    sides, plus, minus, leftover = _bridge_classes(y1, a, y2, b, 2)
+    sides, plus, minus, leftover = _composite_classes(y1, a, y2, b, 2)
     pool = []
-    for sign, cls in ((+1, plus), (-1, minus)):
-        for phi, phi_del in sides:
-            looped = xp.loop_adjusted_charpoly(phi, phi_del, sign)
-            supp = _support_poly(phi_del, looped)
-            if supp != cls:
-                return False
-            pool.append(_nonsupport_poly(looped, supp))
+    for phi, phi_del in sides:
+        if xp.bridge_classes(phi, phi_del, 2) != (plus, minus):
+            return False
+        for sign, cls in ((+1, plus), (-1, minus)):
+            pool.append(_nonsupport_poly(xp.loop_adjusted_charpoly(phi, phi_del, sign), cls))
     return _divides_pool(leftover, pool)
 
 
@@ -314,22 +309,19 @@ def verify_support_correspondence_p3(y1: Graph, a: int, y2: Graph, b: int) -> bo
     """Same correspondence for the two-edge bridge: the +1 class is the
     support of the attachment vertex in the sqrt(2)-pendant graph (equal
     on both sides), the -1 class is the support of a (resp. b) in y1
-    (resp. y2) itself, and leftovers are non-support eigenvalues of y1 or
-    y2, with 0 also allowed whenever 0 is an eigenvalue of either pendant
-    graph.
+    (resp. y2) itself (``exactpoly.bridge_classes`` of each side), and
+    leftovers are non-support eigenvalues of y1 or y2, with 0 also allowed
+    whenever 0 is an eigenvalue of either pendant graph.
 
     Compared as exact polynomials, like the one-edge bridge.
     """
-    sides, plus, minus, leftover = _bridge_classes(y1, a, y2, b, 3)
+    sides, plus, minus, leftover = _composite_classes(y1, a, y2, b, 3)
     pool = []
     for phi, phi_del in sides:
-        pendant = xp.pendant_sqrt2_charpoly(phi, phi_del)
-        own = _support_poly(phi_del, phi)
-        # the pendant graph minus its attachment vertex is Y\v plus an isolated vertex
-        if _support_poly(xp.T * phi_del, pendant) != plus or own != minus:
+        if xp.bridge_classes(phi, phi_del, 3) != (plus, minus):
             return False
-        pool.append(_nonsupport_poly(phi, own))
-        if pendant(0) == 0:
+        pool.append(_nonsupport_poly(phi, minus))
+        if xp.pendant_sqrt2_charpoly(phi, phi_del)(0) == 0:
             pool.append(xp.T)
     return _divides_pool(leftover, pool)
 

@@ -298,8 +298,10 @@ def no_search(monkeypatch):
         ["--jobs", "0"],
         ["--scan-steps", "0"],
         ["--scan-t-max", "-5"],
+        ["--scan-t-max", "inf"],
+        ["--scan-t-max", "nan"],
     ],
-    ids=["max-n", "jobs", "scan-steps", "scan-t-max"],
+    ids=["max-n", "jobs", "scan-steps", "scan-t-max", "scan-t-max-inf", "scan-t-max-nan"],
 )
 def test_search_rejects_bad_options(capsys, no_search, flags):
     assert main(["search", "--bridge", "2"] + flags) == 2
@@ -372,6 +374,14 @@ def test_input_errors_exit_2(capsys, graph_file):
     assert main(["cospectral", graph_file(P3_EDGELIST), "1", "1"]) == 2
     err = capsys.readouterr().err
     assert "input error" in err
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_spectrum_rejects_non_finite_weights(capsys, graph_file, weight):
+    assert main(["spectrum", graph_file(f"2 1\n0 1 {weight}\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: weights must be finite" in captured.err
 
 
 def test_order_beyond_the_exact_layer_is_an_input_error(capsys, graph_file, monkeypatch):

@@ -15,7 +15,7 @@ from pstwalk.exactpoly import (
     T,
     bareiss_det,
     bridge_charpoly_p2,
-    bridge_charpoly_p3,
+    bridge_classes,
     bridge_compose,
     charpoly,
     charpoly_deleted,
@@ -530,6 +530,12 @@ def test_one_sum_charpoly_identity():
         )
 
 
+def bridge_charpoly_p3(phi_y1, phi_y1_del, phi_y2, phi_y2_del):
+    """phi of Y1 and Y2 joined by a two-edge path (one middle vertex), the
+    oracle of the P3 bridge identity (Schwenk 1974)."""
+    return T * phi_y1 * phi_y2 - phi_y2 * phi_y1_del - phi_y1 * phi_y2_del
+
+
 def test_bridge_charpolys_match_compositions():
     rng = random.Random(10)
     for _ in range(40):
@@ -560,40 +566,69 @@ def test_bridge_factorization_under_walk_equivalence():
     assert charpoly(z3) == p * (pendant_sqrt2_charpoly(p, pd))
 
 
-def _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge):
-    """Each polynomial bridge_compose seeds equals the one computed on a
-    fresh copy of the composite, which has no cache: phi(Z), phi(Z\\a) and
-    phi(Z\\b) as charpolys of induced subgraphs, P_ab by path enumeration.
-    Nothing else is seeded."""
+def _assert_seeded_classes_match_fresh(y1, a, y2, b, bridge):
+    """The classes bridge_compose seeds, or None, equal sigma_classes of a
+    fresh copy of the composite, which has no cache, so it reads phi(Z)
+    and the adjugate entries and runs Jacobi's check.  The sigma classes
+    are the one key seeded."""
     z, ga, gb = bridge_compose(y1, a, y2, b, bridge)
     assert (ga, gb) == compose(y1, a, y2, b, bridge)[1:]
-    fresh = Graph(z.weights)
-    assert z._poly_cache[("charpoly", None)] == charpoly(fresh), bridge
-    for v in (ga, gb):
-        seeded = z._poly_cache[("charpoly", frozenset((v,)))]
-        assert seeded == charpoly(fresh.delete([v])), (bridge, v)
-    path = path_sum_oracle(fresh, ga, gb)
-    assert z._poly_cache[("pathsum", ga, gb)] == z._poly_cache[("pathsum", gb, ga)] == path
-    assert len(z._poly_cache) == 5
+    key = ("sigma", frozenset((ga, gb)))
+    assert list(z._poly_cache) == [key]
+    assert z._poly_cache[key] == sigma_classes(Graph(z.weights), ga, gb), bridge
+    return z._poly_cache[key] is not None
 
 
 def test_bridge_compose_seeds_every_marked_pair():
     marked = list(marked_graphs(4))
     pairs = list(itertools.product(marked, marked))
-    assert len(pairs) * 2 * 4 == 2048  # checks: two bridges, four polynomials
-    for (y1, a), (y2, b) in pairs:
-        for bridge in (2, 3):
-            _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge)
+    assert len(pairs) * 2 == 512  # checks: two bridges
+    cospectral = sum(
+        _assert_seeded_classes_match_fresh(y1, a, y2, b, bridge)
+        for (y1, a), (y2, b) in pairs
+        for bridge in (2, 3)
+    )
+    assert cospectral == 2 * len(marked)  # the self-pairs only
 
 
 def test_bridge_compose_seeds_weighted_looped_sides():
-    rng = random.Random(11)
+    # each pair's first side is also joined to a relabelled copy of itself,
+    # so classes are seeded as well as None
+    rng, shuffle = random.Random(11), random.Random(12)
+    cospectral = 0
     for _ in range(30):
         y1 = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
         y2 = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
         a, b = rng.randrange(y1.n), rng.randrange(y2.n)
+        perm = list(range(y1.n))
+        shuffle.shuffle(perm)
         for bridge in (2, 3):
-            _assert_seeded_polys_match_fresh(y1, a, y2, b, bridge)
+            cospectral += _assert_seeded_classes_match_fresh(y1, a, y2, b, bridge)
+            assert _assert_seeded_classes_match_fresh(y1, a, y1.relabeled(perm), perm[a], bridge)
+    assert cospectral < 60
+
+
+def test_bridge_classes_of_a_side_and_of_its_key():
+    # the classes depend on phi(Y\v) / phi(Y) only: scaling both by a common
+    # factor changes nothing, and on the reduced key N / D they are
+    # D -+ N (P2) and (tD - 2N) / gcd(tN, tD - 2N), D (P3)
+    rng = random.Random(13)
+    for _ in range(30):
+        y = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
+        v = rng.randrange(y.n)
+        phi, phi_del = charpoly(y), charpoly_deleted(y, [v])
+        key = walk_gf(y, v)
+        n, d = key.num, key.den
+        extra = T * T - rng.randint(-3, 3)
+        for bridge in (2, 3):
+            classes = bridge_classes(phi, phi_del, bridge)
+            assert classes == bridge_classes(extra * phi, extra * phi_del, bridge)
+            assert classes == bridge_classes(d, n, bridge)
+        assert bridge_classes(phi, phi_del, 2) == (d - n, d + n)
+        plus = poly_divexact(T * d - 2 * n, poly_gcd(T * n, T * d - 2 * n))
+        assert bridge_classes(phi, phi_del, 3) == (plus, d)
+    with pytest.raises(ValueError, match="2 or 3"):
+        bridge_classes(phi, phi_del, 4)
 
 
 def test_bridge_compose_seeds_nothing_on_non_integer_weights():
@@ -610,14 +645,18 @@ def test_bridge_compose_rejects_other_bridges():
 
 
 def test_search_rejects_a_wrong_bridge_identity(monkeypatch):
-    # a sign flip in the P3 identity gives a phi(Z) that does not divide
-    # phi(Z\a) phi(Z\b) - P_ab**2, so the Jacobi check refuses it
-    def flipped(p1, p1d, p2, p2d):
-        return T * p1 * p2 - p2 * p1d + p1 * p2d
+    # an extra root in m+ is caught by the certificate: the exact support
+    # then has one eigenvalue more than the numeric one
+    right = xp.bridge_classes
 
-    monkeypatch.setattr(xp, "bridge_charpoly_p3", flipped)
-    with pytest.raises(ExactDivisionError):
-        search_no_pst(3, 3)
+    def wrong(phi, phi_del, bridge):
+        plus, minus = right(phi, phi_del, bridge)
+        return plus * (T - 100), minus
+
+    monkeypatch.setattr(xp, "bridge_classes", wrong)
+    for bridge in (2, 3):
+        with pytest.raises(RuntimeError, match="exact support has"):
+            search_no_pst(bridge, 3)
 
 
 def test_path_sum_squared_identity():
@@ -800,8 +839,9 @@ def sigma_classes_oracle(g, a, b):
 
 def test_sigma_classes_unchanged_on_every_small_bridge_pair():
     # every n <= 5 pair on both bridges, on the composite the search seeds
-    # (each passes the Jacobi check); the cospectral ones also on a cold
-    # copy, which runs the walk counts, and by the earlier square-root route
+    # (classes from the side key); the cospectral ones also on a cold copy,
+    # which runs the walk counts and the Jacobi check, and by the earlier
+    # square-root route
     marked = list(marked_graphs(5))
     cospectral = 0
     for bridge in (2, 3):

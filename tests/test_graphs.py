@@ -1,6 +1,7 @@
 """Graph construction, composition, path enumeration, and serialization."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -80,6 +81,16 @@ def test_build_regular_validates():
     with pytest.raises(ValueError):
         build_regular(4, 4)  # k >= n
     assert build_regular(4, 0).n == 4
+
+
+@pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_graph_rejects_non_finite_weights(weight):
+    w = np.zeros((2, 2))
+    w[0, 1] = w[1, 0] = weight
+    with pytest.raises(ValueError, match="weights must be finite"):
+        Graph(w)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        Graph.from_edges(3, [(0, 1)], loops=[(2, weight)])
 
 
 def test_cone_adds_apex():

@@ -113,6 +113,9 @@ def test_fidelity_scan_validates_input():
         fidelity_scan(build_path(2), 0, 1, 0.0, 10)
     with pytest.raises(ValueError):
         fidelity_scan(build_path(2), 0, 1, 1.0, 0)
+    for t_max in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="t_max < inf"):
+            fidelity_scan(build_path(2), 0, 1, t_max, 10)
 
 
 def scan_oracle(thetas, weights, t_max, steps):

@@ -21,7 +21,7 @@ from pstwalk.graphs import (
     compose,
     marked_graphs,
 )
-from pstwalk.pst import fidelity_ceiling
+from pstwalk.pst import fidelity_ceiling, pst_certificate
 from pstwalk.spectral import strongly_cospectral
 from pstwalk.verify import (
     SCAN_THRESHOLD,
@@ -425,6 +425,25 @@ def test_side_buckets_decide_cospectrality_in_the_composite(bridge):
         apart.append(xp.walk_gf(y1, a) != xp.walk_gf(y2, b))
         assert apart[-1] == (xp.sigma_classes(z, ga, gb) is None)
     assert 0 < sum(apart) < len(apart)
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_seeded_composites_certify_as_cold_ones(bridge):
+    # the classes bridge_compose takes from the side key decide every
+    # same-bucket pair as the composite's own polynomials do, and no
+    # composite polynomial is formed
+    marked = list(marked_graphs(5))
+    pairs = list(itertools.product(marked, marked)) + _oracle_pairs()
+    same = [
+        ((y1, a), (y2, b)) for (y1, a), (y2, b) in pairs if xp.walk_gf(y1, a) == xp.walk_gf(y2, b)
+    ]
+    assert len(same) > len(marked) + 10
+    for (y1, a), (y2, b) in same:
+        z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
+        seeded = pst_certificate(z, ga, gb).to_json()
+        assert ("charpoly", None) not in z._poly_cache
+        cold, ca, cb = compose(y1, a, y2, b, bridge)
+        assert seeded == pst_certificate(cold, ca, cb).to_json()
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
