@@ -9,12 +9,12 @@ of the beta gaps.  Transfer times are derived directly from the phase
 congruences t (theta_0 - theta_r) in pi Z with the parities dictated by the
 sigma signs.  Floats only propose roots and cross-check: the numeric
 decomposition must agree with the exact classes, and the walk must reach
-fidelity 1 at the certified time.
+fidelity 1 at the certified time.  Every fidelity, at one time or over a
+scan, comes from one evaluator, the factorised grid of ``_peak``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -23,7 +23,7 @@ import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
-from .spectral import decompose, pair_readings, strongly_cospectral
+from .spectral import decompose, pair_ceilings, strongly_cospectral
 
 __all__ = [
     "CONFIRM_TOL",
@@ -38,6 +38,9 @@ __all__ = [
 
 # A certified transfer time must show a fidelity of at least 1 - CONFIRM_TOL.
 CONFIRM_TOL = 1e-9
+# fidelity_scan refines its grid by _REFINE_GRIDS grids of _REFINE_STEPS intervals
+_REFINE_GRIDS = 4
+_REFINE_STEPS = 128
 
 @dataclass(frozen=True)
 class PstCertificate:
@@ -80,16 +83,41 @@ def _phase_data(g: Graph, a: int, b: int):
     return np.array(dec.distinct_eigenvalues), dec.sums(dec.vectors[a] * dec.vectors[b])
 
 
+def _peak(thetas: np.ndarray, weights: np.ndarray, lo: float, dt: float, steps: int):
+    """The best (t, |sum_r w_r exp(i theta_r t)|) over the grid t_k = lo + k dt,
+    k = 0 .. steps.
+
+    The grid is factorised: with C = ceil(sqrt(steps + 1)), t_k = lo +
+    (jC + i) dt, so the amplitudes are the entries of coarse @ fine.T, where
+    coarse[j, r] = exp(i theta_r (lo + jC dt)) and fine[i, r] = w_r
+    exp(i theta_r i dt).  That takes about 2 sqrt(steps) d complex
+    exponentials for d eigenvalues, not steps d.  The coarse rows go in
+    blocks of at most 200 000 grid points (or one row, when a row is longer),
+    so memory stays bounded for any ``steps``.
+    """
+    points = steps + 1
+    width = math.isqrt(steps) + 1  # ceil(sqrt(points))
+    fine = np.exp(1j * np.outer(np.arange(width) * dt, thetas)) * weights
+    height = -(-points // width)
+    block = max(1, 200_000 // width)
+    best_k, best_f = 0, -1.0
+    for j0 in range(0, height, block):
+        js = np.arange(j0, min(j0 + block, height))
+        coarse = np.exp(1j * np.outer(lo + js * width * dt, thetas))
+        vals = np.abs(coarse @ fine.T).ravel()[: points - j0 * width]
+        i = int(np.argmax(vals))
+        if vals[i] > best_f:
+            best_k, best_f = j0 * width + i, float(vals[i])
+    return lo + best_k * dt, best_f
+
+
 def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
-    """|<b| exp(itA) |a>| at time t."""
+    """|<b| exp(itA) |a>| at time t, a one-point grid of ``_peak``."""
     g._check_vertex(a, b)
+    if not math.isfinite(t):
+        raise ValueError(f"evolve_fidelity needs a finite time, got {t}")
     thetas, weights = _phase_data(g, a, b)
-    return _amplitude(thetas.tolist(), weights.tolist(), t)
-
-
-def _amplitude(thetas: list[float], weights: list[float], t: float) -> float:
-    """|sum_r w_r exp(i theta_r t)|, over Python floats."""
-    return abs(sum([w * cmath.exp(1j * th * t) for th, w in zip(thetas, weights)]))
+    return _peak(thetas, weights, float(t), 0.0, 0)[1]
 
 
 def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
@@ -102,31 +130,12 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
     so C <= 1, with equality exactly when a and b are strongly cospectral
     (Godsil & Smith, "Strongly cospectral vertices", 2017).  Reads the same
     projector entries as ``fidelity_scan``, so a scan never peaks above C
-    beyond rounding, through ``spectral.pair_readings``, the reading the
+    beyond rounding, through ``spectral.pair_ceilings``, the reader the
     bridge search takes for a whole stack of composites.
     """
     g._check_vertex(a, b)
     dec = decompose(g)
-    _, ceiling = pair_readings(dec.vectors[None], dec.starts, [a], [b])
-    return float(ceiling[0])
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+    return float(pair_ceilings(dec.vectors[None], dec.starts, [a], [b])[0])
 
 
 def fidelity_scan(
@@ -137,19 +146,10 @@ def fidelity_scan(
     steps: int,
 ) -> tuple[float, float]:
     """Maximum fidelity over a uniform t grid on [0, t_max] with ``steps``
-    intervals, refined around the best grid point by golden-section search.
-
-    The grid is factorised: with C = ceil(sqrt(steps + 1)), grid time
-    t_k = (jC + i) dt, so the amplitudes sum_r w_r exp(i theta_r t_k) are
-    the entries of coarse @ fine.T, where coarse[j, r] = exp(i theta_r jC dt)
-    and fine[i, r] = w_r exp(i theta_r i dt).  That takes about
-    2 sqrt(steps) d complex exponentials for d eigenvalues, not steps d.
-    The coarse rows go in blocks of at most 200 000 grid points (or one row,
-    when a row is longer), so memory stays bounded for any ``steps``.  The
-    refinement evaluates the amplitude over Python floats, bracketed by one
-    grid step either side, and is kept only when it beats the grid.
-
-    Returns (t_best, fidelity_best).
+    intervals (``_peak``), refined by _REFINE_GRIDS finer grids, each
+    spanning one spacing of the grid before it on either side of the best
+    point so far, clipped to [0, t_max], and kept only when it beats that
+    point.  Returns (t_best, fidelity_best).
     """
     g._check_pair(a, b, "fidelity scan needs two distinct vertices")
     if not 0 < t_max < math.inf or steps < 1:
@@ -157,27 +157,15 @@ def fidelity_scan(
     thetas, weights = _phase_data(g, a, b)
     t_max = float(t_max)
     dt = t_max / steps
-    points = steps + 1
-    width = math.isqrt(steps) + 1  # ceil(sqrt(points))
-    fine = np.exp(1j * np.outer(np.arange(width) * dt, thetas)) * weights
-    height = -(-points // width)
-    block = max(1, 200_000 // width)
-    best_k, best_f = 0, -1.0
-    for j0 in range(0, height, block):
-        js = np.arange(j0, min(j0 + block, height))
-        coarse = np.exp(1j * np.outer(js * width * dt, thetas))
-        vals = np.abs(coarse @ fine.T).ravel()[: points - j0 * width]
-        i = int(np.argmax(vals))
-        if vals[i] > best_f:
-            best_k, best_f = j0 * width + i, float(vals[i])
-    best_t = best_k * dt if best_k < steps else t_max  # the last grid time is t_max
-    thetas, weights = thetas.tolist(), weights.tolist()
-    lo = max(0.0, best_t - dt)
-    hi = min(t_max, best_t + dt)
-    t_ref, f_ref = _golden_max(lambda t: _amplitude(thetas, weights, t), lo, hi)
-    if f_ref > best_f:
-        return t_ref, f_ref
-    return best_t, best_f
+    best_t, best_f = _peak(thetas, weights, 0.0, dt, steps)
+    for _ in range(_REFINE_GRIDS):
+        lo = max(0.0, best_t - dt)
+        dt = (min(t_max, best_t + dt) - lo) / _REFINE_STEPS
+        t, f = _peak(thetas, weights, lo, dt, _REFINE_STEPS)
+        if f > best_f:
+            best_t, best_f = t, f
+    # lo + k dt may round past t_max by an ulp
+    return min(best_t, t_max), best_f
 
 
 # ---------------------------------------------------------------------------

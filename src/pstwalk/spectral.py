@@ -20,7 +20,7 @@ __all__ = [
     "SpectralDecomposition",
     "decompose",
     "eigenspaces",
-    "pair_readings",
+    "pair_ceilings",
     "support",
     "cospectral",
     "SupportSignature",
@@ -129,9 +129,8 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
 
 
 def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
-    """The numeric strong-cospectrality rule on rows a and b of eigenvector
-    matrices, one row each (n,) or stacked (k, n) with eigenspaces starting
-    at the flat column indices ``starts``.
+    """The numeric strong-cospectrality rule on rows a and b of one graph's
+    eigenvector matrix, with eigenspaces starting at columns ``starts``.
 
     Per eigenspace: (E_r)_ab, whether r is in the support of a and of b,
     whether ||E_r e_a|| = ||E_r e_b||, whether E_r e_a = +-E_r e_b, and
@@ -141,7 +140,7 @@ def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
     # ||E_r e_a||^2, ||E_r e_b||^2, (E_r)_ab and ||E_r (e_a -+ e_b)||^2; the
     # last two come from row differences, with no cancellation
     rows = np.stack([va * va, vb * vb, va * vb, (va - vb) ** 2, (va + vb) ** 2])
-    aa, bb, ab, minus, plus = np.add.reduceat(rows.reshape(5, -1), starts, axis=-1)
+    aa, bb, ab, minus, plus = np.add.reduceat(rows, starts, axis=-1)
     na, nb = np.sqrt(aa), np.sqrt(bb)
     gap = np.sqrt(np.where(ab >= 0, minus, plus))
     ia = na > SUPPORT_TOL
@@ -151,17 +150,15 @@ def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
     return ab, ia, ib, equal, parallel, (ia == ib) & (parallel | ~ia)
 
 
-def pair_readings(
-    vectors: np.ndarray, starts: np.ndarray, a, b
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_ceilings(vectors: np.ndarray, starts: np.ndarray, a, b) -> np.ndarray:
     """For each matrix i of a stack (eigenvectors (k, n, n) and eigenspace
-    starts as ``eigenspaces`` gives them), the numeric strong-cospectrality
-    decision of a[i], b[i], by the rule ``strongly_cospectral`` reads, and
-    the fidelity ceiling sum_r |(E_r)_ab| (``pst.fidelity_ceiling``)."""
+    starts as ``eigenspaces`` gives them), the fidelity ceiling
+    sum_r |(E_r)_ab| of a[i], b[i] (``pst.fidelity_ceiling``), from one
+    product of rows a[i] and b[i]."""
     rows = np.arange(len(vectors))
-    ab, *_, agrees = _pair_rule(vectors[rows, a], vectors[rows, b], starts)
+    ab = np.add.reduceat((vectors[rows, a] * vectors[rows, b]).ravel(), starts)
     firsts = np.searchsorted(starts, rows * vectors.shape[-1])
-    return np.logical_and.reduceat(agrees, firsts), np.add.reduceat(np.abs(ab), firsts)
+    return np.add.reduceat(np.abs(ab), firsts)
 
 
 @dataclass(frozen=True)
@@ -205,8 +202,9 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
 
     Numeric decision from the spectral decomposition; for integer weights
     the exact criterion (``strongly_cospectral_exact``) is computed as well
-    and any disagreement raises,
-    since it signals a numeric failure rather than a mathematical result.
+    and any disagreement raises, since it signals a numeric failure rather
+    than a mathematical result: the package's one such check, which every
+    composite the bridge search builds goes through.
     """
     g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
     dec = decompose(g)

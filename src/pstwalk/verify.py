@@ -29,7 +29,8 @@ from .spectral import (
     SUPPORT_TOL,
     decompose,
     eigenspaces,
-    pair_readings,
+    pair_ceilings,
+    strongly_cospectral,
     strongly_cospectral_exact,
     walk_module_matrix,
 )
@@ -417,8 +418,8 @@ def _chunks(sides) -> list:
 def _stacked_composites(firsts, seconds, bridge: int):
     """The composites of the side pairs (firsts[k], seconds[k]), which share
     (n1, n2), as one stack of weight matrices in the layout of
-    ``graphs.compose``, decomposed by one ``eigh``: each pair's numeric
-    strong-cospectrality reading and fidelity ceiling."""
+    ``graphs.compose``, decomposed by one ``eigh``: each pair's fidelity
+    ceiling."""
     ends1 = np.array([a for _, a in firsts])
     ends2 = np.array([b for _, b in seconds])
     mats = compose_weights(
@@ -430,7 +431,7 @@ def _stacked_composites(firsts, seconds, bridge: int):
     )
     _, vectors, _, starts = eigenspaces(mats)
     # the second side's labels are shifted by n1
-    return pair_readings(vectors, starts, ends1, firsts[0][0].n + ends2)
+    return pair_ceilings(vectors, starts, ends1, firsts[0][0].n + ends2)
 
 
 def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
@@ -441,10 +442,8 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
         ks = range(lo, min(lo + _CHUNK, len(first) * len(second)))
         i1 = [first[k // len(second)] for k in ks]
         i2 = [second[k % len(second)] for k in ks]
-        numeric, ceilings = _stacked_composites(
-            [sides[i] for i in i1], [sides[j] for j in i2], bridge
-        )
-        for i, j, read, ceiling in zip(i1, i2, numeric, ceilings.tolist()):
+        ceilings = _stacked_composites([sides[i] for i in i1], [sides[j] for j in i2], bridge)
+        for i, j, ceiling in zip(i1, i2, ceilings.tolist()):
             (y1, a), (y2, b) = sides[i], sides[j]
             report.instances_tested += 1
             if keys[i] == keys[j]:
@@ -452,15 +451,18 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
                 cert = pst_certificate(z, ga, gb)
                 reason = cert.failure_reason
             else:
-                # a and b are not cospectral in Z: decided with no composite
+                # a and b are not cospectral in Z: decided by the keys
                 report.bucket_settled += 1
-                if read:
-                    raise RuntimeError(
-                        "exact (False) and numeric (True) strong-cospectrality decisions "
-                        f"disagree for vertices {a}, {y1.n + b}: "
-                        f"{_pair_record(y1, a, y2, b)}"
-                    )
                 z, cert, reason = None, None, "not_strongly_cospectral"
+                if ceiling >= 1.0 - SCAN_THRESHOLD:
+                    # 1 - C <= 2 d SUPPORT_TOL**2 on a numeric "strongly
+                    # cospectral", so only these pairs can read one: cross-check
+                    z, ga, gb = compose(y1, a, y2, b, bridge)
+                    if strongly_cospectral(z, ga, gb)[0]:
+                        raise RuntimeError(
+                            "side keys differ but the composite is strongly cospectral: "
+                            f"{_pair_record(y1, a, y2, b)}"
+                        )
             if reason == "not_strongly_cospectral":
                 report.max_ceiling = max(report.max_ceiling, ceiling)
             else:
@@ -517,7 +519,9 @@ def search_no_pst(
 
     Every ordered pair of marked graphs (connected, one representative per
     rooted isomorphism class up to ``max_n`` vertices, or the pairs yielded
-    by ``graph_source``, which must have integer weights) is joined over a
+    by ``graph_source``, whose sides must be connected, have integer weights
+    and, for a positive ``max_n``, at most ``max_n`` vertices, or the search
+    raises ``ValueError`` before any work) is joined over a
     bridge with ``bridge`` path vertices (2 or 3).  Each side (Y, v) gets
     one exact key, the reduced phi(Y\\v) / phi(Y); a pair whose sides
     differ in it is not even cospectral in the composite, so it fails as
@@ -527,11 +531,13 @@ def search_no_pst(
     (``exactpoly.bridge_compose``).  No list of pairs is built: the sides
     are grouped by order, the pairs of each (n1, n2) shape are read in
     chunks of at most 4096, each pair recovered from its index, and each
-    chunk's composites go through one stacked ``eigh``,
-    which gives every pair its numeric strong-cospectrality reading and
-    fidelity ceiling; a numeric "strongly cospectral" on a pair the keys
-    settled raises.  A composite the search builds, to certify or to scan
-    a pair, decomposes itself.
+    chunk's composites go through one stacked ``eigh``, which gives every
+    pair its fidelity ceiling C.  A numeric "strongly cospectral" forces
+    1 - C <= 2 d SUPPORT_TOL**2, so only a pair the keys settled with
+    C >= 1 - SCAN_THRESHOLD is composed and cross-checked by
+    ``spectral.strongly_cospectral``, which raises when the exact and
+    numeric decisions disagree.  A composite the search builds, to check,
+    certify or scan a pair, decomposes itself.
     Certified successes are re-verified by a fidelity scan.  Failures are
     optionally cross-checked.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
@@ -551,14 +557,18 @@ def search_no_pst(
         marked = list(marked_graphs(max_n))
         source = "builtin"
     else:
-        marked = [(g, v) for g, v in graph_source if g.is_connected()]
-        if max_n:
-            marked = [(g, v) for g, v in marked if g.n <= max_n]
+        marked = list(graph_source)
         for g, _ in marked:
-            if not g.integer_flag:
-                raise ValueError(
-                    f"search needs integer weights; side {_side_name(g)!r} has others"
-                )
+            for bad, problem in (
+                (not g.integer_flag, "has non-integer weights"),
+                (not g.is_connected(), "is disconnected"),
+                (0 < max_n < g.n, f"has {g.n} vertices, above max_n {max_n}"),
+            ):
+                if bad:
+                    raise ValueError(
+                        "search needs integer weights, connected sides and at most max_n "
+                        f"vertices; side {_side_name(g)!r} {problem}"
+                    )
         source = "stream"
     # a fork pool starts all its workers at once, so never ask for idle ones
     workers = min(jobs, len(_chunks(marked)), os.cpu_count() or 1)
@@ -841,10 +851,13 @@ SUITE_NAMES = (
 
 
 def run_suite(name: str, instances: int | None = None, seed: int | None = None) -> SuiteResult:
-    """Dispatch a named verification suite with its default sizing."""
+    """Dispatch a named verification suite with its default sizing, or with
+    ``instances`` (at least 1) in its place."""
+    if instances is not None and instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     kwargs = {}
     if name in ("interlacing", "neutrino", "onesum"):
-        if instances:
+        if instances is not None:
             kwargs["instances"] = instances
         if seed is not None:
             kwargs["seed"] = seed
@@ -856,8 +869,6 @@ def run_suite(name: str, instances: int | None = None, seed: int | None = None) 
         return fn(**kwargs)
     if name == "quotient":
         return suite_quotient()
-    if name == "correspondence-p2":
-        return suite_correspondence(2, max_n=instances or 4)
-    if name == "correspondence-p3":
-        return suite_correspondence(3, max_n=instances or 4)
+    if name in ("correspondence-p2", "correspondence-p3"):
+        return suite_correspondence(int(name[-1]), max_n=4 if instances is None else instances)
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -340,6 +340,14 @@ def test_verify_suite(capsys):
     assert "all passed" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-5"], ids=["instances-zero", "instances-negative"])
+def test_verify_rejects_bad_instance_counts(capsys, count):
+    assert main(["verify", "--suite", "interlacing", "--instances", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: instances must be at least 1, got {count}" in captured.err
+
+
 def test_verify_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])

@@ -23,7 +23,6 @@ from pstwalk.graphs import (
 )
 from pstwalk.pst import (
     StructureFailure,
-    _golden_max,
     evolve_fidelity,
     fidelity_ceiling,
     fidelity_scan,
@@ -80,6 +79,12 @@ def test_evolve_fidelity_matches_matrix_exponential():
         )
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_evolve_fidelity_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite time"):
+        evolve_fidelity(build_path(2), 0, 1, t)
+
+
 def test_periodicity_on_integer_spectrum():
     # complete graphs have eigenvalue gap n, so the walk is 2 pi / n periodic
     for n in (3, 4, 5):
@@ -118,12 +123,10 @@ def test_fidelity_scan_validates_input():
             fidelity_scan(build_path(2), 0, 1, t_max, 10)
 
 
-def scan_oracle(thetas, weights, t_max, steps):
-    """The fidelity scan computed point by point: the whole grid as
-    exp(1j * outer(ts, thetas)) @ weights in chunks of 200 000 points, then
-    the same golden-section refinement over a numpy amplitude.  Returns the
-    scan's (t_best, fidelity_best) and the best grid value."""
-    ts = np.linspace(0.0, t_max, steps + 1)
+def pointwise_peak(thetas, weights, lo, dt, steps):
+    """The best (t, |amplitude|) over t = lo + k dt, k = 0 .. steps, as
+    exp(1j * outer(ts, thetas)) @ weights in chunks of 200 000 points."""
+    ts = lo + np.arange(steps + 1) * dt
     best_t, best_f = 0.0, -1.0
     for k in range(0, len(ts), 200_000):
         block = ts[k : k + 200_000]
@@ -131,15 +134,23 @@ def scan_oracle(thetas, weights, t_max, steps):
         i = int(np.argmax(vals))
         if vals[i] > best_f:
             best_t, best_f = float(block[i]), float(vals[i])
+    return best_t, best_f
+
+
+def scan_oracle(thetas, weights, t_max, steps):
+    """The fidelity scan computed point by point: the whole grid, then the
+    same zoom of finer grids, each over point-by-point amplitudes.  Returns
+    the scan's (t_best, fidelity_best) and the best grid value."""
     dt = t_max / steps
-    t_ref, f_ref = _golden_max(
-        lambda t: float(abs(np.sum(np.exp(1j * t * thetas) * weights))),
-        max(0.0, best_t - dt),
-        min(t_max, best_t + dt),
-    )
-    if f_ref > best_f:
-        return t_ref, f_ref, best_f
-    return best_t, best_f, best_f
+    best_t, best_f = pointwise_peak(thetas, weights, 0.0, dt, steps)
+    grid_best = best_f
+    for _ in range(pst._REFINE_GRIDS):
+        lo = max(0.0, best_t - dt)
+        dt = (min(t_max, best_t + dt) - lo) / pst._REFINE_STEPS
+        t, f = pointwise_peak(thetas, weights, lo, dt, pst._REFINE_STEPS)
+        if f > best_f:
+            best_t, best_f = t, f
+    return min(best_t, t_max), best_f, grid_best
 
 
 def scan_test_graph(rng, nprng, i):
@@ -216,23 +227,27 @@ def test_fidelity_scan_takes_about_two_sqrt_steps_exponentials(monkeypatch):
     assert 0 < sum(counted) <= 4 * (math.sqrt(6001) + 1) * d
 
 
-def test_fidelity_scan_refines_in_at_most_43_amplitudes(monkeypatch):
-    # golden section: two first points, one per iteration, one at the end
-    counted = []
-    amplitude = pst._amplitude
+def test_fidelity_scan_refines_in_a_fixed_number_of_grids(monkeypatch):
+    # one grid for the scan and one per refinement, each of the refinement's
+    # size; evolve_fidelity is a one-point grid
+    calls = []
+    peak = pst._peak
 
-    def counting_amplitude(*args):
-        counted.append(1)
-        return amplitude(*args)
+    def counting_peak(thetas, weights, lo, dt, steps):
+        calls.append(steps)
+        return peak(thetas, weights, lo, dt, steps)
 
-    monkeypatch.setattr(pst, "_amplitude", counting_amplitude)
+    monkeypatch.setattr(pst, "_peak", counting_peak)
     z, ga, gb = bridge_composite()
     fidelity_scan(z, ga, gb, 30.0, 6000)
-    assert 0 < len(counted) <= 43
-    counted.clear()
+    assert calls == [6000] + [pst._REFINE_STEPS] * pst._REFINE_GRIDS
+    calls.clear()
     t, f = fidelity_scan(build_path(2), 0, 1, 4.0, 3)  # grid 0, 4/3, 8/3, 4
-    assert len(counted) <= 43
+    assert calls == [3] + [pst._REFINE_STEPS] * pst._REFINE_GRIDS
     assert t == pytest.approx(math.pi / 2, abs=1e-7) and f == pytest.approx(1.0, abs=1e-15)
+    calls.clear()
+    assert evolve_fidelity(z, ga, gb, 1.0) == pytest.approx(fidelity_oracle(z, ga, gb, 1.0))
+    assert calls == [0]
 
 
 def test_fidelity_scan_memory_stays_bounded():

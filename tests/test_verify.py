@@ -268,15 +268,14 @@ def test_search_without_scans_still_reports_the_ceiling():
 
 
 def _fix_ceilings(monkeypatch, value):
-    """Make the stacked reading, which the search takes every pair's ceiling
+    """Make the stacked reader, which the search takes every pair's ceiling
     from, report ``value`` as each ceiling."""
-    original = verify.pair_readings
+    original = verify.pair_ceilings
 
     def fixed(*args):
-        numeric, ceilings = original(*args)
-        return numeric, np.full_like(ceilings, value)
+        return np.full_like(original(*args), value)
 
-    monkeypatch.setattr(verify, "pair_readings", fixed)
+    monkeypatch.setattr(verify, "pair_ceilings", fixed)
 
 
 def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
@@ -312,12 +311,13 @@ def _count_eigh_matrices(monkeypatch):
 def test_search_decomposes_once_per_pair(monkeypatch):
     matrices = _count_eigh_matrices(monkeypatch)
     report = search_no_pst(2, 3)
-    # 25 stacked readings, and the 5 same-bucket composites that the
+    # 25 stacked ceilings, and the 5 same-bucket composites that the
     # certificate decomposes on their own
     assert (report.instances_tested, report.bucket_settled) == (25, 20)
     assert sum(matrices) == 25 + 5
-    # with every failure scanned, the 20 composites built for the scans
-    # decompose themselves too
+    # with every ceiling at 1, the 20 cross-bucket composites built for the
+    # strong-cospectrality cross-check decompose themselves, and their scans
+    # reuse them
     matrices.clear()
     _fix_ceilings(monkeypatch, 1.0)
     report = search_no_pst(2, 3)
@@ -453,23 +453,56 @@ def test_stacked_readings_match_the_single_graph_readers(bridge):
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
     for shape in shapes.values():
         firsts, seconds = zip(*shape)
-        numeric, ceilings = verify._stacked_composites(firsts, seconds, bridge)
+        ceilings = verify._stacked_composites(firsts, seconds, bridge)
         for i, ((y1, a), (y2, b)) in enumerate(shape):
             z, ga, gb = compose(y1, a, y2, b, bridge)
-            assert numeric[i] == strongly_cospectral(z, ga, gb)[0]
             assert abs(ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_only_a_ceiling_near_one_can_read_strongly_cospectral(bridge):
+    # A numeric "strongly cospectral" leaves every eigenspace either outside
+    # both supports (norms at most SUPPORT_TOL) or parallel (gap at most
+    # SUPPORT_TOL), so 1 - C = 1/2 sum_r ||E_r e_a - s_r E_r e_b||**2 is at
+    # most 2 d SUPPORT_TOL**2: the search may skip the reading below the
+    # scan threshold.
+    bound = 2 * spectral.SUPPORT_TOL**2
+    read = 0
+    for (y1, a), (y2, b) in _oracle_pairs():
+        z, ga, gb = compose(y1, a, y2, b, bridge)
+        if strongly_cospectral(z, ga, gb)[0]:
+            read += 1
+            d = len(spectral.decompose(z).distinct_eigenvalues)
+            assert 1 - fidelity_ceiling(z, ga, gb) <= d * bound + 1e-14
+    assert read >= 26  # 16 self-pairs and 10 relabelled copies
+    # sides of up to _MAX_ORDER vertices each, and the bridge's middle vertex
+    largest = 2 * xp._MAX_ORDER + 1
+    assert largest * bound < SCAN_THRESHOLD
 
 
 def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
     # K1 and an end of P2 across the one-edge bridge make P3 with an end and
     # its middle: every norm ||E_r e_v|| is at most 1/sqrt(2), so a support
-    # tolerance of 0.8 leaves both supports empty and reads True
+    # tolerance of 0.8 leaves both supports empty and reads True.  Its
+    # ceiling is 1/sqrt(2), so it is forced to 1 for the search to read the
+    # composite.
     monkeypatch.setattr(spectral, "SUPPORT_TOL", 0.8)
+    _fix_ceilings(monkeypatch, 1.0)
     k1, p2 = Graph.from_edges(1), build_path(2)
     assert xp.walk_gf(k1, 0) != xp.walk_gf(p2, 0)
     disagree = r"numeric \(True\) strong-cospectrality decisions disagree"
     with pytest.raises(RuntimeError, match=disagree):
         # the second of the four one-pair chunks is (K1, P2)
+        verify._search_part([(k1, 0), (p2, 0)], 1, 4, 2, True, 30.0, 6000)
+
+
+def test_search_raises_when_the_composite_contradicts_the_side_keys(monkeypatch):
+    # a cross-bucket pair that the composite's decision calls strongly
+    # cospectral means the keys are wrong
+    _fix_ceilings(monkeypatch, 1.0)
+    monkeypatch.setattr(verify, "strongly_cospectral", lambda z, a, b: (True, None))
+    k1, p2 = Graph.from_edges(1), build_path(2)
+    with pytest.raises(RuntimeError, match="side keys differ"):
         verify._search_part([(k1, 0), (p2, 0)], 1, 4, 2, True, 30.0, 6000)
 
 
@@ -482,6 +515,23 @@ def test_search_rejects_non_integer_sides_before_composing(monkeypatch):
     half = Graph.from_edges(2, [(0, 1, 0.5)])
     with pytest.raises(ValueError, match=r"integer weights.*0 1 0\.5"):
         search_no_pst(2, 0, graph_source=[(build_path(3), 0), (half, 0)])
+
+
+@pytest.mark.parametrize(
+    "side, max_n, problem",
+    [
+        (Graph.from_edges(2), 0, r"'A\?' is disconnected"),
+        (build_path(4), 3, r"'Ch' has 4 vertices, above max_n 3"),
+    ],
+    ids=["disconnected", "above-max-n"],
+)
+def test_search_rejects_stream_sides_it_cannot_search(monkeypatch, side, max_n, problem):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair was composed")
+
+    monkeypatch.setattr(verify, "compose_weights", refuse)
+    with pytest.raises(ValueError, match=problem):
+        search_no_pst(2, max_n, graph_source=[(build_path(2), 0), (side, 0)])
 
 
 def test_search_accepts_sides_graph6_cannot_encode():
@@ -581,6 +631,13 @@ def test_run_suite_dispatch():
     assert run_suite("interlacing", instances=10).passed
     with pytest.raises(ValueError):
         run_suite("unknown-suite")
+
+
+@pytest.mark.parametrize("name", ["onesum", "correspondence-p2"])
+@pytest.mark.parametrize("instances", [0, -5])
+def test_run_suite_rejects_instance_counts_below_one(name, instances):
+    with pytest.raises(ValueError, match=f"instances must be at least 1, got {instances}"):
+        run_suite(name, instances=instances)
 
 
 def test_suite_result_json():
