@@ -5,14 +5,18 @@ tI - A for the weighted adjacency matrix A.  The empty graph has
 characteristic polynomial 1; several identities below lean on that
 convention.
 
-The exact decisions read four polynomials of a vertex pair: phi(G) and
-the entries of adj(tI - A) at aa, bb and ab, which are phi(G\\a),
-phi(G\\b) and the path sum P_ab.  ``charpoly`` gives phi(G); the three
-entries come from walk counts against it in one lift, with no further
-charpoly.  A bridge composite needs none of them: the sigma classes of
-its ends depend only on the sides' common reduced key N / D =
-phi(Y\\v) / phi(Y) (``bridge_classes``), and ``bridge_compose`` seeds
-them, with the derivation.
+The exact decisions read the sigma classes of a vertex pair, the minimal
+polynomials of e_a + e_b and e_a - e_b relative to A: found modulo fixed
+primes from their Krylov vectors, lifted by CRT and accepted only when
+they annihilate their vector exactly (``sigma_classes``), with no
+characteristic polynomial.  A bridge composite needs not even those
+vectors: the classes of its ends depend only on the sides' common reduced
+key N / D = phi(Y\\v) / phi(Y) (``bridge_classes``), and
+``bridge_compose`` seeds them, with the derivation.  ``charpoly`` gives
+phi(G), and the entries of adj(tI - A) at aa, bb and ab, which are
+phi(G\\a), phi(G\\b) and the path sum P_ab, come from walk counts
+against it in one lift; they serve the keys, the projector entries and
+the identity checks.
 """
 
 from __future__ import annotations
@@ -408,35 +412,53 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
+def _check_modular_order(n: int) -> None:
+    if n > _MAX_ORDER:
+        raise OverflowError(f"modular arithmetic supports up to {_MAX_ORDER} vertices, got {n}")
+
+
+class _Garner:
+    """Integers known by their residues modulo a growing product of
+    distinct primes, combined one prime at a time by Garner's CRT."""
+
+    __slots__ = ("values", "modulus")
+
+    def __init__(self, size: int):
+        self.values = [0] * size
+        self.modulus = 1
+
+    def add(self, p: int, residues) -> int:
+        """Lift every value from modulo ``modulus`` to modulo modulus * p,
+        given its residue modulo p; returns the new modulus."""
+        m, inv = self.modulus, pow(self.modulus % p, -1, p)
+        values = self.values
+        for j, r in enumerate(residues):
+            values[j] += m * ((r - values[j]) * inv % p)
+        self.modulus = m * p
+        return self.modulus
+
+    def balanced(self) -> list[int]:
+        """The values as residues in (-modulus / 2, modulus / 2]."""
+        m, half = self.modulus, self.modulus // 2
+        return [v - m if v > half else v for v in self.values]
+
+
 def _lift(rows: list[list[int]], residues) -> list[int]:
     """Integers bounded in absolute value by the coefficient bound of the
     integer matrix ``rows``, from ``residues(a, p)``, their residues modulo
     p (A an object array of Python integers): as many fixed primes as
     cover twice the bound, combined by Garner's CRT into symmetric
     residues."""
-    n = len(rows)
-    if n > _MAX_ORDER:
-        raise OverflowError(f"charpoly supports up to {_MAX_ORDER} vertices, got {n}")
+    _check_modular_order(len(rows))
     need = 2 * _coefficient_bound(rows)
     a = np.array(rows, dtype=object)
-    primes = _primes()
-    values: list[int] = []
-    modulus = 1
-    k = 0
-    while modulus <= need:
-        if k == len(primes):
-            raise OverflowError("weights too large for the fixed prime list")
-        p = primes[k]
-        k += 1
+    crt = None
+    for p in _primes():
         rs = residues(a, p).tolist()
-        values = values or [0] * len(rs)
-        # Garner step: lift x (mod modulus) to x (mod modulus * p)
-        inv = pow(modulus % p, -1, p)
-        for j, r in enumerate(rs):
-            values[j] += modulus * ((r - values[j]) * inv % p)
-        modulus *= p
-    half = modulus // 2
-    return [v - modulus if v > half else v for v in values]
+        crt = crt or _Garner(len(rs))
+        if crt.add(p, rs) > need:
+            return crt.balanced()
+    raise OverflowError("weights too large for the fixed prime list")
 
 
 def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
@@ -659,39 +681,181 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
+# ---------------------------------------------------------------------------
+# sigma classes from walk modules
+
+class _Krylov:
+    """The vectors x, Ax, A**2 x, ... of an integer matrix A and a vector
+    x with entries in {-1, 0, 1}, exact, made as they are asked for: in
+    int64 while ||A||_inf**k < 2**63, which bounds every partial sum of
+    A**k x, and in Python integers beyond."""
+
+    __slots__ = ("n", "norm", "_rows", "_cols", "_weights", "vectors")
+
+    def __init__(self, g: Graph, x: np.ndarray):
+        w = g.weights
+        self.n = g.n
+        self._rows, self._cols = np.nonzero(w)
+        entries = w[self._rows, self._cols]
+        if self.n * np.abs(w).max() < 2.0**62:
+            # every row sum of |A| fits too
+            self._weights = entries.astype(np.int64)
+        else:
+            self._weights = np.array([int(e) for e in entries.tolist()], dtype=object)
+        sums = np.zeros(self.n, dtype=self._weights.dtype)
+        np.add.at(sums, self._rows, np.abs(self._weights))
+        self.norm = int(sums.max())
+        self.vectors = [x]
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        while len(self.vectors) <= k:
+            x = self.vectors[-1]
+            if x.dtype != object and self.norm ** len(self.vectors) >= 2**63:
+                x, self._weights = x.astype(object), self._weights.astype(object)
+            products = self._weights * x[self._cols]
+            y = np.zeros(self.n, dtype=products.dtype)
+            np.add.at(y, self._rows, products)
+            self.vectors.append(y)
+        return self.vectors[k]
+
+    def dependency(self, p: int) -> list[int]:
+        """c_0, ..., c_{s-1} modulo p for the first s with A**s x in the
+        span of the earlier vectors modulo p, where A**s x + sum_i c_i
+        A**i x = 0 modulo p.  s is the rank of the vectors modulo p, at
+        most their rank over the rationals.
+
+        Incremental elimination on the rows [A**k x | e_k]: the rows kept
+        are reduced at their pivot columns, so a new row is reduced by one
+        product, and when its left part vanishes its right part holds
+        the dependency."""
+        n = self.n
+        rows = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
+        pivots: list[int] = []
+        for k in range(n + 1):
+            row = rows[k]
+            row[:n] = self[k] % p
+            row[n + k] = 1
+            if k:
+                row -= row[pivots] @ rows[:k]
+                row %= p
+            nonzero = np.flatnonzero(row[:n])
+            if not nonzero.size:
+                return row[n : n + k].tolist()
+            j = int(nonzero[0])
+            row *= pow(int(row[j]), -1, p)
+            row %= p
+            if k:
+                rows[:k] -= np.outer(rows[:k, j], row)
+                rows[:k] %= p
+            pivots.append(j)
+        raise AssertionError("n + 1 vectors of length n are dependent")
+
+    def annihilated_by(self, m: IntPoly) -> bool:
+        """Whether m(A) x = 0, exactly."""
+        vectors = np.array([self[k] for k in range(m.degree + 1)], dtype=object)
+        return not (np.array(m.coeffs, dtype=object) @ vectors).any()
+
+    def hadamard(self, r: int) -> int:
+        """A bound on every minor of order r of [x, Ax, ..., A**(r-1) x]:
+        the product of the vectors' 2-norms, rounded up."""
+        return math.prod(
+            math.isqrt(int(v @ v)) + 1 for v in (self[k].astype(object) for k in range(r))
+        )
+
+
+def _minimal_polynomial(walks: _Krylov) -> IntPoly:
+    """The minimal polynomial m of x relative to A, the monic generator of
+    the polynomials that annihilate x, of degree s.
+
+    Modulo each fixed prime, ``_Krylov.dependency`` gives a candidate of
+    degree s_p <= s, and the coefficients are lifted by Garner's CRT over
+    the primes of the largest s_p seen, until the modulus exceeds
+    2 (1 + ||A||_inf)**s_p: every root theta of m has |theta| <= ||A||_inf,
+    so that bounds each coefficient of a monic factor of degree s_p.  The
+    candidate is accepted only when m(A) x = 0 exactly; as the first s_p
+    vectors are independent modulo a prime, they are independent, so m is
+    then minimal.  A refused candidate shows s > s_p, and only primes of
+    larger rank are read after it.  A prime of smaller rank divides a
+    nonzero minor of the vectors, so the primes skipped cannot multiply to
+    more than its Hadamard bound; past it, or past degree n, the lift is
+    wrong and ArithmeticError is raised."""
+    _check_modular_order(walks.n)
+    floor, degree, crt, skipped = 0, 0, None, 1
+    for p in _primes():
+        coeffs = walks.dependency(p)
+        s = len(coeffs)
+        if s <= floor or s < degree:
+            skipped *= p
+            if skipped > walks.hadamard(max(floor + 1, degree)):
+                break
+            continue
+        if s > degree:
+            degree, crt = s, _Garner(s)
+        if crt.add(p, coeffs) > 2 * (1 + walks.norm) ** s:
+            m = IntPoly(crt.balanced() + [1])
+            if walks.annihilated_by(m):
+                return m
+            floor, degree = s, 0
+            if floor >= walks.n:
+                break
+    else:
+        raise OverflowError("weights too large for the fixed prime list")
+    raise ArithmeticError("minimal polynomial failed its exact annihilation check")
+
+
+def _coordinates(walks: _Krylov, m: IntPoly, a: int, count: int) -> list[int]:
+    """(A**k x)_a for k < count, extended past deg m by the recurrence
+    that m(A) x = 0 gives."""
+    s = m.degree
+    seq = [int(walks[k][a]) for k in range(min(count, s + 1))]
+    lower = m.coeffs[:-1]
+    while len(seq) < count:
+        seq.append(-sum(c * y for c, y in zip(lower, seq[-s:])))
+    return seq
+
+
 def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     """The reduced denominators m+, m- of (phi(G\\a) +- P_ab) / phi(G), or
     None when a and b are not cospectral.  Requires integer weights.
 
-    phi(G\\a), phi(G\\b) and P_ab are the entries of adj(tI - A) at aa,
-    bb and ab, read from walk counts against phi(G) in one lift
-    (``_adjugate_entries``), so a pair costs phi(G) and no other charpoly
-    (a ``bridge_compose`` composite holds its classes already).  Every
-    pair read this way is checked against Jacobi's identity: phi(G) must
-    divide phi(G\\a) phi(G\\b) - P_ab**2 exactly (the quotient is
-    phi(G\\ab)), or ExactDivisionError is raised.  P_ab is taken with a
-    positive leading coefficient; the other sign would swap m+ and m-.
-    The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) and
-    |(E_r)_ab| <= (E_r)_aa = (E_r)_bb, with equality exactly when
-    E_r e_a = +-E_r e_b.  So m+ and m- are coprime exactly when a and b are
-    strongly cospectral (Godsil and Smith, "Strongly cospectral vertices"),
-    and then they are the sigma = +1 and sigma = -1 eigenvalue classes,
-    each the monic product of its t - theta."""
+    The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) (the
+    neutrino identities), and for a cospectral pair (E_r)_aa +- (E_r)_ab
+    is half of ||E_r (e_a +- e_b)||**2.  So m+ and m- are the minimal
+    polynomials of u = e_a + e_b and v = e_a - e_b relative to A, read
+    from their walk modules (``_minimal_polynomial``), with no phi(G) and
+    no adjugate entry (a ``bridge_compose`` composite holds its classes
+    already).  a and b are cospectral exactly when (A**k)_aa = (A**k)_bb,
+    that is (A**k u)_a = (A**k u)_b, for every k; the differences are
+    v^T A**k u, which the minimal polynomial of u annihilates, so k below
+    its degree suffices.  P_ab is taken with a positive leading
+    coefficient, the first nonzero walk count (A**k)_ab = ((A**k u)_a -
+    (A**k v)_a) / 2, which is found for k < deg m_u + deg m_v when it
+    exists; a negative one swaps the classes.  |(E_r)_ab| <= (E_r)_aa =
+    (E_r)_bb, with equality exactly when E_r e_a = +-E_r e_b.  So m+ and
+    m- are coprime exactly when a and b are strongly cospectral (Godsil
+    and Smith, "Strongly cospectral vertices"), and then they are the
+    sigma = +1 and sigma = -1 eigenvalue classes, each the monic product
+    of its t - theta."""
     g._check_pair(a, b, "sigma classes need two distinct vertices")
     key = ("sigma", frozenset((a, b)))
     if key in g._poly_cache:
         return g._poly_cache[key]
-    phi = charpoly(g)
-    if ("pathsum", a, b) not in g._poly_cache:
-        _adjugate_entries(g, phi, a, b)
-    path = g._poly_cache[("pathsum", a, b)]
-    phi_a, phi_b = charpoly_deleted(g, [a]), charpoly_deleted(g, [b])
-    poly_divexact(phi_a * phi_b - path * path, phi)
+    if not g.integer_flag:
+        raise ValueError("graph has non-integer weights")
+    x = np.zeros(g.n, dtype=np.int64)
+    x[a] = x[b] = 1
+    plus = _Krylov(g, x)
+    m_plus = _minimal_polynomial(plus)
     classes = None
-    if phi_a == phi_b:
-        if not path.is_zero and path.leading < 0:
-            path = -path
-        classes = tuple(RationalFunction(phi_a + s * path, phi).den for s in (1, -1))
+    if all(plus[k][a] == plus[k][b] for k in range(m_plus.degree)):
+        x = x.copy()
+        x[b] = -1
+        minus = _Krylov(g, x)
+        m_minus = _minimal_polynomial(minus)
+        count = m_plus.degree + m_minus.degree
+        walks = zip(_coordinates(plus, m_plus, a, count), _coordinates(minus, m_minus, a, count))
+        leading = next((y - z for y, z in walks if y != z), 0)
+        classes = (m_plus, m_minus) if leading >= 0 else (m_minus, m_plus)
     g._poly_cache[key] = classes
     return classes
 

@@ -114,8 +114,9 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     for every eigenspace.
 
     Exact for integer weights, by ``exactpoly.sigma_classes``, which
-    compares phi(G\\a) with phi(G\\b) after its Jacobi check; otherwise the
-    norms ||E_r e_a|| and ||E_r e_b||, read from rows a and b of the
+    compares the walk counts (A**k)_aa and (A**k)_bb for k below the
+    degree of the minimal polynomial of e_a + e_b; otherwise the norms
+    ||E_r e_a|| and ||E_r e_b||, read from rows a and b of the
     eigenvectors of ``decompose``, must agree by ``_pair_rule``.
     """
     g._check_vertex(a, b)
@@ -227,7 +228,8 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
 
 def strongly_cospectral_exact(g: Graph, a: int, b: int) -> bool:
     """Exact strong-cospectrality decision for integer weights: a and b are
-    cospectral and their sigma classes m+ and m- share no eigenvalue
+    cospectral and their sigma classes m+ and m-, the minimal polynomials
+    of e_a + e_b and e_a - e_b, share no eigenvalue
     (``exactpoly.sigma_classes``)."""
     g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
     if not g.integer_flag:

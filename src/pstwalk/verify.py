@@ -248,7 +248,7 @@ def verify_double_star_quotient_relations(k: int, n: int) -> bool:
 # so its reduced denominator is the support polynomial of v: the product of
 # t - theta over the eigenvalues whose eigenspace sees v.  The sides' classes
 # are such supports (exactpoly.bridge_classes); the composition's come from
-# its own polynomials (exactpoly.sigma_classes).
+# its own walk modules (exactpoly.sigma_classes).
 
 
 def _nonsupport_poly(phi: xp.IntPoly, supp: xp.IntPoly) -> xp.IntPoly:
@@ -262,8 +262,9 @@ def _composite_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     each as the monic product of its t - theta.
 
     The composite is built by ``graphs.compose`` and its classes come from
-    its own ``charpoly``, not from ``exactpoly.bridge_compose``: these suites
-    stay an independent check of the bridge classes the search uses."""
+    its own walk modules (``exactpoly.sigma_classes``), not from
+    ``exactpoly.bridge_compose``: these suites stay an independent check of
+    the bridge classes the search uses."""
     p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
     p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
     if not xp.walk_equivalent(p1d, p1, p2d, p2):
@@ -852,9 +853,19 @@ SUITE_NAMES = (
 
 def run_suite(name: str, instances: int | None = None, seed: int | None = None) -> SuiteResult:
     """Dispatch a named verification suite with its default sizing, or with
-    ``instances`` (at least 1) in its place."""
+    ``instances`` (at least 1) in its place.  An option the suite does not
+    read is refused: ``instances`` and ``seed`` for ``quotient``, ``seed``
+    for the correspondence suites."""
     if instances is not None and instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    unread = {
+        "quotient": ("instances", "seed"),
+        "correspondence-p2": ("seed",),
+        "correspondence-p3": ("seed",),
+    }.get(name, ())
+    for option, value in (("instances", instances), ("seed", seed)):
+        if option in unread and value is not None:
+            raise ValueError(f"suite {name} takes no {option}")
     kwargs = {}
     if name in ("interlacing", "neutrino", "onesum"):
         if instances is not None:

@@ -348,6 +348,24 @@ def test_verify_rejects_bad_instance_counts(capsys, count):
     assert f"input error: instances must be at least 1, got {count}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, option",
+    [
+        (["--suite", "quotient", "--instances", "3"], "instances"),
+        (["--suite", "quotient", "--seed", "9"], "seed"),
+        (["--suite", "quotient", "--instances", "3", "--seed", "9"], "instances"),
+        (["--suite", "correspondence-p2", "--seed", "5"], "seed"),
+        (["--suite", "correspondence-p3", "--instances", "3", "--seed", "5"], "seed"),
+    ],
+    ids=["quotient-instances", "quotient-seed", "quotient-both", "p2-seed", "p3-seed"],
+)
+def test_verify_rejects_options_the_suite_does_not_read(capsys, flags, option):
+    assert main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: suite {flags[1]} takes no {option}" in captured.err
+
+
 def test_verify_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
@@ -400,24 +418,21 @@ def test_order_beyond_the_exact_layer_is_an_input_error(capsys, graph_file, monk
 
 
 def test_failed_exact_identity_is_a_verification_failure(capsys, graph_file, monkeypatch):
-    # phi(G) is the divisor of one exact division only: the Jacobi check
-    # phi(G) | phi(G\a) phi(G\b) - P_ab**2 in sigma_classes
-    phi = xp.charpoly(graphs.build_path(3))
-    real = xp.poly_divexact
+    # a sigma class is accepted only when m(A) x = 0 holds exactly for its
+    # minimal polynomial m; refused, no class is returned
     refused = []
 
-    def refuse(p, q):
-        if q == phi:
-            refused.append(p)
-            raise xp.ExactDivisionError("Jacobi identity refused")
-        return real(p, q)
+    def refuse(walks, m):
+        refused.append(m)
+        return False
 
-    monkeypatch.setattr(xp, "poly_divexact", refuse)
+    monkeypatch.setattr(xp._Krylov, "annihilated_by", refuse)
     assert main(["pst", graph_file(P3_EDGELIST), "0", "2"]) == 1
     err = capsys.readouterr().err
-    assert "verification failure" in err and "Jacobi identity refused" in err
-    # P3 minus both ends is K1, so the dividend is phi(G) t
-    assert refused == [phi * xp.T]
+    assert "verification failure" in err and "annihilation check" in err
+    # e_0 + e_2 in P3 has minimal polynomial t**2 - 2, and no prime shows
+    # a larger rank once it is refused
+    assert refused == [xp.T * xp.T - 2]
 
 
 def test_compose_rejects_bridges_without_identities(capsys, graph_file):

@@ -326,8 +326,9 @@ def test_certificate_and_bucket_key_route_through_poly_gcd(monkeypatch):
     calls = _count_gcds(monkeypatch)
     cert = pst_certificate(build_path(5), 0, 4)  # strongly cospectral ends
     assert cert.failure_reason != "not_strongly_cospectral"
-    # (phi(G\a) +- P_ab) / phi(G) reduced, then gcd(m+, m-)
-    assert len(calls) == 3
+    # m+ and m- are minimal polynomials, with no fraction to reduce: the
+    # one gcd is gcd(m+, m-) of the decision
+    assert len(calls) == 1
     calls.clear()
     walk_gf(build_star(3), 0)
     assert len(calls) == 1
@@ -840,7 +841,7 @@ def sigma_classes_oracle(g, a, b):
 def test_sigma_classes_unchanged_on_every_small_bridge_pair():
     # every n <= 5 pair on both bridges, on the composite the search seeds
     # (classes from the side key); the cospectral ones also on a cold copy,
-    # which runs the walk counts and the Jacobi check, and by the earlier
+    # which reads the walk modules of e_a +- e_b, and by the earlier
     # square-root route
     marked = list(marked_graphs(5))
     cospectral = 0
@@ -875,6 +876,85 @@ def test_sigma_classes_unchanged_on_negated_bridges():
         classes = sigma_classes(g, a, b)
         assert classes is not None and classes == sigma_classes_oracle(g, a, b)
     assert 0 < negative < 60
+
+
+def test_sigma_classes_match_the_oracle_on_weighted_looped_graphs():
+    # seeded graphs with weights in {-2, -1, 1, 2, 3} and loops, pairs in
+    # different components among them (P_ab = 0), and mirror composites
+    # across both bridges, which are always cospectral
+    rng = random.Random(23)
+    cospectral = disconnected = 0
+    for i in range(300):
+        if i % 2:
+            y = random_connected_graph(rng, rng.randint(1, 4), weighted=True, loops=True)
+            v = rng.randrange(y.n)
+            perm = list(range(y.n))
+            rng.shuffle(perm)
+            g, a, b = compose(y, v, y.relabeled(perm), perm[v], 2 + i % 4 // 2)
+        else:
+            n = rng.randint(2, 7)
+            g = random_int_graph(rng, n, weighted=True, loops=rng.random() < 0.6)
+            a, b = rng.sample(range(n), 2)
+        classes = sigma_classes(g, a, b)
+        assert classes == sigma_classes_oracle(g, a, b)
+        cospectral += classes is not None
+        disconnected += classes is not None and path_sum_poly(Graph(g.weights), a, b).is_zero
+    assert 150 < cospectral < 300 and disconnected > 0
+
+
+def test_sigma_classes_orientation_reads_the_first_walk_count():
+    # path 0-1-2 with weights 2 and -2, read at (2, 0): the first nonzero
+    # walk count is (A**2)_20 = -4, so P_ab leads negatively and m+ is the
+    # class of e_a - e_b.  That count lies past the shorter module: e_a + e_b
+    # has minimal polynomial t, e_a - e_b has t**2 - 8
+    g = Graph.from_edges(3, [(0, 1, 2.0), (1, 2, -2.0)])
+    assert path_sum_poly(Graph(g.weights), 2, 0) == IntPoly((-4,))
+    assert sigma_classes(g, 2, 0) == (T * T - 8, T)
+    assert sigma_classes(g, 2, 0) == sigma_classes_oracle(g, 2, 0)
+
+
+def test_sigma_classes_survive_an_unlucky_prime():
+    # P3 with both weights p0, the first fixed prime: A (e_0 + e_2) =
+    # 2 p0 e_1 vanishes modulo p0, so p0 shows rank 1, while the minimal
+    # polynomial is t**2 - 2 p0**2
+    p0 = xp._primes()[0]
+    g = Graph.from_edges(3, [(0, 1, float(p0)), (1, 2, float(p0))])
+    x = np.array([1, 0, 1], dtype=np.int64)
+    assert xp._Krylov(g, x).dependency(p0) == [0]
+    assert sigma_classes(g, 0, 2) == (T * T - 2 * p0 * p0, T)
+    assert sigma_classes(g, 0, 2) == sigma_classes_oracle(g, 0, 2)
+
+
+def test_sigma_classes_with_weights_beyond_int64():
+    # an edge of weight 2**70 between mirror halves, and a path whose walk
+    # vectors leave int64 at the fourth step, ||A||_inf**4 being past 2**63
+    big = 2.0**70
+    mirror = Graph.from_edges(
+        4, [(0, 1, 3.0), (1, 2, big), (2, 3, 3.0)], loops=[(0, -1.0), (3, -1.0)]
+    )
+    w = 2.0**20 + 1
+    path = Graph.from_edges(5, [(0, 1, w), (1, 2, -5.0), (2, 3, -5.0), (3, 4, w)])
+    walks = xp._Krylov(path, np.array([1, 0, 1, 0, 0], dtype=np.int64))
+    assert walks[3].dtype == np.int64 and walks[4].dtype == object
+    for g, a, b in ((mirror, 0, 3), (mirror, 1, 2), (path, 0, 4), (path, 1, 3), (path, 0, 2)):
+        assert sigma_classes(g, a, b) == sigma_classes_oracle(g, a, b)
+    assert sigma_classes(mirror, 1, 2) is not None
+    p3 = Graph.from_edges(3, [(0, 1, big), (1, 2, big)])
+    assert sigma_classes(p3, 0, 2) == (T * T - 2**141, T)
+
+
+def test_sigma_classes_refuse_orders_that_would_overflow_int64(monkeypatch):
+    monkeypatch.setattr(xp, "_MAX_ORDER", 2)
+    with pytest.raises(OverflowError):
+        sigma_classes(build_path(3), 0, 2)
+
+
+def test_refused_annihilation_check_raises_and_returns_no_class(monkeypatch):
+    monkeypatch.setattr(xp._Krylov, "annihilated_by", lambda walks, m: False)
+    for g, a, b in ((build_path(3), 0, 2), (build_cycle(6), 0, 3), (build_path(4), 0, 1)):
+        with pytest.raises(ArithmeticError, match="annihilation check"):
+            sigma_classes(g, a, b)
+        assert ("sigma", frozenset((a, b))) not in g._poly_cache
 
 
 def test_walk_gf_reduction():

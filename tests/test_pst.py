@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pstwalk import exactpoly as xp
 from pstwalk import pst
 from pstwalk.exactpoly import IntPoly
 from pstwalk.graphs import (
@@ -428,6 +429,44 @@ def test_double_star_failure_reasons():
         assert pst_certificate(g, a, b).failure_reason == expected, k
         g, a, b = build_extended_double_star(k, k)
         assert pst_certificate(g, a, b).failure_reason == "delta_not_consistent", k
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(u, u ^ (1 << i)) for u in range(n) for i in range(d) if u >> i & 1])
+
+
+def test_hypercube_q10_antipodes_transfer_at_half_pi():
+    # 1024 vertices, and walk modules of e_a +- e_b of degree 6 and 5
+    cert = pst_certificate(hypercube(10), 0, 1023)
+    assert cert.success
+    assert cert.pst_time == pytest.approx(math.pi / 2, rel=1e-12)
+    assert cert.delta == 1 and cert.g == 4
+
+
+def test_double_star_500_centres_share_no_alpha():
+    g, a, b = build_double_star(500, 500)
+    assert pst_certificate(g, a, b).failure_reason == "no_common_alpha"
+
+
+def test_certificate_families_run_no_charpoly(monkeypatch):
+    # a small member of each family of the certify-large benchmark, cold
+    calls = []
+    real = xp._charpoly_of_rows
+    monkeypatch.setattr(xp, "_charpoly_of_rows", lambda rows: calls.append(1) or real(rows))
+    members = [
+        (build_path(2), 0, 1),
+        (build_path(3), 0, 2),
+        (hypercube(4), 0, 15),
+        (build_path(8), 0, 7),
+        (build_cycle(10), 0, 5),
+        (build_complete(9), 0, 1),
+        build_double_star(3, 3),
+        build_extended_double_star(2, 2),
+    ]
+    verdicts = [pst_certificate(g, a, b).success for g, a, b in members]
+    assert verdicts == [True, True, True, False, False, False, False, False]
+    assert calls == []
 
 
 def test_certificate_rejects_same_vertex():

@@ -224,7 +224,7 @@ def test_cospectral_examples():
     assert cospectral(c4, 0, 1) and cospectral(c4, 0, 2)
 
 
-def test_cospectral_lifts_both_deletions_at_once(monkeypatch):
+def test_cospectral_runs_no_charpoly_or_adjugate_lift(monkeypatch):
     lifts = []
     original = xp._lift
 
@@ -233,11 +233,12 @@ def test_cospectral_lifts_both_deletions_at_once(monkeypatch):
         return original(rows, residues)
 
     monkeypatch.setattr(xp, "_lift", counting)
-    # a cold integer graph: phi(G), then one adjugate lift for G\\a and G\\b
+    # a cold integer graph: the walk modules of e_a +- e_b decide, with no
+    # Hessenberg charpoly and no adjugate lift
     g = build_path(5)
     assert cospectral(g, 0, 4)
-    assert lifts == [5, 5]
     assert not cospectral(g, 0, 2) and cospectral(g, 1, 3)
+    assert lifts == []
 
 
 def test_cospectral_numeric_path():
@@ -391,21 +392,25 @@ def test_exact_decision_matches_oracle_on_weighted_looped_graphs():
     assert min(outcomes.values()) > 0, outcomes
 
 
-def test_non_cospectral_pair_costs_one_charpoly(monkeypatch):
-    calls, deletions = [], []
+def test_non_cospectral_pair_costs_no_charpoly(monkeypatch):
+    calls, deletions, modules = [], [], []
     real = xp._charpoly_of_rows
     monkeypatch.setattr(xp, "_charpoly_of_rows", lambda rows: calls.append(1) or real(rows))
     real_delete = Graph.delete
     monkeypatch.setattr(Graph, "delete", lambda g, vs: deletions.append(vs) or real_delete(g, vs))
+    real_minimal = xp._minimal_polynomial
+    monkeypatch.setattr(
+        xp, "_minimal_polynomial", lambda walks: modules.append(1) or real_minimal(walks)
+    )
     p3 = build_path(3)
+    # a pair that is not cospectral reads the walk module of e_a + e_b only
     assert not strongly_cospectral_exact(p3, 0, 1)
-    assert len(calls) == 1
-    # phi(G\\a), phi(G\\b) and P_ab come from walk counts against phi(G):
-    # another pair adds no charpoly, and a repeat is served from the cache
+    assert len(modules) == 1
+    # a cospectral pair reads both modules; a repeat is served from the cache
     assert strongly_cospectral_exact(p3, 0, 2)
     assert strongly_cospectral_exact(p3, 2, 0)
-    assert len(calls) == 1
-    assert deletions == []
+    assert len(modules) == 3
+    assert calls == [] and deletions == []
 
 
 def test_neutrino_matches_projectors():

@@ -640,6 +640,26 @@ def test_run_suite_rejects_instance_counts_below_one(name, instances):
         run_suite(name, instances=instances)
 
 
+@pytest.mark.parametrize(
+    "name, options, option",
+    [
+        ("quotient", {"instances": 3}, "instances"),
+        ("quotient", {"seed": 9}, "seed"),
+        ("correspondence-p2", {"seed": 5}, "seed"),
+        ("correspondence-p3", {"instances": 3, "seed": 5}, "seed"),
+    ],
+)
+def test_run_suite_refuses_options_the_suite_does_not_read(name, options, option):
+    with pytest.raises(ValueError, match=f"suite {name} takes no {option}"):
+        run_suite(name, **options)
+
+
+def test_run_suite_reads_the_options_it_takes():
+    # the correspondence suites read instances as their largest side order
+    assert run_suite("correspondence-p2", instances=2).passed
+    assert run_suite("quotient").passed
+
+
 def test_suite_result_json():
     r = run_suite("onesum", instances=5)
     data = r.to_json()
