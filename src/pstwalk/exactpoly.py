@@ -5,18 +5,20 @@ tI - A for the weighted adjacency matrix A.  The empty graph has
 characteristic polynomial 1; several identities below lean on that
 convention.
 
-The exact decisions read the sigma classes of a vertex pair, the minimal
-polynomials of e_a + e_b and e_a - e_b relative to A: found modulo fixed
-primes from their Krylov vectors, lifted by CRT and accepted only when
-they annihilate their vector exactly (``sigma_classes``), with no
-characteristic polynomial.  A bridge composite needs not even those
-vectors: the classes of its ends depend only on the sides' common reduced
-key N / D = phi(Y\\v) / phi(Y) (``bridge_classes``), and
-``bridge_compose`` seeds them, with the derivation.  ``charpoly`` gives
-phi(G), and the entries of adj(tI - A) at aa, bb and ab, which are
-phi(G\\a), phi(G\\b) and the path sum P_ab, come from walk counts
-against it in one lift; they serve the keys, the projector entries and
-the identity checks.
+All walk counts (A**k x)_u come from one place, the exact Krylov vectors
+A**k x of ``_Krylov``.  The exact decisions read the sigma classes of a
+vertex pair, the minimal polynomials of e_a + e_b and e_a - e_b relative
+to A: found modulo fixed primes from their Krylov vectors, lifted by CRT
+and accepted only when they annihilate their vector exactly
+(``sigma_classes``), with no characteristic polynomial.  A bridge
+composite needs not even those vectors: the classes of its ends depend
+only on the sides' common reduced key N / D = phi(Y\\v) / phi(Y)
+(``bridge_classes``), and ``bridge_compose`` seeds them, with the
+derivation.  ``charpoly`` gives phi(G), and the entries of adj(tI - A)
+at aa, bb and ab, which are phi(G\\a), phi(G\\b) and the path sum P_ab,
+are the walk counts of the Krylov vectors of e_a and e_b convolved with
+its coefficients; they serve the keys, the projector entries and the
+identity checks.
 """
 
 from __future__ import annotations
@@ -443,29 +445,19 @@ class _Garner:
         return [v - m if v > half else v for v in self.values]
 
 
-def _lift(rows: list[list[int]], residues) -> list[int]:
-    """Integers bounded in absolute value by the coefficient bound of the
-    integer matrix ``rows``, from ``residues(a, p)``, their residues modulo
-    p (A an object array of Python integers): as many fixed primes as
-    cover twice the bound, combined by Garner's CRT into symmetric
-    residues."""
+def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
+    """det(tI - A) for an integer matrix, from its residues modulo as many
+    fixed primes as cover twice the coefficient bound, combined by Garner's
+    CRT into symmetric residues.  Every prime is valid: the reduction is a
+    similarity over GF(p), so no prime has to be discarded."""
     _check_modular_order(len(rows))
     need = 2 * _coefficient_bound(rows)
     a = np.array(rows, dtype=object)
-    crt = None
+    crt = _Garner(len(rows) + 1)
     for p in _primes():
-        rs = residues(a, p).tolist()
-        crt = crt or _Garner(len(rs))
-        if crt.add(p, rs) > need:
-            return crt.balanced()
+        if crt.add(p, _charpoly_mod(a, p).tolist()) > need:
+            return IntPoly(crt.balanced())
     raise OverflowError("weights too large for the fixed prime list")
-
-
-def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
-    """det(tI - A) for an integer matrix, lifted from its residues.  Every
-    prime is valid: the reduction is a similarity over GF(p), so no prime
-    has to be discarded."""
-    return IntPoly(_lift(rows, _charpoly_mod))
 
 
 def charpoly(g: Graph) -> IntPoly:
@@ -487,62 +479,47 @@ def charpoly(g: Graph) -> IntPoly:
     return p
 
 
-def _adjugate_mod(a: np.ndarray, p: int, phi: IntPoly, x: int, y: int) -> np.ndarray:
-    """Entries (x, x), (y, y) and (x, y) of adj(tI - A) mod p, or only
-    (x, x) when x == y, each as n coefficients ascending, one entry after
-    the other.
+def _adjugate_entries(g: Graph, phi: IntPoly, a: int, b: int) -> None:
+    """Put phi(G\\a), phi(G\\b) and, when a != b, P_ab = adj(tI - A)_ab
+    into ``g._poly_cache``, from walk counts against phi = phi(G), exact:
+    no charpoly, no modulus.  Entries already cached are kept.
 
     With phi = sum_j c_j t**(n-j), adj(tI - A) = phi(t) (tI - A)**-1 and
     (tI - A)**-1 = sum_k A**k t**(-k-1), so the coefficient of t**(n-1-m)
     in entry (u, v) is sum_{j<=m} c_j (A**(m-j))_uv (Godsil, Algebraic
-    Combinatorics, ch. 4).  The walk counts (A**k)_uv, k < n, are read off
-    A**k [e_x e_y], or A**k e_x when x == y.
+    Combinatorics, ch. 4).  The walk counts (A**k)_aa and (A**k)_ab, k < n,
+    are entries a and b of the Krylov vectors A**k e_a, and (A**k)_bb those
+    of A**k e_b.
     """
-    n = len(a)
-    h = (a % p).astype(np.int64)
-    cols = [x] if x == y else [x, y]
-    powers = np.zeros((n, n, len(cols)), dtype=np.int64)
-    powers[0, cols, range(len(cols))] = 1
-    for k in range(1, n):
-        np.remainder(h @ powers[k - 1], p, out=powers[k])
-    walks = powers[:, [x], [0]] if x == y else powers[:, [x, y, x], [0, 1, 1]]
-    c = np.array([coeff % p for coeff in reversed(phi.coeffs)], dtype=np.int64)
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    toeplitz = np.where(lag >= 0, c[lag], 0)
-    return (toeplitz @ walks % p)[::-1].T.ravel()
-
-
-def _adjugate_entries(g: Graph, phi: IntPoly, a: int, b: int) -> None:
-    """Put phi(G\\a), phi(G\\b) and, when a != b, P_ab = adj(tI - A)_ab
-    into ``g._poly_cache``, from walk counts against phi = phi(G): one
-    lift, no charpoly.  Entries already cached are kept.
-
-    The lift takes the bound of ``charpoly``, and it covers adj(tI - A):
-    the coefficient of t**(n-1-k) in adj_ab is a signed sum of k x k minors
-    of A on rows S + {a} and columns S + {b}, one per (k-1)-subset S of the
-    other vertices.  Each minor is at most prod_{i in S + {a}} r_i
-    (Hadamard), and the sets S + {a} are distinct k-subsets, so the sum is
-    at most e_k(r) <= prod(1 + r_i).  A diagonal entry is phi(G\\a),
-    whose coefficients are sums of principal minors avoiding a.
-    """
-    n = g.n
-    values = _lift(g.int_matrix(), lambda m, p: _adjugate_mod(m, p, phi, a, b))
+    n, c = g.n, phi.coeffs[::-1]
     cache = g._poly_cache
-    cache.setdefault(("charpoly", frozenset((a,))), IntPoly(values[:n]))
+
+    def entry(walks: _Krylov, u: int) -> IntPoly:
+        w = [int(walks[k][u]) for k in range(n)]
+        return IntPoly(sum(c[j] * w[m - j] for j in range(m + 1)) for m in range(n - 1, -1, -1))
+
+    def krylov(v: int) -> _Krylov:
+        x = np.zeros(n, dtype=np.int64)
+        x[v] = 1
+        return _Krylov(g, x)
+
+    from_a = krylov(a)
+    cache.setdefault(("charpoly", frozenset((a,))), entry(from_a, a))
     if a != b:
-        phi_b, path = IntPoly(values[n : 2 * n]), IntPoly(values[2 * n :])
-        cache.setdefault(("charpoly", frozenset((b,))), phi_b)
+        path = entry(from_a, b)
         cache.setdefault(("pathsum", a, b), path)
         cache.setdefault(("pathsum", b, a), path)
+        cache.setdefault(("charpoly", frozenset((b,))), entry(krylov(b), b))
 
 
 def charpoly_deleted(g: Graph, deleted: Iterable[int]) -> IntPoly:
     """Characteristic polynomial of the induced subgraph with ``deleted``
     removed.  Deleting every vertex yields the constant 1.
 
-    One deleted vertex v gives the diagonal entry adj(tI - A)_vv, from walk
-    counts against phi(G) (``_adjugate_entries``); a larger deletion is the
-    charpoly of the induced subgraph."""
+    One deleted vertex v gives the diagonal entry adj(tI - A)_vv, the walk
+    counts of the Krylov vectors of e_v against phi(G)
+    (``_adjugate_entries``); a larger deletion is the charpoly of the
+    induced subgraph."""
     gone = frozenset(int(v) for v in deleted)
     g._check_vertex(*gone)
     if len(gone) == g.n:
@@ -601,8 +578,9 @@ def path_sum_poly(g: Graph, a: int, b: int) -> IntPoly:
     The square of this polynomial equals phi(G\\a) phi(G\\b) - phi(G)
     phi(G\\ab); signed, it gives the numerator of the off-diagonal
     resolvent entry.  No path is enumerated: the entry is the convolution
-    of phi(G) with the walk counts (A**k)_ab (``_adjugate_entries``), which
-    also caches phi(G\\a) and phi(G\\b)."""
+    of phi(G) with the exact walk counts (A**k)_ab, read off the Krylov
+    vectors of e_a (``_adjugate_entries``), which also caches phi(G\\a)
+    and phi(G\\b) from those of e_a and e_b."""
     g._check_pair(a, b, "path endpoints must differ")
     key = ("pathsum", a, b)
     if key not in g._poly_cache:
@@ -803,17 +781,6 @@ def _minimal_polynomial(walks: _Krylov) -> IntPoly:
     raise ArithmeticError("minimal polynomial failed its exact annihilation check")
 
 
-def _coordinates(walks: _Krylov, m: IntPoly, a: int, count: int) -> list[int]:
-    """(A**k x)_a for k < count, extended past deg m by the recurrence
-    that m(A) x = 0 gives."""
-    s = m.degree
-    seq = [int(walks[k][a]) for k in range(min(count, s + 1))]
-    lower = m.coeffs[:-1]
-    while len(seq) < count:
-        seq.append(-sum(c * y for c, y in zip(lower, seq[-s:])))
-    return seq
-
-
 def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     """The reduced denominators m+, m- of (phi(G\\a) +- P_ab) / phi(G), or
     None when a and b are not cospectral.  Requires integer weights.
@@ -853,7 +820,7 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
         minus = _Krylov(g, x)
         m_minus = _minimal_polynomial(minus)
         count = m_plus.degree + m_minus.degree
-        walks = zip(_coordinates(plus, m_plus, a, count), _coordinates(minus, m_minus, a, count))
+        walks = ((int(plus[k][a]), int(minus[k][a])) for k in range(count))
         leading = next((y - z for y, z in walks if y != z), 0)
         classes = (m_plus, m_minus) if leading >= 0 else (m_minus, m_plus)
     g._poly_cache[key] = classes

@@ -47,6 +47,12 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def _check_vertices(n: int, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range for n={n}")
+
+
 class Graph:
     """Symmetric weighted adjacency structure.
 
@@ -86,11 +92,13 @@ class Graph:
                 wt = 1.0
             else:
                 u, v, wt = e
+            _check_vertices(n, (u, v))
             if u == v:
                 raise ValueError("self edges must be given as loops")
             w[u, v] = wt
             w[v, u] = wt
         for u, wt in loops:
+            _check_vertices(n, (u,))
             w[u, u] = wt
         return cls(w)
 
@@ -193,9 +201,7 @@ class Graph:
         return comps
 
     def _check_vertex(self, *vertices: int) -> None:
-        for v in vertices:
-            if not (0 <= v < self.n):
-                raise ValueError(f"vertex {v} out of range for n={self.n}")
+        _check_vertices(self.n, vertices)
 
     def _check_pair(self, a: int, b: int, message: str) -> None:
         """Both vertices in range and distinct, or ValueError(message)."""

@@ -254,6 +254,8 @@ def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> floa
     exact residue, which vanishes where the pole cancelled.
     """
     g._check_vertex(a, b)
+    if not np.isfinite(theta):
+        raise ValueError(f"projector_entry_via_neutrino needs a finite eigenvalue, got {theta}")
     phi = xp.charpoly(g)
     sf = xp.squarefree_part(phi)
     if abs(sf(theta)) > _ROOT_TOL * _poly_scale_at(sf, theta):

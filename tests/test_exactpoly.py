@@ -801,27 +801,24 @@ def test_adjugate_entries_on_one_and_two_vertices():
     assert charpoly_deleted(k2, [1]) == T + 2
 
 
-def test_adjugate_lift_of_one_deletion_lifts_one_entry(monkeypatch):
-    # a single-vertex deletion steps one walk column and lifts only the
-    # (v, v) entry: n values, where a pair lifts 3n
-    lifted = []
-    original = xp._lift
-
-    def counting(rows, residues):
-        values = original(rows, residues)
-        lifted.append(len(values))
-        return values
-
-    monkeypatch.setattr(xp, "_lift", counting)
+def test_adjugate_entries_read_one_krylov_per_vertex(monkeypatch):
+    # a single-vertex deletion steps the walks of e_v alone, a pair those
+    # of e_a and e_b, and phi(G) is the only charpoly a cold pair runs
+    built, charpolys = [], []
+    init, of_rows = xp._Krylov.__init__, xp._charpoly_of_rows
+    monkeypatch.setattr(xp._Krylov, "__init__", lambda w, g, x: built.append(1) or init(w, g, x))
+    monkeypatch.setattr(xp, "_charpoly_of_rows", lambda rows: charpolys.append(1) or of_rows(rows))
     w = build_path(6).weights
     g = Graph(w)
     charpoly(g)
     expected = charpoly(Graph(w).delete([2]))
-    lifted.clear()
+    assert built == []
     assert charpoly_deleted(g, [2]) == expected
-    assert lifted == [6]
-    path_sum_poly(g, 0, 5)
-    assert lifted == [6, 18]
+    assert len(built) == 1
+    built.clear()
+    charpolys.clear()
+    assert path_sum_poly(Graph(w), 0, 5) == IntPoly((1,))
+    assert len(built) == 2 and len(charpolys) == 1
 
 
 def sigma_classes_oracle(g, a, b):

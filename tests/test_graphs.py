@@ -93,6 +93,18 @@ def test_graph_rejects_non_finite_weights(weight):
         Graph.from_edges(3, [(0, 1)], loops=[(2, weight)])
 
 
+@pytest.mark.parametrize(
+    "edges, loops, vertex",
+    [([(0, -1)], [], -1), ([(3, 0)], [], 3), ([(0, 1, 2.0)], [(-1, 2.0)], -1), ([], [(3, 1.0)], 3)],
+)
+def test_from_edges_rejects_vertices_out_of_range(edges, loops, vertex):
+    # a negative index must not wrap round to n - 1, nor n raise an IndexError
+    with pytest.raises(ValueError, match=f"^vertex {vertex} out of range for n=3$"):
+        Graph.from_edges(3, edges, loops)
+    with pytest.raises(ValueError, match=f"^vertex {vertex} out of range for n=3$"):
+        build_path(3)._check_vertex(vertex)
+
+
 def test_cone_adds_apex():
     g = cone(build_cycle(3))
     assert g.n == 4

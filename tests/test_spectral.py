@@ -224,21 +224,19 @@ def test_cospectral_examples():
     assert cospectral(c4, 0, 1) and cospectral(c4, 0, 2)
 
 
-def test_cospectral_runs_no_charpoly_or_adjugate_lift(monkeypatch):
-    lifts = []
-    original = xp._lift
-
-    def counting(rows, residues):
-        lifts.append(len(rows))
-        return original(rows, residues)
-
-    monkeypatch.setattr(xp, "_lift", counting)
+def test_cospectral_runs_no_charpoly_or_adjugate_entries(monkeypatch):
+    calls = []
+    of_rows, entries = xp._charpoly_of_rows, xp._adjugate_entries
+    monkeypatch.setattr(xp, "_charpoly_of_rows", lambda rows: calls.append(1) or of_rows(rows))
+    monkeypatch.setattr(
+        xp, "_adjugate_entries", lambda g, phi, a, b: calls.append(2) or entries(g, phi, a, b)
+    )
     # a cold integer graph: the walk modules of e_a +- e_b decide, with no
-    # Hessenberg charpoly and no adjugate lift
+    # Hessenberg charpoly and no adjugate entry
     g = build_path(5)
     assert cospectral(g, 0, 4)
     assert not cospectral(g, 0, 2) and cospectral(g, 1, 3)
-    assert lifts == []
+    assert calls == []
 
 
 def test_cospectral_numeric_path():
@@ -457,6 +455,14 @@ def test_neutrino_on_a_repeated_root():
 def test_neutrino_rejects_non_eigenvalue():
     with pytest.raises(ValueError):
         projector_entry_via_neutrino(build_path(3), 0, 1, 0.3)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_neutrino_rejects_non_finite_theta(theta):
+    # every comparison with nan is False, so the root check alone let these
+    # through and the entry came back nan
+    with pytest.raises(ValueError, match="finite eigenvalue"):
+        projector_entry_via_neutrino(build_path(3), 0, 2, theta)
 
 
 def test_walk_module_star():
