@@ -8,23 +8,26 @@ convention.
 All walk counts (A**k x)_u come from one place, the exact Krylov vectors
 A**k x of ``_Krylov``.  The exact decisions read the sigma classes of a
 vertex pair, the minimal polynomials of e_a + e_b and e_a - e_b relative
-to A: found modulo fixed primes from their Krylov vectors, lifted by CRT
-and accepted only when they annihilate their vector exactly
-(``sigma_classes``), with no characteristic polynomial.  A bridge
-composite needs not even those vectors: the classes of its ends depend
-only on the sides' common reduced key N / D = phi(Y\\v) / phi(Y)
+to A: the shortest linear recurrences of their exact walk moments
+x^T A**k x, found by fraction-free Berlekamp-Massey over the integers and
+accepted only when they annihilate their vector exactly
+(``sigma_classes``), with no characteristic polynomial and no modulus.  A
+bridge composite needs not even those vectors: the classes of its ends
+depend only on the sides' common reduced key N / D = phi(Y\\v) / phi(Y)
 (``bridge_classes``), and ``bridge_compose`` seeds them, with the
-derivation.  ``charpoly`` gives phi(G), and the entries of adj(tI - A)
-at aa, bb and ab, which are phi(G\\a), phi(G\\b) and the path sum P_ab,
-are the walk counts of the Krylov vectors of e_a and e_b convolved with
-its coefficients; they serve the keys, the projector entries and the
-identity checks.
+derivation.  ``charpoly`` gives phi(G), the one polynomial found modulo
+primes, and the entries of adj(tI - A) at aa, bb and ab, which are
+phi(G\\a), phi(G\\b) and the path sum P_ab, are the walk counts of the
+Krylov vectors of e_a and e_b convolved with its coefficients; they serve
+the keys, the projector entries and the identity checks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -414,49 +417,26 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def _check_modular_order(n: int) -> None:
-    if n > _MAX_ORDER:
-        raise OverflowError(f"modular arithmetic supports up to {_MAX_ORDER} vertices, got {n}")
-
-
-class _Garner:
-    """Integers known by their residues modulo a growing product of
-    distinct primes, combined one prime at a time by Garner's CRT."""
-
-    __slots__ = ("values", "modulus")
-
-    def __init__(self, size: int):
-        self.values = [0] * size
-        self.modulus = 1
-
-    def add(self, p: int, residues) -> int:
-        """Lift every value from modulo ``modulus`` to modulo modulus * p,
-        given its residue modulo p; returns the new modulus."""
-        m, inv = self.modulus, pow(self.modulus % p, -1, p)
-        values = self.values
-        for j, r in enumerate(residues):
-            values[j] += m * ((r - values[j]) * inv % p)
-        self.modulus = m * p
-        return self.modulus
-
-    def balanced(self) -> list[int]:
-        """The values as residues in (-modulus / 2, modulus / 2]."""
-        m, half = self.modulus, self.modulus // 2
-        return [v - m if v > half else v for v in self.values]
-
-
 def _charpoly_of_rows(rows: list[list[int]]) -> IntPoly:
     """det(tI - A) for an integer matrix, from its residues modulo as many
-    fixed primes as cover twice the coefficient bound, combined by Garner's
-    CRT into symmetric residues.  Every prime is valid: the reduction is a
-    similarity over GF(p), so no prime has to be discarded."""
-    _check_modular_order(len(rows))
+    fixed primes as cover twice the coefficient bound, combined one prime
+    at a time by Garner's CRT into symmetric residues.  Every prime is
+    valid: the reduction is a similarity over GF(p), so no prime has to be
+    discarded."""
+    if len(rows) > _MAX_ORDER:
+        raise OverflowError(
+            f"modular arithmetic supports up to {_MAX_ORDER} vertices, got {len(rows)}"
+        )
     need = 2 * _coefficient_bound(rows)
     a = np.array(rows, dtype=object)
-    crt = _Garner(len(rows) + 1)
+    values, modulus = [0] * (len(rows) + 1), 1
     for p in _primes():
-        if crt.add(p, _charpoly_mod(a, p).tolist()) > need:
-            return IntPoly(crt.balanced())
+        inv = pow(modulus % p, -1, p)
+        for j, r in enumerate(_charpoly_mod(a, p).tolist()):
+            values[j] += modulus * ((r - values[j]) * inv % p)
+        modulus *= p
+        if modulus > need:
+            return IntPoly(v - modulus if 2 * v > modulus else v for v in values)
     raise OverflowError("weights too large for the fixed prime list")
 
 
@@ -696,88 +676,69 @@ class _Krylov:
             self.vectors.append(y)
         return self.vectors[k]
 
-    def dependency(self, p: int) -> list[int]:
-        """c_0, ..., c_{s-1} modulo p for the first s with A**s x in the
-        span of the earlier vectors modulo p, where A**s x + sum_i c_i
-        A**i x = 0 modulo p.  s is the rank of the vectors modulo p, at
-        most their rank over the rationals.
-
-        Incremental elimination on the rows [A**k x | e_k]: the rows kept
-        are reduced at their pivot columns, so a new row is reduced by one
-        product, and when its left part vanishes its right part holds
-        the dependency."""
-        n = self.n
-        rows = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
-        pivots: list[int] = []
-        for k in range(n + 1):
-            row = rows[k]
-            row[:n] = self[k] % p
-            row[n + k] = 1
-            if k:
-                row -= row[pivots] @ rows[:k]
-                row %= p
-            nonzero = np.flatnonzero(row[:n])
-            if not nonzero.size:
-                return row[n : n + k].tolist()
-            j = int(nonzero[0])
-            row *= pow(int(row[j]), -1, p)
-            row %= p
-            if k:
-                rows[:k] -= np.outer(rows[:k, j], row)
-                rows[:k] %= p
-            pivots.append(j)
-        raise AssertionError("n + 1 vectors of length n are dependent")
+    def moments(self, k: int) -> list[int]:
+        """The walk moments that A**k x adds, mu_(2k-1) and mu_2k (mu_0
+        alone for k = 0), where mu_j = x^T A**j x, so mu_(i+l) = (A**i x) .
+        (A**l x) as A is symmetric.  The products are in int64 while
+        n ||A||_inf**2k < 2**63, which bounds every partial sum, as
+        |(A**i x)_u| <= ||A||_inf**i and ||A**l x||_1 <= n ||A||_inf**l, and
+        in Python integers beyond."""
+        y = self[k]
+        if self.n * self.norm ** (2 * k) >= 2**63:
+            y = y.astype(object)
+        return [int(self.vectors[k - 1] @ y), int(y @ y)] if k else [int(y @ y)]
 
     def annihilated_by(self, m: IntPoly) -> bool:
         """Whether m(A) x = 0, exactly."""
         vectors = np.array([self[k] for k in range(m.degree + 1)], dtype=object)
         return not (np.array(m.coeffs, dtype=object) @ vectors).any()
 
-    def hadamard(self, r: int) -> int:
-        """A bound on every minor of order r of [x, Ax, ..., A**(r-1) x]:
-        the product of the vectors' 2-norms, rounded up."""
-        return math.prod(
-            math.isqrt(int(v @ v)) + 1 for v in (self[k].astype(object) for k in range(r))
-        )
-
 
 def _minimal_polynomial(walks: _Krylov) -> IntPoly:
     """The minimal polynomial m of x relative to A, the monic generator of
-    the polynomials that annihilate x, of degree s.
+    the polynomials that annihilate x, of degree s: the shortest linear
+    recurrence of the walk moments mu_j = x^T A**j x (``_Krylov.moments``),
+    found by Berlekamp-Massey (Massey, "Shift-register synthesis and BCH
+    decoding", IEEE Trans. Inf. Theory 15, 1969), fraction-free over the
+    integers.  No modulus, bound or lift.
 
-    Modulo each fixed prime, ``_Krylov.dependency`` gives a candidate of
-    degree s_p <= s, and the coefficients are lifted by Garner's CRT over
-    the primes of the largest s_p seen, until the modulus exceeds
-    2 (1 + ||A||_inf)**s_p: every root theta of m has |theta| <= ||A||_inf,
-    so that bounds each coefficient of a monic factor of degree s_p.  The
-    candidate is accepted only when m(A) x = 0 exactly; as the first s_p
-    vectors are independent modulo a prime, they are independent, so m is
-    then minimal.  A refused candidate shows s > s_p, and only primes of
-    larger rank are read after it.  A prime of smaller rank divides a
-    nonzero minor of the vectors, so the primes skipped cannot multiply to
-    more than its Hadamard bound; past it, or past degree n, the lift is
-    wrong and ArithmeticError is raised."""
-    _check_modular_order(walks.n)
-    floor, degree, crt, skipped = 0, 0, None, 1
-    for p in _primes():
-        coeffs = walks.dependency(p)
-        s = len(coeffs)
-        if s <= floor or s < degree:
-            skipped *= p
-            if skipped > walks.hadamard(max(floor + 1, degree)):
-                break
-            continue
-        if s > degree:
-            degree, crt = s, _Garner(s)
-        if crt.add(p, coeffs) > 2 * (1 + walks.norm) ** s:
-            m = IntPoly(crt.balanced() + [1])
-            if walks.annihilated_by(m):
-                return m
-            floor, degree = s, 0
-            if floor >= walks.n:
-                break
-    else:
-        raise OverflowError("weights too large for the fixed prime list")
+    mu_j = sum_r theta_r**j ||E_r x||**2 over the s eigenvalues with
+    E_r x != 0, so m is a recurrence of the moments, and their Hankel
+    matrix H_k = [mu_(i+l)]_(i,l<k) is the Gram matrix of x, ...,
+    A**(k-1) x: positive definite for k <= s.  A recurrence of length
+    L <= k through mu_0, ..., mu_2k would put a nonzero vector in the
+    kernel of H_(k+1), so L = k + 1 for every k < s.  At k = s, m is a
+    recurrence of length s, and through 2s + 1 terms a recurrence of length
+    at most s is unique.  So the loop makes A**k x, appends mu_(2k-1) and
+    mu_2k, and stops at the first k with L <= k, which is k = s, after the
+    s + 1 vectors that m(A) x reads.
+
+    The connection polynomial C is updated as last C - d t**shift B, d
+    the discrepancy and last that of B, and its content is divided out;
+    then m = t**L C(1/t) / C(0).  m is accepted only when that division is
+    exact and m(A) x = 0 exactly; else ArithmeticError is raised."""
+    moments: list[int] = []
+    c, b, last, length, shift = [1], [1], 1, 0, 1
+    for k in range(walks.n + 1):
+        moments += walks.moments(k)
+        for i in range(max(2 * k - 1, 0), 2 * k + 1):
+            d = sum(map(operator.mul, c, moments[i::-1]))
+            if not d:
+                shift += 1
+                continue
+            new = [last * cj - d * bj for cj, bj in zip_longest(c, [0] * shift + b, fillvalue=0)]
+            content = math.gcd(*new)
+            new = [cj // content for cj in new]
+            if 2 * length <= i:
+                b, last, length, shift = c, d, i + 1 - length, 1
+            else:
+                shift += 1
+            c = new
+        if length <= k:
+            break
+    m = IntPoly(cj // c[0] for cj in reversed(c))
+    if not any(cj % c[0] for cj in c) and walks.annihilated_by(m):
+        return m
     raise ArithmeticError("minimal polynomial failed its exact annihilation check")
 
 
@@ -788,13 +749,17 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) (the
     neutrino identities), and for a cospectral pair (E_r)_aa +- (E_r)_ab
     is half of ||E_r (e_a +- e_b)||**2.  So m+ and m- are the minimal
-    polynomials of u = e_a + e_b and v = e_a - e_b relative to A, read
-    from their walk modules (``_minimal_polynomial``), with no phi(G) and
-    no adjugate entry (a ``bridge_compose`` composite holds its classes
-    already).  a and b are cospectral exactly when (A**k)_aa = (A**k)_bb,
-    that is (A**k u)_a = (A**k u)_b, for every k; the differences are
-    v^T A**k u, which the minimal polynomial of u annihilates, so k below
-    its degree suffices.  P_ab is taken with a positive leading
+    polynomials of u = e_a + e_b and v = e_a - e_b relative to A, each the
+    shortest recurrence of its walk moments x^T A**j x, read exactly by
+    Berlekamp-Massey (``_minimal_polynomial``): the moments' Hankel matrix
+    is the Gram matrix of the Krylov vectors, positive definite up to
+    order deg m, so the recurrence is complete once A**(deg m) x is made
+    and no later vector is read.  No phi(G), no adjugate entry and no
+    modulus (a ``bridge_compose`` composite holds its classes already).
+    a and b are cospectral exactly when (A**k)_aa = (A**k)_bb, that is
+    (A**k u)_a = (A**k u)_b, for every k; the differences are v^T A**k u,
+    which the minimal polynomial of u annihilates, so k below its degree
+    suffices.  P_ab is taken with a positive leading
     coefficient, the first nonzero walk count (A**k)_ab = ((A**k u)_a -
     (A**k v)_a) / 2, which is found for k < deg m_u + deg m_v when it
     exists; a negative one swaps the classes.  |(E_r)_ab| <= (E_r)_aa =

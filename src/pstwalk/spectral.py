@@ -76,10 +76,12 @@ def decompose(g: Graph) -> SpectralDecomposition:
         vectors = np.ascontiguousarray(v)
         vectors.setflags(write=False)
         starts.setflags(write=False)
-        mults = np.diff(np.r_[starts, g.n])
-        thetas = np.add.reduceat(w, starts) / mults
+        # a few eigenspaces: their sizes and means are cheaper in Python
+        bounds = starts.tolist() + [g.n]
+        mults = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        sums = np.add.reduceat(w, starts).tolist()
         cached = g._poly_cache[_DECOMPOSE_KEY] = SpectralDecomposition(
-            tuple(thetas.tolist()), tuple(mults.tolist()), vectors, float(tol), starts
+            tuple(x / m for x, m in zip(sums, mults)), mults, vectors, float(tol), starts
         )
     return cached
 
@@ -93,7 +95,7 @@ def eigenspaces(mats: np.ndarray):
     GROUPING_TOL * max(1, ||A||_inf), and the flat indices into all the
     matrices' columns, in order, at which an eigenspace starts.
     """
-    tol = GROUPING_TOL * np.maximum(1.0, np.abs(mats).sum(axis=-1).max(axis=-1))
+    tol = GROUPING_TOL * np.abs(mats).sum(axis=-1).max(axis=-1, initial=1.0)
     w, v = np.linalg.eigh(mats)
     w, v = w[..., ::-1], v[..., ::-1]
     split = np.ones(w.shape, dtype=bool)

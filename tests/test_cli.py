@@ -430,8 +430,8 @@ def test_failed_exact_identity_is_a_verification_failure(capsys, graph_file, mon
     assert main(["pst", graph_file(P3_EDGELIST), "0", "2"]) == 1
     err = capsys.readouterr().err
     assert "verification failure" in err and "annihilation check" in err
-    # e_0 + e_2 in P3 has minimal polynomial t**2 - 2, and no prime shows
-    # a larger rank once it is refused
+    # e_0 + e_2 in P3 has minimal polynomial t**2 - 2, the one candidate
+    # its walk moments give
     assert refused == [xp.T * xp.T - 2]
 
 

@@ -911,13 +911,11 @@ def test_sigma_classes_orientation_reads_the_first_walk_count():
 
 
 def test_sigma_classes_survive_an_unlucky_prime():
-    # P3 with both weights p0, the first fixed prime: A (e_0 + e_2) =
-    # 2 p0 e_1 vanishes modulo p0, so p0 shows rank 1, while the minimal
-    # polynomial is t**2 - 2 p0**2
+    # P3 with both weights p0, the first prime charpoly uses: A (e_0 + e_2)
+    # = 2 p0 e_1 vanishes modulo p0, while the minimal polynomial is
+    # t**2 - 2 p0**2
     p0 = xp._primes()[0]
     g = Graph.from_edges(3, [(0, 1, float(p0)), (1, 2, float(p0))])
-    x = np.array([1, 0, 1], dtype=np.int64)
-    assert xp._Krylov(g, x).dependency(p0) == [0]
     assert sigma_classes(g, 0, 2) == (T * T - 2 * p0 * p0, T)
     assert sigma_classes(g, 0, 2) == sigma_classes_oracle(g, 0, 2)
 
@@ -940,10 +938,62 @@ def test_sigma_classes_with_weights_beyond_int64():
     assert sigma_classes(p3, 0, 2) == (T * T - 2**141, T)
 
 
-def test_sigma_classes_refuse_orders_that_would_overflow_int64(monkeypatch):
+def test_only_charpoly_refuses_orders_that_would_overflow_int64(monkeypatch):
+    # the sigma classes read exact walk moments, with no modulus and so no
+    # order guard; the guard stays on the modular charpoly
     monkeypatch.setattr(xp, "_MAX_ORDER", 2)
+    assert sigma_classes(build_path(3), 0, 2) == (T * T - 2, T)
     with pytest.raises(OverflowError):
-        sigma_classes(build_path(3), 0, 2)
+        charpoly(build_path(3))
+
+
+def looped_path(n, weight):
+    """P_n with edge and loop weights +-weight, symmetric under the mirror
+    v -> n - 1 - v, so its ends are cospectral."""
+    edges = [(v, v + 1, float(weight * (-1) ** min(v, n - 2 - v))) for v in range(n - 1)]
+    loops = [(v, float(weight * (-1) ** (min(v, n - 1 - v) // 2))) for v in range(n) if v % 3]
+    return Graph.from_edges(n, edges, loops=loops)
+
+
+LONG_MODULES = [
+    (build_path(40), 0, 39),
+    (build_cycle(30), 0, 15),
+    (looped_path(25, 3), 0, 24),
+    (looped_path(25, 3), 1, 23),
+    (looped_path(25, 3), 0, 23),
+    (hypercube(6), 0, 63),
+]
+
+
+@pytest.mark.parametrize("g, a, b", LONG_MODULES)
+def test_sigma_classes_of_long_modules_match_the_oracle(g, a, b):
+    assert sigma_classes(Graph(g.weights), a, b) == sigma_classes_oracle(g, a, b)
+
+
+def test_sigma_classes_of_path_ends_have_degree_half_the_order():
+    m_plus, m_minus = sigma_classes(build_path(40), 0, 39)
+    assert m_plus.degree == m_minus.degree == 20
+    assert sigma_classes(looped_path(25, 3), 0, 24) is not None
+
+
+def test_minimal_polynomial_reads_no_vector_past_its_degree(monkeypatch):
+    # Berlekamp-Massey stops at the first k with recurrence length L <= k,
+    # which is k = deg m: m(A) x reads A**k x for k <= deg m, and so do
+    # the moments
+    asked = []
+    getitem = xp._Krylov.__getitem__
+    monkeypatch.setattr(
+        xp._Krylov, "__getitem__", lambda walks, k: asked.append(k) or getitem(walks, k)
+    )
+    for g, a, b in LONG_MODULES + [(build_complete(12), 0, 5), (build_path(3), 0, 2)]:
+        for sign in (1, -1):
+            x = np.zeros(g.n, dtype=np.int64)
+            x[a], x[b] = 1, sign
+            walks = xp._Krylov(g, x)
+            asked.clear()
+            m = xp._minimal_polynomial(walks)
+            assert max(asked) == m.degree
+            assert len(walks.vectors) == m.degree + 1
 
 
 def test_refused_annihilation_check_raises_and_returns_no_class(monkeypatch):
