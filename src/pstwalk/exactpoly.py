@@ -6,20 +6,19 @@ characteristic polynomial 1; several identities below lean on that
 convention.
 
 All walk counts (A**k x)_u come from one place, the exact Krylov vectors
-A**k x of ``_Krylov``.  The exact decisions read the sigma classes of a
-vertex pair, the minimal polynomials of e_a + e_b and e_a - e_b relative
-to A: the shortest linear recurrences of their exact walk moments
-x^T A**k x, found by fraction-free Berlekamp-Massey over the integers and
-accepted only when they annihilate their vector exactly
-(``sigma_classes``), with no characteristic polynomial and no modulus.  A
-bridge composite needs not even those vectors: the classes of its ends
-depend only on the sides' common reduced key N / D = phi(Y\\v) / phi(Y)
-(``bridge_classes``), and ``bridge_compose`` seeds them, with the
-derivation.  ``charpoly`` gives phi(G), the one polynomial found modulo
-primes, and the entries of adj(tI - A) at aa, bb and ab, which are
-phi(G\\a), phi(G\\b) and the path sum P_ab, are the walk counts of the
-Krylov vectors of e_a and e_b convolved with its coefficients; they serve
-the keys, the projector entries and the identity checks.
+A**k x of ``_Krylov`` over a graph's one exact adjacency (``_adjacency``).
+The exact decisions read one walk-moment engine, ``_minimal_polynomial``:
+the shortest linear recurrence of the moments x^T A**k x, by
+fraction-free Berlekamp-Massey over the integers, accepted only when it
+annihilates x exactly; no characteristic polynomial and no modulus.  On
+e_a +- e_b it gives the sigma classes of a pair (``sigma_classes``), on
+e_v the reduced key N / D = phi(Y\\v) / phi(Y) of a bridge side
+(``walk_gf``).  A bridge composite needs no vector: the classes of its
+ends are closed forms in the sides' common key (``bridge_classes``),
+which ``bridge_compose`` seeds.  ``charpoly`` gives phi(G), the one
+polynomial found modulo primes; the adjugate entries phi(G\\a),
+phi(G\\b) and P_ab are the walk counts of the Krylov vectors of e_a and
+e_b convolved with it, for the projector entries and the identity checks.
 """
 
 from __future__ import annotations
@@ -478,18 +477,13 @@ def _adjugate_entries(g: Graph, phi: IntPoly, a: int, b: int) -> None:
         w = [int(walks[k][u]) for k in range(n)]
         return IntPoly(sum(c[j] * w[m - j] for j in range(m + 1)) for m in range(n - 1, -1, -1))
 
-    def krylov(v: int) -> _Krylov:
-        x = np.zeros(n, dtype=np.int64)
-        x[v] = 1
-        return _Krylov(g, x)
-
-    from_a = krylov(a)
+    from_a = _unit_walks(g, a)
     cache.setdefault(("charpoly", frozenset((a,))), entry(from_a, a))
     if a != b:
         path = entry(from_a, b)
         cache.setdefault(("pathsum", a, b), path)
         cache.setdefault(("pathsum", b, a), path)
-        cache.setdefault(("charpoly", frozenset((b,))), entry(krylov(b), b))
+        cache.setdefault(("charpoly", frozenset((b,))), entry(_unit_walks(g, b), b))
 
 
 def charpoly_deleted(g: Graph, deleted: Iterable[int]) -> IntPoly:
@@ -578,8 +572,6 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: IntPoly, den: IntPoly):
-        num = _coerce(num)
-        den = _coerce(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -597,29 +589,10 @@ class RationalFunction:
             num, den = -num, -den
         self.num, self.den = num, den
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction(IntPoly((other,)), IntPoly((1,)))
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction(IntPoly((other,)), IntPoly((1,)))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -629,9 +602,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
@@ -640,30 +610,39 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# sigma classes from walk modules
+# sigma classes and side keys from walk modules
+
+def _adjacency(g: Graph) -> tuple:
+    """The rows, columns and exact weights of the nonzero entries of A and
+    ||A||_inf, made once per graph; the weights are int64 while every row
+    sum of |A| fits (n max |A_uv| < 2**62), Python integers beyond."""
+    key = ("adjacency", None)
+    if key not in g._poly_cache:
+        w = g.weights
+        rows, cols = np.nonzero(w)
+        if g.n * np.abs(w).max() < 2.0**62:
+            weights = w[rows, cols].astype(np.int64)
+        else:
+            weights = np.array([int(e) for e in w[rows, cols].tolist()], dtype=object)
+        sums = np.zeros(g.n, dtype=weights.dtype)
+        np.add.at(sums, rows, np.abs(weights))
+        g._poly_cache[key] = rows, cols, weights, int(sums.max())
+    return g._poly_cache[key]
+
 
 class _Krylov:
     """The vectors x, Ax, A**2 x, ... of an integer matrix A and a vector
     x with entries in {-1, 0, 1}, exact, made as they are asked for: in
     int64 while ||A||_inf**k < 2**63, which bounds every partial sum of
-    A**k x, and in Python integers beyond."""
+    A**k x, and in Python integers beyond.  ``mu`` holds the moments read."""
 
-    __slots__ = ("n", "norm", "_rows", "_cols", "_weights", "vectors")
+    __slots__ = ("n", "norm", "_rows", "_cols", "_weights", "vectors", "mu")
 
     def __init__(self, g: Graph, x: np.ndarray):
-        w = g.weights
         self.n = g.n
-        self._rows, self._cols = np.nonzero(w)
-        entries = w[self._rows, self._cols]
-        if self.n * np.abs(w).max() < 2.0**62:
-            # every row sum of |A| fits too
-            self._weights = entries.astype(np.int64)
-        else:
-            self._weights = np.array([int(e) for e in entries.tolist()], dtype=object)
-        sums = np.zeros(self.n, dtype=self._weights.dtype)
-        np.add.at(sums, self._rows, np.abs(self._weights))
-        self.norm = int(sums.max())
+        self._rows, self._cols, self._weights, self.norm = _adjacency(g)
         self.vectors = [x]
+        self.mu: list[int] = []
 
     def __getitem__(self, k: int) -> np.ndarray:
         while len(self.vectors) <= k:
@@ -677,16 +656,17 @@ class _Krylov:
         return self.vectors[k]
 
     def moments(self, k: int) -> list[int]:
-        """The walk moments that A**k x adds, mu_(2k-1) and mu_2k (mu_0
-        alone for k = 0), where mu_j = x^T A**j x, so mu_(i+l) = (A**i x) .
-        (A**l x) as A is symmetric.  The products are in int64 while
-        n ||A||_inf**2k < 2**63, which bounds every partial sum, as
-        |(A**i x)_u| <= ||A||_inf**i and ||A**l x||_1 <= n ||A||_inf**l, and
-        in Python integers beyond."""
-        y = self[k]
-        if self.n * self.norm ** (2 * k) >= 2**63:
-            y = y.astype(object)
-        return [int(self.vectors[k - 1] @ y), int(y @ y)] if k else [int(y @ y)]
+        """``mu`` extended through mu_2k: A**i x adds mu_(2i-1) and mu_2i
+        (mu_0 alone for i = 0), as mu_(i+l) = (A**i x) . (A**l x) for A
+        symmetric.  The products are in int64 while n ||A||_inf**2i < 2**63,
+        which bounds every partial sum, as |(A**i x)_u| <= ||A||_inf**i and
+        ||A**l x||_1 <= n ||A||_inf**l, and in Python integers beyond."""
+        for i in range((len(self.mu) + 1) // 2, k + 1):
+            y = self[i]
+            if self.n * self.norm ** (2 * i) >= 2**63:
+                y = y.astype(object)
+            self.mu += [int(self.vectors[i - 1] @ y), int(y @ y)] if i else [int(y @ y)]
+        return self.mu
 
     def annihilated_by(self, m: IntPoly) -> bool:
         """Whether m(A) x = 0, exactly."""
@@ -709,18 +689,18 @@ def _minimal_polynomial(walks: _Krylov) -> IntPoly:
     L <= k through mu_0, ..., mu_2k would put a nonzero vector in the
     kernel of H_(k+1), so L = k + 1 for every k < s.  At k = s, m is a
     recurrence of length s, and through 2s + 1 terms a recurrence of length
-    at most s is unique.  So the loop makes A**k x, appends mu_(2k-1) and
+    at most s is unique.  So the loop makes A**k x, reads mu_(2k-1) and
     mu_2k, and stops at the first k with L <= k, which is k = s, after the
-    s + 1 vectors that m(A) x reads.
+    s + 1 vectors that m(A) x reads; ``walks.mu`` then holds mu_0, ...,
+    mu_2s.
 
     The connection polynomial C is updated as last C - d t**shift B, d
     the discrepancy and last that of B, and its content is divided out;
     then m = t**L C(1/t) / C(0).  m is accepted only when that division is
     exact and m(A) x = 0 exactly; else ArithmeticError is raised."""
-    moments: list[int] = []
     c, b, last, length, shift = [1], [1], 1, 0, 1
     for k in range(walks.n + 1):
-        moments += walks.moments(k)
+        moments = walks.moments(k)
         for i in range(max(2 * k - 1, 0), 2 * k + 1):
             d = sum(map(operator.mul, c, moments[i::-1]))
             if not d:
@@ -742,6 +722,15 @@ def _minimal_polynomial(walks: _Krylov) -> IntPoly:
     raise ArithmeticError("minimal polynomial failed its exact annihilation check")
 
 
+def _unit_walks(g: Graph, a: int, b: int | None = None, sign: int = 1) -> _Krylov:
+    """The Krylov vectors of e_a, or of e_a + sign e_b."""
+    x = np.zeros(g.n, dtype=np.int64)
+    x[a] = 1
+    if b is not None:
+        x[b] = sign
+    return _Krylov(g, x)
+
+
 def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     """The reduced denominators m+, m- of (phi(G\\a) +- P_ab) / phi(G), or
     None when a and b are not cospectral.  Requires integer weights.
@@ -749,70 +738,101 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     The fractions are sum_r ((E_r)_aa +- (E_r)_ab) / (t - theta_r) (the
     neutrino identities), and for a cospectral pair (E_r)_aa +- (E_r)_ab
     is half of ||E_r (e_a +- e_b)||**2.  So m+ and m- are the minimal
-    polynomials of u = e_a + e_b and v = e_a - e_b relative to A, each the
-    shortest recurrence of its walk moments x^T A**j x, read exactly by
-    Berlekamp-Massey (``_minimal_polynomial``): the moments' Hankel matrix
-    is the Gram matrix of the Krylov vectors, positive definite up to
-    order deg m, so the recurrence is complete once A**(deg m) x is made
-    and no later vector is read.  No phi(G), no adjugate entry and no
-    modulus (a ``bridge_compose`` composite holds its classes already).
-    a and b are cospectral exactly when (A**k)_aa = (A**k)_bb, that is
-    (A**k u)_a = (A**k u)_b, for every k; the differences are v^T A**k u,
-    which the minimal polynomial of u annihilates, so k below its degree
-    suffices.  P_ab is taken with a positive leading
-    coefficient, the first nonzero walk count (A**k)_ab = ((A**k u)_a -
-    (A**k v)_a) / 2, which is found for k < deg m_u + deg m_v when it
-    exists; a negative one swaps the classes.  |(E_r)_ab| <= (E_r)_aa =
-    (E_r)_bb, with equality exactly when E_r e_a = +-E_r e_b.  So m+ and
-    m- are coprime exactly when a and b are strongly cospectral (Godsil
-    and Smith, "Strongly cospectral vertices"), and then they are the
-    sigma = +1 and sigma = -1 eigenvalue classes, each the monic product
-    of its t - theta."""
+    polynomials of u = e_a + e_b and v = e_a - e_b relative to A
+    (``_minimal_polynomial``, which makes A**k x for k <= deg m only).  No
+    phi(G), no adjugate entry and no modulus (a ``bridge_compose``
+    composite holds its classes already).  a and b are cospectral exactly
+    when (A**k u)_a = (A**k u)_b for every k; the differences are
+    v^T A**k u, which m_u annihilates, so k < deg m_u suffices.
+
+    P_ab is taken with a positive leading coefficient, that of the first
+    nonzero (A**k)_ab = (mu+_k - mu-_k) / 4, read off the moments
+    mu+-_k = x^T A**k x that Berlekamp-Massey has read, k <= 2s for
+    s = min(deg m+, deg m-); a negative one swaps the classes.  If the
+    moments agree up to 2s, their Hankel matrices of order s + 1, the Gram
+    matrices of the first s + 1 Krylov vectors, are equal; the one of
+    degree s is singular, so both modules have degree s.  The shortest
+    recurrence through 2s + 1 terms is unique, so m+ = m-, the moments
+    agree for every k, and P_ab = 0.
+
+    |(E_r)_ab| <= (E_r)_aa = (E_r)_bb, with equality exactly when E_r e_a =
+    +-E_r e_b.  So m+ and m- are coprime exactly when a and b are strongly
+    cospectral (Godsil and Smith, "Strongly cospectral vertices"), and then
+    they are the sigma = +1 and sigma = -1 classes, monic products of t - theta."""
     g._check_pair(a, b, "sigma classes need two distinct vertices")
     key = ("sigma", frozenset((a, b)))
     if key in g._poly_cache:
         return g._poly_cache[key]
     if not g.integer_flag:
         raise ValueError("graph has non-integer weights")
-    x = np.zeros(g.n, dtype=np.int64)
-    x[a] = x[b] = 1
-    plus = _Krylov(g, x)
+    plus = _unit_walks(g, a, b, 1)
     m_plus = _minimal_polynomial(plus)
     classes = None
     if all(plus[k][a] == plus[k][b] for k in range(m_plus.degree)):
-        x = x.copy()
-        x[b] = -1
-        minus = _Krylov(g, x)
+        minus = _unit_walks(g, a, b, -1)
         m_minus = _minimal_polynomial(minus)
-        count = m_plus.degree + m_minus.degree
-        walks = ((int(plus[k][a]), int(minus[k][a])) for k in range(count))
-        leading = next((y - z for y, z in walks if y != z), 0)
+        leading = next((y - z for y, z in zip(plus.mu, minus.mu) if y != z), 0)
         classes = (m_plus, m_minus) if leading >= 0 else (m_minus, m_plus)
     g._poly_cache[key] = classes
     return classes
 
 
+def walk_gf(g: Graph, a: int) -> RationalFunction:
+    """phi(G\\a) / phi(G), reduced, from the walk moments of e_a: the
+    closed-walk generating function at a after the substitution that
+    trades the walk variable for t.  Requires integer weights.
+
+    It is sum_r (E_r)_aa / (t - theta_r) = sum_j mu_j t**(-j-1), mu_j =
+    (A**j)_aa.  Each residue (E_r)_aa = ||E_r e_a||**2 is positive, so the
+    reduced denominator D is the minimal polynomial of e_a, and N is the
+    polynomial part of D sum_j mu_j t**(-j-1), N_i = sum_(j>i) d_j mu_(j-1-i).
+    No charpoly and no gcd.  Cached under ("walk_gf", a)."""
+    g._check_vertex(a)
+    key = ("walk_gf", a)
+    if key not in g._poly_cache:
+        if not g.integer_flag:
+            raise ValueError("graph has non-integer weights")
+        walks = _unit_walks(g, a)
+        d = _minimal_polynomial(walks).coeffs
+        # N / D is reduced as read: set it without a gcd
+        gf = g._poly_cache[key] = RationalFunction.__new__(RationalFunction)
+        gf.num = IntPoly(sum(map(operator.mul, d[i + 1 :], walks.mu)) for i in range(len(d) - 1))
+        gf.den = IntPoly(d)
+    return g._poly_cache[key]
+
+
+def return_walk_gf(g: Graph, a: int) -> RationalFunction:
+    """Generating function of closed walks at a that return exactly once,
+    in the t domain: 1 - phi(G) / (t phi(G\\a)) = (tN - D) / (tN) on the
+    key N / D of ``walk_gf`` (integer weights).  Additive over vertex
+    gluings at a, exactly."""
+    key = walk_gf(g, a)
+    den = T * key.num
+    return RationalFunction(den - key.den, den)
+
+
 # ---------------------------------------------------------------------------
 # bridge composites seeded from their sides
 
-def bridge_classes(phi: IntPoly, phi_del: IntPoly, bridge: int) -> tuple[IntPoly, IntPoly]:
-    """The sigma classes (m+, m-) of the endpoints of a bridge composite of
-    two walk-equivalent sides, from phi(Y) and phi(Y\\v) of either side
-    (the support correspondence across a bridge, ``bridge_compose``).  On
-    the P2 bridge they are the supports of v in Y with a +1 and with a -1
-    loop at v.  On the P3 bridge they are the support of the attachment
-    vertex in the sqrt(2)-pendant graph, which minus that vertex is Y\\v
-    plus an isolated vertex, then the support of v in Y.  A support is the
-    reduced denominator of the deleted over the whole polynomial, so the
-    side's polynomials and its reduced key give the same classes."""
+def bridge_classes(key: RationalFunction, bridge: int) -> tuple[IntPoly, IntPoly]:
+    """The sigma classes (m+, m-) of the ends of a bridge composite of two
+    sides with the common reduced key N / D = phi(Y\\v) / phi(Y)
+    (``walk_gf``; derivation in ``bridge_compose``), with no gcd: D - N
+    and D + N on P2, the supports of v in Y with a +1 and a -1 loop at v,
+    as gcd(N, D -+ N) = gcd(N, D) = 1.  On P3, tD - 2N, divided once by t
+    when N(0) = 0, and D.  The first is the reduced denominator of
+    tN / (tD - 2N), the support of the attachment vertex in the
+    sqrt(2)-pendant graph.  As gcd(N, D) = 1, t is the only possible common
+    factor of tN and tD - 2N.  t**2 would need D(0) = 2 M(0), M = N / t.
+    But N / D = sum_r w_r / (t - theta_r), w_r = (E_r)_vv > 0, vanishes at
+    0, so M(0) / D(0) is its derivative there, -sum_r w_r / theta_r**2, and
+    D(0) = 2 M(0) would give 1 = -2 sum_r w_r / theta_r**2 < 0."""
+    n, d = key.num, key.den
     if bridge == 2:
-        return tuple(
-            RationalFunction(phi_del, loop_adjusted_charpoly(phi, phi_del, s)).den
-            for s in (1, -1)
-        )
+        return d - n, d + n
     if bridge == 3:
-        pendant = pendant_sqrt2_charpoly(phi, phi_del)
-        return RationalFunction(T * phi_del, pendant).den, RationalFunction(phi_del, phi).den
+        plus = T * d - 2 * n
+        return (plus if plus.coeffs[0] else IntPoly(plus.coeffs[1:])), d
     raise ValueError("bridge identities cover 2 or 3 path vertices")
 
 
@@ -821,9 +841,9 @@ def bridge_compose(
 ) -> tuple[Graph, int, int]:
     """``graphs.compose(y1, a, y2, b, bridge)`` for a bridge of 2 or 3 path
     vertices, with the sigma classes of the ends in the composite's cache
-    (where ``sigma_classes`` looks): ``bridge_classes`` of the first side
-    when the sides are walk equivalent, else None.  No composite
-    polynomial is formed.
+    (where ``sigma_classes`` looks): ``bridge_classes`` of the sides'
+    common key when their keys (``walk_gf``) are equal, else None.  No
+    composite polynomial is formed.
 
     With phi_i = phi(Yi) and d_i = phi(Yi\\v), by Schwenk (1974) phi(Z) =
     phi_1 phi_2 - d_1 d_2 and phi(Z\\a) = d_1 phi_2 on P2, phi(Z) =
@@ -839,31 +859,10 @@ def bridge_compose(
     z, ga, gb = compose(y1, a, y2, b, bridge)
     if not z.integer_flag:
         return z, ga, gb
-    p1, p1d = charpoly(y1), charpoly_deleted(y1, [a])
-    p2, p2d = charpoly(y2), charpoly_deleted(y2, [b])
-    classes = bridge_classes(p1, p1d, bridge) if walk_equivalent(p1d, p1, p2d, p2) else None
+    key = walk_gf(y1, a)
+    classes = bridge_classes(key, bridge) if key == walk_gf(y2, b) else None
     z._poly_cache[("sigma", frozenset((ga, gb)))] = classes
     return z, ga, gb
-
-
-def walk_gf(g: Graph, a: int) -> RationalFunction:
-    """phi(G\\a) / phi(G): the closed-walk generating function at a after
-    the substitution that trades the walk variable for t."""
-    g._check_vertex(a)
-    return RationalFunction(charpoly_deleted(g, [a]), charpoly(g))
-
-
-def return_walk_gf(g: Graph, a: int) -> RationalFunction:
-    """Generating function of closed walks at a that return exactly once,
-    in the t domain: 1 - phi(G) / (t phi(G\\a)).
-
-    This form is additive over vertex gluings at a, exactly.
-    """
-    g._check_vertex(a)
-    phi = charpoly(g)
-    phi_del = charpoly_deleted(g, [a])
-    den = T * phi_del
-    return RationalFunction(den - phi, den)
 
 
 def walk_equivalent(

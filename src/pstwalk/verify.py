@@ -300,7 +300,7 @@ def verify_support_correspondence_p2(y1: Graph, a: int, y2: Graph, b: int) -> bo
     sides, plus, minus, leftover = _composite_classes(y1, a, y2, b, 2)
     pool = []
     for phi, phi_del in sides:
-        if xp.bridge_classes(phi, phi_del, 2) != (plus, minus):
+        if xp.bridge_classes(xp.RationalFunction(phi_del, phi), 2) != (plus, minus):
             return False
         for sign, cls in ((+1, plus), (-1, minus)):
             pool.append(_nonsupport_poly(xp.loop_adjusted_charpoly(phi, phi_del, sign), cls))
@@ -320,7 +320,7 @@ def verify_support_correspondence_p3(y1: Graph, a: int, y2: Graph, b: int) -> bo
     sides, plus, minus, leftover = _composite_classes(y1, a, y2, b, 3)
     pool = []
     for phi, phi_del in sides:
-        if xp.bridge_classes(phi, phi_del, 3) != (plus, minus):
+        if xp.bridge_classes(xp.RationalFunction(phi_del, phi), 3) != (plus, minus):
             return False
         pool.append(_nonsupport_poly(phi, minus))
         if xp.pendant_sqrt2_charpoly(phi, phi_del)(0) == 0:

@@ -17,8 +17,10 @@ WRITERS = {
     "exactpoly.charpoly",
     "exactpoly.charpoly_deleted",
     "exactpoly._adjugate_entries",
+    "exactpoly._adjacency",
     "exactpoly.sigma_classes",
     "exactpoly.bridge_compose",
+    "exactpoly.walk_gf",
     "spectral.decompose",
     "graphs.Graph.__init__",
     "graphs.Graph.__setstate__",

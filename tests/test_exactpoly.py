@@ -253,7 +253,8 @@ def test_poly_gcd_matches_oracle_on_a_search(bridge, monkeypatch):
         return seen[-1][2]
 
     monkeypatch.setattr(xp, "poly_gcd", recording)
-    search_no_pst(bridge, 4)
+    # the side keys make no gcd, so only the n <= 5 certificates reach 50
+    search_no_pst(bridge, 5)
     assert len(seen) > 50
     for p, q, g in seen:
         assert g.coeffs == poly_gcd_oracle(p, q).coeffs
@@ -322,7 +323,7 @@ def _count_gcds(monkeypatch):
     return calls
 
 
-def test_certificate_and_bucket_key_route_through_poly_gcd(monkeypatch):
+def test_poly_gcd_calls_of_a_certificate_and_a_bucket_key(monkeypatch):
     calls = _count_gcds(monkeypatch)
     cert = pst_certificate(build_path(5), 0, 4)  # strongly cospectral ends
     assert cert.failure_reason != "not_strongly_cospectral"
@@ -330,8 +331,11 @@ def test_certificate_and_bucket_key_route_through_poly_gcd(monkeypatch):
     # one gcd is gcd(m+, m-) of the decision
     assert len(calls) == 1
     calls.clear()
-    walk_gf(build_star(3), 0)
-    assert len(calls) == 1
+    # the key's D is a minimal polynomial too, and N / D is reduced as read,
+    # and so are the bridge classes of the key
+    key = walk_gf(build_star(3), 0)
+    bridge_classes(key, 2), bridge_classes(key, 3)
+    assert calls == []
 
 
 def test_poly_divexact():
@@ -609,27 +613,32 @@ def test_bridge_compose_seeds_weighted_looped_sides():
     assert cospectral < 60
 
 
-def test_bridge_classes_of_a_side_and_of_its_key():
-    # the classes depend on phi(Y\v) / phi(Y) only: scaling both by a common
-    # factor changes nothing, and on the reduced key N / D they are
-    # D -+ N (P2) and (tD - 2N) / gcd(tN, tD - 2N), D (P3)
+def test_bridge_classes_of_a_side_and_of_its_key(monkeypatch):
+    # on the reduced key N / D, here of phi(Y\v) / phi(Y) from charpolys and
+    # scaled by a common factor, the classes are D -+ N (P2) and
+    # (tD - 2N) / gcd(tN, tD - 2N), D (P3), and the side's own key
+    # (walk_gf) gives the same; bridge_classes reads no gcd
     rng = random.Random(13)
+    calls = _count_gcds(monkeypatch)
+    divided = 0
     for _ in range(30):
         y = random_connected_graph(rng, rng.randint(1, 5), weighted=True, loops=True)
         v = rng.randrange(y.n)
-        phi, phi_del = charpoly(y), charpoly_deleted(y, [v])
-        key = walk_gf(y, v)
-        n, d = key.num, key.den
         extra = T * T - rng.randint(-3, 3)
-        for bridge in (2, 3):
-            classes = bridge_classes(phi, phi_del, bridge)
-            assert classes == bridge_classes(extra * phi, extra * phi_del, bridge)
-            assert classes == bridge_classes(d, n, bridge)
-        assert bridge_classes(phi, phi_del, 2) == (d - n, d + n)
+        phi, phi_del = charpoly(y), charpoly_deleted(y, [v])
+        key = xp.RationalFunction(extra * phi_del, extra * phi)
+        n, d = key.num, key.den
         plus = poly_divexact(T * d - 2 * n, poly_gcd(T * n, T * d - 2 * n))
-        assert bridge_classes(phi, phi_del, 3) == (plus, d)
+        divided += plus.degree == d.degree
+        calls.clear()
+        assert bridge_classes(key, 2) == (d - n, d + n)
+        assert bridge_classes(key, 3) == (plus, d)
+        assert calls == []
+        for bridge in (2, 3):
+            assert bridge_classes(walk_gf(y, v), bridge) == bridge_classes(key, bridge)
+    assert 0 < divided < 30  # N(0) = 0, where the P3 class is divided by t
     with pytest.raises(ValueError, match="2 or 3"):
-        bridge_classes(phi, phi_del, 4)
+        bridge_classes(key, 4)
 
 
 def test_bridge_compose_seeds_nothing_on_non_integer_weights():
@@ -650,8 +659,8 @@ def test_search_rejects_a_wrong_bridge_identity(monkeypatch):
     # then has one eigenvalue more than the numeric one
     right = xp.bridge_classes
 
-    def wrong(phi, phi_del, bridge):
-        plus, minus = right(phi, phi_del, bridge)
+    def wrong(key, bridge):
+        plus, minus = right(key, bridge)
         return plus * (T - 100), minus
 
     monkeypatch.setattr(xp, "bridge_classes", wrong)
@@ -769,12 +778,9 @@ def test_adjugate_entries_match_oracles_on_weighted_looped_graphs():
 
 
 def test_adjugate_entries_reduce_weights_beyond_int64():
-    # a path 0-1-2-3 with a 2**70 edge, a negative edge and loops: the lift
-    # needs several primes, and each reduces the weights as Python integers
-    w = np.zeros((4, 4))
-    for u, v, x in ((0, 1, 2.0**70), (1, 2, -3.0), (2, 3, 1.0)):
-        w[u, v] = w[v, u] = x
-    w[0, 0], w[3, 3] = -1.0, 2.0**70
+    # the lift needs several primes, and each reduces the weights as Python
+    # integers
+    w = beyond_int64_path().weights
     for a, b in ((0, 3), (1, 2), (0, 2), (3, 1)):
         assert_adjugate_matches_oracles(w, a, b)
     # the one 0..1 path is the edge, and it leaves 2-3 with the 2**70 loop
@@ -996,6 +1002,45 @@ def test_minimal_polynomial_reads_no_vector_past_its_degree(monkeypatch):
             assert len(walks.vectors) == m.degree + 1
 
 
+def _record_krylovs(monkeypatch):
+    """The list every _Krylov made from now on is appended to."""
+    made = []
+    init = xp._Krylov.__init__
+    monkeypatch.setattr(
+        xp._Krylov, "__init__", lambda walks, g, x: made.append(walks) or init(walks, g, x)
+    )
+    return made
+
+
+@pytest.mark.parametrize("g, a, b", LONG_MODULES)
+def test_sigma_classes_make_deg_m_plus_one_vectors(monkeypatch, g, a, b):
+    # the orientation reads the moments Berlekamp-Massey read, so no module
+    # is stepped past A**(deg m) x: P40 makes 21 + 21 vectors
+    made = _record_krylovs(monkeypatch)
+    g = Graph(g.weights)
+    classes = sigma_classes(g, a, b)
+    made_to = sorted(len(walks.vectors) - 1 for walks in made)
+    if classes is None:
+        # not cospectral: only e_a + e_b is stepped
+        (plus,) = made
+        degrees = [xp._minimal_polynomial(xp._Krylov(Graph(g.weights), plus.vectors[0])).degree]
+    else:
+        degrees = sorted(m.degree for m in classes)
+    assert made_to == degrees
+
+
+def test_krylov_modules_of_a_graph_share_one_adjacency(monkeypatch):
+    made = _record_krylovs(monkeypatch)
+    g = build_cycle(6)
+    sigma_classes(g, 0, 3)
+    path_sum_poly(g, 0, 3)
+    walk_gf(g, 1)
+    assert len(made) == 5
+    rows, cols, weights, norm = g._poly_cache[("adjacency", None)]
+    assert norm == 2 and weights.dtype == np.int64
+    assert all(w._rows is rows and w._cols is cols and w._weights is weights for w in made)
+
+
 def test_refused_annihilation_check_raises_and_returns_no_class(monkeypatch):
     monkeypatch.setattr(xp._Krylov, "annihilated_by", lambda walks, m: False)
     for g, a, b in ((build_path(3), 0, 2), (build_cycle(6), 0, 3), (build_path(4), 0, 1)):
@@ -1010,6 +1055,34 @@ def test_walk_gf_reduction():
     f = walk_gf(g, 1)
     assert f.num.coeffs == (0, 1)
     assert f.den.coeffs == (-2, 0, 1)
+
+
+def beyond_int64_path():
+    """Path 0-1-2-3 with a 2**70 edge, a negative edge and loops."""
+    w = np.zeros((4, 4))
+    for u, v, x in ((0, 1, 2.0**70), (1, 2, -3.0), (2, 3, 1.0)):
+        w[u, v] = w[v, u] = x
+    w[0, 0], w[3, 3] = -1.0, 2.0**70
+    return Graph(w)
+
+
+def test_walk_gf_is_the_reduced_charpoly_ratio():
+    # the key from the walk moments of e_v equals phi(Y\v) / phi(Y) reduced
+    # by a gcd, on every side with n <= 6, seeded weighted and looped
+    # graphs, and weights beyond int64
+    rng = random.Random(21)
+    sides = list(marked_graphs(6))
+    assert len(sides) == 481
+    for _ in range(60):
+        g = random_int_graph(rng, rng.randint(1, 7), weighted=True, loops=rng.random() < 0.6)
+        sides.append((g, rng.randrange(g.n)))
+    sides += [(beyond_int64_path(), v) for v in range(4)]
+    for y, v in sides:
+        oracle = xp.RationalFunction(charpoly_deleted(Graph(y.weights), [v]), charpoly(y))
+        assert walk_gf(y, v) == oracle
+        assert walk_gf(y, v) is y._poly_cache[("walk_gf", v)]
+    with pytest.raises(ValueError, match="non-integer"):
+        walk_gf(Graph.from_edges(2, [(0, 1, 0.5)]), 0)
 
 
 def test_return_walk_gf_additive_over_one_sums():
