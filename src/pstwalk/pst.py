@@ -10,29 +10,36 @@ congruences t (theta_0 - theta_r) in pi Z with the parities dictated by the
 sigma signs.  Floats only propose roots and cross-check: the numeric
 decomposition must agree with the exact classes, and the walk must reach
 fidelity 1 at the certified time.  Every fidelity, at one time or over a
-scan, comes from one evaluator, the factorised grid of ``_peak``.
+scan, comes from one evaluator, the factorised grid of ``_peak``, which
+reads a stack of pairs at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
-from .spectral import decompose, pair_ceilings, strongly_cospectral
+from .spectral import SpectralDecomposition, decompose, pair_ceilings, strongly_cospectral
 
 __all__ = [
     "CONFIRM_TOL",
     "PstCertificate",
+    "check_scan",
     "evolve_fidelity",
     "fidelity_ceiling",
     "fidelity_scan",
+    "pair_phases",
+    "phase_fidelity",
     "pst_certificate",
+    "pst_decision",
     "quadratic_integer_structure",
+    "scan_phases",
     "StructureFailure",
 ]
 
@@ -76,48 +83,73 @@ class PstCertificate:
 # ---------------------------------------------------------------------------
 # fidelity
 
-def _phase_data(g: Graph, a: int, b: int):
-    """Eigenvalues theta_r and entries (E_r)_ab, from rows a and b of the
-    eigenvectors."""
-    dec = decompose(g)
+def pair_phases(dec: SpectralDecomposition, a: int, b: int):
+    """The phases of a pair: eigenvalues theta_r and entries (E_r)_ab, from
+    rows a and b of ``dec``'s eigenvectors."""
     return np.array(dec.distinct_eigenvalues), dec.sums(dec.vectors[a] * dec.vectors[b])
 
 
-def _peak(thetas: np.ndarray, weights: np.ndarray, lo: float, dt: float, steps: int):
-    """The best (t, |sum_r w_r exp(i theta_r t)|) over the grid t_k = lo + k dt,
-    k = 0 .. steps.
+def _peak(thetas: np.ndarray, weights: np.ndarray, lo: np.ndarray, dt: np.ndarray, steps: int):
+    """For each pair i of a stack, the best (t, |sum_r w_ir exp(i theta_ir t)|)
+    over the grid t_k = lo_i + k dt_i, k = 0 .. steps, as two arrays.
+    ``thetas`` and ``weights`` are (pairs, d), a pair with fewer eigenvalues
+    padded with zero weights, which add nothing; ``lo`` and ``dt`` are
+    (pairs,).
 
     The grid is factorised: with C = ceil(sqrt(steps + 1)), t_k = lo +
-    (jC + i) dt, so the amplitudes are the entries of coarse @ fine.T, where
-    coarse[j, r] = exp(i theta_r (lo + jC dt)) and fine[i, r] = w_r
+    (jC + i) dt, so a pair's amplitudes are the entries of coarse @ fine.T,
+    where coarse[j, r] = exp(i theta_r (lo + jC dt)) and fine[i, r] = w_r
     exp(i theta_r i dt).  That takes about 2 sqrt(steps) d complex
-    exponentials for d eigenvalues, not steps d.  The coarse rows go in
-    blocks of at most 200 000 grid points (or one row, when a row is longer),
-    so memory stays bounded for any ``steps``.
+    exponentials a pair, not steps d.  The pairs go in groups whose fine
+    tables hold at most 200 000 entries, and each group's coarse rows in
+    blocks of at most 200 000 grid points over its pairs (or one row, when
+    a row is longer), so memory stays bounded for any ``steps`` and any
+    number of pairs.
     """
     points = steps + 1
     width = math.isqrt(steps) + 1  # ceil(sqrt(points))
-    fine = np.exp(1j * np.outer(np.arange(width) * dt, thetas)) * weights
     height = -(-points // width)
-    block = max(1, 200_000 // width)
-    best_k, best_f = 0, -1.0
-    for j0 in range(0, height, block):
-        js = np.arange(j0, min(j0 + block, height))
-        coarse = np.exp(1j * np.outer(lo + js * width * dt, thetas))
-        vals = np.abs(coarse @ fine.T).ravel()[: points - j0 * width]
-        i = int(np.argmax(vals))
-        if vals[i] > best_f:
-            best_k, best_f = j0 * width + i, float(vals[i])
+    count, d = thetas.shape
+    group = max(1, 200_000 // (width * d))
+    ks, fs = [], []
+    for p0 in range(0, count, group):
+        th, w = thetas[p0 : p0 + group, None], weights[p0 : p0 + group, None]
+        step, start = dt[p0 : p0 + group, None], lo[p0 : p0 + group, None]
+        fine = np.exp(1j * ((np.arange(width) * step)[..., None] * th)) * w
+        fine_t = fine.transpose(0, 2, 1)
+        pairs = np.arange(len(fine))
+        block = max(1, 200_000 // (width * len(fine)))
+        for j0 in range(0, height, block):
+            js = np.arange(j0, min(j0 + block, height))
+            coarse = np.exp(1j * ((start + js * width * step)[..., None] * th))
+            vals = np.abs(coarse @ fine_t).reshape(len(fine), -1)[:, : points - j0 * width]
+            k = vals.argmax(axis=1)
+            f = vals[pairs, k]
+            if j0 == 0:
+                best_k, best_f = k, f
+            else:
+                better = f > best_f
+                best_k = np.where(better, j0 * width + k, best_k)
+                best_f = np.where(better, f, best_f)
+        ks.append(best_k)
+        fs.append(best_f)
+    best_k, best_f = (np.concatenate(ks), np.concatenate(fs)) if len(ks) > 1 else (ks[0], fs[0])
     return lo + best_k * dt, best_f
 
 
+def phase_fidelity(phases, t: float) -> float:
+    """|<b| exp(itA) |a>| at time t of a pair with ``phases``
+    (``pair_phases``), a one-point grid of ``_peak``."""
+    thetas, weights = phases
+    return float(_peak(thetas[None], weights[None], np.array([float(t)]), np.zeros(1), 0)[1][0])
+
+
 def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
-    """|<b| exp(itA) |a>| at time t, a one-point grid of ``_peak``."""
+    """|<b| exp(itA) |a>| at time t (``phase_fidelity``)."""
     g._check_vertex(a, b)
     if not math.isfinite(t):
         raise ValueError(f"evolve_fidelity needs a finite time, got {t}")
-    thetas, weights = _phase_data(g, a, b)
-    return _peak(thetas, weights, float(t), 0.0, 0)[1]
+    return phase_fidelity(pair_phases(decompose(g), a, b), t)
 
 
 def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
@@ -138,6 +170,44 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
     return float(pair_ceilings(dec.vectors[None], dec.starts, [a], [b])[0])
 
 
+def check_scan(t_max: float, steps: int) -> None:
+    """Raise ValueError unless 0 < t_max < inf and ``steps`` is an integer
+    of at least 1 (a bool is not)."""
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"need 0 < t_max < inf, got {t_max}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"need an integer steps >= 1, got {steps!r}")
+
+
+def scan_phases(phases, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fidelity scans of a list of pairs, given by their phases
+    (``pair_phases``), each over [0, t_max[i]] with ``steps`` intervals, as
+    one stack through ``_peak``: the grid, then _REFINE_GRIDS finer grids,
+    each spanning one spacing of the grid before it on either side of the
+    pair's best point so far, clipped to [0, t_max[i]], and kept only when
+    it beats that point.  Returns the arrays (t_best, fidelity_best).  The
+    caller checks each window (``check_scan``).
+    """
+    # one row a pair, padded with zero weights
+    thetas = np.zeros((len(phases), max(len(th) for th, _ in phases)))
+    weights = np.zeros_like(thetas)
+    for i, (th, w) in enumerate(phases):
+        thetas[i, : len(th)] = th
+        weights[i, : len(w)] = w
+    t_max = np.asarray(t_max, dtype=float)
+    dt = t_max / steps
+    best_t, best_f = _peak(thetas, weights, np.zeros(len(t_max)), dt, steps)
+    for _ in range(_REFINE_GRIDS):
+        lo = np.maximum(0.0, best_t - dt)
+        dt = (np.minimum(t_max, best_t + dt) - lo) / _REFINE_STEPS
+        t, f = _peak(thetas, weights, lo, dt, _REFINE_STEPS)
+        better = f > best_f
+        best_t = np.where(better, t, best_t)
+        best_f = np.where(better, f, best_f)
+    # lo + k dt may round past t_max by an ulp
+    return np.minimum(best_t, t_max), best_f
+
+
 def fidelity_scan(
     g: Graph,
     a: int,
@@ -146,26 +216,13 @@ def fidelity_scan(
     steps: int,
 ) -> tuple[float, float]:
     """Maximum fidelity over a uniform t grid on [0, t_max] with ``steps``
-    intervals (``_peak``), refined by _REFINE_GRIDS finer grids, each
-    spanning one spacing of the grid before it on either side of the best
-    point so far, clipped to [0, t_max], and kept only when it beats that
-    point.  Returns (t_best, fidelity_best).
+    intervals, refined: ``scan_phases`` of this one pair.  Returns
+    (t_best, fidelity_best).
     """
     g._check_pair(a, b, "fidelity scan needs two distinct vertices")
-    if not 0 < t_max < math.inf or steps < 1:
-        raise ValueError("need 0 < t_max < inf and steps >= 1")
-    thetas, weights = _phase_data(g, a, b)
-    t_max = float(t_max)
-    dt = t_max / steps
-    best_t, best_f = _peak(thetas, weights, 0.0, dt, steps)
-    for _ in range(_REFINE_GRIDS):
-        lo = max(0.0, best_t - dt)
-        dt = (min(t_max, best_t + dt) - lo) / _REFINE_STEPS
-        t, f = _peak(thetas, weights, lo, dt, _REFINE_STEPS)
-        if f > best_f:
-            best_t, best_f = t, f
-    # lo + k dt may round past t_max by an ulp
-    return min(best_t, t_max), best_f
+    check_scan(t_max, steps)
+    t, f = scan_phases([pair_phases(decompose(g), a, b)], [float(t_max)], steps)
+    return float(t[0]), float(f[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +365,48 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     """Decide perfect state transfer between a and b.  Requires integer
     weights.
 
+    ``pst_decision`` over the pair's sigma classes, its numeric signature
+    (``spectral.strongly_cospectral``, which checks it against the exact
+    decision) and ``evolve_fidelity`` on the graph.
+    """
+    g._check_pair(a, b, "perfect state transfer needs two distinct vertices")
+    if not g.integer_flag:
+        raise ValueError("perfect state transfer certificate needs integer weights")
+    _, sig = strongly_cospectral(g, a, b)
+    # the exact decision inside strongly_cospectral cached the classes
+    return pst_decision(sigma_classes(g, a, b), sig, partial(evolve_fidelity, g, a, b))
+
+
+def pst_decision(classes, signature, fidelity_at) -> PstCertificate:
+    """The certificate of the pair a, b of ``signature``, from its sigma
+    classes (m+, m-) (``exactpoly.sigma_classes``; None when not
+    cospectral), its numeric signature (``spectral.pair_signature``, whose
+    strong-cospectrality decision has been checked against the classes)
+    and ``fidelity_at(t)``, its fidelity at time t.
+
     Checks, in order: strong cospectrality, the common quadratic-integer
     form of the roots of m+ m- (the sigma = +1 and sigma = -1 classes, so
     the supported eigenvalues), and an admissible gap divisor.  On success
     the minimal transfer time is derived from the phase congruences and
-    cross-validated by evolving the walk.  A support size or sign pattern
-    on which the numeric decomposition and the exact classes disagree, or
-    a cross-validation miss, raises rather than returning a wrong
+    cross-validated by the fidelity there.  A support size or sign pattern
+    on which the numeric signature and the exact classes disagree, or a
+    cross-validation miss, raises rather than returning a wrong
     certificate.
 
     A failure names the first check that fails: not_strongly_cospectral,
     no_common_alpha, delta_not_consistent or no_admissible_g.
     """
-    g._check_pair(a, b, "perfect state transfer needs two distinct vertices")
-    if not g.integer_flag:
-        raise ValueError("perfect state transfer certificate needs integer weights")
-    sc, sig = strongly_cospectral(g, a, b)
-    if not sc:
+    a, b = signature.a, signature.b
+    if not signature.strongly_cospectral:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")
-    supported = sorted(sig.supported(), reverse=True)
+    supported = sorted(signature.supported(), reverse=True)
     thetas = [th for th, _ in supported]
     # global phase: normalize sigma_0 = +1
     sigmas = tuple(s * supported[0][1] for _, s in supported)
     base = dict(sigmas=sigmas)
-    # the exact decision inside strongly_cospectral cached the classes; which
-    # one is +1 does not matter, as the sigma_0 = +1 normalization undoes a swap
-    plus, minus = sigma_classes(g, a, b)
+    # which class is +1 does not matter, as the sigma_0 = +1 normalization
+    # undoes a swap
+    plus, minus = classes
     if plus.degree + minus.degree != len(thetas):
         raise RuntimeError(
             f"exact support has {plus.degree + minus.degree} eigenvalues, "
@@ -352,7 +425,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
         return PstCertificate("fail", a, b, failure_reason="no_admissible_g", **base)
     ks = tuple(gap // gstar for gap in gaps)
     t = 2.0 * math.pi / (gstar * math.sqrt(delta))
-    fid = evolve_fidelity(g, a, b, t)
+    fid = fidelity_at(t)
     if fid < 1.0 - CONFIRM_TOL:
         raise RuntimeError(
             f"certificate claims transfer at t={t} but fidelity is {fid}; "

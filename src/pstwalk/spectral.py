@@ -20,12 +20,15 @@ __all__ = [
     "SpectralDecomposition",
     "decompose",
     "eigenspaces",
+    "stacked_decomposition",
     "pair_ceilings",
     "support",
     "cospectral",
     "SupportSignature",
     "strongly_cospectral",
+    "pair_signature",
     "strongly_cospectral_exact",
+    "coprime_classes",
     "projector_entry_via_neutrino",
     "walk_module_matrix",
 ]
@@ -72,18 +75,32 @@ def decompose(g: Graph) -> SpectralDecomposition:
     """
     cached = g._poly_cache.get(_DECOMPOSE_KEY)
     if cached is None:
-        w, v, tol, starts = eigenspaces(g.weights)
-        vectors = np.ascontiguousarray(v)
-        vectors.setflags(write=False)
-        starts.setflags(write=False)
-        # a few eigenspaces: their sizes and means are cheaper in Python
-        bounds = starts.tolist() + [g.n]
-        mults = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-        sums = np.add.reduceat(w, starts).tolist()
-        cached = g._poly_cache[_DECOMPOSE_KEY] = SpectralDecomposition(
-            tuple(x / m for x, m in zip(sums, mults)), mults, vectors, float(tol), starts
-        )
+        cached = g._poly_cache[_DECOMPOSE_KEY] = _decomposition(*eigenspaces(g.weights))
     return cached
+
+
+def _decomposition(w, v, tol, starts) -> SpectralDecomposition:
+    """One matrix's ``eigenspaces`` output as a decomposition."""
+    vectors = np.ascontiguousarray(v)
+    vectors.setflags(write=False)
+    starts.setflags(write=False)
+    # a few eigenspaces: their sizes and means are cheaper in Python
+    bounds = starts.tolist() + [len(w)]
+    mults = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    sums = np.add.reduceat(w, starts).tolist()
+    return SpectralDecomposition(
+        tuple(x / m for x, m in zip(sums, mults)), mults, vectors, float(tol), starts
+    )
+
+
+def stacked_decomposition(stack, i: int) -> SpectralDecomposition:
+    """Matrix i of a stack that ``eigenspaces`` decomposed (its output
+    tuple), as ``decompose`` gives it for that matrix alone: the same
+    numbers, read from the stack's rows with no further ``eigh``."""
+    w, v, tol, starts = stack
+    n = w.shape[-1]
+    lo, hi = np.searchsorted(starts, [i * n, (i + 1) * n])
+    return _decomposition(w[i], v[i], tol[i], starts[lo:hi] - i * n)
 
 
 def eigenspaces(mats: np.ndarray):
@@ -203,40 +220,57 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
     """Decide whether E_r e_a = sigma_r E_r e_b with sigma_r in {+1, -1}
     holds for every eigenspace.
 
-    Numeric decision from the spectral decomposition; for integer weights
-    the exact criterion (``strongly_cospectral_exact``) is computed as well
-    and any disagreement raises, since it signals a numeric failure rather
-    than a mathematical result: the package's one such check, which every
-    composite the bridge search builds goes through.
+    Numeric decision from the spectral decomposition (``pair_signature``);
+    for integer weights the exact criterion (``strongly_cospectral_exact``)
+    is computed as well, and a disagreement raises.
     """
     g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
-    dec = decompose(g)
+    exact = strongly_cospectral_exact(g, a, b) if g.integer_flag else None
+    sig = pair_signature(decompose(g), a, b, exact)
+    return sig.strongly_cospectral, sig
+
+
+def pair_signature(
+    dec: SpectralDecomposition, a: int, b: int, exact: bool | None
+) -> SupportSignature:
+    """The numeric strong-cospectrality decision and signature of a and b,
+    read from rows a and b of ``dec`` (``_pair_rule``).
+
+    ``exact`` is the exact decision, or None where there is none
+    (non-integer weights).  A disagreement raises, since it signals a
+    numeric failure rather than a mathematical result: the package's one
+    such check, which every pair the bridge search certifies or composes
+    goes through.
+    """
     ab, ia, ib, _, parallel, agrees = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
     numeric = bool(agrees.all())
+    if exact is not None and exact != numeric:
+        raise RuntimeError(
+            f"exact ({exact}) and numeric ({numeric}) strong-cospectrality "
+            f"decisions disagree for vertices {a}, {b}"
+        )
     signs = np.where(ab >= 0, 1, -1)
     entries = [
         (th, bool(x), bool(y), int(s) if p else None)
         for th, x, y, s, p in zip(dec.distinct_eigenvalues, ia, ib, signs, parallel)
     ]
-    if g.integer_flag:
-        exact = strongly_cospectral_exact(g, a, b)
-        if exact != numeric:
-            raise RuntimeError(
-                f"exact ({exact}) and numeric ({numeric}) strong-cospectrality "
-                f"decisions disagree for vertices {a}, {b}"
-            )
-    return numeric, SupportSignature(a, b, tuple(entries), numeric)
+    return SupportSignature(a, b, tuple(entries), numeric)
 
 
 def strongly_cospectral_exact(g: Graph, a: int, b: int) -> bool:
-    """Exact strong-cospectrality decision for integer weights: a and b are
-    cospectral and their sigma classes m+ and m-, the minimal polynomials
-    of e_a + e_b and e_a - e_b, share no eigenvalue
-    (``exactpoly.sigma_classes``)."""
+    """Exact strong-cospectrality decision for integer weights, from the
+    sigma classes of a and b (``exactpoly.sigma_classes``,
+    ``coprime_classes``)."""
     g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("exact decision needs integer weights")
-    classes = xp.sigma_classes(g, a, b)
+    return coprime_classes(xp.sigma_classes(g, a, b))
+
+
+def coprime_classes(classes: tuple[xp.IntPoly, xp.IntPoly] | None) -> bool:
+    """Whether a pair with sigma classes ``classes`` (None: not cospectral)
+    is strongly cospectral: it is cospectral and its classes m+ and m-, the
+    minimal polynomials of e_a + e_b and e_a - e_b, share no eigenvalue."""
     return classes is not None and xp.poly_gcd(*classes).degree == 0
 
 

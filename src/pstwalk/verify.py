@@ -9,6 +9,7 @@ import operator
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,13 +24,16 @@ from .graphs import (
     one_sum,
     serialize_graph,
 )
-from .pst import fidelity_scan, pst_certificate
+from .pst import check_scan, pair_phases, phase_fidelity, pst_decision, scan_phases
 from .spectral import (
     GROUPING_TOL,
     SUPPORT_TOL,
+    coprime_classes,
     decompose,
     eigenspaces,
     pair_ceilings,
+    pair_signature,
+    stacked_decomposition,
     strongly_cospectral,
     strongly_cospectral_exact,
     walk_module_matrix,
@@ -419,8 +423,9 @@ def _chunks(sides) -> list:
 def _stacked_composites(firsts, seconds, bridge: int):
     """The composites of the side pairs (firsts[k], seconds[k]), which share
     (n1, n2), as one stack of weight matrices in the layout of
-    ``graphs.compose``, decomposed by one ``eigh``: each pair's fidelity
-    ceiling."""
+    ``graphs.compose``, decomposed by one ``eigh``: the stack
+    (``spectral.eigenspaces``), from which ``spectral.stacked_decomposition``
+    reads any pair's decomposition, and each pair's fidelity ceiling."""
     ends1 = np.array([a for _, a in firsts])
     ends2 = np.array([b for _, b in seconds])
     mats = compose_weights(
@@ -430,31 +435,45 @@ def _stacked_composites(firsts, seconds, bridge: int):
         ends2,
         bridge,
     )
-    _, vectors, _, starts = eigenspaces(mats)
+    stack = eigenspaces(mats)
+    _, vectors, _, starts = stack
     # the second side's labels are shifted by n1
-    return pair_ceilings(vectors, starts, ends1, firsts[0][0].n + ends2)
+    return stack, pair_ceilings(vectors, starts, ends1, firsts[0][0].n + ends2)
 
 
 def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
-    """The report over chunks part, part + parts, ... of ``_chunks(sides)``."""
+    """The report over chunks part, part + parts, ... of ``_chunks(sides)``.
+
+    A same-bucket pair is decided from its row of the chunk's stack, and
+    its fidelity scan waits with every other scan of the part until the
+    last chunk is done; then the scans run as one stack per grid size
+    (``pst.scan_phases``)."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
     keys = [xp.walk_gf(g, v) for g, v in sides]
+    # grid steps -> [(y1, a, y2, b, phases, t_max, pst_time or None for a failure)]
+    scans: dict = {}
     for first, second, lo in _chunks(sides)[part::parts]:
         ks = range(lo, min(lo + _CHUNK, len(first) * len(second)))
         i1 = [first[k // len(second)] for k in ks]
         i2 = [second[k % len(second)] for k in ks]
-        ceilings = _stacked_composites([sides[i] for i in i1], [sides[j] for j in i2], bridge)
-        for i, j, ceiling in zip(i1, i2, ceilings.tolist()):
+        stack, ceilings = _stacked_composites([sides[i] for i in i1], [sides[j] for j in i2], bridge)
+        n1 = sides[first[0]][0].n
+        for row, (i, j, ceiling) in enumerate(zip(i1, i2, ceilings.tolist())):
             (y1, a), (y2, b) = sides[i], sides[j]
             report.instances_tested += 1
+            phases = None
             if keys[i] == keys[j]:
-                z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
-                cert = pst_certificate(z, ga, gb)
+                # the classes come from the key, every number from the stack
+                dec = stacked_decomposition(stack, row)
+                classes = xp.bridge_classes(keys[i], bridge)
+                sig = pair_signature(dec, a, n1 + b, coprime_classes(classes))
+                phases = pair_phases(dec, a, n1 + b)
+                cert = pst_decision(classes, sig, partial(phase_fidelity, phases))
                 reason = cert.failure_reason
             else:
                 # a and b are not cospectral in Z: decided by the keys
                 report.bucket_settled += 1
-                z, cert, reason = None, None, "not_strongly_cospectral"
+                cert, reason = None, "not_strongly_cospectral"
                 if ceiling >= 1.0 - SCAN_THRESHOLD:
                     # 1 - C <= 2 d SUPPORT_TOL**2 on a numeric "strongly
                     # cospectral", so only these pairs can read one: cross-check
@@ -464,6 +483,7 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
                             "side keys differ but the composite is strongly cospectral: "
                             f"{_pair_record(y1, a, y2, b)}"
                         )
+                    phases = pair_phases(decompose(z), ga, gb)
             if reason == "not_strongly_cospectral":
                 report.max_ceiling = max(report.max_ceiling, ceiling)
             else:
@@ -475,16 +495,9 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
                         f"{_pair_record(y1, a, y2, b)}"
                     )
             if cert is not None and cert.success:
-                t_best, f_best = fidelity_scan(
-                    z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000)
-                )
-                if f_best < 1.0 - SCAN_THRESHOLD:
-                    raise RuntimeError(
-                        f"certificate success not confirmed by scan: "
-                        f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
-                    )
-                report.pst_successes.append(
-                    _pair_record(y1, a, y2, b, pst_time=cert.pst_time, scan_peak=f_best)
+                t_max = max(2.5 * cert.pst_time, 1.0)
+                scans.setdefault(max(scan_steps, 2000), []).append(
+                    (y1, a, y2, b, phases, t_max, cert.pst_time)
                 )
                 continue
             report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + 1
@@ -495,12 +508,25 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
                 # no t, inside the scan window or beyond it, can reach the threshold
                 report.ceiling_settled += 1
                 continue
-            if z is None:
-                z, ga, gb = compose(y1, a, y2, b, bridge)
-            t_best, f_best = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
-            # approximate transfer can creep arbitrarily close to 1, so
-            # only a violation of the certificate threshold counts
-            if f_best >= 1.0 - SCAN_THRESHOLD:
+            scans.setdefault(scan_steps, []).append((y1, a, y2, b, phases, scan_t_max, None))
+        # this chunk's stack goes before the next one is built
+        del stack
+    for steps, batch in scans.items():
+        *_, phases, t_max, _ = zip(*batch)
+        ts, fs = scan_phases(phases, t_max, steps)
+        for (y1, a, y2, b, *_, pst_time), t_best, f_best in zip(batch, ts.tolist(), fs.tolist()):
+            if pst_time is not None:
+                if f_best < 1.0 - SCAN_THRESHOLD:
+                    raise RuntimeError(
+                        f"certificate success not confirmed by scan: "
+                        f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
+                    )
+                report.pst_successes.append(
+                    _pair_record(y1, a, y2, b, pst_time=pst_time, scan_peak=f_best)
+                )
+            elif f_best >= 1.0 - SCAN_THRESHOLD:
+                # approximate transfer can creep arbitrarily close to 1, so
+                # only a violation of the certificate threshold counts
                 report.scan_disagreements.append(
                     _pair_record(y1, a, y2, b, scan_peak=f_best, scan_t=t_best)
                 )
@@ -527,20 +553,25 @@ def search_no_pst(
     one exact key, the reduced phi(Y\\v) / phi(Y); a pair whose sides
     differ in it is not even cospectral in the composite, so it fails as
     not strongly cospectral with no composite Graph and no polynomial
-    (``bucket_settled``).  Only pairs with equal keys are certified, their
-    polynomials taken from the sides' by the bridge identities
-    (``exactpoly.bridge_compose``).  No list of pairs is built: the sides
-    are grouped by order, the pairs of each (n1, n2) shape are read in
-    chunks of at most 4096, each pair recovered from its index, and each
-    chunk's composites go through one stacked ``eigh``, which gives every
-    pair its fidelity ceiling C.  A numeric "strongly cospectral" forces
-    1 - C <= 2 d SUPPORT_TOL**2, so only a pair the keys settled with
-    C >= 1 - SCAN_THRESHOLD is composed and cross-checked by
-    ``spectral.strongly_cospectral``, which raises when the exact and
-    numeric decisions disagree.  A composite the search builds, to check,
-    certify or scan a pair, decomposes itself.
+    (``bucket_settled``).  No list of pairs is built: the sides are
+    grouped by order, the pairs of each (n1, n2) shape are read in chunks
+    of at most 4096, each pair recovered from its index, and each chunk's
+    composites go through one stacked ``eigh``, which gives every pair its
+    fidelity ceiling C.  Only pairs with equal keys are certified
+    (``pst.pst_decision``), their sigma classes taken from the key
+    (``exactpoly.bridge_classes``) and every number from their rows of the
+    stack (``spectral.stacked_decomposition``), whose numeric decision
+    ``spectral.pair_signature`` checks against the classes.  A numeric
+    "strongly cospectral" forces 1 - C <= 2 d SUPPORT_TOL**2, so only a
+    pair the keys settled with C >= 1 - SCAN_THRESHOLD is composed and
+    cross-checked by ``spectral.strongly_cospectral``, which raises when
+    the exact and numeric decisions disagree: the only composite Graph
+    the search builds.
     Certified successes are re-verified by a fidelity scan.  Failures are
-    optionally cross-checked.
+    optionally cross-checked.  The scans run after a worker's last chunk,
+    as one stack per grid size (``pst.scan_phases``); a ``scan_t_max``
+    that is not positive and finite, or a ``scan_steps`` that is not an
+    integer of at least 1, raises ``ValueError`` before any work.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
     1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
     cospectral pair, a bounded scan runs, and a fidelity at or above
@@ -554,6 +585,7 @@ def search_no_pst(
     """
     if bridge not in (2, 3):
         raise ValueError("bridge must have 2 or 3 path vertices")
+    check_scan(scan_t_max, scan_steps)
     if graph_source is None:
         marked = list(marked_graphs(max_n))
         source = "builtin"

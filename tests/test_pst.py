@@ -123,6 +123,10 @@ def test_fidelity_scan_validates_input():
     for t_max in (math.inf, math.nan, -math.inf):
         with pytest.raises(ValueError, match="t_max < inf"):
             fidelity_scan(build_path(2), 0, 1, t_max, 10)
+    # a float steps is no grid size, and True is no count of intervals
+    for steps in (100.0, True, 2.5):
+        with pytest.raises(ValueError, match="integer steps >= 1"):
+            fidelity_scan(build_path(2), 0, 1, 1.0, steps)
 
 
 def pointwise_peak(thetas, weights, lo, dt, steps):
@@ -263,6 +267,39 @@ def test_fidelity_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert evolve_fidelity(z, ga, gb, t_best) == pytest.approx(peak, abs=1e-12)
     # the 4 000 001 grid times alone would take 32 MB
+    assert held < 32 * 2**20
+
+
+def test_batched_scans_match_single_scans():
+    """One stacked scan of pairs with up to 10 distinct eigenvalues, the
+    shorter ones padded with zero weights, gives each pair's own
+    ``fidelity_scan``, number for number, at every grid size."""
+    rng = random.Random(271)
+    nprng = np.random.default_rng(271)
+    pairs = [(build_path(2), 0, 1)]
+    for i in range(40):
+        g = scan_test_graph(rng, nprng, i)
+        pairs.append((g, *rng.sample(range(g.n), 2)))
+    phases = [pst.pair_phases(decompose(g), a, b) for g, a, b in pairs]
+    assert len({len(th) for th, _ in phases}) > 5
+    t_max = [rng.choice([0.5, 30.0, 200.0]) for _ in pairs]
+    for steps in (1, 17, 6000):
+        ts, fs = pst.scan_phases(phases, t_max, steps)
+        for (g, a, b), tm, t, f in zip(pairs, t_max, ts.tolist(), fs.tolist()):
+            assert (t, f) == fidelity_scan(g, a, b, tm, steps)
+
+
+def test_batched_scan_memory_stays_bounded():
+    z, ga, gb = bridge_composite()
+    phases = [pst.pair_phases(decompose(z), ga, gb)] * 64
+    tracemalloc.start()
+    try:
+        ts, fs = pst.scan_phases(phases, [30.0] * 64, 200_000)
+        _, held = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(zip(ts.tolist(), fs.tolist())) == {fidelity_scan(z, ga, gb, 30.0, 200_000)}
+    # the 64 x 200 001 amplitudes alone would take 205 MB
     assert held < 32 * 2**20
 
 

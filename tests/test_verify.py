@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import math
+import operator
 import os
 import random
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from pstwalk import exactpoly as xp
-from pstwalk import spectral, verify
+from pstwalk import pst, spectral, verify
 from pstwalk.graphs import (
     Graph,
     build_complete,
@@ -21,7 +22,7 @@ from pstwalk.graphs import (
     compose,
     marked_graphs,
 )
-from pstwalk.pst import fidelity_ceiling, pst_certificate
+from pstwalk.pst import fidelity_ceiling, fidelity_scan, pst_certificate
 from pstwalk.spectral import strongly_cospectral
 from pstwalk.verify import (
     SCAN_THRESHOLD,
@@ -235,22 +236,25 @@ def test_search_parallel_matches_serial():
 
 
 def _count_scans(monkeypatch):
-    calls = []
-    original = verify.fidelity_scan
+    """The number of pairs each batched scan of the search receives, one
+    entry a call."""
+    rows = []
+    original = verify.scan_phases
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(phases, t_max, steps):
+        rows.append(len(phases))
+        return original(phases, t_max, steps)
 
-    monkeypatch.setattr(verify, "fidelity_scan", counting)
-    return calls
+    monkeypatch.setattr(verify, "scan_phases", counting)
+    return rows
 
 
 def test_search_scans_only_strongly_cospectral_pairs(monkeypatch):
     scans = _count_scans(monkeypatch)
     report = search_no_pst(2, 4)
     assert report.strongly_cospectral_pairs == 16
-    assert len(scans) == report.strongly_cospectral_pairs
+    # one part, and the success is scanned at the failures' 6000 steps
+    assert scans == [report.strongly_cospectral_pairs]
     # the ceiling settles the other failures, and they still count as checked
     assert report.scan_checked == 255
     assert report.ceiling_settled == 240
@@ -284,8 +288,64 @@ def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
     report = search_no_pst(2, 4)
     assert report.ceiling_settled == 0
     assert report.scan_checked == 255
-    assert len(scans) == 255 + len(report.pst_successes)
+    assert sum(scans) == 255 + len(report.pst_successes)
     assert report.scan_disagreements == []
+
+
+def _per_pair_search(bridge, max_n, ceiling=None, scan_t_max=30.0, scan_steps=6000):
+    """The search's report over every ordered pair of ``marked_graphs(max_n)``,
+    reached pair by pair: each composite built by ``compose``, certified by
+    ``pst_certificate`` and scanned by ``fidelity_scan``, its fidelity
+    ceiling from ``fidelity_ceiling`` unless ``ceiling`` stands in for
+    every pair's, and a pair counted as bucket-settled when its ends are
+    not cospectral."""
+    report = verify.SearchReport(bridge=bridge, max_n=max_n, source="builtin")
+    marked = list(marked_graphs(max_n))
+    for (y1, a), (y2, b) in itertools.product(marked, marked):
+        z, ga, gb = compose(y1, a, y2, b, bridge)
+        report.instances_tested += 1
+        if xp.sigma_classes(z, ga, gb) is None:
+            report.bucket_settled += 1
+        c = fidelity_ceiling(z, ga, gb) if ceiling is None else ceiling
+        cert = pst_certificate(z, ga, gb)
+        reason = cert.failure_reason
+        if reason == "not_strongly_cospectral":
+            report.max_ceiling = max(report.max_ceiling, c)
+        else:
+            report.strongly_cospectral_pairs += 1
+        record = verify._pair_record(y1, a, y2, b)
+        if cert.success:
+            _, peak = fidelity_scan(z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000))
+            report.pst_successes.append({**record, "pst_time": cert.pst_time, "scan_peak": peak})
+            continue
+        report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + 1
+        report.scan_checked += 1
+        if c < 1.0 - SCAN_THRESHOLD:
+            report.ceiling_settled += 1
+            continue
+        t_best, peak = fidelity_scan(z, ga, gb, scan_t_max, scan_steps)
+        if peak >= 1.0 - SCAN_THRESHOLD:
+            report.scan_disagreements.append({**record, "scan_peak": peak, "scan_t": t_best})
+    order = operator.itemgetter("n1", "n2", "y1", "a", "y2", "b")
+    report.pst_successes.sort(key=order)
+    report.scan_disagreements.sort(key=order)
+    return report
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+@pytest.mark.parametrize("ceiling", [None, 1.0], ids=["ceilings", "ceilings-at-1"])
+def test_search_matches_the_per_pair_oracle(monkeypatch, bridge, ceiling):
+    # floats included: every number a same-bucket pair reads from its stack
+    # row, and every batched scan, is the one its own composite gives
+    want = _per_pair_search(bridge, 4, ceiling).to_json()
+    if ceiling is not None:
+        _fix_ceilings(monkeypatch, ceiling)
+    got = search_no_pst(bridge, 4).to_json()
+    assert got == want
+    assert got["pst_successes"] and got["strongly_cospectral_pairs"] == 16
+    # a grid of fewer than 2000 steps puts the success in a batch of its own
+    short = _per_pair_search(bridge, 3, ceiling, scan_t_max=7.5, scan_steps=300).to_json()
+    assert search_no_pst(bridge, 3, scan_t_max=7.5, scan_steps=300).to_json() == short
 
 
 def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
@@ -311,10 +371,9 @@ def _count_eigh_matrices(monkeypatch):
 def test_search_decomposes_once_per_pair(monkeypatch):
     matrices = _count_eigh_matrices(monkeypatch)
     report = search_no_pst(2, 3)
-    # 25 stacked ceilings, and the 5 same-bucket composites that the
-    # certificate decomposes on their own
+    # 25 stacked composites; the 5 same-bucket pairs are read from the stack
     assert (report.instances_tested, report.bucket_settled) == (25, 20)
-    assert sum(matrices) == 25 + 5
+    assert sum(matrices) == 25
     # with every ceiling at 1, the 20 cross-bucket composites built for the
     # strong-cospectrality cross-check decompose themselves, and their scans
     # reuse them
@@ -323,7 +382,22 @@ def test_search_decomposes_once_per_pair(monkeypatch):
     report = search_no_pst(2, 3)
     assert report.scan_checked == report.instances_tested - 1
     assert report.ceiling_settled == 0
-    assert sum(matrices) == 25 + 5 + 20
+    assert sum(matrices) == 25 + 20
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_search_certifies_same_bucket_pairs_from_the_stack(monkeypatch, bridge):
+    # no composite graph, decomposition or graph certificate for a
+    # same-bucket pair, and at n <= 4 no cross-bucket ceiling reaches the
+    # cross-check
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built, decomposed or certified a composite")
+
+    for module, name in ((verify, "compose"), (verify, "decompose"), (spectral, "decompose"),
+                         (pst, "pst_certificate"), (xp, "bridge_compose")):
+        monkeypatch.setattr(module, name, refuse)
+    report = search_no_pst(bridge, 4)
+    assert (report.instances_tested, report.strongly_cospectral_pairs) == (256, 16)
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -445,15 +519,23 @@ def test_seeded_composites_certify_as_cold_ones(bridge):
 
 @pytest.mark.parametrize("bridge", [2, 3])
 def test_stacked_readings_match_the_single_graph_readers(bridge):
+    # a stack row is the decomposition of its composite, number for number,
+    # since each matrix of a stacked eigh runs the same LAPACK call
     shapes = {}
     for pair in _oracle_pairs():
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
     for shape in shapes.values():
         firsts, seconds = zip(*shape)
-        ceilings = verify._stacked_composites(firsts, seconds, bridge)
+        stack, ceilings = verify._stacked_composites(firsts, seconds, bridge)
         for i, ((y1, a), (y2, b)) in enumerate(shape):
             z, ga, gb = compose(y1, a, y2, b, bridge)
             assert abs(ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
+            row, single = spectral.stacked_decomposition(stack, i), spectral.decompose(z)
+            assert row.distinct_eigenvalues == single.distinct_eigenvalues
+            assert row.multiplicities == single.multiplicities
+            assert row.grouping_tolerance == single.grouping_tolerance
+            assert np.array_equal(row.starts, single.starts)
+            assert np.array_equal(row.vectors, single.vectors)
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -602,6 +684,28 @@ def test_search_starts_no_idle_workers(monkeypatch):
 def test_search_rejects_bad_bridge():
     with pytest.raises(ValueError):
         search_no_pst(4, 2)
+
+
+@pytest.mark.parametrize(
+    "options, problem",
+    [
+        ({"scan_t_max": 0.0}, "t_max"),
+        ({"scan_t_max": math.inf}, "t_max"),
+        ({"scan_t_max": math.nan}, "t_max"),
+        ({"scan_steps": 0}, "steps"),
+        ({"scan_steps": 100.0}, "steps"),
+        ({"scan_steps": True}, "steps"),
+    ],
+)
+def test_search_checks_its_scan_grid_before_composing(monkeypatch, options, problem):
+    # the scans run after every certificate of a part, so a bad grid must
+    # be refused before the first composite
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair was composed")
+
+    monkeypatch.setattr(verify, "compose_weights", refuse)
+    with pytest.raises(ValueError, match=problem):
+        search_no_pst(2, 3, **options)
 
 
 def test_search_custom_source():
