@@ -9,9 +9,11 @@ of the beta gaps.  Transfer times are derived directly from the phase
 congruences t (theta_0 - theta_r) in pi Z with the parities dictated by the
 sigma signs.  Floats only propose roots and cross-check: the numeric
 decomposition must agree with the exact classes, and the walk must reach
-fidelity 1 at the certified time.  Every fidelity, at one time or over a
-scan, comes from one evaluator, the factorised grid of ``_peak``, which
-reads a stack of pairs at once.
+fidelity 1 at the certified time.  ``pst_decision`` is the one certificate:
+it reads every number of a pair from rows a and b of one decomposition,
+a graph's own (a stack of one) or a row of a stack of composites.  Every
+fidelity, at one time or over a scan, comes from one evaluator, the
+factorised grid of ``_peak``, which reads a stack of pairs at once.
 """
 
 from __future__ import annotations
@@ -19,13 +21,19 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
-from .spectral import SpectralDecomposition, decompose, pair_ceilings, strongly_cospectral
+from .spectral import (
+    SpectralDecomposition,
+    coprime_classes,
+    decompose,
+    pair_ceilings,
+    pair_signature,
+)
 
 __all__ = [
     "CONFIRM_TOL",
@@ -365,24 +373,22 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     """Decide perfect state transfer between a and b.  Requires integer
     weights.
 
-    ``pst_decision`` over the pair's sigma classes, its numeric signature
-    (``spectral.strongly_cospectral``, which checks it against the exact
-    decision) and ``evolve_fidelity`` on the graph.
+    ``pst_decision`` over the pair's sigma classes and the graph's
+    decomposition, a stack of one.
     """
     g._check_pair(a, b, "perfect state transfer needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("perfect state transfer certificate needs integer weights")
-    _, sig = strongly_cospectral(g, a, b)
-    # the exact decision inside strongly_cospectral cached the classes
-    return pst_decision(sigma_classes(g, a, b), sig, partial(evolve_fidelity, g, a, b))
+    return pst_decision(sigma_classes(g, a, b), decompose(g), a, b)
 
 
-def pst_decision(classes, signature, fidelity_at) -> PstCertificate:
-    """The certificate of the pair a, b of ``signature``, from its sigma
-    classes (m+, m-) (``exactpoly.sigma_classes``; None when not
-    cospectral), its numeric signature (``spectral.pair_signature``, whose
-    strong-cospectrality decision has been checked against the classes)
-    and ``fidelity_at(t)``, its fidelity at time t.
+def pst_decision(classes, dec: SpectralDecomposition, a: int, b: int) -> PstCertificate:
+    """The certificate of the pair a, b, from its sigma classes (m+, m-)
+    (``exactpoly.sigma_classes``; None when not cospectral) and rows a and
+    b of ``dec``, a graph's decomposition or a stack row
+    (``spectral.stacked_decomposition``): the numeric signature
+    (``spectral.pair_signature``, which checks its strong-cospectrality
+    decision against the classes), the phases and the confirming fidelity.
 
     Checks, in order: strong cospectrality, the common quadratic-integer
     form of the roots of m+ m- (the sigma = +1 and sigma = -1 classes, so
@@ -396,7 +402,7 @@ def pst_decision(classes, signature, fidelity_at) -> PstCertificate:
     A failure names the first check that fails: not_strongly_cospectral,
     no_common_alpha, delta_not_consistent or no_admissible_g.
     """
-    a, b = signature.a, signature.b
+    signature = pair_signature(dec, a, b, coprime_classes(classes))
     if not signature.strongly_cospectral:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")
     supported = sorted(signature.supported(), reverse=True)
@@ -425,7 +431,7 @@ def pst_decision(classes, signature, fidelity_at) -> PstCertificate:
         return PstCertificate("fail", a, b, failure_reason="no_admissible_g", **base)
     ks = tuple(gap // gstar for gap in gaps)
     t = 2.0 * math.pi / (gstar * math.sqrt(delta))
-    fid = fidelity_at(t)
+    fid = phase_fidelity(pair_phases(dec, a, b), t)
     if fid < 1.0 - CONFIRM_TOL:
         raise RuntimeError(
             f"certificate claims transfer at t={t} but fidelity is {fid}; "

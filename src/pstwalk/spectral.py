@@ -67,7 +67,8 @@ class SpectralDecomposition:
 
 
 def decompose(g: Graph) -> SpectralDecomposition:
-    """Spectral decomposition of the weighted adjacency matrix.
+    """Spectral decomposition of the weighted adjacency matrix: the graph as
+    a stack of one (``eigenspaces``, ``stacked_decomposition``).
 
     Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) are merged
     into one eigenspace (single-linkage on the sorted list).  The result is
@@ -75,42 +76,40 @@ def decompose(g: Graph) -> SpectralDecomposition:
     """
     cached = g._poly_cache.get(_DECOMPOSE_KEY)
     if cached is None:
-        cached = g._poly_cache[_DECOMPOSE_KEY] = _decomposition(*eigenspaces(g.weights))
+        cached = g._poly_cache[_DECOMPOSE_KEY] = stacked_decomposition(
+            eigenspaces(g.weights[None]), 0
+        )
     return cached
-
-
-def _decomposition(w, v, tol, starts) -> SpectralDecomposition:
-    """One matrix's ``eigenspaces`` output as a decomposition."""
-    vectors = np.ascontiguousarray(v)
-    vectors.setflags(write=False)
-    starts.setflags(write=False)
-    # a few eigenspaces: their sizes and means are cheaper in Python
-    bounds = starts.tolist() + [len(w)]
-    mults = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    sums = np.add.reduceat(w, starts).tolist()
-    return SpectralDecomposition(
-        tuple(x / m for x, m in zip(sums, mults)), mults, vectors, float(tol), starts
-    )
 
 
 def stacked_decomposition(stack, i: int) -> SpectralDecomposition:
     """Matrix i of a stack that ``eigenspaces`` decomposed (its output
-    tuple), as ``decompose`` gives it for that matrix alone: the same
-    numbers, read from the stack's rows with no further ``eigh``."""
+    tuple), read from the stack's rows with no further ``eigh``."""
     w, v, tol, starts = stack
     n = w.shape[-1]
     lo, hi = np.searchsorted(starts, [i * n, (i + 1) * n])
-    return _decomposition(w[i], v[i], tol[i], starts[lo:hi] - i * n)
+    starts = starts[lo:hi] - i * n
+    vectors = np.ascontiguousarray(v[i])
+    vectors.setflags(write=False)
+    starts.setflags(write=False)
+    # a few eigenspaces: their sizes and means are cheaper in Python
+    bounds = starts.tolist() + [n]
+    mults = tuple(end - start for start, end in zip(bounds, bounds[1:]))
+    sums = np.add.reduceat(w[i], starts).tolist()
+    return SpectralDecomposition(
+        tuple(x / m for x, m in zip(sums, mults)), mults, vectors, float(tol[i]), starts
+    )
 
 
 def eigenspaces(mats: np.ndarray):
-    """One ``eigh`` over symmetric matrices of shape (..., n, n), one matrix
-    or a stack, grouped as ``decompose`` groups.
+    """One ``eigh`` over a stack of symmetric matrices, shape (k, n, n),
+    grouped as ``decompose`` groups.
 
-    Returns the eigenvalues (..., n) and the eigenvectors (..., n, n), both
-    in descending eigenvalue order, each matrix's grouping tolerance
+    Returns the eigenvalues (k, n) and the eigenvectors (k, n, n), both in
+    descending eigenvalue order, each matrix's grouping tolerance
     GROUPING_TOL * max(1, ||A||_inf), and the flat indices into all the
-    matrices' columns, in order, at which an eigenspace starts.
+    matrices' columns, in order, at which an eigenspace starts.  The
+    package's one ``eigh``.
     """
     tol = GROUPING_TOL * np.abs(mats).sum(axis=-1).max(axis=-1, initial=1.0)
     w, v = np.linalg.eigh(mats)
@@ -259,11 +258,8 @@ def pair_signature(
 
 def strongly_cospectral_exact(g: Graph, a: int, b: int) -> bool:
     """Exact strong-cospectrality decision for integer weights, from the
-    sigma classes of a and b (``exactpoly.sigma_classes``,
-    ``coprime_classes``)."""
-    g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
-    if not g.integer_flag:
-        raise ValueError("exact decision needs integer weights")
+    sigma classes of a and b (``exactpoly.sigma_classes``, which checks the
+    pair and the weights, and ``coprime_classes``)."""
     return coprime_classes(xp.sigma_classes(g, a, b))
 
 

@@ -9,7 +9,6 @@ import operator
 import os
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -24,17 +23,14 @@ from .graphs import (
     one_sum,
     serialize_graph,
 )
-from .pst import check_scan, pair_phases, phase_fidelity, pst_decision, scan_phases
+from .pst import check_scan, pair_phases, pst_decision, scan_phases
 from .spectral import (
     GROUPING_TOL,
     SUPPORT_TOL,
-    coprime_classes,
     decompose,
     eigenspaces,
     pair_ceilings,
-    pair_signature,
     stacked_decomposition,
-    strongly_cospectral,
     strongly_cospectral_exact,
     walk_module_matrix,
 )
@@ -444,9 +440,10 @@ def _stacked_composites(firsts, seconds, bridge: int):
 def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
     """The report over chunks part, part + parts, ... of ``_chunks(sides)``.
 
-    A same-bucket pair is decided from its row of the chunk's stack, and
-    its fidelity scan waits with every other scan of the part until the
-    last chunk is done; then the scans run as one stack per grid size
+    A pair whose keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD,
+    is decided from its row of the chunk's stack (``pst.pst_decision``),
+    and its fidelity scan waits with every other scan of the part until
+    the last chunk is done; then the scans run as one stack per grid size
     (``pst.scan_phases``)."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
     keys = [xp.walk_gf(g, v) for g, v in sides]
@@ -461,29 +458,27 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
         for row, (i, j, ceiling) in enumerate(zip(i1, i2, ceilings.tolist())):
             (y1, a), (y2, b) = sides[i], sides[j]
             report.instances_tested += 1
-            phases = None
-            if keys[i] == keys[j]:
-                # the classes come from the key, every number from the stack
-                dec = stacked_decomposition(stack, row)
-                classes = xp.bridge_classes(keys[i], bridge)
-                sig = pair_signature(dec, a, n1 + b, coprime_classes(classes))
-                phases = pair_phases(dec, a, n1 + b)
-                cert = pst_decision(classes, sig, partial(phase_fidelity, phases))
-                reason = cert.failure_reason
-            else:
+            same = keys[i] == keys[j]
+            if not same:
                 # a and b are not cospectral in Z: decided by the keys
                 report.bucket_settled += 1
-                cert, reason = None, "not_strongly_cospectral"
-                if ceiling >= 1.0 - SCAN_THRESHOLD:
-                    # 1 - C <= 2 d SUPPORT_TOL**2 on a numeric "strongly
-                    # cospectral", so only these pairs can read one: cross-check
-                    z, ga, gb = compose(y1, a, y2, b, bridge)
-                    if strongly_cospectral(z, ga, gb)[0]:
-                        raise RuntimeError(
-                            "side keys differ but the composite is strongly cospectral: "
-                            f"{_pair_record(y1, a, y2, b)}"
-                        )
-                    phases = pair_phases(decompose(z), ga, gb)
+            cert, reason, phases = None, "not_strongly_cospectral", None
+            # 1 - C <= 2 d SUPPORT_TOL**2 on a numeric "strongly cospectral",
+            # so a cross-bucket pair below the threshold cannot read one
+            if same or ceiling >= 1.0 - SCAN_THRESHOLD:
+                if not same and strongly_cospectral_exact(*compose(y1, a, y2, b, bridge)):
+                    raise RuntimeError(
+                        "side keys differ but the composite is strongly cospectral: "
+                        f"{_pair_record(y1, a, y2, b)}"
+                    )
+                # the classes come from the key (None across buckets, so a
+                # numeric "strongly cospectral" raises), every number from
+                # the stack
+                classes = xp.bridge_classes(keys[i], bridge) if same else None
+                dec = stacked_decomposition(stack, row)
+                cert = pst_decision(classes, dec, a, n1 + b)
+                reason = cert.failure_reason
+                phases = pair_phases(dec, a, n1 + b)
             if reason == "not_strongly_cospectral":
                 report.max_ceiling = max(report.max_ceiling, ceiling)
             else:
@@ -557,16 +552,17 @@ def search_no_pst(
     grouped by order, the pairs of each (n1, n2) shape are read in chunks
     of at most 4096, each pair recovered from its index, and each chunk's
     composites go through one stacked ``eigh``, which gives every pair its
-    fidelity ceiling C.  Only pairs with equal keys are certified
+    fidelity ceiling C.  Pairs with equal keys are certified
     (``pst.pst_decision``), their sigma classes taken from the key
     (``exactpoly.bridge_classes``) and every number from their rows of the
     stack (``spectral.stacked_decomposition``), whose numeric decision
     ``spectral.pair_signature`` checks against the classes.  A numeric
     "strongly cospectral" forces 1 - C <= 2 d SUPPORT_TOL**2, so only a
-    pair the keys settled with C >= 1 - SCAN_THRESHOLD is composed and
-    cross-checked by ``spectral.strongly_cospectral``, which raises when
-    the exact and numeric decisions disagree: the only composite Graph
-    the search builds.
+    pair the keys settled with C >= 1 - SCAN_THRESHOLD is cross-checked:
+    it is read from its stack row the same way, with no classes, so a
+    numeric "strongly cospectral" raises, and it is composed, the only
+    composite Graph the search builds, for the exact decision
+    ``spectral.strongly_cospectral_exact``, which raises when True.
     Certified successes are re-verified by a fidelity scan.  Failures are
     optionally cross-checked.  The scans run after a worker's last chunk,
     as one stack per grid size (``pst.scan_phases``); a ``scan_t_max``
@@ -784,9 +780,7 @@ def suite_neutrino(instances: int = 200, seed: int = 20240802) -> SuiteResult:
             n = rng.randint(2, 6)
             g = random_connected_graph(rng, n)
             a, b = rng.sample(range(n), 2)
-            dec = decompose(g)
-            entries = dec.sums(dec.vectors[a] * dec.vectors[b])
-            for th, entry in zip(dec.distinct_eigenvalues, entries):
+            for th, entry in zip(*pair_phases(decompose(g), a, b)):
                 got = projector_entry_via_neutrino(g, a, b, th)
                 if abs(got - float(entry)) > SUPPORT_TOL:
                     result.failures.append(f"projector-entry #{i} theta={th}")

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import pathlib
 import shlex
 import subprocess
@@ -160,31 +161,33 @@ def test_one_decomposition_per_call(capsys, graph_file, monkeypatch):
     calls = []
     original = np.linalg.eigh
 
+    # each call's shape: a graph is decomposed as a stack of one matrix
     def counting(a):
-        calls.append(len(a))
+        calls.append(np.shape(a))
         return original(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     code, report, _ = run_json(capsys, ["pst", graph_file(P2_EDGELIST), "0", "1"])
     assert code == 0 and report["result"]["status"] == "success"
-    assert calls == [2]
+    assert calls == [(1, 2, 2)]
     star = graph_file("3 2\n0 1\n0 2\n")
     calls.clear()
     code, _, _ = run_json(capsys, ["compose", "--y1", star, "--a", "0", "--y2", star, "--b", "0"])
     assert code == 0
-    assert calls == [6]
+    assert calls == [(1, 6, 6)]
 
 
 def test_compose_decides_strong_cospectrality_once(capsys, graph_file, monkeypatch):
+    # every numeric strong-cospectrality decision is a pair_signature call
     calls = []
-    original = spectral.strongly_cospectral
+    original = spectral.pair_signature
 
-    def counting(g, a, b):
+    def counting(dec, a, b, exact):
         calls.append((a, b))
-        return original(g, a, b)
+        return original(dec, a, b, exact)
 
-    for module in (cli, pst):
-        monkeypatch.setattr(module, "strongly_cospectral", counting)
+    for module in (spectral, pst):
+        monkeypatch.setattr(module, "pair_signature", counting)
     star = graph_file("3 2\n0 1\n0 2\n")
     code, report, _ = run_json(
         capsys, ["compose", "--y1", star, "--a", "0", "--y2", star, "--b", "0"]
@@ -197,6 +200,7 @@ def test_compose_decides_strong_cospectrality_once(capsys, graph_file, monkeypat
         capsys, ["compose", "--y1", star, "--a", "0", "--y2", star, "--b", "1"]
     )
     assert code == 0
+    assert len(calls) == 2
     analysis = report["result"]["analysis"]
     assert analysis["strongly_cospectral"] is False
     assert analysis["certificate"]["failure_reason"] == "not_strongly_cospectral"
@@ -448,12 +452,21 @@ def test_parse_error_reports_line(capsys, graph_file):
     assert "line 3" in capsys.readouterr().err
 
 
+def _child_env() -> dict:
+    """The environment with the repository's ``src`` first on PYTHONPATH,
+    so a child interpreter imports this checkout with no install."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pstwalk", "charpoly", "-"],
         input=P2_EDGELIST,
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -462,7 +475,10 @@ def test_module_entry_point():
 
 def test_console_script_help():
     proc = subprocess.run(
-        [sys.executable, "-m", "pstwalk", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "pstwalk", "--help"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     for name in ("charpoly", "spectrum", "cospectral", "pst", "compose", "search", "verify"):

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Source scans of the library: every name a module imports is used in
+that module, and ``numpy.linalg.eigh`` runs in one function only.
 
-``__init__.py`` is skipped: its imports are the package's public names.
+The import scan skips ``__init__.py``: its imports are the package's public
+names.
 """
 
 import ast
@@ -35,3 +37,41 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def eigh_scopes(source: str) -> list[str]:
+    """The innermost function around each name ``eigh`` (an attribute or an
+    imported name), or ``<module>`` outside every function."""
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "eigh") or (
+                isinstance(child, ast.alias) and child.name == "eigh"
+            ):
+                found.append(scope)
+            visit(child, child.name if isinstance(child, functions) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_eigh():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "def f(m):\n    return np.linalg.eigh(m)\n"
+        "def g(m):\n    def h():\n        return np.linalg.eigvalsh(m)\n"
+        "    return h, np.linalg.eigh\n"
+    )
+    assert eigh_scopes(source) == ["<module>", "f", "g"]
+
+
+def test_one_function_runs_eigh():
+    # the one numeric engine: every decomposition, of a graph (a stack of
+    # one) or of a stack of composites, goes through spectral.eigenspaces
+    found = [
+        f"{p.stem}.{scope}" for p in sorted(SRC.glob("*.py")) for scope in eigh_scopes(p.read_text())
+    ]
+    assert found == ["spectral.eigenspaces"]

@@ -335,6 +335,8 @@ def test_exact_decision_canonical_cases():
     assert strongly_cospectral_exact(p4, 1, 2)
     with pytest.raises(ValueError):
         strongly_cospectral_exact(Graph(np.array([[0.0, 0.5], [0.5, 0.0]])), 0, 1)
+    with pytest.raises(ValueError):
+        strongly_cospectral_exact(p4, 1, 1)
 
 
 def poles_simple_oracle(g, a, b):

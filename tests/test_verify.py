@@ -374,15 +374,15 @@ def test_search_decomposes_once_per_pair(monkeypatch):
     # 25 stacked composites; the 5 same-bucket pairs are read from the stack
     assert (report.instances_tested, report.bucket_settled) == (25, 20)
     assert sum(matrices) == 25
-    # with every ceiling at 1, the 20 cross-bucket composites built for the
-    # strong-cospectrality cross-check decompose themselves, and their scans
-    # reuse them
+    # with every ceiling at 1, the 20 cross-bucket pairs are cross-checked
+    # and scanned from their stack rows too: their composites are built for
+    # the exact decision only, and decomposed by no eigh of their own
     matrices.clear()
     _fix_ceilings(monkeypatch, 1.0)
     report = search_no_pst(2, 3)
     assert report.scan_checked == report.instances_tested - 1
     assert report.ceiling_settled == 0
-    assert sum(matrices) == 25 + 20
+    assert sum(matrices) == 25
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -576,10 +576,10 @@ def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
 
 
 def test_search_raises_when_the_composite_contradicts_the_side_keys(monkeypatch):
-    # a cross-bucket pair that the composite's decision calls strongly
+    # a cross-bucket pair that the composite's exact decision calls strongly
     # cospectral means the keys are wrong
     _fix_ceilings(monkeypatch, 1.0)
-    monkeypatch.setattr(verify, "strongly_cospectral", lambda z, a, b: (True, None))
+    monkeypatch.setattr(verify, "strongly_cospectral_exact", lambda z, a, b: True)
     k1, p2 = Graph.from_edges(1), build_path(2)
     with pytest.raises(RuntimeError, match="side keys differ"):
         verify._search_part([(k1, 0), (p2, 0)], 1, 4, 2, True, 30.0, 6000)
