@@ -5,6 +5,7 @@ exhaustive no-transfer searches."""
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import random
@@ -401,19 +402,39 @@ _CHUNK = 4096
 
 
 def _chunks(sides) -> list:
-    """The search's chunks over every ordered pair of ``sides``, as
-    (first, second, lo): first and second hold the indices of the sides of
-    one order each, and the chunk covers pairs lo .. lo + _CHUNK - 1 of
-    that shape, pair k being (first[k // len(second)], second[k % len(second)])."""
+    """The search's chunks over every unordered pair of ``sides``, as
+    (first, second, lo, hi): first and second are arrays of the indices of
+    the sides of orders n1 <= n2 (one array when n1 = n2), and the chunk
+    covers pairs lo .. hi - 1 of that shape (``_shape_pairs``)."""
     groups: dict = {}
     for i, (g, _) in enumerate(sides):
         groups.setdefault(g.n, []).append(i)
-    return [
-        (first, second, lo)
-        for first in groups.values()
-        for second in groups.values()
-        for lo in range(0, len(first) * len(second), _CHUNK)
-    ]
+    orders = [np.array(groups[n]) for n in sorted(groups)]
+    chunks = []
+    for p, first in enumerate(orders):
+        for second in orders[p:]:
+            if first is second:
+                # one order's pairs are the triangle i <= j of its sides
+                size = len(first) * (len(first) + 1) // 2
+            else:
+                size = len(first) * len(second)
+            chunks += [(first, second, lo, min(lo + _CHUNK, size)) for lo in range(0, size, _CHUNK)]
+    return chunks
+
+
+def _shape_pairs(first, second, ks: np.ndarray):
+    """Pairs ``ks`` (ascending) of the shape (first, second) of ``_chunks``,
+    as two arrays of side indices.  Across two orders pair k is
+    (first[k // len(second)], second[k % len(second)]); within one it is
+    (first[i], first[j]) with k = j (j + 1) / 2 + i and i <= j."""
+    if first is not second:
+        i, j = np.divmod(ks, len(second))
+        return first[i], second[j]
+    # the columns j the chunk spans, from the integer square roots of its ends
+    lo, hi = ((math.isqrt(8 * int(k) + 1) - 1) // 2 for k in (ks[0], ks[-1]))
+    js = np.arange(lo, hi + 1)
+    j = js[np.searchsorted(js * (js + 1) // 2, ks, side="right") - 1]
+    return first[ks - j * (j + 1) // 2], first[j]
 
 
 def _stacked_composites(firsts, seconds, bridge: int):
@@ -440,91 +461,107 @@ def _stacked_composites(firsts, seconds, bridge: int):
 def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
     """The report over chunks part, part + parts, ... of ``_chunks(sides)``.
 
-    A pair whose keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD,
-    is decided from its row of the chunk's stack (``pst.pst_decision``),
-    and its fidelity scan waits with every other scan of the part until
-    the last chunk is done; then the scans run as one stack per grid size
+    A pair (i, j) of two sides stands for its mirror (j, i) as well, whose
+    composite is the same graph relabelled: it counts twice, and its
+    success or disagreement is recorded under both orders.  The rows that
+    the keys and the ceiling settle are counted as arrays.  A row whose
+    keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD, is decided
+    from its row of the chunk's stack (``pst.pst_decision``), and its
+    fidelity scan waits with every other scan of the part until the last
+    chunk is done; then the scans run as one stack per grid size
     (``pst.scan_phases``)."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
     keys = [xp.walk_gf(g, v) for g, v in sides]
-    # grid steps -> [(y1, a, y2, b, phases, t_max, pst_time or None for a failure)]
+    # each key as a small integer, so a chunk compares its pairs' keys as arrays
+    ids: dict = {}
+    key_ids = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    # grid steps -> [(y1, a, y2, b, mirrored, phases, t_max, pst_time or None for a failure)]
     scans: dict = {}
-    for first, second, lo in _chunks(sides)[part::parts]:
-        ks = range(lo, min(lo + _CHUNK, len(first) * len(second)))
-        i1 = [first[k // len(second)] for k in ks]
-        i2 = [second[k % len(second)] for k in ks]
+    for first, second, lo, hi in _chunks(sides)[part::parts]:
+        i1, i2 = _shape_pairs(first, second, np.arange(lo, hi))
         stack, ceilings = _stacked_composites([sides[i] for i in i1], [sides[j] for j in i2], bridge)
         n1 = sides[first[0]][0].n
-        for row, (i, j, ceiling) in enumerate(zip(i1, i2, ceilings.tolist())):
+        weights = np.where(i1 == i2, 1, 2)
+        same = key_ids[i1] == key_ids[i2]
+        report.instances_tested += int(weights.sum())
+        # a and b are not cospectral in Z: decided by the keys
+        report.bucket_settled += int(weights[~same].sum())
+        # 1 - C <= 2 d SUPPORT_TOL**2 on a numeric "strongly cospectral", so a
+        # cross-bucket pair below the threshold cannot read one, and no t,
+        # inside the scan window or beyond it, can reach the threshold
+        decided = same | (ceilings >= 1.0 - SCAN_THRESHOLD)
+        settled = int(weights[~decided].sum())
+        if settled:
+            report.max_ceiling = max(report.max_ceiling, float(ceilings[~decided].max()))
+            hist = report.failure_histogram
+            hist["not_strongly_cospectral"] = hist.get("not_strongly_cospectral", 0) + settled
+            if scan_cross_check:
+                report.scan_checked += settled
+                report.ceiling_settled += settled
+        for row in np.flatnonzero(decided).tolist():
+            i, j, ceiling = int(i1[row]), int(i2[row]), float(ceilings[row])
+            weight = int(weights[row])
             (y1, a), (y2, b) = sides[i], sides[j]
-            report.instances_tested += 1
-            same = keys[i] == keys[j]
-            if not same:
-                # a and b are not cospectral in Z: decided by the keys
-                report.bucket_settled += 1
-            cert, reason, phases = None, "not_strongly_cospectral", None
-            # 1 - C <= 2 d SUPPORT_TOL**2 on a numeric "strongly cospectral",
-            # so a cross-bucket pair below the threshold cannot read one
-            if same or ceiling >= 1.0 - SCAN_THRESHOLD:
-                if not same and strongly_cospectral_exact(*compose(y1, a, y2, b, bridge)):
-                    raise RuntimeError(
-                        "side keys differ but the composite is strongly cospectral: "
-                        f"{_pair_record(y1, a, y2, b)}"
-                    )
-                # the classes come from the key (None across buckets, so a
-                # numeric "strongly cospectral" raises), every number from
-                # the stack
-                classes = xp.bridge_classes(keys[i], bridge) if same else None
-                dec = stacked_decomposition(stack, row)
-                cert = pst_decision(classes, dec, a, n1 + b)
-                reason = cert.failure_reason
-                phases = pair_phases(dec, a, n1 + b)
+            if not same[row] and strongly_cospectral_exact(*compose(y1, a, y2, b, bridge)):
+                raise RuntimeError(
+                    "side keys differ but the composite is strongly cospectral: "
+                    f"{_pair_record(y1, a, y2, b)}"
+                )
+            # the classes come from the key (None across buckets, so a
+            # numeric "strongly cospectral" raises), every number from the
+            # stack
+            classes = xp.bridge_classes(keys[i], bridge) if same[row] else None
+            dec = stacked_decomposition(stack, row)
+            cert = pst_decision(classes, dec, a, n1 + b)
+            reason = cert.failure_reason
+            pair = (y1, a, y2, b, i != j, pair_phases(dec, a, n1 + b))
             if reason == "not_strongly_cospectral":
                 report.max_ceiling = max(report.max_ceiling, ceiling)
             else:
-                report.strongly_cospectral_pairs += 1
+                report.strongly_cospectral_pairs += weight
                 # strong cospectrality makes the ceiling exactly 1
                 if ceiling < 1.0 - SCAN_THRESHOLD:
                     raise RuntimeError(
                         f"strongly cospectral pair has fidelity ceiling {ceiling}: "
                         f"{_pair_record(y1, a, y2, b)}"
                     )
-            if cert is not None and cert.success:
+            if cert.success:
                 t_max = max(2.5 * cert.pst_time, 1.0)
-                scans.setdefault(max(scan_steps, 2000), []).append(
-                    (y1, a, y2, b, phases, t_max, cert.pst_time)
-                )
+                scans.setdefault(max(scan_steps, 2000), []).append((*pair, t_max, cert.pst_time))
                 continue
-            report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + 1
+            report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + weight
             if not scan_cross_check:
                 continue
-            report.scan_checked += 1
+            report.scan_checked += weight
             if ceiling < 1.0 - SCAN_THRESHOLD:
-                # no t, inside the scan window or beyond it, can reach the threshold
-                report.ceiling_settled += 1
+                report.ceiling_settled += weight
                 continue
-            scans.setdefault(scan_steps, []).append((y1, a, y2, b, phases, scan_t_max, None))
+            scans.setdefault(scan_steps, []).append((*pair, scan_t_max, None))
         # this chunk's stack goes before the next one is built
         del stack
     for steps, batch in scans.items():
         *_, phases, t_max, _ = zip(*batch)
         ts, fs = scan_phases(phases, t_max, steps)
-        for (y1, a, y2, b, *_, pst_time), t_best, f_best in zip(batch, ts.tolist(), fs.tolist()):
+        for (y1, a, y2, b, mirrored, *_, pst_time), t_best, f_best in zip(
+            batch, ts.tolist(), fs.tolist()
+        ):
+            # |U_ab(t)| = |U_ba(t)|, so the mirror reads the same scan
+            orders = [(y1, a, y2, b), (y2, b, y1, a)][: 1 + mirrored]
             if pst_time is not None:
                 if f_best < 1.0 - SCAN_THRESHOLD:
                     raise RuntimeError(
                         f"certificate success not confirmed by scan: "
                         f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
                     )
-                report.pst_successes.append(
-                    _pair_record(y1, a, y2, b, pst_time=pst_time, scan_peak=f_best)
-                )
+                report.pst_successes += [
+                    _pair_record(*names, pst_time=pst_time, scan_peak=f_best) for names in orders
+                ]
             elif f_best >= 1.0 - SCAN_THRESHOLD:
                 # approximate transfer can creep arbitrarily close to 1, so
                 # only a violation of the certificate threshold counts
-                report.scan_disagreements.append(
-                    _pair_record(y1, a, y2, b, scan_peak=f_best, scan_t=t_best)
-                )
+                report.scan_disagreements += [
+                    _pair_record(*names, scan_peak=f_best, scan_t=t_best) for names in orders
+                ]
     return report
 
 
@@ -544,15 +581,21 @@ def search_no_pst(
     by ``graph_source``, whose sides must be connected, have integer weights
     and, for a positive ``max_n``, at most ``max_n`` vertices, or the search
     raises ``ValueError`` before any work) is joined over a
-    bridge with ``bridge`` path vertices (2 or 3).  Each side (Y, v) gets
-    one exact key, the reduced phi(Y\\v) / phi(Y); a pair whose sides
-    differ in it is not even cospectral in the composite, so it fails as
-    not strongly cospectral with no composite Graph and no polynomial
-    (``bucket_settled``).  No list of pairs is built: the sides are
-    grouped by order, the pairs of each (n1, n2) shape are read in chunks
-    of at most 4096, each pair recovered from its index, and each chunk's
-    composites go through one stacked ``eigh``, which gives every pair its
-    fidelity ceiling C.  Pairs with equal keys are certified
+    bridge with ``bridge`` path vertices (2 or 3).  Joining (Y2, b) to
+    (Y1, a) gives the composite of (Y1, a) and (Y2, b) relabelled, and
+    everything the search reads is symmetric in a and b, so each unordered
+    pair is composed, decomposed and decided once.  A pair of two sides
+    stands for both orders: it adds 2 to every counter, and its success or
+    disagreement is listed under both orders with the same numbers.  Each
+    side (Y, v) gets one exact key, the reduced phi(Y\\v) / phi(Y); a pair
+    whose sides differ in it is not even cospectral in the composite, so it
+    fails as not strongly cospectral with no composite Graph and no
+    polynomial (``bucket_settled``).  No list of pairs is built: the sides
+    are grouped by order, the unordered pairs of each (n1, n2) shape,
+    n1 <= n2 (for n1 = n2 the triangle i <= j of the sides), are read in
+    chunks of at most 4096, each pair recovered from its index, and each
+    chunk's composites go through one stacked ``eigh``, which gives every
+    pair its fidelity ceiling C.  Pairs with equal keys are certified
     (``pst.pst_decision``), their sigma classes taken from the key
     (``exactpoly.bridge_classes``) and every number from their rows of the
     stack (``spectral.stacked_decomposition``), whose numeric decision
@@ -566,22 +609,24 @@ def search_no_pst(
     Certified successes are re-verified by a fidelity scan.  Failures are
     optionally cross-checked.  The scans run after a worker's last chunk,
     as one stack per grid size (``pst.scan_phases``); a ``scan_t_max``
-    that is not positive and finite, or a ``scan_steps`` that is not an
-    integer of at least 1, raises ``ValueError`` before any work.
+    that is not positive and finite, a ``scan_steps`` or a ``jobs`` that
+    is not an integer of at least 1, raises ``ValueError`` before any work.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
     1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
     cospectral pair, a bounded scan runs, and a fidelity at or above
     1 - SCAN_THRESHOLD is recorded as a disagreement (approximate transfer
     peaks below that stay silent).  A strongly cospectral pair whose
-    ceiling is below 1 - SCAN_THRESHOLD raises.  Successes and
-    disagreements are sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does
-    not change the report.  Worker i of w = min(jobs, chunks, CPUs)
-    processes is sent the side list and reads chunks i, i + w, ...; a
-    serial run is worker 0 of 1.
+    ceiling is below 1 - SCAN_THRESHOLD raises.  ``max_ceiling`` is read
+    on the order the search composes.  Successes and disagreements are
+    sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does not change the
+    report.  Worker i of w = min(jobs, chunks, CPUs) processes is sent the
+    side list and reads chunks i, i + w, ...; a serial run is worker 0 of 1.
     """
     if bridge not in (2, 3):
         raise ValueError("bridge must have 2 or 3 path vertices")
     check_scan(scan_t_max, scan_steps)
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     if graph_source is None:
         marked = list(marked_graphs(max_n))
         source = "builtin"

@@ -288,7 +288,9 @@ def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
     report = search_no_pst(2, 4)
     assert report.ceiling_settled == 0
     assert report.scan_checked == 255
-    assert sum(scans) == 255 + len(report.pst_successes)
+    # one scan an unordered pair: 16 sides make 16 * 17 / 2 = 136 of the 256
+    # ordered pairs, the K1 - K1 success among them
+    assert sum(scans) == 136
     assert report.scan_disagreements == []
 
 
@@ -298,10 +300,12 @@ def _per_pair_search(bridge, max_n, ceiling=None, scan_t_max=30.0, scan_steps=60
     ``pst_certificate`` and scanned by ``fidelity_scan``, its fidelity
     ceiling from ``fidelity_ceiling`` unless ``ceiling`` stands in for
     every pair's, and a pair counted as bucket-settled when its ends are
-    not cospectral."""
+    not cospectral.  ``max_ceiling`` is read only on the pairs whose
+    (y1, a) comes no later in the list than (y2, b), the order the search
+    composes, since a mirrored composite's ceiling may round differently."""
     report = verify.SearchReport(bridge=bridge, max_n=max_n, source="builtin")
     marked = list(marked_graphs(max_n))
-    for (y1, a), (y2, b) in itertools.product(marked, marked):
+    for (p, (y1, a)), (q, (y2, b)) in itertools.product(enumerate(marked), repeat=2):
         z, ga, gb = compose(y1, a, y2, b, bridge)
         report.instances_tested += 1
         if xp.sigma_classes(z, ga, gb) is None:
@@ -309,10 +313,10 @@ def _per_pair_search(bridge, max_n, ceiling=None, scan_t_max=30.0, scan_steps=60
         c = fidelity_ceiling(z, ga, gb) if ceiling is None else ceiling
         cert = pst_certificate(z, ga, gb)
         reason = cert.failure_reason
-        if reason == "not_strongly_cospectral":
-            report.max_ceiling = max(report.max_ceiling, c)
-        else:
+        if reason != "not_strongly_cospectral":
             report.strongly_cospectral_pairs += 1
+        elif p <= q:
+            report.max_ceiling = max(report.max_ceiling, c)
         record = verify._pair_record(y1, a, y2, b)
         if cert.success:
             _, peak = fidelity_scan(z, ga, gb, max(2.5 * cert.pst_time, 1.0), max(scan_steps, 2000))
@@ -348,6 +352,51 @@ def test_search_matches_the_per_pair_oracle(monkeypatch, bridge, ceiling):
     assert search_no_pst(bridge, 3, scan_t_max=7.5, scan_steps=300).to_json() == short
 
 
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_mirrored_pairs_decide_alike(bridge):
+    # joining (y2, b) to (y1, a) gives the composite of (y1, a) and (y2, b)
+    # relabelled, so the search decides each unordered pair once: the
+    # certificate and the cospectrality agree, the fidelity at the transfer
+    # time and the ceiling up to rounding
+    marked = list(marked_graphs(4))
+    for (y1, a), (y2, b) in itertools.product(marked, repeat=2):
+        z, za, zb = compose(y1, a, y2, b, bridge)
+        m, mb, ma = compose(y2, b, y1, a, bridge)
+        cert, mirror = pst_certificate(z, za, zb).to_json(), pst_certificate(m, mb, ma).to_json()
+        fidelity = cert.pop("fidelity_at_time", 0.0)
+        assert abs(fidelity - mirror.pop("fidelity_at_time", 0.0)) <= 1e-12
+        assert cert == mirror
+        assert (xp.sigma_classes(z, za, zb) is None) == (xp.sigma_classes(m, mb, ma) is None)
+        assert abs(fidelity_ceiling(z, za, zb) - fidelity_ceiling(m, mb, ma)) <= 1e-12
+
+
+def test_search_lists_a_mirrored_pair_under_both_orders(monkeypatch):
+    # two copies of K1: the pair of the two copies is decided and scanned
+    # once, and its success is listed as (0, 1) and as (1, 0)
+    k1 = Graph.from_edges(1)
+    report = search_no_pst(2, 0, graph_source=[(k1, 0), (k1, 0)])
+    assert (report.instances_tested, report.strongly_cospectral_pairs) == (4, 4)
+    assert len(report.pst_successes) == 4
+    assert len({(s["pst_time"], s["scan_peak"]) for s in report.pst_successes}) == 1
+    # with every ceiling at 1 and every scan peaking at 1, each failure is a
+    # disagreement, and a mirrored pair's two have the same peak time
+    _fix_ceilings(monkeypatch, 1.0)
+    original = verify.scan_phases
+
+    def peaked(phases, t_max, steps):
+        ts, fs = original(phases, t_max, steps)
+        return ts, np.ones_like(fs)
+
+    monkeypatch.setattr(verify, "scan_phases", peaked)
+    report = search_no_pst(2, 3)
+    names = [(verify._side_name(g), v) for g, v in marked_graphs(3)]
+    failures = {(*p, *q) for p, q in itertools.product(names, repeat=2)} - {("@", 0, "@", 0)}
+    times = {(d["y1"], d["a"], d["y2"], d["b"]): d["scan_t"] for d in report.scan_disagreements}
+    assert len(report.scan_disagreements) == report.scan_checked == len(failures) == 24
+    assert set(times) == failures
+    assert all(times[y2, b, y1, a] == t for (y1, a, y2, b), t in times.items())
+
+
 def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
     _fix_ceilings(monkeypatch, 0.5)
     # K1 - K1 across the bridge is the path itself: strongly cospectral ends
@@ -371,10 +420,12 @@ def _count_eigh_matrices(monkeypatch):
 def test_search_decomposes_once_per_pair(monkeypatch):
     matrices = _count_eigh_matrices(monkeypatch)
     report = search_no_pst(2, 3)
-    # 25 stacked composites; the 5 same-bucket pairs are read from the stack
+    # 25 ordered pairs of 5 sides, stacked as their 5 * 6 / 2 = 15 unordered
+    # ones, a mirror being its pair relabelled; the 5 same-bucket pairs (the
+    # self-pairs) are read from the stack
     assert (report.instances_tested, report.bucket_settled) == (25, 20)
-    assert sum(matrices) == 25
-    # with every ceiling at 1, the 20 cross-bucket pairs are cross-checked
+    assert sum(matrices) == 15
+    # with every ceiling at 1, the 10 cross-bucket pairs are cross-checked
     # and scanned from their stack rows too: their composites are built for
     # the exact decision only, and decomposed by no eigh of their own
     matrices.clear()
@@ -382,7 +433,7 @@ def test_search_decomposes_once_per_pair(monkeypatch):
     report = search_no_pst(2, 3)
     assert report.scan_checked == report.instances_tested - 1
     assert report.ceiling_settled == 0
-    assert sum(matrices) == 25
+    assert sum(matrices) == 15
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -409,6 +460,24 @@ def test_search_reads_shapes_in_chunks(monkeypatch, bridge):
     assert 0 < max(matrices) <= 3
     # forked workers read the same small chunks
     assert search_no_pst(bridge, 4, jobs=2).to_json() == whole
+
+
+def test_chunks_cover_each_unordered_pair_once(monkeypatch):
+    # marked_graphs lists its sides by order, so the search composes (p, q)
+    # with p <= q; chunks of 7 split the triangles and rectangles mid-row
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    sides = list(marked_graphs(4))
+    seen = []
+    for first, second, lo, hi in verify._chunks(sides):
+        assert 0 < hi - lo <= 7
+        i, j = verify._shape_pairs(first, second, np.arange(lo, hi))
+        seen += zip(i.tolist(), j.tolist())
+    assert sorted(seen) == [(p, q) for p in range(len(sides)) for q in range(p, len(sides))]
+    # the triangle inverts k = j (j + 1) / 2 + i exactly at large k too
+    big = np.arange(10**6)
+    ks = np.arange(4 * 10**11 - 3, 4 * 10**11 + 3)
+    i, j = verify._shape_pairs(big, big, ks)
+    assert np.array_equal(j * (j + 1) // 2 + i, ks) and (0 <= i).all() and (i <= j).all()
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -571,8 +640,8 @@ def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
     assert xp.walk_gf(k1, 0) != xp.walk_gf(p2, 0)
     disagree = r"numeric \(True\) strong-cospectrality decisions disagree"
     with pytest.raises(RuntimeError, match=disagree):
-        # the second of the four one-pair chunks is (K1, P2)
-        verify._search_part([(k1, 0), (p2, 0)], 1, 4, 2, True, 30.0, 6000)
+        # the second of the three one-pair chunks is (K1, P2)
+        verify._search_part([(k1, 0), (p2, 0)], 1, 3, 2, True, 30.0, 6000)
 
 
 def test_search_raises_when_the_composite_contradicts_the_side_keys(monkeypatch):
@@ -582,7 +651,7 @@ def test_search_raises_when_the_composite_contradicts_the_side_keys(monkeypatch)
     monkeypatch.setattr(verify, "strongly_cospectral_exact", lambda z, a, b: True)
     k1, p2 = Graph.from_edges(1), build_path(2)
     with pytest.raises(RuntimeError, match="side keys differ"):
-        verify._search_part([(k1, 0), (p2, 0)], 1, 4, 2, True, 30.0, 6000)
+        verify._search_part([(k1, 0), (p2, 0)], 1, 3, 2, True, 30.0, 6000)
 
 
 def test_search_rejects_non_integer_sides_before_composing(monkeypatch):
@@ -658,8 +727,10 @@ def test_search_starts_no_idle_workers(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     sides = list(marked_graphs(2))
-    serial = search_no_pst(2, 2).to_json()  # 2 sides, 4 shapes of one pair each
-    cases = ((64, 500, [4]), (3, 500, [3]), (64, 2, [2]), (1, 500, []), (None, 500, []))
+    # 2 sides of orders 1 and 2: the shapes (1, 1), (1, 2) and (2, 2), one
+    # unordered pair each
+    serial = search_no_pst(2, 2).to_json()
+    cases = ((64, 500, [3]), (3, 500, [3]), (64, 2, [2]), (1, 500, []), (None, 500, []))
     for cpus, jobs, pools in cases:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         started.clear()
@@ -668,7 +739,7 @@ def test_search_starts_no_idle_workers(monkeypatch):
         assert started == pools
         if pools:
             handed_off(sides)
-    # one shape of 4 pairs in chunks of 2: two chunks, so two workers
+    # one shape of 3 unordered pairs in chunks of 2: two chunks, so two workers
     p3 = build_path(3)
     sides = [(p3, 0), (p3, 1)]
     serial = search_no_pst(2, 0, graph_source=sides).to_json()
@@ -706,6 +777,19 @@ def test_search_checks_its_scan_grid_before_composing(monkeypatch, options, prob
     monkeypatch.setattr(verify, "compose_weights", refuse)
     with pytest.raises(ValueError, match=problem):
         search_no_pst(2, 3, **options)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0, True, "2", None])
+def test_search_checks_its_jobs_before_reading_sides(monkeypatch, jobs):
+    # a worker count below 1 would run serially without a word, and a float
+    # would fail only once every side was read
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search read or composed its sides")
+
+    monkeypatch.setattr(verify, "marked_graphs", refuse)
+    monkeypatch.setattr(verify, "compose_weights", refuse)
+    with pytest.raises(ValueError, match="jobs"):
+        search_no_pst(2, 2, jobs=jobs)
 
 
 def test_search_custom_source():
