@@ -8,6 +8,7 @@ they can be shared freely between the exact and numeric layers.
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,7 +49,11 @@ class GraphParseError(ValueError):
 
 
 def _check_vertices(n: int, vertices: Iterable[int]) -> None:
+    """Every vertex an integer (numpy integers too, bools not) in 0..n-1,
+    or ValueError."""
     for v in vertices:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"vertex {v!r} is not an integer")
         if not (0 <= v < n):
             raise ValueError(f"vertex {v} out of range for n={n}")
 

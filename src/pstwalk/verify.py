@@ -152,11 +152,11 @@ def equitable_quotient(g: Graph, cells: list[list[int]]) -> QuotientPartition:
     seen: set[int] = set()
     norm_cells = []
     for cell in cells:
+        g._check_vertex(*cell)
         cl = sorted(int(v) for v in cell)
         if not cl:
             raise EquitabilityError("empty cell")
         for v in cl:
-            g._check_vertex(v)
             if v in seen:
                 raise EquitabilityError(f"vertex {v} appears in two cells")
             seen.add(v)
@@ -437,25 +437,17 @@ def _shape_pairs(first, second, ks: np.ndarray):
     return first[ks - j * (j + 1) // 2], first[j]
 
 
-def _stacked_composites(firsts, seconds, bridge: int):
-    """The composites of the side pairs (firsts[k], seconds[k]), which share
-    (n1, n2), as one stack of weight matrices in the layout of
-    ``graphs.compose``, decomposed by one ``eigh``: the stack
-    (``spectral.eigenspaces``), from which ``spectral.stacked_decomposition``
-    reads any pair's decomposition, and each pair's fidelity ceiling."""
-    ends1 = np.array([a for _, a in firsts])
-    ends2 = np.array([b for _, b in seconds])
-    mats = compose_weights(
-        np.stack([y1.weights for y1, _ in firsts]),
-        ends1,
-        np.stack([y2.weights for y2, _ in seconds]),
-        ends2,
-        bridge,
-    )
-    stack = eigenspaces(mats)
+def _stacked_composites(w1, ends1, w2, ends2, bridge: int):
+    """The composites of the side pairs (w1[k], ends1[k]), (w2[k], ends2[k])
+    (weight stacks of orders n1 and n2, and the marks), as one stack of
+    weight matrices in the layout of ``graphs.compose``, decomposed by one
+    ``eigh``: the stack (``spectral.eigenspaces``), from which
+    ``spectral.stacked_decomposition`` reads any pair's decomposition, and
+    each pair's fidelity ceiling."""
+    stack = eigenspaces(compose_weights(w1, ends1, w2, ends2, bridge))
     _, vectors, _, starts = stack
     # the second side's labels are shifted by n1
-    return stack, pair_ceilings(vectors, starts, ends1, firsts[0][0].n + ends2)
+    return stack, pair_ceilings(vectors, starts, ends1, w1.shape[1] + ends2)
 
 
 def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
@@ -475,12 +467,22 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
     # each key as a small integer, so a chunk compares its pairs' keys as arrays
     ids: dict = {}
     key_ids = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    # each order's side weights as one stack, read at a side's place in it
+    marks = np.array([v for _, v in sides])
+    place = np.zeros(len(sides), dtype=np.intp)
+    by_order: dict = {}
+    for i, (g, _) in enumerate(sides):
+        place[i] = len(by_order.setdefault(g.n, []))
+        by_order[g.n].append(g.weights)
+    stacks = {n: np.stack(ws) for n, ws in by_order.items()}
     # grid steps -> [(y1, a, y2, b, mirrored, phases, t_max, pst_time or None for a failure)]
     scans: dict = {}
     for first, second, lo, hi in _chunks(sides)[part::parts]:
         i1, i2 = _shape_pairs(first, second, np.arange(lo, hi))
-        stack, ceilings = _stacked_composites([sides[i] for i in i1], [sides[j] for j in i2], bridge)
-        n1 = sides[first[0]][0].n
+        n1, n2 = sides[first[0]][0].n, sides[second[0]][0].n
+        stack, ceilings = _stacked_composites(
+            stacks[n1][place[i1]], marks[i1], stacks[n2][place[i2]], marks[i2], bridge
+        )
         weights = np.where(i1 == i2, 1, 2)
         same = key_ids[i1] == key_ids[i2]
         report.instances_tested += int(weights.sum())
@@ -578,9 +580,10 @@ def search_no_pst(
 
     Every ordered pair of marked graphs (connected, one representative per
     rooted isomorphism class up to ``max_n`` vertices, or the pairs yielded
-    by ``graph_source``, whose sides must be connected, have integer weights
-    and, for a positive ``max_n``, at most ``max_n`` vertices, or the search
-    raises ``ValueError`` before any work) is joined over a
+    by ``graph_source``, whose sides must be connected, have integer weights,
+    an integer mark in range and, for a positive ``max_n``, at most
+    ``max_n`` vertices, or the search raises ``ValueError`` before any
+    work) is joined over a
     bridge with ``bridge`` path vertices (2 or 3).  Joining (Y2, b) to
     (Y1, a) gives the composite of (Y1, a) and (Y2, b) relabelled, and
     everything the search reads is symmetric in a and b, so each unordered
@@ -632,7 +635,7 @@ def search_no_pst(
         source = "builtin"
     else:
         marked = list(graph_source)
-        for g, _ in marked:
+        for g, v in marked:
             for bad, problem in (
                 (not g.integer_flag, "has non-integer weights"),
                 (not g.is_connected(), "is disconnected"),
@@ -643,6 +646,7 @@ def search_no_pst(
                         "search needs integer weights, connected sides and at most max_n "
                         f"vertices; side {_side_name(g)!r} {problem}"
                     )
+            g._check_vertex(v)
         source = "stream"
     # a fork pool starts all its workers at once, so never ask for idle ones
     workers = min(jobs, len(_chunks(marked)), os.cpu_count() or 1)

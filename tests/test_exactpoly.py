@@ -472,10 +472,10 @@ def test_charpoly_refuses_orders_that_would_overflow_int64():
 
 
 def test_charpoly_matches_bareiss_oracle():
-    # bareiss_det is the exact oracle: charpoly(g)(k) == det(kI - A), k = 0..n
+    # bareiss_det is the exact oracle: charpoly(g)(k) == det(kI - A), k = 0..n,
+    # three graphs of every order on both sides of the kernel crossover
     rng = random.Random(16)
-    for _ in range(40):
-        n = rng.randint(1, 12)
+    for n in list(range(1, xp._LIST_ORDER + 5)) * 3:
         w = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
@@ -489,6 +489,61 @@ def test_charpoly_matches_bareiss_oracle():
         for k in range(n + 1):
             shifted = [[(k if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
             assert phi(k) == bareiss_det(shifted)
+
+
+def kernel_cases(n, rng):
+    """Integer matrices of order n for the two charpoly kernels: symmetric
+    with negative weights and loops, general, with entries beyond 2**63, and
+    (n >= 3) one whose first column has no pivot below the subdiagonal and
+    one whose pivot needs a row and column swap."""
+    big = [-(2**70) - 1, 2**64 + 3, 3 * 2**63]
+    sym = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                sym[i][j] = sym[j][i] = rng.choice([-3, -1, 1, 2, 5])
+    cases = [sym, [[rng.choice([0, 0, 1, -2, 7, *big]) for _ in range(n)] for _ in range(n)]]
+    if n >= 3:
+        # column 0 is zero below the diagonal: step 1 finds no pivot
+        no_pivot = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        for i in range(1, n):
+            no_pivot[i][0] = 0
+        # h[1][0] = 0 and h[2][0] != 0: step 1 swaps rows and columns 1 and 2
+        swap = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        swap[1][0], swap[2][0] = 0, rng.choice(big)
+        cases += [no_pivot, swap]
+    return cases
+
+
+def test_charpoly_kernels_agree():
+    # the list kernel below the crossover and the numpy kernel above it
+    # return the same residues, on every order either side of it
+    rng = random.Random(30)
+    primes = xp._primes()
+    for n in range(1, 21):
+        for rows in kernel_cases(n, rng) + kernel_cases(n, rng):
+            for p in (primes[0], primes[-1]):
+                listed = xp._charpoly_mod_rows(rows, p)
+                assert listed == xp._charpoly_mod(np.array(rows, dtype=object), p).tolist()
+                assert len(listed) == n + 1 and listed[-1] == 1
+
+
+def test_charpoly_kernel_choice_is_pinned(monkeypatch):
+    # orders up to the crossover never reach the numpy kernel, larger ones
+    # always do, and every order gives the same polynomial either way
+    used = []
+    for name in ("_charpoly_mod_rows", "_charpoly_mod"):
+        kernel = getattr(xp, name)
+        monkeypatch.setattr(xp, name, lambda a, p, k=kernel, name=name: used.append(name) or k(a, p))
+    rng = random.Random(31)
+    for n in range(1, xp._LIST_ORDER + 5):
+        for rows in kernel_cases(n, rng):
+            used.clear()
+            phi = xp._charpoly_of_rows(rows)
+            expected = "_charpoly_mod_rows" if n <= xp._LIST_ORDER else "_charpoly_mod"
+            assert used and set(used) == {expected}
+            shifted = [[(3 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+            assert phi(3) == bareiss_det(shifted)
 
 
 def test_charpoly_requires_integer_weights():

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pstwalk import graphs
+from pstwalk import exactpoly, graphs, pst, verify
 from pstwalk.graphs import (
     CANONICAL_MAX_N,
     Graph,
@@ -103,6 +103,47 @@ def test_from_edges_rejects_vertices_out_of_range(edges, loops, vertex):
         Graph.from_edges(3, edges, loops)
     with pytest.raises(ValueError, match=f"^vertex {vertex} out of range for n=3$"):
         build_path(3)._check_vertex(vertex)
+
+
+P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+K1 = Graph(np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exactpoly.walk_gf(P4, True),
+        lambda: P4.delete([1.5]),
+        lambda: exactpoly.charpoly_deleted(P4, [1.5]),
+        lambda: pst.pst_certificate(P4, 0.5, 3),
+        lambda: pst.evolve_fidelity(P4, 0.5, 3, 1.0),
+        lambda: pst.pst_certificate(P4, True, 2),
+        lambda: verify.search_no_pst(2, 0, graph_source=[(P4, True), (K1, 0)]),
+        lambda: verify.equitable_quotient(P4, [[0, 3], [1.0, 2]]),
+    ],
+    ids=[
+        "walk_gf",
+        "delete",
+        "charpoly_deleted",
+        "pst_certificate",
+        "evolve_fidelity",
+        "pst_certificate_bool",
+        "search_no_pst",
+        "equitable_quotient",
+    ],
+)
+def test_vertex_arguments_must_be_integers(call):
+    # a bool or a float is not read as a vertex: True would fill a whole
+    # start vector, 1.5 would drop to 1 or select nothing
+    with pytest.raises(ValueError, match="is not an integer"):
+        call()
+
+
+def test_numpy_integer_vertices_are_accepted():
+    v = np.int64(1)
+    assert exactpoly.walk_gf(P4, v) == exactpoly.walk_gf(P4, 1)
+    assert exactpoly.charpoly_deleted(P4, [v]) == exactpoly.charpoly_deleted(P4, [1])
+    assert P4.delete([v]).n == 3
 
 
 def test_cone_adds_apex():

@@ -1,5 +1,6 @@
 """Source scans of the library: every name a module imports is used in
-that module, and ``numpy.linalg.eigh`` runs in one function only.
+that module, ``numpy.linalg.eigh`` runs in one function only, and one
+function reads the primes of the modular charpoly.
 
 The import scan skips ``__init__.py``: its imports are the package's public
 names.
@@ -39,16 +40,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def eigh_scopes(source: str) -> list[str]:
-    """The innermost function around each name ``eigh`` (an attribute or an
-    imported name), or ``<module>`` outside every function."""
+def name_scopes(source: str, name: str) -> list[str]:
+    """The innermost function around each read of ``name`` (a bare name, an
+    attribute or an imported name), or ``<module>`` outside every function."""
     found = []
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "eigh") or (
-                isinstance(child, ast.alias) and child.name == "eigh"
+            if (
+                (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.alias) and child.name == name)
+                or (isinstance(child, ast.Name) and child.id == name)
             ):
                 found.append(scope)
             visit(child, child.name if isinstance(child, functions) else scope)
@@ -65,13 +68,32 @@ def test_checker_finds_every_eigh():
         "def g(m):\n    def h():\n        return np.linalg.eigvalsh(m)\n"
         "    return h, np.linalg.eigh\n"
     )
-    assert eigh_scopes(source) == ["<module>", "f", "g"]
+    assert name_scopes(source, "eigh") == ["<module>", "f", "g"]
 
 
 def test_one_function_runs_eigh():
     # the one numeric engine: every decomposition, of a graph (a stack of
     # one) or of a stack of composites, goes through spectral.eigenspaces
     found = [
-        f"{p.stem}.{scope}" for p in sorted(SRC.glob("*.py")) for scope in eigh_scopes(p.read_text())
+        f"{p.stem}.{scope}" for p in sorted(SRC.glob("*.py")) for scope in name_scopes(p.read_text(), "eigh")
     ]
     assert found == ["spectral.eigenspaces"]
+
+
+def test_checker_finds_a_second_reader_of_the_primes():
+    # the real module with one more function that reads the primes
+    source = (SRC / "exactpoly.py").read_text()
+    mutated = source + "\n\ndef leak():\n    return xp._primes()[0]\n"
+    assert name_scopes(source, "_primes") == ["_charpoly_of_rows"]
+    assert name_scopes(mutated, "_primes") == ["_charpoly_of_rows", "leak"]
+
+
+def test_one_function_reads_the_primes():
+    # only charpoly works modulo primes: both of its kernels take a prime
+    # from _charpoly_of_rows, and the sigma route reads no prime, no CRT
+    found = [
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in name_scopes(p.read_text(), "_primes")
+    ]
+    assert found == ["exactpoly._charpoly_of_rows"]

@@ -594,8 +594,11 @@ def test_stacked_readings_match_the_single_graph_readers(bridge):
     for pair in _oracle_pairs():
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
     for shape in shapes.values():
-        firsts, seconds = zip(*shape)
-        stack, ceilings = verify._stacked_composites(firsts, seconds, bridge)
+        (w1, a1), (w2, a2) = (
+            (np.stack([y.weights for y, _ in sides]), np.array([v for _, v in sides]))
+            for sides in zip(*shape)
+        )
+        stack, ceilings = verify._stacked_composites(w1, a1, w2, a2, bridge)
         for i, ((y1, a), (y2, b)) in enumerate(shape):
             z, ga, gb = compose(y1, a, y2, b, bridge)
             assert abs(ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
