@@ -724,9 +724,13 @@ class _Krylov:
         return self.mu
 
     def annihilated_by(self, m: IntPoly) -> bool:
-        """Whether m(A) x = 0, exactly."""
-        vectors = np.array([self[k] for k in range(m.degree + 1)], dtype=object)
-        return not (np.array(m.coeffs, dtype=object) @ vectors).any()
+        """Whether m(A) x = 0, exactly: in int64 while sum_k |c_k|
+        ||A||_inf**k < 2**63, which bounds every partial sum of
+        sum_k c_k (A**k x)_u, and in Python integers beyond."""
+        vectors = [self[k] for k in range(m.degree + 1)]
+        bound = sum(abs(c) * self.norm**k for k, c in enumerate(m.coeffs))
+        dtype = np.int64 if bound < 2**63 else object
+        return not (np.array(m.coeffs, dtype=dtype) @ np.array(vectors, dtype=dtype)).any()
 
 
 def _minimal_polynomial(walks: _Krylov) -> IntPoly:

@@ -265,11 +265,12 @@ def _integer_roots(p: IntPoly, xs) -> set[int]:
 
     Newton steps in exact integer arithmetic move round(x) for as long as
     they shrink, so a proposal that is close but more than 1/2 away (large
-    roots) still lands; only p(r) == 0 accepts r."""
+    roots) still lands; only p(r) == 0 accepts r.  The walk depends on its
+    start alone, so each distinct round(x) is walked once."""
     dp = p.derivative()
     found = set()
-    for x in xs:
-        r, last = round(x), None
+    for r in {round(x) for x in xs}:
+        last = None
         while (v := p(r)) != 0:
             d = dp(r)
             if d < 0:
@@ -284,12 +285,15 @@ def _integer_roots(p: IntPoly, xs) -> set[int]:
 
 
 def _half_shift(p: IntPoly, alpha: int) -> IntPoly:
-    """2**deg(p) p((alpha + s) / 2), a polynomial in s with integer coefficients."""
-    out: list[int] = []
-    for k, c in enumerate(reversed(p.coeffs)):
-        # Horner step: out * (alpha + s) + c * 2**k
-        out = [alpha * x + y for x, y in zip(out + [0], [0] + out)]
-        out[0] += c << k
+    """2**deg(p) p((alpha + s) / 2), a polynomial in s with integer
+    coefficients: q(s) = 2**deg(p) p(s / 2), made by shifts, then
+    Taylor-shifted to q(alpha + s), so alpha = 0 costs O(deg)."""
+    deg = p.degree
+    out = [c << (deg - k) for k, c in enumerate(p.coeffs)]
+    if alpha:
+        for i in range(deg):
+            for k in range(deg - 1, i - 1, -1):
+                out[k] += alpha * out[k + 1]
     return IntPoly(out)
 
 

@@ -283,17 +283,21 @@ def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> floa
     sum_r (E_r)_ab / (t - theta_r), with only simple poles.  So with sf the
     squarefree part of phi, N = p sf / phi = sum_r (E_r)_ab sf / (t - theta_r)
     is an integer polynomial, and (E_r)_ab = N(theta_r) / sf'(theta_r): the
-    exact residue, which vanishes where the pole cancelled.
+    exact residue, which vanishes where the pole cancelled.  sf and N are
+    cached per (a, b), so every eigenvalue of a pair reads them.
     """
     g._check_vertex(a, b)
     if not np.isfinite(theta):
         raise ValueError(f"projector_entry_via_neutrino needs a finite eigenvalue, got {theta}")
-    phi = xp.charpoly(g)
-    sf = xp.squarefree_part(phi)
+    key = ("neutrino", a, b)
+    if key not in g._poly_cache:
+        phi = xp.charpoly(g)
+        sf = xp.squarefree_part(phi)
+        p = xp.charpoly_deleted(g, [a]) if a == b else xp.path_sum_poly(g, a, b)
+        g._poly_cache[key] = sf, xp.poly_divexact(p * sf, phi)
+    sf, residue = g._poly_cache[key]
     if abs(sf(theta)) > _ROOT_TOL * _poly_scale_at(sf, theta):
         raise ValueError(f"{theta} is not an eigenvalue within tolerance")
-    p = xp.charpoly_deleted(g, [a]) if a == b else xp.path_sum_poly(g, a, b)
-    residue = xp.poly_divexact(p * sf, phi)
     return float(residue(theta)) / float(sf.derivative()(theta))
 
 

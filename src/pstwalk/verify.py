@@ -649,7 +649,7 @@ def search_no_pst(
             g._check_vertex(v)
         source = "stream"
     # a fork pool starts all its workers at once, so never ask for idle ones
-    workers = min(jobs, len(_chunks(marked)), os.cpu_count() or 1)
+    workers = min(jobs, len(_chunks(marked)), os.cpu_count() or 1) if jobs > 1 else 1
     args = (bridge, scan_cross_check, scan_t_max, scan_steps)
     report = SearchReport(bridge=bridge, max_n=max_n, source=source)
     if workers <= 1:
@@ -681,29 +681,31 @@ def random_connected_graph(
     p: float = 0.45,
 ) -> Graph:
     """Random connected graph on n vertices; optional small integer edge
-    weights and loops."""
+    weights and loops.  Edge draws repeat until the graph is connected,
+    which the component labels tracked while drawing tell."""
     if n == 1:
         w = np.zeros((1, 1))
         if loops and rng.random() < 0.3:
             w[0, 0] = rng.choice([-1, 1, 2])
         return Graph(w)
     while True:
-        w = np.zeros((n, n))
+        w, label, parts = np.zeros((n, n)), list(range(n)), n
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < p:
                     wt = rng.choice([-2, -1, 1, 2, 3]) if weighted else 1
                     w[i, j] = w[j, i] = wt
-        g = Graph(w)
-        if g.is_connected():
+                    if label[i] != label[j]:
+                        old, new = label[j], label[i]
+                        label = [new if x == old else x for x in label]
+                        parts -= 1
+        if parts <= 1:
             break
     if loops:
-        w = g.weights.copy()
         for v in range(n):
             if rng.random() < 0.2:
                 w[v, v] = rng.choice([-1, 1, 2])
-        g = Graph(w)
-    return g
+    return Graph(w)
 
 
 @dataclass

@@ -5,17 +5,20 @@ the tracer looks each one up with a bare ``getattr``, so a rename in
 ``src/pstwalk`` would otherwise break only the traced benchmark run.  Likewise
 ``perfbench/workloads.py`` compares the seed-0 bridge-search reports with a
 stored reference, so a drift of the search report would otherwise fail only
-the benchmark.
+the benchmark.  The certify-large certificates are pinned the same way, by
+``golden_certificates.json``.
 """
 
 import importlib
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden_certificates.json"
 
 
 def load_bench_module(name):
@@ -50,3 +53,26 @@ def test_bridge_search_matches_the_stored_reference():
     assert len(ops) == 9
     misses = [wl.check(op, wl.run(mods, op, wl.prepare(mods, op))) for op in ops]
     assert misses == [None] * len(ops)
+
+
+def test_certify_large_certificates_match_the_golden_file():
+    """Every ``CERTIFY_FAMILIES`` member of the seed-0 certify-large inputs
+    gives its stored ``to_json()``: every exact field equal, the transfer
+    time within 1e-12 and the fidelity there at least 1 - CONFIRM_TOL."""
+    workloads = load_bench_module("workloads")
+    pst = importlib.import_module("pstwalk.pst")
+    mods = SimpleNamespace(graphs=importlib.import_module("pstwalk.graphs"), pst=pst)
+    wl = workloads.CertifyLarge()
+    golden = json.loads(GOLDEN.read_text())
+    ops = wl.make_inputs(mods, random.Random(0), 0)
+    assert sorted(op.args["label"] for op in ops) == sorted(golden)
+    floats = ("pst_time", "fidelity_at_time")
+    for op in ops:
+        got, want = wl.run(mods, op, wl.prepare(mods, op)).to_json(), golden[op.args["label"]]
+        assert {k: v for k, v in got.items() if k not in floats} == {
+            k: v for k, v in want.items() if k not in floats
+        }, op.args["label"]
+        assert ("pst_time" in got) == ("pst_time" in want)
+        if "pst_time" in want:
+            assert abs(got["pst_time"] - want["pst_time"]) <= 1e-12
+            assert got["fidelity_at_time"] >= 1 - pst.CONFIRM_TOL

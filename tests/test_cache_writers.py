@@ -22,6 +22,7 @@ WRITERS = {
     "exactpoly.bridge_compose",
     "exactpoly.walk_gf",
     "spectral.decompose",
+    "spectral.projector_entry_via_neutrino",
     "graphs.Graph.__init__",
     "graphs.Graph.__setstate__",
 }

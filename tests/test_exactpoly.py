@@ -1104,6 +1104,56 @@ def test_refused_annihilation_check_raises_and_returns_no_class(monkeypatch):
         assert ("sigma", frozenset((a, b))) not in g._poly_cache
 
 
+class _ArrayDtypes:
+    """numpy, with the dtype of every ``np.array`` call recorded."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, dtype=None, **kwargs):
+        self.dtypes.append(dtype)
+        return np.array(*args, dtype=dtype, **kwargs)
+
+
+def _annihilates_oracle(walks, m):
+    """m(A) x = 0 on Python integers, entry by entry."""
+    vectors = [[int(e) for e in walks[k]] for k in range(m.degree + 1)]
+    return all(
+        sum(c * vec[u] for c, vec in zip(m.coeffs, vectors)) == 0 for u in range(walks.n)
+    )
+
+
+def test_annihilation_check_agrees_on_its_int64_and_python_paths(monkeypatch):
+    """The int64 path runs while sum_k |c_k| ||A||_inf**k < 2**63, the
+    Python-integer path from there on, and both agree with the oracle,
+    also on a corrupted coefficient."""
+    rng = random.Random(33)
+    cases = [(random_connected_graph(rng, rng.randint(1, 7), weighted=True, loops=True), 1)
+             for _ in range(40)]
+    # K2 with weight w: m of e_0 is t**2 - w**2, bound 2 w**2
+    cases += [(build_path(2), w) for w in (2**31 - 1, 2**31, 2**40)]
+    int64_paths = []
+    for g, scale in cases:
+        walks = xp._unit_walks(Graph(g.weights * scale), 0)
+        m = xp._minimal_polynomial(walks)
+        wrong = IntPoly((m.coeffs[0] - 1,) + m.coeffs[1:])
+        for poly, want in ((m, True), (wrong, False)):
+            small = sum(abs(c) * walks.norm**k for k, c in enumerate(poly.coeffs)) < 2**63
+            spy = _ArrayDtypes()
+            monkeypatch.setattr(xp, "np", spy)
+            got = walks.annihilated_by(poly)
+            monkeypatch.setattr(xp, "np", np)
+            assert got is want and _annihilates_oracle(walks, poly) is want
+            assert set(spy.dtypes) == {np.int64 if small else object}
+            int64_paths.append(small)
+    # the K2 cases: bound 2 w**2 reaches 2**63 at w = 2**31
+    assert int64_paths[-6:] == [True, True, False, False, False, False]
+    assert any(int64_paths[:-6])
+
+
 def test_walk_gf_reduction():
     # t^2 / (t^3 - 2t) reduces to t / (t^2 - 2)
     g = build_path(3)

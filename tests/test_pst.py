@@ -370,6 +370,78 @@ def test_quadratic_structure_floats_only_propose():
     assert err.value.reason == "no_common_alpha"
 
 
+def integer_roots_oracle(p, xs):
+    """One exact Newton walk per proposal, duplicates included."""
+    dp = p.derivative()
+    found = set()
+    for x in xs:
+        r, last = round(x), None
+        while (v := p(r)) != 0:
+            d = dp(r)
+            if d < 0:
+                v, d = -v, -d
+            step = (2 * v + d) // (2 * d) if d else 0
+            if step == 0 or (last is not None and abs(step) >= last):
+                break
+            r, last = r - step, abs(step)
+        else:
+            found.add(r)
+    return found
+
+
+def half_shift_oracle(p, alpha):
+    """2**deg(p) p((alpha + s) / 2) by Horner in (alpha + s)."""
+    out = []
+    for k, c in enumerate(reversed(p.coeffs)):
+        out = [alpha * x + y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c << k
+    return IntPoly(out)
+
+
+def test_integer_roots_walk_each_start_once_and_match_the_per_proposal_walks():
+    rng = random.Random(31)
+    for trial in range(200):
+        roots = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
+        if trial % 4 == 0:
+            # large roots, whose floats lie more than 1/2 away
+            roots.append(rng.choice((-1, 1)) * (2**60 + rng.randint(2, 999)))
+        p = IntPoly((1,))
+        for r in roots:
+            p = p * IntPoly((-r, 1))
+        if trial % 3 == 0:
+            p = p * IntPoly((rng.randint(1, 9), 0, 1))  # t**2 + c: no real root
+        xs = [r + rng.uniform(-0.7, 0.7) for r in roots for _ in range(rng.randint(1, 3))]
+        xs += [float(r) for r in roots] + [rng.uniform(-50, 50) for _ in range(3)]
+        assert pst._integer_roots(p, xs) == integer_roots_oracle(p, xs)
+    # a float more than 1/2 from its root still lands
+    big = 2**60 + 3
+    assert round(float(big)) == big - 3
+    assert pst._integer_roots(IntPoly((-big, 1)), [float(big)]) == {big}
+
+
+def test_integer_roots_run_one_walk_per_distinct_start():
+    evaluations = []
+
+    class Counted(IntPoly):
+        def __call__(self, x):
+            evaluations.append(x)
+            return super().__call__(x)
+
+    p = Counted(IntPoly((-6, 11, -6, 1)).coeffs)  # roots 1, 2, 3
+    assert pst._integer_roots(p, [1.1, 0.9, 1.0, 2.2, 1.8, 3.0, 2.9]) == {1, 2, 3}
+    assert sorted(evaluations) == [1, 2, 3]
+
+
+def test_half_shift_matches_horner():
+    rng = random.Random(32)
+    for _ in range(300):
+        p = IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 12))] + [rng.choice((1, -3, 7))])
+        for alpha in (0, rng.randint(-9, 9)):
+            assert pst._half_shift(p, alpha) == half_shift_oracle(p, alpha)
+    for alpha in range(-9, 10):
+        assert pst._half_shift(IntPoly((5,)), alpha) == IntPoly((5,))
+
+
 def test_quadratic_structure_failures():
     golden = [PHI, 1 / PHI, -1 / PHI, -PHI]
     for poly, thetas, reason in (

@@ -413,7 +413,11 @@ def test_non_cospectral_pair_costs_no_charpoly(monkeypatch):
     assert calls == [] and deletions == []
 
 
-def test_neutrino_matches_projectors():
+def test_neutrino_matches_projectors(monkeypatch):
+    # sf and N are made once per (a, b) and read for every eigenvalue
+    calls = []
+    squarefree = xp.squarefree_part
+    monkeypatch.setattr(xp, "squarefree_part", lambda p: calls.append(p) or squarefree(p))
     rng = random.Random(104)
     for _ in range(40):
         n = rng.randint(2, 7)
@@ -422,6 +426,7 @@ def test_neutrino_matches_projectors():
             continue
         a, b = rng.sample(range(n), 2)
         dec = decompose(g)
+        calls.clear()
         for th, e in zip(dec.distinct_eigenvalues, projectors(dec)):
             assert projector_entry_via_neutrino(g, a, b, th) == pytest.approx(
                 float(e[b, a]), abs=1e-7
@@ -429,6 +434,7 @@ def test_neutrino_matches_projectors():
             assert projector_entry_via_neutrino(g, a, a, th) == pytest.approx(
                 float(e[a, a]), abs=1e-7
             )
+        assert len(calls) == 2
 
 
 def test_neutrino_zero_off_support():

@@ -813,6 +813,47 @@ def test_random_connected_graph_properties():
         assert np.allclose(g.weights, g.weights.T)
 
 
+def random_connected_graph_oracle(rng, n, weighted=False, loops=False, p=0.45):
+    """The sampler drawn in full and rejected by a DFS on a built Graph."""
+    if n == 1:
+        w = np.zeros((1, 1))
+        if loops and rng.random() < 0.3:
+            w[0, 0] = rng.choice([-1, 1, 2])
+        return Graph(w)
+    while True:
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    wt = rng.choice([-2, -1, 1, 2, 3]) if weighted else 1
+                    w[i, j] = w[j, i] = wt
+        g = Graph(w)
+        if g.is_connected():
+            break
+    if loops:
+        w = g.weights.copy()
+        for v in range(n):
+            if rng.random() < 0.2:
+                w[v, v] = rng.choice([-1, 1, 2])
+        g = Graph(w)
+    return g
+
+
+def test_random_connected_graph_draws_as_the_rejecting_oracle():
+    # same weights and the same rng state after the call
+    for seed in range(100):
+        for n in range(1, 9):
+            for weighted, loops in ((False, False), (True, False), (True, True)):
+                rng, ref = random.Random(seed), random.Random(seed)
+                g = random_connected_graph(rng, n, weighted, loops)
+                want = random_connected_graph_oracle(ref, n, weighted, loops)
+                assert np.array_equal(g.weights, want.weights)
+                assert rng.getstate() == ref.getstate()
+    for sampler in (random_connected_graph, random_connected_graph_oracle):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            sampler(random.Random(0), 0)
+
+
 def test_run_suite_dispatch():
     assert run_suite("onesum", instances=10).passed
     assert run_suite("neutrino", instances=10).passed
