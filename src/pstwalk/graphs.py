@@ -225,16 +225,13 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()}, loops={self.loops()})"
 
-    # immutable payload, safe to pickle by value
+    # immutable payload, safe to pickle by value; unpickling builds the
+    # graph as the constructor does, with its checks
     def __getstate__(self):
         return np.asarray(self.weights)
 
     def __setstate__(self, state):
-        w = np.array(state, dtype=float)
-        w.setflags(write=False)
-        self.weights = w
-        self._integer = bool(np.all(w == np.round(w)))
-        self._poly_cache = {}
+        self.__init__(state)
 
 
 # ---------------------------------------------------------------------------

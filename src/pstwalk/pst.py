@@ -10,8 +10,8 @@ congruences t (theta_0 - theta_r) in pi Z with the parities dictated by the
 sigma signs.  Floats only propose roots and cross-check: the numeric
 decomposition must agree with the exact classes, and the walk must reach
 fidelity 1 at the certified time.  ``pst_decision`` is the one certificate:
-it reads every number of a pair from rows a and b of one decomposition,
-a graph's own (a stack of one) or a row of a stack of composites.  Every
+it reads every number of a pair from its reading (``spectral.read_pairs``),
+a graph's own (a stack of one) or a pair of a stack of composites.  Every
 fidelity, at one time or over a scan, comes from one evaluator, the
 factorised grid of ``_peak``, which reads a stack of pairs at once.
 """
@@ -27,13 +27,7 @@ import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
 from .graphs import Graph
-from .spectral import (
-    SpectralDecomposition,
-    coprime_classes,
-    decompose,
-    pair_ceilings,
-    pair_signature,
-)
+from .spectral import PairReading, coprime_classes, decompose, pair_signature
 
 __all__ = [
     "CONFIRM_TOL",
@@ -42,7 +36,6 @@ __all__ = [
     "evolve_fidelity",
     "fidelity_ceiling",
     "fidelity_scan",
-    "pair_phases",
     "phase_fidelity",
     "pst_certificate",
     "pst_decision",
@@ -90,12 +83,6 @@ class PstCertificate:
 
 # ---------------------------------------------------------------------------
 # fidelity
-
-def pair_phases(dec: SpectralDecomposition, a: int, b: int):
-    """The phases of a pair: eigenvalues theta_r and entries (E_r)_ab, from
-    rows a and b of ``dec``'s eigenvectors."""
-    return np.array(dec.distinct_eigenvalues), dec.sums(dec.vectors[a] * dec.vectors[b])
-
 
 def _peak(thetas: np.ndarray, weights: np.ndarray, lo: np.ndarray, dt: np.ndarray, steps: int):
     """For each pair i of a stack, the best (t, |sum_r w_ir exp(i theta_ir t)|)
@@ -145,11 +132,11 @@ def _peak(thetas: np.ndarray, weights: np.ndarray, lo: np.ndarray, dt: np.ndarra
     return lo + best_k * dt, best_f
 
 
-def phase_fidelity(phases, t: float) -> float:
-    """|<b| exp(itA) |a>| at time t of a pair with ``phases``
-    (``pair_phases``), a one-point grid of ``_peak``."""
-    thetas, weights = phases
-    return float(_peak(thetas[None], weights[None], np.array([float(t)]), np.zeros(1), 0)[1][0])
+def phase_fidelity(reading: PairReading, t: float) -> float:
+    """|<b| exp(itA) |a>| = |sum_r (E_r)_ab exp(i theta_r t)| at time t of
+    one pair's reading, a one-point grid of ``_peak``."""
+    thetas, weights = np.asarray(reading.thetas)[None], reading.ab[None]
+    return float(_peak(thetas, weights, np.array([float(t)]), np.zeros(1), 0)[1][0])
 
 
 def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
@@ -157,7 +144,7 @@ def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
     g._check_vertex(a, b)
     if not math.isfinite(t):
         raise ValueError(f"evolve_fidelity needs a finite time, got {t}")
-    return phase_fidelity(pair_phases(decompose(g), a, b), t)
+    return phase_fidelity(decompose(g).pair(a, b), t)
 
 
 def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
@@ -168,14 +155,13 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
         1 - C = 1/2 sum_r ||E_r e_a - s_r E_r e_b||**2,
 
     so C <= 1, with equality exactly when a and b are strongly cospectral
-    (Godsil & Smith, "Strongly cospectral vertices", 2017).  Reads the same
-    projector entries as ``fidelity_scan``, so a scan never peaks above C
-    beyond rounding, through ``spectral.pair_ceilings``, the reader the
-    bridge search takes for a whole stack of composites.
+    (Godsil & Smith, "Strongly cospectral vertices", 2017).  Read from the
+    pair's reading, like ``fidelity_scan``, so a scan never peaks above C
+    beyond rounding; the bridge search reads its ceilings the same way, a
+    stack of composites at once.
     """
     g._check_vertex(a, b)
-    dec = decompose(g)
-    return float(pair_ceilings(dec.vectors[None], dec.starts, [a], [b])[0])
+    return float(decompose(g).pair(a, b).ceilings[0])
 
 
 def check_scan(t_max: float, steps: int) -> None:
@@ -187,21 +173,22 @@ def check_scan(t_max: float, steps: int) -> None:
         raise ValueError(f"need an integer steps >= 1, got {steps!r}")
 
 
-def scan_phases(phases, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fidelity scans of a list of pairs, given by their phases
-    (``pair_phases``), each over [0, t_max[i]] with ``steps`` intervals, as
-    one stack through ``_peak``: the grid, then _REFINE_GRIDS finer grids,
-    each spanning one spacing of the grid before it on either side of the
-    pair's best point so far, clipped to [0, t_max[i]], and kept only when
-    it beats that point.  Returns the arrays (t_best, fidelity_best).  The
-    caller checks each window (``check_scan``).
+def scan_phases(readings, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fidelity scans of a list of pairs, given by their readings (the
+    phases theta_r and (E_r)_ab), each over [0, t_max[i]] with ``steps``
+    intervals, as one stack through ``_peak``: the grid, then
+    _REFINE_GRIDS finer grids, each spanning one spacing of the grid
+    before it on either side of the pair's best point so far, clipped to
+    [0, t_max[i]], and kept only when it beats that point.  Returns the
+    arrays (t_best, fidelity_best).  The caller checks each window
+    (``check_scan``).
     """
     # one row a pair, padded with zero weights
-    thetas = np.zeros((len(phases), max(len(th) for th, _ in phases)))
+    thetas = np.zeros((len(readings), max(len(r.ab) for r in readings)))
     weights = np.zeros_like(thetas)
-    for i, (th, w) in enumerate(phases):
-        thetas[i, : len(th)] = th
-        weights[i, : len(w)] = w
+    for i, r in enumerate(readings):
+        thetas[i, : len(r.ab)] = r.thetas
+        weights[i, : len(r.ab)] = r.ab
     t_max = np.asarray(t_max, dtype=float)
     dt = t_max / steps
     best_t, best_f = _peak(thetas, weights, np.zeros(len(t_max)), dt, steps)
@@ -229,7 +216,7 @@ def fidelity_scan(
     """
     g._check_pair(a, b, "fidelity scan needs two distinct vertices")
     check_scan(t_max, steps)
-    t, f = scan_phases([pair_phases(decompose(g), a, b)], [float(t_max)], steps)
+    t, f = scan_phases([decompose(g).pair(a, b)], [float(t_max)], steps)
     return float(t[0]), float(f[0])
 
 
@@ -377,22 +364,22 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     """Decide perfect state transfer between a and b.  Requires integer
     weights.
 
-    ``pst_decision`` over the pair's sigma classes and the graph's
-    decomposition, a stack of one.
+    ``pst_decision`` over the pair's sigma classes and its reading from
+    the graph's decomposition, a stack of one.
     """
     g._check_pair(a, b, "perfect state transfer needs two distinct vertices")
     if not g.integer_flag:
         raise ValueError("perfect state transfer certificate needs integer weights")
-    return pst_decision(sigma_classes(g, a, b), decompose(g), a, b)
+    return pst_decision(sigma_classes(g, a, b), decompose(g).pair(a, b), a, b)
 
 
-def pst_decision(classes, dec: SpectralDecomposition, a: int, b: int) -> PstCertificate:
+def pst_decision(classes, reading: PairReading, a: int, b: int) -> PstCertificate:
     """The certificate of the pair a, b, from its sigma classes (m+, m-)
-    (``exactpoly.sigma_classes``; None when not cospectral) and rows a and
-    b of ``dec``, a graph's decomposition or a stack row
-    (``spectral.stacked_decomposition``): the numeric signature
-    (``spectral.pair_signature``, which checks its strong-cospectrality
-    decision against the classes), the phases and the confirming fidelity.
+    (``exactpoly.sigma_classes``; None when not cospectral) and its reading
+    (``spectral.read_pairs``), from a graph's decomposition or a stack of
+    composites: the numeric signature (``spectral.pair_signature``, which
+    checks its strong-cospectrality decision against the classes), the
+    phases and the confirming fidelity.
 
     Checks, in order: strong cospectrality, the common quadratic-integer
     form of the roots of m+ m- (the sigma = +1 and sigma = -1 classes, so
@@ -406,7 +393,7 @@ def pst_decision(classes, dec: SpectralDecomposition, a: int, b: int) -> PstCert
     A failure names the first check that fails: not_strongly_cospectral,
     no_common_alpha, delta_not_consistent or no_admissible_g.
     """
-    signature = pair_signature(dec, a, b, coprime_classes(classes))
+    signature = pair_signature(reading, a, b, coprime_classes(classes))
     if not signature.strongly_cospectral:
         return PstCertificate("fail", a, b, failure_reason="not_strongly_cospectral")
     supported = sorted(signature.supported(), reverse=True)
@@ -435,7 +422,7 @@ def pst_decision(classes, dec: SpectralDecomposition, a: int, b: int) -> PstCert
         return PstCertificate("fail", a, b, failure_reason="no_admissible_g", **base)
     ks = tuple(gap // gstar for gap in gaps)
     t = 2.0 * math.pi / (gstar * math.sqrt(delta))
-    fid = phase_fidelity(pair_phases(dec, a, b), t)
+    fid = phase_fidelity(reading, t)
     if fid < 1.0 - CONFIRM_TOL:
         raise RuntimeError(
             f"certificate claims transfer at t={t} but fidelity is {fid}; "

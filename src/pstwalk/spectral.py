@@ -20,8 +20,8 @@ __all__ = [
     "SpectralDecomposition",
     "decompose",
     "eigenspaces",
-    "stacked_decomposition",
-    "pair_ceilings",
+    "PairReading",
+    "read_pairs",
     "support",
     "cospectral",
     "SupportSignature",
@@ -43,6 +43,8 @@ SUPPORT_TOL = 1e-7
 _ROOT_TOL = 1e-6
 # where a graph keeps its decomposition, beside its polynomials
 _DECOMPOSE_KEY = ("decompose", None)
+# the squarefree part of phi, which every pair's neutrino entries divide by
+_SQUAREFREE_KEY = ("squarefree", None)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class SpectralDecomposition:
     eigenvector matrix, its columns grouped eigenspace by eigenspace, with
     ``starts`` the first column of each eigenspace.
 
-    With V_r the columns of eigenspace r, E_r = V_r V_r^T, so a projector
-    entry reads two rows: (E_r)_ab = sums(V[a] * V[b]).
+    With V_r the columns of eigenspace r, E_r = V_r V_r^T, so a pair's
+    numbers read two rows of V (``pair``).
     """
 
     distinct_eigenvalues: tuple[float, ...]
@@ -61,14 +63,14 @@ class SpectralDecomposition:
     grouping_tolerance: float
     starts: np.ndarray
 
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        """Sum x over each eigenspace's columns (last axis)."""
-        return np.add.reduceat(x, self.starts, axis=-1)
+    def pair(self, a: int, b: int) -> PairReading:
+        """The reading of a and b: ``read_pairs`` on a stack of one."""
+        return read_pairs(self.distinct_eigenvalues, self.vectors[None], self.starts, a, b)
 
 
 def decompose(g: Graph) -> SpectralDecomposition:
     """Spectral decomposition of the weighted adjacency matrix: the graph as
-    a stack of one (``eigenspaces``, ``stacked_decomposition``).
+    a stack of one (``eigenspaces``).
 
     Eigenvalues closer than GROUPING_TOL * max(1, ||A||_inf) are merged
     into one eigenspace (single-linkage on the sorted list).  The result is
@@ -76,29 +78,17 @@ def decompose(g: Graph) -> SpectralDecomposition:
     """
     cached = g._poly_cache.get(_DECOMPOSE_KEY)
     if cached is None:
-        cached = g._poly_cache[_DECOMPOSE_KEY] = stacked_decomposition(
-            eigenspaces(g.weights[None]), 0
+        _, v, tol, starts, thetas = eigenspaces(g.weights[None])
+        vectors = np.ascontiguousarray(v[0])
+        vectors.setflags(write=False)
+        starts.setflags(write=False)
+        # a few eigenspaces: their sizes are cheaper in Python
+        bounds = starts.tolist() + [g.n]
+        mults = tuple(end - start for start, end in zip(bounds, bounds[1:]))
+        cached = g._poly_cache[_DECOMPOSE_KEY] = SpectralDecomposition(
+            tuple(thetas.tolist()), mults, vectors, float(tol[0]), starts
         )
     return cached
-
-
-def stacked_decomposition(stack, i: int) -> SpectralDecomposition:
-    """Matrix i of a stack that ``eigenspaces`` decomposed (its output
-    tuple), read from the stack's rows with no further ``eigh``."""
-    w, v, tol, starts = stack
-    n = w.shape[-1]
-    lo, hi = np.searchsorted(starts, [i * n, (i + 1) * n])
-    starts = starts[lo:hi] - i * n
-    vectors = np.ascontiguousarray(v[i])
-    vectors.setflags(write=False)
-    starts.setflags(write=False)
-    # a few eigenspaces: their sizes and means are cheaper in Python
-    bounds = starts.tolist() + [n]
-    mults = tuple(end - start for start, end in zip(bounds, bounds[1:]))
-    sums = np.add.reduceat(w[i], starts).tolist()
-    return SpectralDecomposition(
-        tuple(x / m for x, m in zip(sums, mults)), mults, vectors, float(tol[i]), starts
-    )
 
 
 def eigenspaces(mats: np.ndarray):
@@ -107,24 +97,72 @@ def eigenspaces(mats: np.ndarray):
 
     Returns the eigenvalues (k, n) and the eigenvectors (k, n, n), both in
     descending eigenvalue order, each matrix's grouping tolerance
-    GROUPING_TOL * max(1, ||A||_inf), and the flat indices into all the
-    matrices' columns, in order, at which an eigenspace starts.  The
-    package's one ``eigh``.
+    GROUPING_TOL * max(1, ||A||_inf), the flat indices into all the
+    matrices' columns, in order, at which an eigenspace starts, and each
+    eigenspace's eigenvalue, the mean of its group.  The package's one
+    ``eigh``.
     """
     tol = GROUPING_TOL * np.abs(mats).sum(axis=-1).max(axis=-1, initial=1.0)
     w, v = np.linalg.eigh(mats)
     w, v = w[..., ::-1], v[..., ::-1]
     split = np.ones(w.shape, dtype=bool)
     split[..., 1:] = w[..., :-1] - w[..., 1:] >= tol[..., None]
-    return w, v, tol, np.flatnonzero(split)
+    starts = np.flatnonzero(split)
+    thetas = np.add.reduceat(w.ravel(), starts) / np.add.reduceat(np.ones(w.size), starts)
+    return w, v, tol, starts, thetas
+
+
+@dataclass(frozen=True)
+class PairReading:
+    """The numbers of vertex pairs a, b (``read_pairs``), pair after pair.
+    Per eigenspace r: theta_r, (E_r)_ab, ||E_r e_a||**2, ||E_r e_b||**2 and
+    ||E_r (e_a - s_r e_b)||**2 with s_r the sign of (E_r)_ab.  Pair i's
+    eigenspaces are bounds[i] .. bounds[i + 1] - 1, and ceilings[i] is its
+    fidelity ceiling sum_r |(E_r)_ab| (``pst.fidelity_ceiling``).  A
+    graph's reading keeps its decomposition's tuple of eigenvalues.
+    """
+
+    thetas: np.ndarray
+    ab: np.ndarray
+    aa: np.ndarray
+    bb: np.ndarray
+    apart: np.ndarray
+    bounds: np.ndarray
+    ceilings: np.ndarray
+
+    def __getitem__(self, i: int) -> PairReading:
+        """Pair i's reading alone, copied out of the arrays of every pair."""
+        lo, hi = self.bounds[i : i + 2]
+        spaces = (np.array(x[lo:hi]) for x in (self.thetas, self.ab, self.aa, self.bb, self.apart))
+        return PairReading(*spaces, np.array([0, hi - lo]), self.ceilings[i : i + 1].copy())
+
+
+def read_pairs(thetas, vectors: np.ndarray, starts: np.ndarray, a, b) -> PairReading:
+    """The one reader of vertex pairs: rows a[i] and b[i] of each matrix i
+    of a stack of eigenvector matrices (k, n, n), its eigenspaces starting
+    at the flat columns ``starts``, one eigenvalue in ``thetas`` each
+    (``eigenspaces``).  Integers a and b read the same rows of every
+    matrix by basic indexing, as a graph does (a stack of one,
+    ``SpectralDecomposition.pair``).  Each number sums a product of the two
+    rows over an eigenspace; the difference norms come from the row
+    differences, with no cancellation.
+    """
+    k, n = vectors.shape[:2]
+    rows = np.arange(k) if isinstance(a, np.ndarray) else slice(None)
+    va, vb = vectors[rows, a], vectors[rows, b]
+    # np.array, not np.stack, whose checks cost more than a graph's few rows
+    products = np.array([va * vb, va * va, vb * vb, (va - vb) ** 2, (va + vb) ** 2])
+    ab, aa, bb, minus, plus = np.add.reduceat(products.reshape(5, -1), starts, axis=-1)
+    bounds = starts.searchsorted(np.arange(0, (k + 1) * n, n))
+    ceilings = np.add.reduceat(np.abs(ab), bounds[:-1])
+    return PairReading(thetas, ab, aa, bb, np.where(ab >= 0, minus, plus), bounds, ceilings)
 
 
 def support(g: Graph, a: int) -> list[float]:
     """Eigenvalues whose eigenspace sees vertex a (``_pair_rule``)."""
     g._check_vertex(a)
-    dec = decompose(g)
-    _, in_support, *_ = _pair_rule(dec.vectors[a], dec.vectors[a], dec.starts)
-    return [th for th, x in zip(dec.distinct_eigenvalues, in_support) if x]
+    reading = decompose(g).pair(a, a)
+    return [th for th, x in zip(reading.thetas, _pair_rule(reading)[0]) if x]
 
 
 def cospectral(g: Graph, a: int, b: int) -> bool:
@@ -134,50 +172,32 @@ def cospectral(g: Graph, a: int, b: int) -> bool:
     Exact for integer weights, by ``exactpoly.sigma_classes``, which
     compares the walk counts (A**k)_aa and (A**k)_bb for k below the
     degree of the minimal polynomial of e_a + e_b; otherwise the norms
-    ||E_r e_a|| and ||E_r e_b||, read from rows a and b of the
-    eigenvectors of ``decompose``, must agree by ``_pair_rule``.
+    ||E_r e_a|| and ||E_r e_b|| of the pair's reading must agree by
+    ``_pair_rule``.
     """
     g._check_vertex(a, b)
     if a == b:
         return True
     if g.integer_flag:
         return xp.sigma_classes(g, a, b) is not None
-    dec = decompose(g)
-    _, _, _, equal, _, _ = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
+    _, _, equal, _, _ = _pair_rule(decompose(g).pair(a, b))
     return bool(equal.all())
 
 
-def _pair_rule(va: np.ndarray, vb: np.ndarray, starts: np.ndarray):
-    """The numeric strong-cospectrality rule on rows a and b of one graph's
-    eigenvector matrix, with eigenspaces starting at columns ``starts``.
+def _pair_rule(reading: PairReading):
+    """The numeric strong-cospectrality rule on one pair's reading.
 
-    Per eigenspace: (E_r)_ab, whether r is in the support of a and of b,
-    whether ||E_r e_a|| = ||E_r e_b||, whether E_r e_a = +-E_r e_b, and
-    whether the eigenspace agrees with strong cospectrality (both supports
-    or neither, and parallel).  The only reader of SUPPORT_TOL.
+    Per eigenspace: whether r is in the support of a and of b, whether
+    ||E_r e_a|| = ||E_r e_b||, whether E_r e_a = +-E_r e_b, and whether the
+    eigenspace agrees with strong cospectrality (both supports or neither,
+    and parallel).  The only reader of SUPPORT_TOL.
     """
-    # ||E_r e_a||^2, ||E_r e_b||^2, (E_r)_ab and ||E_r (e_a -+ e_b)||^2; the
-    # last two come from row differences, with no cancellation
-    rows = np.stack([va * va, vb * vb, va * vb, (va - vb) ** 2, (va + vb) ** 2])
-    aa, bb, ab, minus, plus = np.add.reduceat(rows, starts, axis=-1)
-    na, nb = np.sqrt(aa), np.sqrt(bb)
-    gap = np.sqrt(np.where(ab >= 0, minus, plus))
+    na, nb, gap = np.sqrt(reading.aa), np.sqrt(reading.bb), np.sqrt(reading.apart)
     ia = na > SUPPORT_TOL
     ib = nb > SUPPORT_TOL
     equal = np.abs(na - nb) <= SUPPORT_TOL
     parallel = ia & ib & equal & (gap <= SUPPORT_TOL)
-    return ab, ia, ib, equal, parallel, (ia == ib) & (parallel | ~ia)
-
-
-def pair_ceilings(vectors: np.ndarray, starts: np.ndarray, a, b) -> np.ndarray:
-    """For each matrix i of a stack (eigenvectors (k, n, n) and eigenspace
-    starts as ``eigenspaces`` gives them), the fidelity ceiling
-    sum_r |(E_r)_ab| of a[i], b[i] (``pst.fidelity_ceiling``), from one
-    product of rows a[i] and b[i]."""
-    rows = np.arange(len(vectors))
-    ab = np.add.reduceat((vectors[rows, a] * vectors[rows, b]).ravel(), starts)
-    firsts = np.searchsorted(starts, rows * vectors.shape[-1])
-    return np.add.reduceat(np.abs(ab), firsts)
+    return ia, ib, equal, parallel, (ia == ib) & (parallel | ~ia)
 
 
 @dataclass(frozen=True)
@@ -225,15 +245,15 @@ def strongly_cospectral(g: Graph, a: int, b: int) -> tuple[bool, SupportSignatur
     """
     g._check_pair(a, b, "strong cospectrality needs two distinct vertices")
     exact = strongly_cospectral_exact(g, a, b) if g.integer_flag else None
-    sig = pair_signature(decompose(g), a, b, exact)
+    sig = pair_signature(decompose(g).pair(a, b), a, b, exact)
     return sig.strongly_cospectral, sig
 
 
 def pair_signature(
-    dec: SpectralDecomposition, a: int, b: int, exact: bool | None
+    reading: PairReading, a: int, b: int, exact: bool | None
 ) -> SupportSignature:
     """The numeric strong-cospectrality decision and signature of a and b,
-    read from rows a and b of ``dec`` (``_pair_rule``).
+    from their reading (``_pair_rule``).
 
     ``exact`` is the exact decision, or None where there is none
     (non-integer weights).  A disagreement raises, since it signals a
@@ -241,17 +261,17 @@ def pair_signature(
     such check, which every pair the bridge search certifies or composes
     goes through.
     """
-    ab, ia, ib, _, parallel, agrees = _pair_rule(dec.vectors[a], dec.vectors[b], dec.starts)
+    ia, ib, _, parallel, agrees = _pair_rule(reading)
     numeric = bool(agrees.all())
     if exact is not None and exact != numeric:
         raise RuntimeError(
             f"exact ({exact}) and numeric ({numeric}) strong-cospectrality "
             f"decisions disagree for vertices {a}, {b}"
         )
-    signs = np.where(ab >= 0, 1, -1)
+    signs = np.where(reading.ab >= 0, 1, -1)
     entries = [
         (th, bool(x), bool(y), int(s) if p else None)
-        for th, x, y, s, p in zip(dec.distinct_eigenvalues, ia, ib, signs, parallel)
+        for th, x, y, s, p in zip(reading.thetas, ia, ib, signs, parallel)
     ]
     return SupportSignature(a, b, tuple(entries), numeric)
 
@@ -283,19 +303,21 @@ def projector_entry_via_neutrino(g: Graph, a: int, b: int, theta: float) -> floa
     sum_r (E_r)_ab / (t - theta_r), with only simple poles.  So with sf the
     squarefree part of phi, N = p sf / phi = sum_r (E_r)_ab sf / (t - theta_r)
     is an integer polynomial, and (E_r)_ab = N(theta_r) / sf'(theta_r): the
-    exact residue, which vanishes where the pole cancelled.  sf and N are
-    cached per (a, b), so every eigenvalue of a pair reads them.
+    exact residue, which vanishes where the pole cancelled.  sf is cached
+    once per graph and N once per (a, b), so every pair of a graph reads
+    one sf and every eigenvalue of a pair one N.
     """
     g._check_vertex(a, b)
     if not np.isfinite(theta):
         raise ValueError(f"projector_entry_via_neutrino needs a finite eigenvalue, got {theta}")
+    sf = g._poly_cache.get(_SQUAREFREE_KEY)
+    if sf is None:
+        sf = g._poly_cache[_SQUAREFREE_KEY] = xp.squarefree_part(xp.charpoly(g))
     key = ("neutrino", a, b)
     if key not in g._poly_cache:
-        phi = xp.charpoly(g)
-        sf = xp.squarefree_part(phi)
         p = xp.charpoly_deleted(g, [a]) if a == b else xp.path_sum_poly(g, a, b)
-        g._poly_cache[key] = sf, xp.poly_divexact(p * sf, phi)
-    sf, residue = g._poly_cache[key]
+        g._poly_cache[key] = xp.poly_divexact(p * sf, xp.charpoly(g))
+    residue = g._poly_cache[key]
     if abs(sf(theta)) > _ROOT_TOL * _poly_scale_at(sf, theta):
         raise ValueError(f"{theta} is not an eigenvalue within tolerance")
     return float(residue(theta)) / float(sf.derivative()(theta))

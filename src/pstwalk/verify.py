@@ -24,14 +24,13 @@ from .graphs import (
     one_sum,
     serialize_graph,
 )
-from .pst import check_scan, pair_phases, pst_decision, scan_phases
+from .pst import check_scan, pst_decision, scan_phases
 from .spectral import (
     GROUPING_TOL,
     SUPPORT_TOL,
     decompose,
     eigenspaces,
-    pair_ceilings,
-    stacked_decomposition,
+    read_pairs,
     strongly_cospectral_exact,
     walk_module_matrix,
 )
@@ -62,8 +61,8 @@ __all__ = [
 
 
 def _eig_desc(m: np.ndarray) -> np.ndarray:
-    # descending eigenvalues only; the interlacing checks need no eigenvectors
-    return np.linalg.eigvalsh(m)[::-1]
+    # descending eigenvalues, from the package's one eigh
+    return eigenspaces(m[None])[0][0]
 
 
 def check_cauchy(a: np.ndarray, s: np.ndarray) -> bool:
@@ -228,13 +227,13 @@ def verify_double_star_quotient_relations(k: int, n: int) -> bool:
         q = equitable_quotient(yl, [[0], rest]).quotient
         expected = np.array([[float(sign), math.sqrt(n)], [math.sqrt(n), float(k)]])
         ok = bool(np.allclose(q, expected, atol=GROUPING_TOL))
-        eig = _eig_desc(q)
-        prod_ok = abs(eig[0] * eig[1] - (sign * k - n)) <= tol
-        sum_ok = abs(eig[0] + eig[1] - (k + sign)) <= tol
+        lam = _eig_desc(q)
+        prod_ok = abs(lam[0] * lam[1] - (sign * k - n)) <= tol
+        sum_ok = abs(lam[0] + lam[1] - (k + sign)) <= tol
         embed_ok = _quotient_embeds(yl, _cell_counts(yl, [[0], rest]))
         results.append(ok and prod_ok and sum_ok and embed_ok)
         if sign == +1:
-            thetas = eig
+            thetas = lam
     shifted = (thetas[0] - 1.0) * (thetas[1] - 1.0)
     identification = abs(shifted - (-k - n)) <= tol
     results.append(identification == (k == 0))
@@ -437,19 +436,6 @@ def _shape_pairs(first, second, ks: np.ndarray):
     return first[ks - j * (j + 1) // 2], first[j]
 
 
-def _stacked_composites(w1, ends1, w2, ends2, bridge: int):
-    """The composites of the side pairs (w1[k], ends1[k]), (w2[k], ends2[k])
-    (weight stacks of orders n1 and n2, and the marks), as one stack of
-    weight matrices in the layout of ``graphs.compose``, decomposed by one
-    ``eigh``: the stack (``spectral.eigenspaces``), from which
-    ``spectral.stacked_decomposition`` reads any pair's decomposition, and
-    each pair's fidelity ceiling."""
-    stack = eigenspaces(compose_weights(w1, ends1, w2, ends2, bridge))
-    _, vectors, _, starts = stack
-    # the second side's labels are shifted by n1
-    return stack, pair_ceilings(vectors, starts, ends1, w1.shape[1] + ends2)
-
-
 def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
     """The report over chunks part, part + parts, ... of ``_chunks(sides)``.
 
@@ -458,7 +444,7 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
     success or disagreement is recorded under both orders.  The rows that
     the keys and the ceiling settle are counted as arrays.  A row whose
     keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD, is decided
-    from its row of the chunk's stack (``pst.pst_decision``), and its
+    from its slice of the chunk's readings (``pst.pst_decision``), and its
     fidelity scan waits with every other scan of the part until the last
     chunk is done; then the scans run as one stack per grid size
     (``pst.scan_phases``)."""
@@ -475,14 +461,18 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
         place[i] = len(by_order.setdefault(g.n, []))
         by_order[g.n].append(g.weights)
     stacks = {n: np.stack(ws) for n, ws in by_order.items()}
-    # grid steps -> [(y1, a, y2, b, mirrored, phases, t_max, pst_time or None for a failure)]
+    # grid steps -> [(y1, a, y2, b, mirrored, reading, t_max, pst_time or None for a failure)]
     scans: dict = {}
     for first, second, lo, hi in _chunks(sides)[part::parts]:
         i1, i2 = _shape_pairs(first, second, np.arange(lo, hi))
         n1, n2 = sides[first[0]][0].n, sides[second[0]][0].n
-        stack, ceilings = _stacked_composites(
-            stacks[n1][place[i1]], marks[i1], stacks[n2][place[i2]], marks[i2], bridge
-        )
+        ends1, ends2 = marks[i1], marks[i2]
+        w1, w2 = stacks[n1][place[i1]], stacks[n2][place[i2]]
+        # one eigh for the chunk's composites, then every pair's numbers at
+        # once; the second side's labels are shifted by n1
+        _, vectors, _, starts, thetas = eigenspaces(compose_weights(w1, ends1, w2, ends2, bridge))
+        readings = read_pairs(thetas, vectors, starts, ends1, n1 + ends2)
+        ceilings = readings.ceilings
         weights = np.where(i1 == i2, 1, 2)
         same = key_ids[i1] == key_ids[i2]
         report.instances_tested += int(weights.sum())
@@ -511,12 +501,12 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
                 )
             # the classes come from the key (None across buckets, so a
             # numeric "strongly cospectral" raises), every number from the
-            # stack
+            # chunk's readings
             classes = xp.bridge_classes(keys[i], bridge) if same[row] else None
-            dec = stacked_decomposition(stack, row)
-            cert = pst_decision(classes, dec, a, n1 + b)
+            reading = readings[row]
+            cert = pst_decision(classes, reading, a, n1 + b)
             reason = cert.failure_reason
-            pair = (y1, a, y2, b, i != j, pair_phases(dec, a, n1 + b))
+            pair = (y1, a, y2, b, i != j, reading)
             if reason == "not_strongly_cospectral":
                 report.max_ceiling = max(report.max_ceiling, ceiling)
             else:
@@ -539,11 +529,11 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
                 report.ceiling_settled += weight
                 continue
             scans.setdefault(scan_steps, []).append((*pair, scan_t_max, None))
-        # this chunk's stack goes before the next one is built
-        del stack
+        # this chunk's eigenvectors go before the next ones are made
+        del vectors
     for steps, batch in scans.items():
-        *_, phases, t_max, _ = zip(*batch)
-        ts, fs = scan_phases(phases, t_max, steps)
+        *_, readings, t_max, _ = zip(*batch)
+        ts, fs = scan_phases(readings, t_max, steps)
         for (y1, a, y2, b, mirrored, *_, pst_time), t_best, f_best in zip(
             batch, ts.tolist(), fs.tolist()
         ):
@@ -597,18 +587,19 @@ def search_no_pst(
     are grouped by order, the unordered pairs of each (n1, n2) shape,
     n1 <= n2 (for n1 = n2 the triangle i <= j of the sides), are read in
     chunks of at most 4096, each pair recovered from its index, and each
-    chunk's composites go through one stacked ``eigh``, which gives every
-    pair its fidelity ceiling C.  Pairs with equal keys are certified
-    (``pst.pst_decision``), their sigma classes taken from the key
-    (``exactpoly.bridge_classes``) and every number from their rows of the
-    stack (``spectral.stacked_decomposition``), whose numeric decision
-    ``spectral.pair_signature`` checks against the classes.  A numeric
-    "strongly cospectral" forces 1 - C <= 2 d SUPPORT_TOL**2, so only a
-    pair the keys settled with C >= 1 - SCAN_THRESHOLD is cross-checked:
-    it is read from its stack row the same way, with no classes, so a
-    numeric "strongly cospectral" raises, and it is composed, the only
-    composite Graph the search builds, for the exact decision
-    ``spectral.strongly_cospectral_exact``, which raises when True.
+    chunk's composites go through one stacked ``eigh``, read once
+    (``spectral.read_pairs``), which gives every pair its fidelity ceiling
+    C.  Pairs with equal keys are certified (``pst.pst_decision``), their
+    sigma classes taken from the key (``exactpoly.bridge_classes``) and
+    every number from their slice of the chunk's readings, whose numeric
+    decision ``spectral.pair_signature`` checks against the classes.  A
+    numeric "strongly cospectral" forces 1 - C <= 2 d SUPPORT_TOL**2, so
+    only a pair the keys settled with C >= 1 - SCAN_THRESHOLD is
+    cross-checked: it is read from its slice the same way, with no
+    classes, so a numeric "strongly cospectral" raises, and it is
+    composed, the only composite Graph the search builds, for the exact
+    decision ``spectral.strongly_cospectral_exact``, which raises when
+    True.
     Certified successes are re-verified by a fidelity scan.  Failures are
     optionally cross-checked.  The scans run after a worker's last chunk,
     as one stack per grid size (``pst.scan_phases``); a ``scan_t_max``
@@ -673,12 +664,12 @@ def search_no_pst(
 # randomized exact identity suites
 
 
+# each edge of a random graph is drawn with this probability
+_EDGE_P = 0.45
+
+
 def random_connected_graph(
-    rng: random.Random,
-    n: int,
-    weighted: bool = False,
-    loops: bool = False,
-    p: float = 0.45,
+    rng: random.Random, n: int, weighted: bool = False, loops: bool = False
 ) -> Graph:
     """Random connected graph on n vertices; optional small integer edge
     weights and loops.  Edge draws repeat until the graph is connected,
@@ -692,7 +683,7 @@ def random_connected_graph(
         w, label, parts = np.zeros((n, n)), list(range(n)), n
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < p:
+                if rng.random() < _EDGE_P:
                     wt = rng.choice([-2, -1, 1, 2, 3]) if weighted else 1
                     w[i, j] = w[j, i] = wt
                     if label[i] != label[j]:
@@ -831,7 +822,8 @@ def suite_neutrino(instances: int = 200, seed: int = 20240802) -> SuiteResult:
             n = rng.randint(2, 6)
             g = random_connected_graph(rng, n)
             a, b = rng.sample(range(n), 2)
-            for th, entry in zip(*pair_phases(decompose(g), a, b)):
+            reading = decompose(g).pair(a, b)
+            for th, entry in zip(reading.thetas, reading.ab):
                 got = projector_entry_via_neutrino(g, a, b, th)
                 if abs(got - float(entry)) > SUPPORT_TOL:
                     result.failures.append(f"projector-entry #{i} theta={th}")

@@ -24,7 +24,6 @@ WRITERS = {
     "spectral.decompose",
     "spectral.projector_entry_via_neutrino",
     "graphs.Graph.__init__",
-    "graphs.Graph.__setstate__",
 }
 
 

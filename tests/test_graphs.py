@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -635,6 +636,28 @@ def test_graph_equality_and_hash():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != build_cycle(3)
+
+
+def test_unpickling_checks_the_payload_as_the_constructor_does():
+    # every --jobs worker receives its sides by pickle: they come back
+    # equal, read-only, with their integer flag and an empty cache, and
+    # pickle to the same bytes again
+    sides = list(marked_graphs(5))
+    data = pickle.dumps(sides)
+    back = pickle.loads(data)
+    assert back == sides and pickle.dumps(back) == data
+    for (g, _), (h, _) in zip(sides, back):
+        assert h.integer_flag and not h.weights.flags.writeable and h._poly_cache == {}
+    half = pickle.loads(pickle.dumps(Graph(np.array([[0.0, 0.5], [0.5, 0.0]]))))
+    assert not half.integer_flag
+    # a payload the constructor refuses is refused on unpickling too
+    for payload, problem in (
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+        (np.array([[np.inf]]), "finite"),
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), "finite"),
+    ):
+        with pytest.raises(ValueError, match=problem):
+            Graph.__new__(Graph).__setstate__(payload)
 
 
 def test_delete_and_relabel():

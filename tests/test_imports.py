@@ -1,6 +1,8 @@
 """Source scans of the library: every name a module imports is used in
-that module, ``numpy.linalg.eigh`` runs in one function only, and one
-function reads the primes of the modular charpoly.
+that module, ``numpy.linalg.eigh`` runs in one function only and no other
+LAPACK eigen routine is named, one function reads the primes of the modular
+charpoly, and only the pair reader and the eigenvalue means sum over
+eigenspaces.
 
 The import scan skips ``__init__.py``: its imports are the package's public
 names.
@@ -69,15 +71,38 @@ def test_checker_finds_every_eigh():
         "    return h, np.linalg.eigh\n"
     )
     assert name_scopes(source, "eigh") == ["<module>", "f", "g"]
+    assert eigen_scopes(source) == ["eigh in <module>", "eigh in f", "eigh in g", "eigvalsh in h"]
+
+
+# numpy's dense symmetric and general eigen routines
+EIGEN_ROUTINES = ("eigh", "eigvalsh", "eigvals", "eig")
+
+
+def eigen_scopes(source: str) -> list[str]:
+    """``name_scopes`` of every eigen routine, as "routine in scope"."""
+    return [f"{name} in {scope}" for name in EIGEN_ROUTINES for scope in name_scopes(source, name)]
 
 
 def test_one_function_runs_eigh():
     # the one numeric engine: every decomposition, of a graph (a stack of
-    # one) or of a stack of composites, goes through spectral.eigenspaces
+    # one) or of a stack of composites, and every eigenvalue list of the
+    # interlacing checks goes through spectral.eigenspaces
     found = [
-        f"{p.stem}.{scope}" for p in sorted(SRC.glob("*.py")) for scope in name_scopes(p.read_text(), "eigh")
+        f"{p.stem}.{scope}" for p in sorted(SRC.glob("*.py")) for scope in eigen_scopes(p.read_text())
     ]
-    assert found == ["spectral.eigenspaces"]
+    assert found == ["spectral.eigh in eigenspaces"]
+
+
+@pytest.mark.parametrize(
+    "call", ["np.linalg.eigvalsh(m)", "np.linalg.eigvals(m)", "np.linalg.eig(m)[0]"]
+)
+def test_checker_finds_a_second_eigen_routine(call):
+    # the real module with one more function that calls LAPACK itself
+    source = (SRC / "verify.py").read_text()
+    mutated = source + f"\n\ndef leak(m):\n    return {call}\n"
+    name = call.split(".")[-1].split("(")[0]
+    assert eigen_scopes(source) == []
+    assert eigen_scopes(mutated) == [f"{name} in leak"]
 
 
 def test_checker_finds_a_second_reader_of_the_primes():
@@ -97,3 +122,26 @@ def test_one_function_reads_the_primes():
         for scope in name_scopes(p.read_text(), "_primes")
     ]
     assert found == ["exactpoly._charpoly_of_rows"]
+
+
+def test_checker_finds_a_second_eigenspace_sum():
+    # the real module with one more function that sums eigenvector rows
+    source = (SRC / "pst.py").read_text()
+    mutated = source + (
+        "\n\ndef leak(dec, a, b):\n"
+        "    return np.add.reduceat(dec.vectors[a] * dec.vectors[b], dec.starts)\n"
+    )
+    assert name_scopes(source, "reduceat") == []
+    assert name_scopes(mutated, "reduceat") == ["leak"]
+
+
+def test_one_reader_sums_over_eigenspaces():
+    # every number of a vertex pair is a sum over an eigenspace of a product
+    # of two eigenvector rows, made by spectral.read_pairs alone; the only
+    # other eigenspace sum is the eigenvalue means of spectral.eigenspaces
+    found = {
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in name_scopes(p.read_text(), "reduceat")
+    }
+    assert found == {"spectral.eigenspaces", "spectral.read_pairs"}

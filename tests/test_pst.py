@@ -280,21 +280,21 @@ def test_batched_scans_match_single_scans():
     for i in range(40):
         g = scan_test_graph(rng, nprng, i)
         pairs.append((g, *rng.sample(range(g.n), 2)))
-    phases = [pst.pair_phases(decompose(g), a, b) for g, a, b in pairs]
-    assert len({len(th) for th, _ in phases}) > 5
+    readings = [decompose(g).pair(a, b) for g, a, b in pairs]
+    assert len({len(r.thetas) for r in readings}) > 5
     t_max = [rng.choice([0.5, 30.0, 200.0]) for _ in pairs]
     for steps in (1, 17, 6000):
-        ts, fs = pst.scan_phases(phases, t_max, steps)
+        ts, fs = pst.scan_phases(readings, t_max, steps)
         for (g, a, b), tm, t, f in zip(pairs, t_max, ts.tolist(), fs.tolist()):
             assert (t, f) == fidelity_scan(g, a, b, tm, steps)
 
 
 def test_batched_scan_memory_stays_bounded():
     z, ga, gb = bridge_composite()
-    phases = [pst.pair_phases(decompose(z), ga, gb)] * 64
+    readings = [decompose(z).pair(ga, gb)] * 64
     tracemalloc.start()
     try:
-        ts, fs = pst.scan_phases(phases, [30.0] * 64, 200_000)
+        ts, fs = pst.scan_phases(readings, [30.0] * 64, 200_000)
         _, held = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Interlacing checks, quotients, support correspondence, and the search."""
 
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import operator
@@ -20,6 +21,7 @@ from pstwalk.graphs import (
     build_path,
     build_star,
     compose,
+    compose_weights,
     marked_graphs,
 )
 from pstwalk.pst import fidelity_ceiling, fidelity_scan, pst_certificate
@@ -272,14 +274,15 @@ def test_search_without_scans_still_reports_the_ceiling():
 
 
 def _fix_ceilings(monkeypatch, value):
-    """Make the stacked reader, which the search takes every pair's ceiling
+    """Make the pair reader, which the search takes every pair's ceiling
     from, report ``value`` as each ceiling."""
-    original = verify.pair_ceilings
+    original = verify.read_pairs
 
     def fixed(*args):
-        return np.full_like(original(*args), value)
+        readings = original(*args)
+        return dataclasses.replace(readings, ceilings=np.full_like(readings.ceilings, value))
 
-    monkeypatch.setattr(verify, "pair_ceilings", fixed)
+    monkeypatch.setattr(verify, "read_pairs", fixed)
 
 
 def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
@@ -588,8 +591,9 @@ def test_seeded_composites_certify_as_cold_ones(bridge):
 
 @pytest.mark.parametrize("bridge", [2, 3])
 def test_stacked_readings_match_the_single_graph_readers(bridge):
-    # a stack row is the decomposition of its composite, number for number,
-    # since each matrix of a stacked eigh runs the same LAPACK call
+    # a pair's slice of a stack's readings is its composite's own reading,
+    # number for number, since each matrix of a stacked eigh runs the same
+    # LAPACK call and each eigenspace sum adds the same numbers
     shapes = {}
     for pair in _oracle_pairs():
         shapes.setdefault((pair[0][0].n, pair[1][0].n), []).append(pair)
@@ -598,16 +602,22 @@ def test_stacked_readings_match_the_single_graph_readers(bridge):
             (np.stack([y.weights for y, _ in sides]), np.array([v for _, v in sides]))
             for sides in zip(*shape)
         )
-        stack, ceilings = verify._stacked_composites(w1, a1, w2, a2, bridge)
+        composites = compose_weights(w1, a1, w2, a2, bridge)
+        _, vectors, tol, starts, thetas = spectral.eigenspaces(composites)
+        readings = spectral.read_pairs(thetas, vectors, starts, a1, w1.shape[1] + a2)
+        n = composites.shape[-1]
         for i, ((y1, a), (y2, b)) in enumerate(shape):
             z, ga, gb = compose(y1, a, y2, b, bridge)
-            assert abs(ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
-            row, single = spectral.stacked_decomposition(stack, i), spectral.decompose(z)
-            assert row.distinct_eigenvalues == single.distinct_eigenvalues
-            assert row.multiplicities == single.multiplicities
-            assert row.grouping_tolerance == single.grouping_tolerance
-            assert np.array_equal(row.starts, single.starts)
-            assert np.array_equal(row.vectors, single.vectors)
+            assert abs(readings.ceilings[i] - fidelity_ceiling(z, ga, gb)) <= 1e-12
+            row, dec = readings[i], spectral.decompose(z)
+            single = dec.pair(ga, gb)
+            for field in dataclasses.fields(single):
+                assert np.array_equal(getattr(row, field.name), getattr(single, field.name))
+            # the grouping, the tolerance and the vectors the readings came from
+            lo, hi = readings.bounds[i : i + 2]
+            assert np.array_equal(starts[lo:hi] - i * n, dec.starts)
+            assert tol[i] == dec.grouping_tolerance
+            assert np.array_equal(vectors[i], dec.vectors)
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
