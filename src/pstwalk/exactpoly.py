@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from itertools import zip_longest
 from typing import Iterable
@@ -913,8 +914,8 @@ def bridge_compose(
     factor g_1 g_2 cancels from (phi(Z\\a) +- P_ab) / phi(Z), which reduces
     to N / (D -+ N) on P2, and to t N / (t D - 2N) and N / D on P3.  A
     composite with non-integer weights gets nothing."""
-    if bridge not in (2, 3):
-        raise ValueError("bridge identities cover 2 or 3 path vertices")
+    if isinstance(bridge, bool) or not isinstance(bridge, numbers.Integral) or bridge not in (2, 3):
+        raise ValueError(f"bridge identities cover 2 or 3 path vertices, got {bridge!r}")
     z, ga, gb = compose(y1, a, y2, b, bridge)
     if not z.integer_flag:
         return z, ga, gb

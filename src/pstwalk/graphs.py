@@ -58,6 +58,15 @@ def _check_vertices(n: int, vertices: Iterable[int]) -> None:
             raise ValueError(f"vertex {v} out of range for n={n}")
 
 
+def _exact_weight(x) -> float:
+    """x as a float64; an integer that float64 does not hold exactly is a
+    ValueError, since rounding it would give another graph."""
+    f = float(x)
+    if isinstance(x, numbers.Integral) and int(x) != f:
+        raise ValueError(f"integer weight {x} is not exact in float64")
+    return f
+
+
 class Graph:
     """Symmetric weighted adjacency structure.
 
@@ -77,6 +86,9 @@ class Graph:
             raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
+        if not (isinstance(weights, np.ndarray) and weights.dtype.kind == "f"):
+            for x in np.array(weights, dtype=object).ravel().tolist():
+                _exact_weight(x)
         w.setflags(write=False)
         self.weights = w
         self._integer = bool(np.all(w == np.round(w)))
@@ -100,11 +112,10 @@ class Graph:
             _check_vertices(n, (u, v))
             if u == v:
                 raise ValueError("self edges must be given as loops")
-            w[u, v] = wt
-            w[v, u] = wt
+            w[u, v] = w[v, u] = _exact_weight(wt)
         for u, wt in loops:
             _check_vertices(n, (u,))
-            w[u, u] = wt
+            w[u, u] = _exact_weight(wt)
         return cls(w)
 
     @property
@@ -163,6 +174,7 @@ class Graph:
 
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """Graph with vertex i renamed perm[i]."""
+        self._check_vertex(*perm)
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
         w = np.zeros_like(self.weights)
@@ -436,6 +448,17 @@ def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _check_weight_token(token: str, wt: float, lno: int) -> None:
+    """Refuse an integer weight token that its float64 value ``wt`` does not
+    hold exactly; a float literal stands for its float64 value."""
+    try:
+        exact = int(token) == wt
+    except ValueError:
+        return
+    if not exact:
+        raise GraphParseError(f"integer weight {token} is not exact in float64", lno)
+
+
 def _parse_edgelist(text: str) -> Graph:
     raw = text.splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
@@ -454,6 +477,7 @@ def _parse_edgelist(text: str) -> Graph:
     if len(lines) - 1 < m:
         raise GraphParseError(f"expected {m} edge lines", lno)
     w = np.zeros((n, n))
+    # each edge's weight, and each loop's under (u, u)
     seen: dict[tuple[int, int], float] = {}
     for lno, ln in lines[1 : 1 + m]:
         parts = ln.split()
@@ -464,6 +488,8 @@ def _parse_edgelist(text: str) -> Graph:
             wt = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise GraphParseError("malformed edge line", lno) from None
+        if len(parts) == 3:
+            _check_weight_token(parts[2], wt, lno)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"vertex index out of range in '{ln}'", lno)
         if u == v:
@@ -484,8 +510,13 @@ def _parse_edgelist(text: str) -> Graph:
             u, wt = int(parts[1]), float(parts[2])
         except ValueError:
             raise GraphParseError("malformed loop line", lno) from None
+        _check_weight_token(parts[2], wt, lno)
         if not 0 <= u < n:
             raise GraphParseError(f"vertex index out of range in '{ln}'", lno)
+        key = (u, u)
+        if key in seen and seen[key] != wt:
+            raise GraphParseError(f"conflicting weights for loop {u}", lno)
+        seen[key] = wt
         w[u, u] = wt
     return Graph(w)
 

@@ -10,6 +10,7 @@ import operator
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +59,11 @@ __all__ = [
 # The eigenvalue and rounding-level comparisons of this module read
 # spectral.GROUPING_TOL, the gap that separates eigenspaces in decompose;
 # the neutrino suite's spot check reads spectral.SUPPORT_TOL.
+
+
+def _is_integer(x) -> bool:
+    """Whether x is an integer (numpy integers too, bools not)."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
 def _eig_desc(m: np.ndarray) -> np.ndarray:
@@ -436,8 +442,8 @@ def _shape_pairs(first, second, ks: np.ndarray):
     return first[ks - j * (j + 1) // 2], first[j]
 
 
-def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_steps):
-    """The report over chunks part, part + parts, ... of ``_chunks(sides)``.
+def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps):
+    """The report over ``chunks``, some of the search's ``_chunks(sides)``.
 
     A pair (i, j) of two sides stands for its mirror (j, i) as well, whose
     composite is the same graph relabelled: it counts twice, and its
@@ -445,8 +451,8 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
     the keys and the ceiling settle are counted as arrays.  A row whose
     keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD, is decided
     from its slice of the chunk's readings (``pst.pst_decision``), and its
-    fidelity scan waits with every other scan of the part until the last
-    chunk is done; then the scans run as one stack per grid size
+    fidelity scan waits with every other scan of these chunks until the
+    last is done; then the scans run as one stack per grid size
     (``pst.scan_phases``)."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
     keys = [xp.walk_gf(g, v) for g, v in sides]
@@ -463,7 +469,7 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
     stacks = {n: np.stack(ws) for n, ws in by_order.items()}
     # grid steps -> [(y1, a, y2, b, mirrored, reading, t_max, pst_time or None for a failure)]
     scans: dict = {}
-    for first, second, lo, hi in _chunks(sides)[part::parts]:
+    for first, second, lo, hi in chunks:
         i1, i2 = _shape_pairs(first, second, np.arange(lo, hi))
         n1, n2 = sides[first[0]][0].n, sides[second[0]][0].n
         ends1, ends2 = marks[i1], marks[i2]
@@ -525,9 +531,6 @@ def _search_part(sides, part, parts, bridge, scan_cross_check, scan_t_max, scan_
             if not scan_cross_check:
                 continue
             report.scan_checked += weight
-            if ceiling < 1.0 - SCAN_THRESHOLD:
-                report.ceiling_settled += weight
-                continue
             scans.setdefault(scan_steps, []).append((*pair, scan_t_max, None))
         # this chunk's eigenvectors go before the next ones are made
         del vectors
@@ -613,13 +616,14 @@ def search_no_pst(
     ceiling is below 1 - SCAN_THRESHOLD raises.  ``max_ceiling`` is read
     on the order the search composes.  Successes and disagreements are
     sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does not change the
-    report.  Worker i of w = min(jobs, chunks, CPUs) processes is sent the
-    side list and reads chunks i, i + w, ...; a serial run is worker 0 of 1.
+    report.  The chunks are planned once; worker i of w = min(jobs, chunks,
+    CPUs) processes is sent the side list and chunks i, i + w, ... of the
+    plan, and a serial run reads every chunk.
     """
-    if bridge not in (2, 3):
-        raise ValueError("bridge must have 2 or 3 path vertices")
+    if not _is_integer(bridge) or bridge not in (2, 3):
+        raise ValueError(f"bridge must have 2 or 3 path vertices, got {bridge!r}")
     check_scan(scan_t_max, scan_steps)
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+    if not _is_integer(jobs) or jobs < 1:
         raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
     if graph_source is None:
         marked = list(marked_graphs(max_n))
@@ -639,18 +643,20 @@ def search_no_pst(
                     )
             g._check_vertex(v)
         source = "stream"
+    chunks = _chunks(marked)
     # a fork pool starts all its workers at once, so never ask for idle ones
-    workers = min(jobs, len(_chunks(marked)), os.cpu_count() or 1) if jobs > 1 else 1
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     args = (bridge, scan_cross_check, scan_t_max, scan_steps)
     report = SearchReport(bridge=bridge, max_n=max_n, source=source)
     if workers <= 1:
-        report.merge(_search_part(marked, 0, 1, *args))
+        report.merge(_search_part(marked, chunks, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_search_part, marked, i, workers, *args) for i in range(workers)
+                pool.submit(_search_part, marked, chunks[i::workers], *args)
+                for i in range(workers)
             ]
             for fut in futures:
                 report.merge(fut.result())
@@ -723,14 +729,19 @@ def _record(result: SuiteResult, ok: bool, detail: str) -> None:
         result.failures.append(detail)
 
 
-def check_onesum_instance(rng: random.Random) -> bool:
-    """Exact gluing identity on a random pair of graphs."""
+def _random_gluing(rng: random.Random) -> tuple[Graph, int, Graph, int]:
+    """Two random connected sides of 1 to 4 vertices, with integer weights
+    and loops, and a vertex of each to glue them at."""
     n1 = rng.randint(1, 4)
     n2 = rng.randint(1, 4)
     y1 = random_connected_graph(rng, n1, weighted=True, loops=True)
     y2 = random_connected_graph(rng, n2, weighted=True, loops=True)
-    b1 = rng.randrange(n1)
-    b2 = rng.randrange(n2)
+    return y1, rng.randrange(n1), y2, rng.randrange(n2)
+
+
+def check_onesum_instance(rng: random.Random) -> bool:
+    """Exact gluing identity on a random pair of graphs."""
+    y1, b1, y2, b2 = _random_gluing(rng)
     z, b = one_sum(y1, b1, y2, b2)
     lhs = xp.charpoly(z)
     rhs = xp.one_sum_charpoly(
@@ -782,12 +793,7 @@ def check_bridge_factorization_instance(rng: random.Random) -> bool:
 
 def check_gf_additivity_instance(rng: random.Random) -> bool:
     """Return-walk generating function is additive over vertex gluings."""
-    n1 = rng.randint(1, 4)
-    n2 = rng.randint(1, 4)
-    y1 = random_connected_graph(rng, n1, weighted=True, loops=True)
-    y2 = random_connected_graph(rng, n2, weighted=True, loops=True)
-    b1 = rng.randrange(n1)
-    b2 = rng.randrange(n2)
+    y1, b1, y2, b2 = _random_gluing(rng)
     z, b = one_sum(y1, b1, y2, b2)
     lhs = xp.return_walk_gf(z, b)
     rhs = xp.return_walk_gf(y1, b1) + xp.return_walk_gf(y2, b2)
@@ -864,7 +870,7 @@ def suite_interlacing(instances: int = 200, seed: int = 20240803) -> SuiteResult
     return result
 
 
-def suite_quotient(seed: int = 20240804) -> SuiteResult:
+def suite_quotient() -> SuiteResult:
     """Equitable quotient spectra embed in the graph spectra (exact
     divisibility of characteristic polynomials); the cone quotient algebra
     behaves as derived."""
@@ -897,7 +903,7 @@ def suite_quotient(seed: int = 20240804) -> SuiteResult:
     return result
 
 
-def suite_correspondence(bridge: int, max_n: int = 5) -> SuiteResult:
+def suite_correspondence(bridge: int, max_n: int) -> SuiteResult:
     """Support correspondence across the bridge for every marked graph
     composed with an isomorphic copy of itself."""
     name = f"correspondence-p{bridge}"
@@ -910,45 +916,43 @@ def suite_correspondence(bridge: int, max_n: int = 5) -> SuiteResult:
     return result
 
 
-SUITE_NAMES = (
-    "interlacing",
-    "neutrino",
-    "onesum",
-    "correspondence-p2",
-    "correspondence-p3",
-    "quotient",
-)
+# each suite's function, then each run_suite option it reads, mapped to the
+# function's parameter that takes it; a correspondence suite reads
+# ``instances`` as its largest side order, 4 unless given
+_SIZED = {"instances": "instances", "seed": "seed"}
+_SUITES = {
+    "interlacing": (suite_interlacing, _SIZED),
+    "neutrino": (suite_neutrino, _SIZED),
+    "onesum": (suite_onesum, _SIZED),
+    **{
+        f"correspondence-p{bridge}": (
+            partial(suite_correspondence, bridge, max_n=4),
+            {"instances": "max_n"},
+        )
+        for bridge in (2, 3)
+    },
+    "quotient": (suite_quotient, {}),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, instances: int | None = None, seed: int | None = None) -> SuiteResult:
     """Dispatch a named verification suite with its default sizing, or with
-    ``instances`` (at least 1) in its place.  An option the suite does not
-    read is refused: ``instances`` and ``seed`` for ``quotient``, ``seed``
-    for the correspondence suites."""
-    if instances is not None and instances < 1:
-        raise ValueError(f"instances must be at least 1, got {instances}")
-    unread = {
-        "quotient": ("instances", "seed"),
-        "correspondence-p2": ("seed",),
-        "correspondence-p3": ("seed",),
-    }.get(name, ())
-    for option, value in (("instances", instances), ("seed", seed)):
-        if option in unread and value is not None:
-            raise ValueError(f"suite {name} takes no {option}")
+    ``instances`` (an integer of at least 1) in its place.  An option the
+    suite does not read is refused: ``instances`` and ``seed`` for
+    ``quotient``, ``seed`` for the correspondence suites."""
+    if instances is not None:
+        if not _is_integer(instances):
+            raise ValueError(f"instances must be an integer, got {instances!r}")
+        if instances < 1:
+            raise ValueError(f"instances must be at least 1, got {instances}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    fn, reads = _SUITES[name]
     kwargs = {}
-    if name in ("interlacing", "neutrino", "onesum"):
-        if instances is not None:
-            kwargs["instances"] = instances
-        if seed is not None:
-            kwargs["seed"] = seed
-        fn = {
-            "interlacing": suite_interlacing,
-            "neutrino": suite_neutrino,
-            "onesum": suite_onesum,
-        }[name]
-        return fn(**kwargs)
-    if name == "quotient":
-        return suite_quotient()
-    if name in ("correspondence-p2", "correspondence-p3"):
-        return suite_correspondence(int(name[-1]), max_n=4 if instances is None else instances)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    for option, value in (("instances", instances), ("seed", seed)):
+        if value is not None:
+            if option not in reads:
+                raise ValueError(f"suite {name} takes no {option}")
+            kwargs[reads[option]] = value
+    return fn(**kwargs)

@@ -81,6 +81,12 @@ def test_charpoly_rejects_fractional_weights(capsys, graph_file):
     assert main(["charpoly", path]) == 2
 
 
+def test_charpoly_rejects_weights_float64_would_round(capsys, graph_file):
+    path = graph_file("2 1\n0 1 1152921504606846977\n")
+    assert main(["charpoly", path]) == 2
+    assert "line 2: integer weight 1152921504606846977 is not exact" in capsys.readouterr().err
+
+
 def test_spectrum_c4(capsys, graph_file):
     code, report, _ = run_json(capsys, ["spectrum", graph_file(C4_EDGELIST)])
     assert code == 0

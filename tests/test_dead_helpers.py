@@ -1,4 +1,5 @@
-"""Every module-level private name in the package is read somewhere in it.
+"""Every module-level private name in the package is read somewhere in it,
+and every parameter of a function in it is read by the function.
 
 A private name is a function, class or assigned constant at the top level
 of a module whose name starts with a single underscore.  It counts as read
@@ -6,6 +7,10 @@ when the package loads it, as a bare name or as an attribute
 (``xp._MAX_ORDER``), anywhere outside its own definition, so a helper that
 only calls itself is still dead.  Names are matched across the package by
 spelling alone.
+
+A parameter counts as read when the function's body, nested functions
+included, loads its name; ``self``, ``cls`` and names that start with an
+underscore are not checked.
 """
 
 import ast
@@ -64,6 +69,31 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}.{name}" for module, name in defined.keys() - used)
 
 
+def dead_parameters(sources: dict[str, str]) -> list[str]:
+    """``module.function(parameter)`` of each parameter of a function of
+    ``sources`` that the function's body never reads."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{module}.{node.name}({p.arg})"
+                for p in params
+                if p and p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+            ]
+    return sorted(found)
+
+
 def test_checker_finds_unread_private_names():
     sources = {
         "a": (
@@ -88,3 +118,47 @@ def test_checker_finds_unread_private_names():
 
 def test_every_private_name_is_read():
     assert dead_helpers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_checker_finds_unread_parameters():
+    sources = {
+        "a": (
+            "def used(x, *rest, key=1, **more):\n"
+            "    return x, rest, key, more\n"
+            "def unread(x, seed=2, *args, flag, **kwargs):\n"
+            "    return x\n"
+            "def nested(x):\n"
+            "    def inner():\n"
+            "        return x\n"
+            "    return inner\n"
+            "def assigned(x):\n"
+            "    x = 1\n"
+            "    return x\n"
+            "def defaulted(x, y=lambda: x):\n"
+            "    return y\n"
+            "class C:\n"
+            "    def method(self, _skip, value):\n"
+            "        pass\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return 1\n"
+        ),
+    }
+    assert dead_parameters(sources) == [
+        "a.defaulted(x)",
+        "a.method(value)",
+        "a.unread(args)",
+        "a.unread(flag)",
+        "a.unread(kwargs)",
+        "a.unread(seed)",
+    ]
+    # the package with an unread parameter put back on one of its functions
+    sources = {path.stem: path.read_text() for path in MODULES}
+    clean, dead = "def suite_quotient() ->", "def suite_quotient(seed=1) ->"
+    assert clean in sources["verify"]
+    sources["verify"] = sources["verify"].replace(clean, dead)
+    assert dead_parameters(sources) == ["verify.suite_quotient(seed)"]
+
+
+def test_every_parameter_is_read():
+    assert dead_parameters({path.stem: path.read_text() for path in MODULES}) == []

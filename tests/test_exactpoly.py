@@ -33,6 +33,7 @@ from pstwalk.exactpoly import (
 )
 from pstwalk.graphs import (
     Graph,
+    GraphParseError,
     build_complete,
     build_cycle,
     build_path,
@@ -41,6 +42,7 @@ from pstwalk.graphs import (
     iter_ab_paths,
     marked_graphs,
     one_sum,
+    parse_graph,
 )
 from pstwalk.pst import pst_certificate
 from pstwalk.verify import random_connected_graph, search_no_pst
@@ -465,6 +467,30 @@ def test_charpoly_weight_beyond_int64():
     assert charpoly(g) == T * T - 2**140
 
 
+def test_integer_weights_float64_would_round_are_refused():
+    # 2**60 + 1 would be kept as 2**60, and the exact layer would decide
+    # another graph
+    big = 2**60 + 1
+    with pytest.raises(ValueError, match=f"integer weight {big} is not exact in float64"):
+        Graph.from_edges(2, [(0, 1, big)])
+    with pytest.raises(ValueError, match=f"integer weight {big} is not exact in float64"):
+        Graph.from_edges(1, loops=[(0, big)])
+    for weights in ([[0, big], [big, 0]], np.array([[0, big], [big, 0]])):
+        with pytest.raises(ValueError, match=f"integer weight {big} is not exact in float64"):
+            Graph(weights)
+    with pytest.raises(GraphParseError, match=f"line 2: integer weight {big} is not"):
+        parse_graph(f"2 1\n0 1 {big}\n")
+    with pytest.raises(GraphParseError, match=f"line 3: integer weight {big} is not"):
+        parse_graph(f"1 0\nloop 0 1\nloop 0 {big}\n")
+    for exact in (2**53, 2**60):
+        for g in (
+            Graph.from_edges(2, [(0, 1, exact)]),
+            Graph([[0, exact], [exact, 0]]),
+            parse_graph(f"2 1\n0 1 {exact}\n"),
+        ):
+            assert charpoly(g) == T * T - exact**2
+
+
 def test_charpoly_refuses_orders_that_would_overflow_int64():
     # the check runs before any arithmetic, so shared empty rows suffice
     with pytest.raises(OverflowError):
@@ -704,7 +730,8 @@ def test_bridge_compose_seeds_nothing_on_non_integer_weights():
 
 
 def test_bridge_compose_rejects_other_bridges():
-    for bridge in (1, 4):
+    # 2.0 passes an ``in (2, 3)`` test and would fail only inside compose
+    for bridge in (1, 4, 2.0, 3.0):
         with pytest.raises(ValueError, match="2 or 3"):
             bridge_compose(build_path(2), 0, build_path(2), 0, bridge)
 

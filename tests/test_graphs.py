@@ -121,6 +121,8 @@ K1 = Graph(np.zeros((1, 1)))
         lambda: pst.pst_certificate(P4, True, 2),
         lambda: verify.search_no_pst(2, 0, graph_source=[(P4, True), (K1, 0)]),
         lambda: verify.equitable_quotient(P4, [[0, 3], [1.0, 2]]),
+        lambda: P4.relabeled([True, False, 2, 3]),
+        lambda: P4.relabeled([1.0, 0.0, 2.0, 3.0]),
     ],
     ids=[
         "walk_gf",
@@ -131,6 +133,8 @@ K1 = Graph(np.zeros((1, 1)))
         "pst_certificate_bool",
         "search_no_pst",
         "equitable_quotient",
+        "relabeled_bool",
+        "relabeled_float",
     ],
 )
 def test_vertex_arguments_must_be_integers(call):
@@ -300,6 +304,11 @@ def test_edgelist_parse_errors_carry_line_numbers():
     with pytest.raises(GraphParseError) as err:
         parse_graph("2 2\n0 1 1\n1 0 2", "edgelist")
     assert err.value.line == 3
+    # loop lines follow the edge rule: a repeat is accepted, a conflict is not
+    with pytest.raises(GraphParseError, match="conflicting weights for loop 0") as err:
+        parse_graph("2 1\n0 1\nloop 0 1\nloop 0 2\n", "edgelist")
+    assert err.value.line == 4
+    assert parse_graph("2 1\n0 1\nloop 0 2\nloop 0 2.0\n").loops() == [(0, 2.0)]
 
 
 def test_graph6_round_trip():

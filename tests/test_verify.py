@@ -465,6 +465,24 @@ def test_search_reads_shapes_in_chunks(monkeypatch, bridge):
     assert search_no_pst(bridge, 4, jobs=2).to_json() == whole
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_plans_its_chunks_once(monkeypatch, jobs):
+    # workers in threads share the counter, so a plan made in a worker counts
+    calls = []
+    plan = verify._chunks
+
+    def counted(sides):
+        calls.append(len(sides))
+        return plan(sides)
+
+    monkeypatch.setattr(verify, "_chunks", counted)
+    threads = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert search_no_pst(2, 3, jobs=jobs).to_json() == search_no_pst(2, 3).to_json()
+    assert calls == [len(list(marked_graphs(3)))] * 2
+
+
 def test_chunks_cover_each_unordered_pair_once(monkeypatch):
     # marked_graphs lists its sides by order, so the search composes (p, q)
     # with p <= q; chunks of 7 split the triangles and rectangles mid-row
@@ -652,9 +670,10 @@ def test_search_raises_on_a_numeric_true_across_buckets(monkeypatch):
     k1, p2 = Graph.from_edges(1), build_path(2)
     assert xp.walk_gf(k1, 0) != xp.walk_gf(p2, 0)
     disagree = r"numeric \(True\) strong-cospectrality decisions disagree"
+    sides = [(k1, 0), (p2, 0)]
     with pytest.raises(RuntimeError, match=disagree):
         # the second of the three one-pair chunks is (K1, P2)
-        verify._search_part([(k1, 0), (p2, 0)], 1, 3, 2, True, 30.0, 6000)
+        verify._search_part(sides, verify._chunks(sides)[1:2], 2, True, 30.0, 6000)
 
 
 def test_search_raises_when_the_composite_contradicts_the_side_keys(monkeypatch):
@@ -662,9 +681,10 @@ def test_search_raises_when_the_composite_contradicts_the_side_keys(monkeypatch)
     # cospectral means the keys are wrong
     _fix_ceilings(monkeypatch, 1.0)
     monkeypatch.setattr(verify, "strongly_cospectral_exact", lambda z, a, b: True)
-    k1, p2 = Graph.from_edges(1), build_path(2)
+    sides = [(Graph.from_edges(1), 0), (build_path(2), 0)]
     with pytest.raises(RuntimeError, match="side keys differ"):
-        verify._search_part([(k1, 0), (p2, 0)], 1, 3, 2, True, 30.0, 6000)
+        # the (K1, P2) chunk
+        verify._search_part(sides, verify._chunks(sides)[1:2], 2, True, 30.0, 6000)
 
 
 def test_search_rejects_non_integer_sides_before_composing(monkeypatch):
@@ -729,14 +749,21 @@ def test_search_starts_no_idle_workers(monkeypatch):
             return future
 
     def handed_off(sides):
-        # every worker gets the whole side list, never pairs, and its own part
+        # every worker gets the whole side list, never pairs, and its own
+        # chunks i, i + w, ... of the one plan, which together cover it once
+        def listed(chunks):
+            return [(first.tolist(), second.tolist(), lo, hi) for first, second, lo, hi in chunks]
+
         workers = started[0]
         names = [(verify._side_name(g), v) for g, v in sides]
+        plan = listed(verify._chunks(sides))
         assert len(submitted) == workers
-        for sent, part, parts, *_ in submitted:
+        sent_chunks = []
+        for i, (sent, chunks, *_) in enumerate(submitted):
             assert [(verify._side_name(g), v) for g, v in sent] == names
-            assert parts == workers
-        assert sorted(part for _, part, *_ in submitted) == list(range(workers))
+            assert listed(chunks) == plan[i::workers]
+            sent_chunks += listed(chunks)
+        assert sorted(sent_chunks) == sorted(plan)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     sides = list(marked_graphs(2))
@@ -803,6 +830,18 @@ def test_search_checks_its_jobs_before_reading_sides(monkeypatch, jobs):
     monkeypatch.setattr(verify, "compose_weights", refuse)
     with pytest.raises(ValueError, match="jobs"):
         search_no_pst(2, 2, jobs=jobs)
+
+
+@pytest.mark.parametrize("bridge", [2.0, 3.0, np.float64(2)])
+def test_search_checks_its_bridge_before_reading_sides(monkeypatch, bridge):
+    # 2.0 passes an ``in (2, 3)`` test and would fail inside compose_weights,
+    # once every side was keyed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search read or composed its sides")
+
+    monkeypatch.setattr(verify, "marked_graphs", refuse)
+    with pytest.raises(ValueError, match="bridge must have 2 or 3 path vertices"):
+        search_no_pst(bridge, 2)
 
 
 def test_search_custom_source():
@@ -876,6 +915,14 @@ def test_run_suite_dispatch():
 @pytest.mark.parametrize("instances", [0, -5])
 def test_run_suite_rejects_instance_counts_below_one(name, instances):
     with pytest.raises(ValueError, match=f"instances must be at least 1, got {instances}"):
+        run_suite(name, instances=instances)
+
+
+@pytest.mark.parametrize("name", ["onesum", "correspondence-p2"])
+@pytest.mark.parametrize("instances", [True, 2.5, "3"])
+def test_run_suite_rejects_instance_counts_that_are_not_integers(name, instances):
+    # True would run one round, 2.5 fail in range()
+    with pytest.raises(ValueError, match=f"instances must be an integer, got {instances!r}"):
         run_suite(name, instances=instances)
 
 
