@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, compose
+from .graphs import Graph, _is_integer, compose
 
 __all__ = [
     "IntPoly",
@@ -874,6 +873,12 @@ def return_walk_gf(g: Graph, a: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 # bridge composites seeded from their sides
 
+def _check_bridge(bridge) -> None:
+    """``bridge`` the integer 2 or 3, the path vertices the identities cover, or ValueError."""
+    if not _is_integer(bridge) or bridge not in (2, 3):
+        raise ValueError(f"bridge must have 2 or 3 path vertices, got {bridge!r}")
+
+
 def bridge_classes(key: RationalFunction, bridge: int) -> tuple[IntPoly, IntPoly]:
     """The sigma classes (m+, m-) of the ends of a bridge composite of two
     sides with the common reduced key N / D = phi(Y\\v) / phi(Y)
@@ -887,13 +892,12 @@ def bridge_classes(key: RationalFunction, bridge: int) -> tuple[IntPoly, IntPoly
     But N / D = sum_r w_r / (t - theta_r), w_r = (E_r)_vv > 0, vanishes at
     0, so M(0) / D(0) is its derivative there, -sum_r w_r / theta_r**2, and
     D(0) = 2 M(0) would give 1 = -2 sum_r w_r / theta_r**2 < 0."""
+    _check_bridge(bridge)
     n, d = key.num, key.den
     if bridge == 2:
         return d - n, d + n
-    if bridge == 3:
-        plus = T * d - 2 * n
-        return (plus if plus.coeffs[0] else IntPoly(plus.coeffs[1:])), d
-    raise ValueError("bridge identities cover 2 or 3 path vertices")
+    plus = T * d - 2 * n
+    return (plus if plus.coeffs[0] else IntPoly(plus.coeffs[1:])), d
 
 
 def bridge_compose(
@@ -914,8 +918,7 @@ def bridge_compose(
     factor g_1 g_2 cancels from (phi(Z\\a) +- P_ab) / phi(Z), which reduces
     to N / (D -+ N) on P2, and to t N / (t D - 2N) and N / D on P3.  A
     composite with non-integer weights gets nothing."""
-    if isinstance(bridge, bool) or not isinstance(bridge, numbers.Integral) or bridge not in (2, 3):
-        raise ValueError(f"bridge identities cover 2 or 3 path vertices, got {bridge!r}")
+    _check_bridge(bridge)
     z, ga, gb = compose(y1, a, y2, b, bridge)
     if not z.integer_flag:
         return z, ga, gb

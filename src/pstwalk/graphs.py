@@ -8,6 +8,7 @@ they can be shared freely between the exact and numeric layers.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from typing import Iterable, Iterator, Sequence
 
@@ -48,23 +49,58 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer (numpy integers too, bools not)."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """``value`` an integer of at least ``least``, or ValueError naming it."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _check_vertices(n: int, vertices: Iterable[int]) -> None:
-    """Every vertex an integer (numpy integers too, bools not) in 0..n-1,
-    or ValueError."""
+    """Every vertex an integer (``_is_integer``) in 0..n-1, or ValueError."""
     for v in vertices:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        if not _is_integer(v):
             raise ValueError(f"vertex {v!r} is not an integer")
         if not (0 <= v < n):
             raise ValueError(f"vertex {v} out of range for n={n}")
 
 
 def _exact_weight(x) -> float:
-    """x as a float64; an integer that float64 does not hold exactly is a
-    ValueError, since rounding it would give another graph."""
-    f = float(x)
-    if isinstance(x, numbers.Integral) and int(x) != f:
+    """x as a float64, or ValueError when x is not finite or is an integer
+    that float64 does not hold exactly (rounding would give another graph)."""
+    try:
+        f = float(x)
+    except OverflowError:  # an integer beyond float64's range
+        f = math.inf
+    if _is_integer(x) and int(x) != f:
         raise ValueError(f"integer weight {x} is not exact in float64")
+    if not math.isfinite(f):
+        raise ValueError("weights must be finite")
     return f
+
+
+def _add_edge(w: np.ndarray, u, v, weight, loop: bool = False) -> None:
+    """Put the edge u-v of ``weight`` (with ``loop``, the loop at u = v) into
+    w, a weight matrix with NaN (never a weight) where nothing is put yet, or
+    ValueError: vertices by ``_check_vertices``, the weight by
+    ``_exact_weight``, no self edge outside a loop, no zero-weight edge, and
+    a repeat only with the weight given before."""
+    _check_vertices(len(w), (u, v))
+    if u == v and not loop:
+        raise ValueError("self edge; give it as a loop")
+    f = _exact_weight(weight)
+    if f == 0 and not loop:
+        raise ValueError("zero-weight edge")
+    if not (math.isnan(w[u, v]) or w[u, v] == f):
+        what = f"loop {u}" if loop else f"edge {min(u, v), max(u, v)}"
+        raise ValueError(f"conflicting weights for {what}")
+    w[u, v] = w[v, u] = f
 
 
 class Graph:
@@ -102,21 +138,12 @@ class Graph:
         loops: Iterable[tuple[int, float]] = (),
     ) -> "Graph":
         """Build from ``(u, v)`` or ``(u, v, w)`` edge tuples plus loop weights."""
-        w = np.zeros((n, n))
+        w = np.full((n, n), np.nan)
         for e in edges:
-            if len(e) == 2:
-                u, v = e
-                wt = 1.0
-            else:
-                u, v, wt = e
-            _check_vertices(n, (u, v))
-            if u == v:
-                raise ValueError("self edges must be given as loops")
-            w[u, v] = w[v, u] = _exact_weight(wt)
+            _add_edge(w, *(e if len(e) == 3 else (*e, 1.0)))
         for u, wt in loops:
-            _check_vertices(n, (u,))
-            w[u, u] = _exact_weight(wt)
-        return cls(w)
+            _add_edge(w, u, u, wt, loop=True)
+        return cls(np.nan_to_num(w))
 
     @property
     def n(self) -> int:
@@ -157,10 +184,13 @@ class Graph:
         return [(u, float(self.weights[u, u])) for u in range(self.n) if self.weights[u, u] != 0]
 
     def with_loop(self, v: int, weight: float) -> "Graph":
-        """New graph with ``weight`` added to the loop at v."""
+        """New graph with ``weight`` added to the loop at v; the weight and the
+        total, summed exactly between integers, go through ``_exact_weight``."""
         self._check_vertex(v)
         w = self.weights.copy()
-        w[v, v] += weight
+        old, f = w[v, v], _exact_weight(weight)
+        exact = old.is_integer() and f.is_integer()
+        w[v, v] = _exact_weight(int(old) + int(f) if exact else old + f)
         return Graph(w)
 
     def delete(self, vertices: Iterable[int]) -> "Graph":
@@ -252,27 +282,23 @@ class Graph:
 
 def build_path(n: int) -> Graph:
     """Path P_n."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
+    _check_count("n", n, 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def build_cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    _check_count("n", n, 3)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def build_complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    _check_count("n", n, 1)
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 def build_star(k: int) -> Graph:
     """Star with k leaves, centre at vertex 0.  k = 0 gives a single vertex."""
-    if k < 0:
-        raise ValueError("star needs k >= 0")
+    _check_count("k", k, 0)
     return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
@@ -281,7 +307,9 @@ def build_regular(n: int, k: int) -> Graph:
 
     Raises when no k-regular graph on n vertices exists.
     """
-    if n < 1 or k < 0 or k >= n or (n * k) % 2 == 1:
+    _check_count("n", n, 1)
+    _check_count("k", k, 0)
+    if k >= n or (n * k) % 2 == 1:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
     edges = set()
     if k % 2 == 0:
@@ -350,9 +378,8 @@ def compose_weights(
     vertex layout: w1 of shape (k, n1, n1) and w2 of shape (k, n2, n2) with
     endpoints a[i] in w1[i] and b[i] in w2[i] give shape (k, n, n), n = n1 + n2
     + bridge_path_vertices - 2."""
+    _check_count("bridge_path_vertices", bridge_path_vertices, 2)
     m = bridge_path_vertices
-    if m < 2:
-        raise ValueError("bridge path needs at least its two endpoints")
     count, n1, n2 = len(w1), w1.shape[-1], w2.shape[-1]
     n = n1 + n2 + m - 2
     w = np.zeros((count, n, n))
@@ -448,20 +475,16 @@ def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _check_weight_token(token: str, wt: float, lno: int) -> None:
-    """Refuse an integer weight token that its float64 value ``wt`` does not
-    hold exactly; a float literal stands for its float64 value."""
+def _number(token: str) -> int | float:
+    """An integer-literal token as an int (``_exact_weight``), any other as a float."""
     try:
-        exact = int(token) == wt
+        return int(token)
     except ValueError:
-        return
-    if not exact:
-        raise GraphParseError(f"integer weight {token} is not exact in float64", lno)
+        return float(token)
 
 
 def _parse_edgelist(text: str) -> Graph:
-    raw = text.splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not lines:
         raise GraphParseError("empty input")
     lno, header = lines[0]
@@ -476,49 +499,25 @@ def _parse_edgelist(text: str) -> Graph:
         raise GraphParseError("header out of range", lno)
     if len(lines) - 1 < m:
         raise GraphParseError(f"expected {m} edge lines", lno)
-    w = np.zeros((n, n))
-    # each edge's weight, and each loop's under (u, u)
-    seen: dict[tuple[int, int], float] = {}
-    for lno, ln in lines[1 : 1 + m]:
+    w = np.full((n, n), np.nan)
+    # m edge lines, then loop lines, each put by _add_edge
+    for i, (lno, ln) in enumerate(lines[1:]):
         parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise GraphParseError("edge line must be 'u v' or 'u v w'", lno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            wt = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise GraphParseError("malformed edge line", lno) from None
-        if len(parts) == 3:
-            _check_weight_token(parts[2], wt, lno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"vertex index out of range in '{ln}'", lno)
-        if u == v:
-            raise GraphParseError("self edge; use a 'loop u w' line", lno)
-        if wt == 0:
-            raise GraphParseError("zero-weight edge", lno)
-        key = (min(u, v), max(u, v))
-        if key in seen and seen[key] != wt:
-            raise GraphParseError(f"conflicting weights for edge {key}", lno)
-        seen[key] = wt
-        w[u, v] = wt
-        w[v, u] = wt
-    for lno, ln in lines[1 + m :]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] != "loop":
+        loop = i >= m
+        if loop and (len(parts) != 3 or parts[0] != "loop"):
             raise GraphParseError("expected 'loop u w'", lno)
+        if not loop and len(parts) not in (2, 3):
+            raise GraphParseError("edge line must be 'u v' or 'u v w'", lno)
+        u, v, wt = (parts[1], parts[1], parts[2]) if loop else (*parts, "1")[:3]
         try:
-            u, wt = int(parts[1]), float(parts[2])
+            entry = int(u), int(v), _number(wt)
         except ValueError:
-            raise GraphParseError("malformed loop line", lno) from None
-        _check_weight_token(parts[2], wt, lno)
-        if not 0 <= u < n:
-            raise GraphParseError(f"vertex index out of range in '{ln}'", lno)
-        key = (u, u)
-        if key in seen and seen[key] != wt:
-            raise GraphParseError(f"conflicting weights for loop {u}", lno)
-        seen[key] = wt
-        w[u, u] = wt
-    return Graph(w)
+            raise GraphParseError(f"malformed {'loop' if loop else 'edge'} line", lno) from None
+        try:
+            _add_edge(w, *entry, loop=loop)
+        except ValueError as err:
+            raise GraphParseError(str(err), lno) from None
+    return Graph(np.nan_to_num(w))
 
 
 def _graph6_encode(g: Graph) -> str:

@@ -19,14 +19,13 @@ factorised grid of ``_peak``, which reads a stack of pairs at once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .exactpoly import IntPoly, poly_divexact, sigma_classes
-from .graphs import Graph
+from .graphs import Graph, _check_count
 from .spectral import PairReading, coprime_classes, decompose, pair_signature
 
 __all__ = [
@@ -166,11 +165,10 @@ def fidelity_ceiling(g: Graph, a: int, b: int) -> float:
 
 def check_scan(t_max: float, steps: int) -> None:
     """Raise ValueError unless 0 < t_max < inf and ``steps`` is an integer
-    of at least 1 (a bool is not)."""
+    of at least 1 (``graphs._check_count``)."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"need 0 < t_max < inf, got {t_max}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ValueError(f"need an integer steps >= 1, got {steps!r}")
+    _check_count("steps", steps, 1)
 
 
 def scan_phases(readings, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:

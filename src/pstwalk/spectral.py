@@ -327,10 +327,14 @@ def walk_module_matrix(g: Graph, a: int) -> np.ndarray:
     """Tridiagonal matrix representing the adjacency action on the walk
     module generated by e_a (Lanczos with full reorthogonalization).
 
-    The first basis vector is e_a, and the run takes as many steps as a has
-    eigenvalues in its support (``support``), the dimension of the module.
+    The first basis vector is e_a, and the run takes as many steps as the
+    module has dimensions: the degree of the minimal polynomial of e_a, the
+    denominator of ``exactpoly.walk_gf``, on integer weights, and otherwise
+    the number of eigenvalues in the support of a (``support``), which
+    reads SUPPORT_TOL and so misses an eigenspace that large weights leave
+    a small share of e_a.
     """
-    dim = len(support(g, a))
+    dim = xp.walk_gf(g, a).den.degree if g.integer_flag else len(support(g, a))
     A = g.weights
     q = np.zeros(g.n)
     q[a] = 1.0

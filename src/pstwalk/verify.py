@@ -5,7 +5,6 @@ exhaustive no-transfer searches."""
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import os
 import random
@@ -17,6 +16,7 @@ import numpy as np
 from . import exactpoly as xp
 from .graphs import (
     Graph,
+    _check_count,
     build_regular,
     compose,
     compose_weights,
@@ -59,11 +59,6 @@ __all__ = [
 # The eigenvalue and rounding-level comparisons of this module read
 # spectral.GROUPING_TOL, the gap that separates eigenspaces in decompose;
 # the neutrino suite's spot check reads spectral.SUPPORT_TOL.
-
-
-def _is_integer(x) -> bool:
-    """Whether x is an integer (numpy integers too, bools not)."""
-    return not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
 def _eig_desc(m: np.ndarray) -> np.ndarray:
@@ -620,11 +615,9 @@ def search_no_pst(
     CPUs) processes is sent the side list and chunks i, i + w, ... of the
     plan, and a serial run reads every chunk.
     """
-    if not _is_integer(bridge) or bridge not in (2, 3):
-        raise ValueError(f"bridge must have 2 or 3 path vertices, got {bridge!r}")
+    xp._check_bridge(bridge)
     check_scan(scan_t_max, scan_steps)
-    if not _is_integer(jobs) or jobs < 1:
-        raise ValueError(f"need an integer jobs >= 1, got {jobs!r}")
+    _check_count("jobs", jobs, 1)
     if graph_source is None:
         marked = list(marked_graphs(max_n))
         source = "builtin"
@@ -942,10 +935,7 @@ def run_suite(name: str, instances: int | None = None, seed: int | None = None) 
     suite does not read is refused: ``instances`` and ``seed`` for
     ``quotient``, ``seed`` for the correspondence suites."""
     if instances is not None:
-        if not _is_integer(instances):
-            raise ValueError(f"instances must be an integer, got {instances!r}")
-        if instances < 1:
-            raise ValueError(f"instances must be at least 1, got {instances}")
+        _check_count("instances", instances, 1)
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn, reads = _SUITES[name]

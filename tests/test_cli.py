@@ -414,10 +414,11 @@ def test_input_errors_exit_2(capsys, graph_file):
 
 @pytest.mark.parametrize("weight", ["inf", "nan"])
 def test_spectrum_rejects_non_finite_weights(capsys, graph_file, weight):
+    # the weight token is refused on its own line, like every other token
     assert main(["spectrum", graph_file(f"2 1\n0 1 {weight}\n")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "input error: weights must be finite" in captured.err
+    assert "input error: line 2: weights must be finite" in captured.err
 
 
 def test_order_beyond_the_exact_layer_is_an_input_error(capsys, graph_file, monkeypatch):

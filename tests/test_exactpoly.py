@@ -482,6 +482,12 @@ def test_integer_weights_float64_would_round_are_refused():
         parse_graph(f"2 1\n0 1 {big}\n")
     with pytest.raises(GraphParseError, match=f"line 3: integer weight {big} is not"):
         parse_graph(f"1 0\nloop 0 1\nloop 0 {big}\n")
+    # an added loop, and the loop total it makes, are held to the same rule
+    with pytest.raises(ValueError, match=f"integer weight {big} is not exact in float64"):
+        build_path(3).with_loop(0, big)
+    with pytest.raises(ValueError, match=f"integer weight {big} is not exact in float64"):
+        build_path(3).with_loop(0, 1).with_loop(0, 2**60)
+    assert charpoly(build_path(3).with_loop(0, 2**60)).coeffs == (2**60, -2, -(2**60), 1)
     for exact in (2**53, 2**60):
         for g in (
             Graph.from_edges(2, [(0, 1, exact)]),
@@ -718,8 +724,9 @@ def test_bridge_classes_of_a_side_and_of_its_key(monkeypatch):
         for bridge in (2, 3):
             assert bridge_classes(walk_gf(y, v), bridge) == bridge_classes(key, bridge)
     assert 0 < divided < 30  # N(0) = 0, where the P3 class is divided by t
-    with pytest.raises(ValueError, match="2 or 3"):
-        bridge_classes(key, 4)
+    for bridge in (4, 2.0, True):
+        with pytest.raises(ValueError, match=f"^bridge must have 2 or 3 path vertices, got {bridge}$"):
+            bridge_classes(key, bridge)
 
 
 def test_bridge_compose_seeds_nothing_on_non_integer_weights():

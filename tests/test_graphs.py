@@ -92,6 +92,11 @@ def test_graph_rejects_non_finite_weights(weight):
         Graph(w)
     with pytest.raises(ValueError, match="weights must be finite"):
         Graph.from_edges(3, [(0, 1)], loops=[(2, weight)])
+    # the parser names the token's line, on an edge line and on a loop line
+    with pytest.raises(GraphParseError, match="^line 2: weights must be finite$"):
+        parse_graph(f"2 1\n0 1 {weight}\n")
+    with pytest.raises(GraphParseError, match="^line 3: weights must be finite$"):
+        parse_graph(f"2 1\n0 1\nloop 0 {weight}\n")
 
 
 @pytest.mark.parametrize(
@@ -142,6 +147,60 @@ def test_vertex_arguments_must_be_integers(call):
     # start vector, 1.5 would drop to 1 or select nothing
     with pytest.raises(ValueError, match="is not an integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_star(True), "k must be an integer, got True"),
+        (lambda: build_path(2.0), "n must be an integer, got 2.0"),
+        (lambda: build_path(0), "n must be at least 1, got 0"),
+        (lambda: build_cycle(2), "n must be at least 3, got 2"),
+        (lambda: build_complete(True), "n must be an integer, got True"),
+        (lambda: build_regular(6.0, 2), "n must be an integer, got 6.0"),
+        (lambda: compose(P4, 0, P4, 0, 2.0), "bridge_path_vertices must be an integer, got 2.0"),
+        (lambda: compose(P4, 0, P4, 0, 1), "bridge_path_vertices must be at least 2, got 1"),
+    ],
+    ids=[
+        "star_bool",
+        "path_float",
+        "path_empty",
+        "cycle_short",
+        "complete_bool",
+        "regular_float",
+        "compose_float",
+        "compose_short",
+    ],
+)
+def test_sizes_must_be_integer_counts(call, message):
+    # True would build K2 as a star, and 2.0 fail inside numpy
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "edges, loops, text, message",
+    [
+        ([(0, 1, 1), (0, 1, 2)], [], "2 2\n0 1 1\n1 0 2", r"conflicting weights for edge \(0, 1\)"),
+        ([(0, 1)], [(0, 1), (0, 2)], "2 1\n0 1\nloop 0 1\nloop 0 2", "conflicting weights for loop 0"),
+        ([(0, 1, 0)], [], "2 1\n0 1 0", "zero-weight edge"),
+        ([(1, 1)], [], "2 1\n1 1", "self edge; give it as a loop"),
+    ],
+    ids=["conflicting_edge", "conflicting_loop", "zero_weight", "self_edge"],
+)
+def test_from_edges_refuses_what_the_parser_refuses(edges, loops, text, message):
+    # a conflicting repeat would keep its last weight, a zero weight drop
+    # the edge
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph.from_edges(2, edges, loops)
+    with pytest.raises(GraphParseError, match=f"^line {len(text.splitlines())}: {message}$"):
+        parse_graph(text)
+
+
+def test_equal_repeats_are_accepted():
+    once = Graph.from_edges(2, [(0, 1, 2)], loops=[(1, 3)])
+    assert Graph.from_edges(2, [(0, 1, 2), (1, 0, 2.0)], loops=[(1, 3), (1, 3.0)]) == once
+    assert parse_graph("2 2\n0 1 2\n1 0 2.0\nloop 1 3\nloop 1 3.0\n") == once
 
 
 def test_numpy_integer_vertices_are_accepted():

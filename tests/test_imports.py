@@ -145,3 +145,23 @@ def test_one_reader_sums_over_eigenspaces():
         for scope in name_scopes(p.read_text(), "reduceat")
     }
     assert found == {"spectral.eigenspaces", "spectral.read_pairs"}
+
+
+def test_checker_finds_a_second_integer_test():
+    # the real module with one more function that tests for an integer itself
+    source = (SRC / "pst.py").read_text()
+    mutated = source + "\n\ndef leak(x):\n    return isinstance(x, numbers.Integral)\n"
+    assert name_scopes(source, "Integral") == []
+    assert name_scopes(mutated, "Integral") == ["leak"]
+
+
+def test_one_function_names_numbers_integral():
+    # one integer rule: every vertex, count, bridge and weight reads
+    # graphs._is_integer, so a bool or a float is refused the same way
+    # everywhere
+    found = [
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in name_scopes(p.read_text(), "Integral")
+    ]
+    assert found == ["graphs._is_integer"]

@@ -125,8 +125,10 @@ def test_fidelity_scan_validates_input():
             fidelity_scan(build_path(2), 0, 1, t_max, 10)
     # a float steps is no grid size, and True is no count of intervals
     for steps in (100.0, True, 2.5):
-        with pytest.raises(ValueError, match="integer steps >= 1"):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps!r}$"):
             fidelity_scan(build_path(2), 0, 1, 1.0, steps)
+    with pytest.raises(ValueError, match="^steps must be at least 1, got 0$"):
+        fidelity_scan(build_path(2), 0, 1, 1.0, 0)
 
 
 def pointwise_peak(thetas, weights, lo, dt, steps):

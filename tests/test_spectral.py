@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pstwalk import exactpoly as xp
-from pstwalk import spectral
+from pstwalk import spectral, verify
 from pstwalk.graphs import (
     Graph,
     build_complete,
@@ -486,6 +486,31 @@ def test_walk_module_path_end():
     off = np.diag(t, 1)
     assert np.allclose(off, [1, 1, 1], atol=1e-10)
     assert np.allclose(np.diag(t), 0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [25, 30, 40])
+def test_walk_module_keeps_an_eigenspace_large_weights_shrink(k):
+    # on P3 with weights (2**k, 1), ||E_0 e_0|| is about 2**-k, below
+    # SUPPORT_TOL, yet e_0 spans a module of dimension 3
+    g = Graph.from_edges(3, [(0, 1, 2**k), (1, 2, 1)])
+    assert xp.walk_gf(g, 0).den.degree == 3
+    assert walk_module_matrix(g, 0).tolist() == [[0, 2**k, 0], [2**k, 0, 1], [0, 1, 0]]
+
+
+def test_interlacing_suite_modules_keep_their_dimension(monkeypatch):
+    # on the suite's graphs the exact dimension is the support's, so the
+    # suite reads the modules it read when the support sized them
+    seen = []
+
+    def record(g, v):
+        seen.append((g, v))
+        return walk_module_matrix(g, v)
+
+    monkeypatch.setattr(verify, "walk_module_matrix", record)
+    assert verify.suite_interlacing().passed
+    assert len(seen) == 20
+    for g, v in seen:
+        assert walk_module_matrix(g, v).shape == (len(support(g, v)),) * 2
 
 
 def test_walk_module_spectrum_interlaces():
