@@ -1,8 +1,8 @@
 """Source scans of the library: every name a module imports is used in
 that module, ``numpy.linalg.eigh`` runs in one function only and no other
 LAPACK eigen routine is named, one function reads the primes of the modular
-charpoly, and only the pair reader and the eigenvalue means sum over
-eigenspaces.
+charpoly, only the pair reader and the eigenvalue means sum over
+eigenspaces, and one function names ``numbers.Integral``.
 
 The import scan skips ``__init__.py``: its imports are the package's public
 names.
