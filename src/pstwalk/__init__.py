@@ -9,7 +9,6 @@ from .exactpoly import (
     IntPoly,
     RationalFunction,
     bridge_charpoly_p2,
-    bridge_compose,
     charpoly,
     charpoly_deleted,
     one_sum_charpoly,

@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     automorphism_orbits,
+    compose,
     parse_graph,
     serialize_graph,
 )
@@ -167,7 +168,7 @@ def cmd_compose(args) -> int:
     started = time.perf_counter()
     g1, raw1 = _load_graph(args.y1, args.format)
     g2, raw2 = _load_graph(args.y2, args.format)
-    z, ga, gb = xp.bridge_compose(g1, args.a, g2, args.b, args.bridge)
+    z, ga, gb = compose(g1, args.a, g2, args.b, args.bridge)
     cert = pst_certificate(z, ga, gb)
     result = {
         "edgelist": serialize_graph(z, "edgelist"),

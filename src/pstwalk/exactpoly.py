@@ -13,9 +13,9 @@ fraction-free Berlekamp-Massey over the integers, accepted only when it
 annihilates x exactly; no characteristic polynomial and no modulus.  On
 e_a +- e_b it gives the sigma classes of a pair (``sigma_classes``), on
 e_v the reduced key N / D = phi(Y\\v) / phi(Y) of a bridge side
-(``walk_gf``).  A bridge composite needs no vector: the classes of its
-ends are closed forms in the sides' common key (``bridge_classes``),
-which ``bridge_compose`` seeds.  ``charpoly`` gives phi(G), the one
+(``walk_gf``).  A bridge composite that is never built needs no vector:
+the classes of its ends are closed forms in the sides' common key
+(``bridge_classes``).  ``charpoly`` gives phi(G), the one
 polynomial found modulo primes; the adjugate entries phi(G\\a),
 phi(G\\b) and P_ab are the walk counts of the Krylov vectors of e_a and
 e_b convolved with it, for the projector entries and the identity checks.
@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, _is_integer, compose
+from .graphs import Graph, _is_integer
 
 __all__ = [
     "IntPoly",
@@ -46,7 +46,6 @@ __all__ = [
     "one_sum_charpoly",
     "bridge_charpoly_p2",
     "bridge_classes",
-    "bridge_compose",
     "loop_adjusted_charpoly",
     "pendant_sqrt2_charpoly",
     "path_sum_poly",
@@ -799,10 +798,10 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     is half of ||E_r (e_a +- e_b)||**2.  So m+ and m- are the minimal
     polynomials of u = e_a + e_b and v = e_a - e_b relative to A
     (``_minimal_polynomial``, which makes A**k x for k <= deg m only).  No
-    phi(G), no adjugate entry and no modulus (a ``bridge_compose``
-    composite holds its classes already).  a and b are cospectral exactly
-    when (A**k u)_a = (A**k u)_b for every k; the differences are
-    v^T A**k u, which m_u annihilates, so k < deg m_u suffices.
+    phi(G), no adjugate entry and no modulus, on any graph, a bridge
+    composite too.  a and b are cospectral exactly when (A**k u)_a =
+    (A**k u)_b for every k; the differences are v^T A**k u, which m_u
+    annihilates, so k < deg m_u suffices.
 
     P_ab is taken with a positive leading coefficient, that of the first
     nonzero (A**k)_ab = (mu+_k - mu-_k) / 4, read off the moments
@@ -871,7 +870,7 @@ def return_walk_gf(g: Graph, a: int) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# bridge composites seeded from their sides
+# bridge composites read from their sides
 
 def _check_bridge(bridge) -> None:
     """``bridge`` the integer 2 or 3, the path vertices the identities cover, or ValueError."""
@@ -882,32 +881,7 @@ def _check_bridge(bridge) -> None:
 def bridge_classes(key: RationalFunction, bridge: int) -> tuple[IntPoly, IntPoly]:
     """The sigma classes (m+, m-) of the ends of a bridge composite of two
     sides with the common reduced key N / D = phi(Y\\v) / phi(Y)
-    (``walk_gf``; derivation in ``bridge_compose``), with no gcd: D - N
-    and D + N on P2, the supports of v in Y with a +1 and a -1 loop at v,
-    as gcd(N, D -+ N) = gcd(N, D) = 1.  On P3, tD - 2N, divided once by t
-    when N(0) = 0, and D.  The first is the reduced denominator of
-    tN / (tD - 2N), the support of the attachment vertex in the
-    sqrt(2)-pendant graph.  As gcd(N, D) = 1, t is the only possible common
-    factor of tN and tD - 2N.  t**2 would need D(0) = 2 M(0), M = N / t.
-    But N / D = sum_r w_r / (t - theta_r), w_r = (E_r)_vv > 0, vanishes at
-    0, so M(0) / D(0) is its derivative there, -sum_r w_r / theta_r**2, and
-    D(0) = 2 M(0) would give 1 = -2 sum_r w_r / theta_r**2 < 0."""
-    _check_bridge(bridge)
-    n, d = key.num, key.den
-    if bridge == 2:
-        return d - n, d + n
-    plus = T * d - 2 * n
-    return (plus if plus.coeffs[0] else IntPoly(plus.coeffs[1:])), d
-
-
-def bridge_compose(
-    y1: Graph, a: int, y2: Graph, b: int, bridge: int
-) -> tuple[Graph, int, int]:
-    """``graphs.compose(y1, a, y2, b, bridge)`` for a bridge of 2 or 3 path
-    vertices, with the sigma classes of the ends in the composite's cache
-    (where ``sigma_classes`` looks): ``bridge_classes`` of the sides'
-    common key when their keys (``walk_gf``) are equal, else None.  No
-    composite polynomial is formed.
+    (``walk_gf``), from the key alone: no composite is built.
 
     With phi_i = phi(Yi) and d_i = phi(Yi\\v), by Schwenk (1974) phi(Z) =
     phi_1 phi_2 - d_1 d_2 and phi(Z\\a) = d_1 phi_2 on P2, phi(Z) =
@@ -916,16 +890,24 @@ def bridge_compose(
     and b are cospectral exactly when d_1 / phi_1 = d_2 / phi_2.  Then,
     with that key reduced to N / D, phi_i = g_i D and d_i = g_i N, the
     factor g_1 g_2 cancels from (phi(Z\\a) +- P_ab) / phi(Z), which reduces
-    to N / (D -+ N) on P2, and to t N / (t D - 2N) and N / D on P3.  A
-    composite with non-integer weights gets nothing."""
+    to N / (D -+ N) on P2, and to t N / (t D - 2N) and N / D on P3.
+
+    The reduced denominators need no gcd: D - N and D + N on P2, the
+    supports of v in Y with a +1 and a -1 loop at v, as gcd(N, D -+ N) =
+    gcd(N, D) = 1.  On P3, tD - 2N, divided once by t when N(0) = 0, and
+    D.  The first is the reduced denominator of tN / (tD - 2N), the
+    support of the attachment vertex in the sqrt(2)-pendant graph.  As
+    gcd(N, D) = 1, t is the only possible common factor of tN and
+    tD - 2N.  t**2 would need D(0) = 2 M(0), M = N / t.  But N / D =
+    sum_r w_r / (t - theta_r), w_r = (E_r)_vv > 0, vanishes at 0, so
+    M(0) / D(0) is its derivative there, -sum_r w_r / theta_r**2, and
+    D(0) = 2 M(0) would give 1 = -2 sum_r w_r / theta_r**2 < 0."""
     _check_bridge(bridge)
-    z, ga, gb = compose(y1, a, y2, b, bridge)
-    if not z.integer_flag:
-        return z, ga, gb
-    key = walk_gf(y1, a)
-    classes = bridge_classes(key, bridge) if key == walk_gf(y2, b) else None
-    z._poly_cache[("sigma", frozenset((ga, gb)))] = classes
-    return z, ga, gb
+    n, d = key.num, key.den
+    if bridge == 2:
+        return d - n, d + n
+    plus = T * d - 2 * n
+    return (plus if plus.coeffs[0] else IntPoly(plus.coeffs[1:])), d
 
 
 def walk_equivalent(

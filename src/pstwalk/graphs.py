@@ -85,6 +85,20 @@ def _exact_weight(x) -> float:
     return f
 
 
+def _exact_weights(weights) -> None:
+    """Every entry of the nested sequence ``weights`` through ``_exact_weight``."""
+    for x in np.array(weights, dtype=object).ravel().tolist():
+        _exact_weight(x)
+
+
+def _loop_sum(old: float, weight) -> float:
+    """The loop weight ``old`` plus ``weight``: the weight and the total,
+    summed exactly between integers, go through ``_exact_weight``."""
+    f = _exact_weight(weight)
+    exact = old.is_integer() and f.is_integer()
+    return _exact_weight(int(old) + int(f) if exact else old + f)
+
+
 def _add_edge(w: np.ndarray, u, v, weight, loop: bool = False) -> None:
     """Put the edge u-v of ``weight`` (with ``loop``, the loop at u = v) into
     w, a weight matrix with NaN (never a weight) where nothing is put yet, or
@@ -113,7 +127,11 @@ class Graph:
     __slots__ = ("weights", "_integer", "_poly_cache")
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float)
+        try:
+            w = np.array(weights, dtype=float)
+        except OverflowError:  # an integer beyond float64's range
+            _exact_weights(weights)
+            raise
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         if w.shape[0] < 1:
@@ -123,8 +141,7 @@ class Graph:
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
         if not (isinstance(weights, np.ndarray) and weights.dtype.kind == "f"):
-            for x in np.array(weights, dtype=object).ravel().tolist():
-                _exact_weight(x)
+            _exact_weights(weights)
         w.setflags(write=False)
         self.weights = w
         self._integer = bool(np.all(w == np.round(w)))
@@ -138,6 +155,7 @@ class Graph:
         loops: Iterable[tuple[int, float]] = (),
     ) -> "Graph":
         """Build from ``(u, v)`` or ``(u, v, w)`` edge tuples plus loop weights."""
+        _check_count("n", n, 0)
         w = np.full((n, n), np.nan)
         for e in edges:
             _add_edge(w, *(e if len(e) == 3 else (*e, 1.0)))
@@ -184,13 +202,10 @@ class Graph:
         return [(u, float(self.weights[u, u])) for u in range(self.n) if self.weights[u, u] != 0]
 
     def with_loop(self, v: int, weight: float) -> "Graph":
-        """New graph with ``weight`` added to the loop at v; the weight and the
-        total, summed exactly between integers, go through ``_exact_weight``."""
+        """New graph with ``weight`` added to the loop at v (``_loop_sum``)."""
         self._check_vertex(v)
         w = self.weights.copy()
-        old, f = w[v, v], _exact_weight(weight)
-        exact = old.is_integer() and f.is_integer()
-        w[v, v] = _exact_weight(int(old) + int(f) if exact else old + f)
+        w[v, v] = _loop_sum(w[v, v], weight)
         return Graph(w)
 
     def delete(self, vertices: Iterable[int]) -> "Graph":
@@ -396,9 +411,9 @@ def compose_weights(
 def one_sum(y1: Graph, b1: int, y2: Graph, b2: int) -> tuple[Graph, int]:
     """Identify vertex b1 of y1 with vertex b2 of y2 (vertex gluing).
 
-    Loop weights at the glued vertex add.  Returns (graph, b) with b the
-    glued vertex in the new labelling (y1 keeps its labels, the rest of y2
-    follows).
+    Loop weights at the glued vertex add (``_loop_sum``).  Returns (graph,
+    b) with b the glued vertex in the new labelling (y1 keeps its labels,
+    the rest of y2 follows).
     """
     y1._check_vertex(b1)
     y2._check_vertex(b2)
@@ -409,6 +424,7 @@ def one_sum(y1: Graph, b1: int, y2: Graph, b2: int) -> tuple[Graph, int]:
     # y2's vertices in the new labelling: b2 lands on b1, the rest follow y1
     pos = np.array([*range(n1, n1 + b2), b1, *range(n1 + b2, n)])
     w[pos[:, None], pos] += y2.weights
+    w[b1, b1] = _loop_sum(y1.weights[b1, b1], y2.weights[b2, b2])
     return Graph(w), b1
 
 
@@ -722,6 +738,7 @@ def connected_graphs(max_n: int) -> Iterator[Graph]:
     on n - 1 by adding a vertex with every nonempty neighbourhood.  Each
     class is given in its labelling with the least edge mask, the graph an
     increasing loop over edge masks would meet first."""
+    _check_count("max_n", max_n, 0)
     if max_n > 7:
         raise ValueError("exhaustive enumeration is limited to n <= 7")
     level = [[[0.0]]]

@@ -263,9 +263,9 @@ def _composite_classes(y1: Graph, a: int, y2: Graph, b: int, bridge: int):
     each as the monic product of its t - theta.
 
     The composite is built by ``graphs.compose`` and its classes come from
-    its own walk modules (``exactpoly.sigma_classes``), not from
-    ``exactpoly.bridge_compose``: these suites stay an independent check of
-    the bridge classes the search uses."""
+    its own walk modules (``exactpoly.sigma_classes``), not from the side
+    key (``exactpoly.bridge_classes``): these suites stay an independent
+    check of the bridge classes the search uses."""
     p1, p1d = xp.charpoly(y1), xp.charpoly_deleted(y1, [a])
     p2, p2d = xp.charpoly(y2), xp.charpoly_deleted(y2, [b])
     if not xp.walk_equivalent(p1d, p1, p2d, p2):
@@ -602,7 +602,8 @@ def search_no_pst(
     optionally cross-checked.  The scans run after a worker's last chunk,
     as one stack per grid size (``pst.scan_phases``); a ``scan_t_max``
     that is not positive and finite, a ``scan_steps`` or a ``jobs`` that
-    is not an integer of at least 1, raises ``ValueError`` before any work.
+    is not an integer of at least 1, or a ``max_n`` that is not an integer
+    of at least 0, raises ``ValueError`` before any work.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
     1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
     cospectral pair, a bounded scan runs, and a fidelity at or above
@@ -616,6 +617,7 @@ def search_no_pst(
     plan, and a serial run reads every chunk.
     """
     xp._check_bridge(bridge)
+    _check_count("max_n", max_n, 0)
     check_scan(scan_t_max, scan_steps)
     _check_count("jobs", jobs, 1)
     if graph_source is None:
@@ -673,6 +675,7 @@ def random_connected_graph(
     """Random connected graph on n vertices; optional small integer edge
     weights and loops.  Edge draws repeat until the graph is connected,
     which the component labels tracked while drawing tell."""
+    _check_count("n", n, 0)
     if n == 1:
         w = np.zeros((1, 1))
         if loops and rng.random() < 0.3:

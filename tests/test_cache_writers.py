@@ -19,7 +19,6 @@ WRITERS = {
     "exactpoly._adjugate_entries",
     "exactpoly._adjacency",
     "exactpoly.sigma_classes",
-    "exactpoly.bridge_compose",
     "exactpoly.walk_gf",
     "spectral.decompose",
     "spectral.projector_entry_via_neutrino",

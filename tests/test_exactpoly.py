@@ -16,7 +16,6 @@ from pstwalk.exactpoly import (
     bareiss_det,
     bridge_charpoly_p2,
     bridge_classes,
-    bridge_compose,
     charpoly,
     charpoly_deleted,
     loop_adjusted_charpoly,
@@ -478,6 +477,17 @@ def test_integer_weights_float64_would_round_are_refused():
     for weights in ([[0, big], [big, 0]], np.array([[0, big], [big, 0]])):
         with pytest.raises(ValueError, match=f"integer weight {big} is not exact in float64"):
             Graph(weights)
+    # beyond float64's range too, where numpy's conversion overflows; ragged
+    # and non-square input keep their own messages
+    huge = 10**400
+    with pytest.raises(ValueError, match=f"^integer weight {huge} is not exact in float64$"):
+        Graph([[0, huge], [huge, 0]])
+    with pytest.raises(ValueError, match=f"^integer weight {huge} is not exact in float64$"):
+        Graph.from_edges(2, [(0, 1, huge)])
+    with pytest.raises(ValueError, match="inhomogeneous shape"):
+        Graph([[0, 1], [1]])
+    with pytest.raises(ValueError, match="^weight matrix must be square$"):
+        Graph([[0, 1, 2]])
     with pytest.raises(GraphParseError, match=f"line 2: integer weight {big} is not"):
         parse_graph(f"2 1\n0 1 {big}\n")
     with pytest.raises(GraphParseError, match=f"line 3: integer weight {big} is not"):
@@ -658,34 +668,33 @@ def test_bridge_factorization_under_walk_equivalence():
     assert charpoly(z3) == p * (pendant_sqrt2_charpoly(p, pd))
 
 
-def _assert_seeded_classes_match_fresh(y1, a, y2, b, bridge):
-    """The classes bridge_compose seeds, or None, equal sigma_classes of a
-    fresh copy of the composite, which has no cache, so it reads phi(Z)
-    and the adjugate entries and runs Jacobi's check.  The sigma classes
-    are the one key seeded."""
-    z, ga, gb = bridge_compose(y1, a, y2, b, bridge)
-    assert (ga, gb) == compose(y1, a, y2, b, bridge)[1:]
-    key = ("sigma", frozenset((ga, gb)))
-    assert list(z._poly_cache) == [key]
-    assert z._poly_cache[key] == sigma_classes(Graph(z.weights), ga, gb), bridge
-    return z._poly_cache[key] is not None
+def _checked_composite(y1, a, y2, b, bridge):
+    """``compose(y1, a, y2, b, bridge)`` and the sigma classes of its ends,
+    read from its own walk modules, once they equal the classes the search
+    reads from the sides' keys: bridge_classes of the common key, or None
+    when the keys (walk_gf) differ."""
+    z, ga, gb = compose(y1, a, y2, b, bridge)
+    classes = sigma_classes(z, ga, gb)
+    key = walk_gf(y1, a)
+    assert classes == (bridge_classes(key, bridge) if key == walk_gf(y2, b) else None), bridge
+    return (z, ga, gb), classes
 
 
-def test_bridge_compose_seeds_every_marked_pair():
+def test_bridge_classes_match_every_marked_composite():
     marked = list(marked_graphs(4))
     pairs = list(itertools.product(marked, marked))
     assert len(pairs) * 2 == 512  # checks: two bridges
     cospectral = sum(
-        _assert_seeded_classes_match_fresh(y1, a, y2, b, bridge)
+        _checked_composite(y1, a, y2, b, bridge)[1] is not None
         for (y1, a), (y2, b) in pairs
         for bridge in (2, 3)
     )
     assert cospectral == 2 * len(marked)  # the self-pairs only
 
 
-def test_bridge_compose_seeds_weighted_looped_sides():
+def test_bridge_classes_match_weighted_looped_composites():
     # each pair's first side is also joined to a relabelled copy of itself,
-    # so classes are seeded as well as None
+    # so the keys give classes as well as None
     rng, shuffle = random.Random(11), random.Random(12)
     cospectral = 0
     for _ in range(30):
@@ -695,8 +704,8 @@ def test_bridge_compose_seeds_weighted_looped_sides():
         perm = list(range(y1.n))
         shuffle.shuffle(perm)
         for bridge in (2, 3):
-            cospectral += _assert_seeded_classes_match_fresh(y1, a, y2, b, bridge)
-            assert _assert_seeded_classes_match_fresh(y1, a, y1.relabeled(perm), perm[a], bridge)
+            cospectral += _checked_composite(y1, a, y2, b, bridge)[1] is not None
+            assert _checked_composite(y1, a, y1.relabeled(perm), perm[a], bridge)[1] is not None
     assert cospectral < 60
 
 
@@ -724,23 +733,9 @@ def test_bridge_classes_of_a_side_and_of_its_key(monkeypatch):
         for bridge in (2, 3):
             assert bridge_classes(walk_gf(y, v), bridge) == bridge_classes(key, bridge)
     assert 0 < divided < 30  # N(0) = 0, where the P3 class is divided by t
-    for bridge in (4, 2.0, True):
+    for bridge in (1, 4, 2.0, 3.0, True):
         with pytest.raises(ValueError, match=f"^bridge must have 2 or 3 path vertices, got {bridge}$"):
             bridge_classes(key, bridge)
-
-
-def test_bridge_compose_seeds_nothing_on_non_integer_weights():
-    half = Graph.from_edges(2, [(0, 1, 0.5)])
-    z, ga, gb = bridge_compose(half, 0, build_path(2), 0, 2)
-    assert z == compose(half, 0, build_path(2), 0, 2)[0]
-    assert z._poly_cache == {}
-
-
-def test_bridge_compose_rejects_other_bridges():
-    # 2.0 passes an ``in (2, 3)`` test and would fail only inside compose
-    for bridge in (1, 4, 2.0, 3.0):
-        with pytest.raises(ValueError, match="2 or 3"):
-            bridge_compose(build_path(2), 0, build_path(2), 0, bridge)
 
 
 def test_search_rejects_a_wrong_bridge_identity(monkeypatch):
@@ -931,20 +926,18 @@ def sigma_classes_oracle(g, a, b):
 
 
 def test_sigma_classes_unchanged_on_every_small_bridge_pair():
-    # every n <= 5 pair on both bridges, on the composite the search seeds
-    # (classes from the side key); the cospectral ones also on a cold copy,
-    # which reads the walk modules of e_a +- e_b, and by the earlier
+    # every n <= 5 pair on both bridges: the classes of the built composite,
+    # from the walk modules of e_a +- e_b, equal those of the side keys
+    # (_checked_composite); the cospectral ones also by the earlier
     # square-root route
     marked = list(marked_graphs(5))
     cospectral = 0
     for bridge in (2, 3):
         for (y1, a), (y2, b) in itertools.product(marked, marked):
-            z, ga, gb = bridge_compose(y1, a, y2, b, bridge)
-            classes = sigma_classes(z, ga, gb)
+            (z, ga, gb), classes = _checked_composite(y1, a, y2, b, bridge)
             if classes is None:
                 continue
             cospectral += 1
-            assert classes == sigma_classes(Graph(z.weights), ga, gb)
             assert classes == sigma_classes_oracle(z, ga, gb)
     assert cospectral == 2 * len(marked)  # the self-pairs only
 

@@ -1,16 +1,23 @@
-"""Every name in a library module's ``__all__`` is defined in that module.
+"""Every name in a library module's ``__all__`` is defined in that module,
+and every module attribute README.md names exists.
 
 Nothing star-imports most modules, so a stale ``__all__`` entry would
-otherwise go unnoticed until someone did.
+otherwise go unnoticed until someone did; nothing runs README's prose, so
+a deleted or renamed function would stay named there.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pstwalk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pstwalk"
 MODULES = sorted(SRC.glob("*.py"))
+# the modules README.md names as ``module.name``
+DOCUMENTED = ("graphs", "exactpoly", "spectral", "pst", "verify", "cli")
 
 
 def undefined_exports(source: str) -> list[str]:
@@ -52,3 +59,38 @@ def test_checker_flags_a_stale_export():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_defined(path):
     assert undefined_exports(path.read_text()) == []
+
+
+def unresolved_names(markdown: str) -> list[str]:
+    """The backticked ``module.name`` references in ``markdown``, outside
+    fenced blocks, with a module of DOCUMENTED, whose dotted name is no
+    attribute of ``pstwalk.<module>``."""
+    prose = re.sub(r"^```.*?^```", "", markdown, flags=re.S | re.M)
+    pattern = re.compile(rf"({'|'.join(DOCUMENTED)})\.(\w+(?:\.\w+)*)")
+    missing = []
+    for span in re.findall(r"`([^`]+)`", prose):
+        ref = pattern.match(span)
+        if ref is None:
+            continue
+        obj = importlib.import_module(f"pstwalk.{ref[1]}")
+        for part in ref[2].split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(ref[0])
+    return missing
+
+
+def test_checker_flags_a_stale_readme_name():
+    markdown = (
+        "`exactpoly.charpoly` and `spectral.GROUPING_TOL = 1e-9` resolve,\n"
+        "as does `graphs.Graph.with_loop`; `numpy.linalg` is not ours.\n"
+        "```python\n"
+        "`exactpoly.gone_in_a_fence`\n"
+        "```\n"
+        "`exactpoly.gone` and `graphs.Graph.gone` are stale.\n"
+    )
+    assert unresolved_names(markdown) == ["exactpoly.gone", "graphs.Graph.gone"]
+
+
+def test_readme_names_resolve():
+    assert unresolved_names((ROOT / "README.md").read_text()) == []

@@ -160,6 +160,20 @@ def test_vertex_arguments_must_be_integers(call):
         (lambda: build_regular(6.0, 2), "n must be an integer, got 6.0"),
         (lambda: compose(P4, 0, P4, 0, 2.0), "bridge_path_vertices must be an integer, got 2.0"),
         (lambda: compose(P4, 0, P4, 0, 1), "bridge_path_vertices must be at least 2, got 1"),
+        (lambda: Graph.from_edges(2.0), "n must be an integer, got 2.0"),
+        (lambda: Graph.from_edges(True), "n must be an integer, got True"),
+        (lambda: list(connected_graphs(2.5)), "max_n must be an integer, got 2.5"),
+        (lambda: list(connected_graphs(True)), "max_n must be an integer, got True"),
+        (lambda: list(marked_graphs(2.5)), "max_n must be an integer, got 2.5"),
+        (lambda: list(marked_graphs(True)), "max_n must be an integer, got True"),
+        (lambda: verify.search_no_pst(2, 2.5, graph_source=[(P4, 0)]),
+         "max_n must be an integer, got 2.5"),
+        (lambda: verify.search_no_pst(2, -1, graph_source=[(P4, 0)]),
+         "max_n must be at least 0, got -1"),
+        (lambda: verify.random_connected_graph(random.Random(0), 2.5),
+         "n must be an integer, got 2.5"),
+        (lambda: verify.random_connected_graph(random.Random(0), True),
+         "n must be an integer, got True"),
     ],
     ids=[
         "star_bool",
@@ -170,10 +184,21 @@ def test_vertex_arguments_must_be_integers(call):
         "regular_float",
         "compose_float",
         "compose_short",
+        "from_edges_float",
+        "from_edges_bool",
+        "connected_graphs_float",
+        "connected_graphs_bool",
+        "marked_graphs_float",
+        "marked_graphs_bool",
+        "search_stream_float",
+        "search_stream_negative",
+        "random_graph_float",
+        "random_graph_bool",
     ],
 )
 def test_sizes_must_be_integer_counts(call, message):
-    # True would build K2 as a star, and 2.0 fail inside numpy
+    # True would build K2 as a star or enumerate n <= 1, 2.0 fail inside
+    # numpy, and a stream search accept 2.5 or -1 as its max_n
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
@@ -272,6 +297,12 @@ def test_one_sum_adds_loops_at_glue():
     z, b = one_sum(y1, 0, y2, 0)
     assert z.n == 1
     assert z.weights[0, 0] == 5.0
+    # summed exactly between integers, as with_loop sums: float64 would
+    # round 2**53 + 1 to 2**53
+    big = Graph([[2**52]])
+    assert one_sum(big, 0, big, 0)[0].weights[0, 0] == 2**53
+    with pytest.raises(ValueError, match=f"^integer weight {2**53 + 1} is not exact in float64$"):
+        one_sum(Graph([[2**53]]), 0, Graph([[1]]), 0)
 
 
 def test_one_sum_counts():

@@ -612,8 +612,10 @@ MERGED_AT_N8 = [
 @pytest.mark.parametrize("name, v, bridge", MERGED_AT_N8)
 def test_n8_self_pairs_certify_without_raising(name, v, bridge):
     y = parse_graph(name, "graph6")
-    z, a, b = xp.bridge_compose(y, v, y, v, bridge)
-    assert xp.poly_gcd(*xp.sigma_classes(z, a, b)).degree == 0
+    z, a, b = compose(y, v, y, v, bridge)
+    classes = xp.sigma_classes(z, a, b)
+    assert classes == xp.bridge_classes(xp.walk_gf(y, v), bridge)
+    assert xp.poly_gcd(*classes).degree == 0
     pst_certificate(z, a, b)
 
 

@@ -448,7 +448,7 @@ def test_search_certifies_same_bucket_pairs_from_the_stack(monkeypatch, bridge):
         raise AssertionError("the search built, decomposed or certified a composite")
 
     for module, name in ((verify, "compose"), (verify, "decompose"), (spectral, "decompose"),
-                         (pst, "pst_certificate"), (xp, "bridge_compose")):
+                         (pst, "pst_certificate")):
         monkeypatch.setattr(module, name, refuse)
     report = search_no_pst(bridge, 4)
     assert (report.instances_tested, report.strongly_cospectral_pairs) == (256, 16)
@@ -504,7 +504,7 @@ def test_chunks_cover_each_unordered_pair_once(monkeypatch):
 @pytest.mark.parametrize("bridge", [2, 3])
 def test_search_takes_composite_polynomials_from_the_sides(monkeypatch, bridge):
     # the side keys come from walk moments and the composites' classes from
-    # the keys (bridge_compose): no charpoly, no adjugate entry and no
+    # the keys (bridge_classes): no charpoly, no adjugate entry and no
     # cross-multiplied walk equivalence anywhere in the search
     def refuse(*args):
         raise AssertionError("the search formed a charpoly, adjugate entry or walk equivalence")
@@ -590,9 +590,9 @@ def test_side_buckets_decide_cospectrality_in_the_composite(bridge):
 
 @pytest.mark.parametrize("bridge", [2, 3])
 def test_seeded_composites_certify_as_cold_ones(bridge):
-    # the classes bridge_compose takes from the side key decide every
-    # same-bucket pair as the composite's own polynomials do, and no
-    # composite polynomial is formed
+    # the search's route, the classes bridge_classes takes from the side key
+    # and the composite's reading, decides every same-bucket pair as the
+    # composite's own certificate does, and forms no composite polynomial
     marked = list(marked_graphs(5))
     pairs = list(itertools.product(marked, marked)) + _oracle_pairs()
     same = [
@@ -600,11 +600,11 @@ def test_seeded_composites_certify_as_cold_ones(bridge):
     ]
     assert len(same) > len(marked) + 10
     for (y1, a), (y2, b) in same:
-        z, ga, gb = xp.bridge_compose(y1, a, y2, b, bridge)
-        seeded = pst_certificate(z, ga, gb).to_json()
-        assert ("charpoly", None) not in z._poly_cache
-        cold, ca, cb = compose(y1, a, y2, b, bridge)
-        assert seeded == pst_certificate(cold, ca, cb).to_json()
+        z, ga, gb = compose(y1, a, y2, b, bridge)
+        classes = xp.bridge_classes(xp.walk_gf(y1, a), bridge)
+        seeded = pst.pst_decision(classes, spectral.decompose(z).pair(ga, gb), ga, gb).to_json()
+        assert list(z._poly_cache) == [spectral._DECOMPOSE_KEY]
+        assert seeded == pst_certificate(z, ga, gb).to_json()
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -692,7 +692,6 @@ def test_search_rejects_non_integer_sides_before_composing(monkeypatch):
         raise AssertionError("a pair was composed")
 
     monkeypatch.setattr(verify, "compose_weights", refuse)
-    monkeypatch.setattr(xp, "bridge_compose", refuse)
     half = Graph.from_edges(2, [(0, 1, 0.5)])
     with pytest.raises(ValueError, match=r"integer weights.*0 1 0\.5"):
         search_no_pst(2, 0, graph_source=[(build_path(3), 0), (half, 0)])
