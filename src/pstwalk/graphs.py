@@ -227,40 +227,19 @@ class Graph:
         w[p[:, None], p] = self.weights
         return Graph(w)
 
-    def _reach(self, start: int) -> set[int]:
-        """Vertices reachable from ``start``, by depth-first search."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
     def is_connected(self) -> bool:
-        return len(self._reach(0)) == self.n
+        return len(_reach(self.weights.tolist(), 0)) == self.n
 
     def articulation_points(self) -> set[int]:
-        """Cut vertices, by deletion and recount.  Fine at the sizes used here."""
-        if self.n <= 2:
-            return set()
-        base = self._component_count()
-        out = set()
-        for v in range(self.n):
-            if self.delete([v])._component_count() > base:
-                out.add(v)
-        return out
-
-    def _component_count(self) -> int:
-        seen: set[int] = set()
-        comps = 0
-        for start in range(self.n):
-            if start not in seen:
-                comps += 1
-                seen |= self._reach(start)
-        return comps
+        """Cut vertices: those whose removal splits their component, so that
+        one neighbour no longer reaches all the others."""
+        w = self.weights.tolist()
+        return {
+            v
+            for v in range(self.n)
+            for u in self.neighbors(v)[:1]
+            if len(_reach(w, u, v)) < len(_reach(w, v)) - 1
+        }
 
     def _check_vertex(self, *vertices: int) -> None:
         _check_vertices(self.n, vertices)
@@ -289,6 +268,18 @@ class Graph:
 
     def __setstate__(self, state):
         self.__init__(state)
+
+
+def _reach(w: list[list[float]], start: int, gone: int | None = None) -> set[int]:
+    """Vertices reachable from ``start`` in the graph of weights w with
+    ``gone`` removed, by depth-first search."""
+    seen = {start, gone}
+    stack = [start]
+    while stack:
+        new = [v for v, x in enumerate(w[stack.pop()]) if x and v not in seen]
+        seen.update(new)
+        stack += new
+    return seen - {gone}
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +617,29 @@ def canonical_key(g: Graph, root: int | None = None) -> tuple:
 
 
 def automorphism_orbits(g: Graph) -> list[list[int]]:
-    """Vertex orbits under the automorphism group: two vertices share an
-    orbit exactly when their rooted canonical forms agree."""
+    """Vertex orbits under the automorphism group, joined along the
+    automorphisms that one canonical search meets (``_least_order``)."""
     _check_order(g.n)
-    w = g.weights.tolist()
-    twin = _twins(w)
-    keys = {v: _least_order(w, v, rows=True)[0] for v in set(twin)}
-    orbits: dict[tuple, list[int]] = {}
-    for v in range(g.n):
-        orbits.setdefault(keys[twin[v]], []).append(v)
-    return sorted(orbits.values())
+    found = _least_order(g.weights.tolist(), None, rows=True)[2]
+    orbits: dict[int, list[int]] = {}
+    for v, low in enumerate(_orbit_minima(g.n, found)):
+        orbits.setdefault(low, []).append(v)
+    return list(orbits.values())
+
+
+def _orbit_minima(n: int, gens: list[list[int]]) -> list[int]:
+    """The least vertex of each vertex's orbit under the group that the
+    permutations ``gens`` generate: each vertex not yet reached starts an
+    orbit, which is closed under ``gens`` before the next vertex."""
+    low = [-1] * n
+    for v in range(n):
+        stack = [v] if low[v] < 0 else []
+        while stack:
+            u = stack.pop()
+            if low[u] < 0:
+                low[u] = v
+                stack += [p[u] for p in gens]
+    return low
 
 
 def _twins(w: list[list[float]]) -> list[int]:
@@ -656,9 +660,11 @@ def _twins(w: list[list[float]]) -> list[int]:
     return twin
 
 
-def _least_order(w: list[list[float]], root: int | None, rows: bool) -> tuple[tuple, list[int]]:
+def _least_order(
+    w: list[list[float]], root: int | None, rows: bool
+) -> tuple[tuple, list[int], list[list[int]]]:
     """Branch and bound for the least code of a vertex order, with one
-    order that reaches it.
+    order that reaches it and the automorphisms met on the way.
 
     Vertices are placed one at a time from the first cell of an ordered
     partition of the unplaced ones; placing v splits every cell by weight
@@ -670,19 +676,27 @@ def _least_order(w: list[list[float]], root: int | None, rows: bool) -> tuple[tu
     the code is column-major and strictly above the diagonal: placing v
     writes its weights to the placed vertices, the same for every member
     of the first cell.  Only the first of a set of twins in a cell is
-    explored, and a prefix above the best code found is cut."""
+    explored, and a prefix above the best code found is cut.
+
+    The automorphisms met, each a list p with p[u] the image of u, are the
+    twin swaps and the map from the first order with the best code so far
+    to each later order with that code.  Without ``root`` they generate the
+    automorphism group: the search is closed under it, up to the twins cut."""
     n = len(w)
     twin = _twins(w)
     code: list[float] = []
     order: list[int] = []
     best: tuple | None = None
     best_order: list[int] = []
+    found = [[{u: v, v: u}.get(x, x) for x in range(n)] for v, u in enumerate(twin) if u != v]
 
     def place(cells: list[list[int]]) -> None:
         nonlocal best, best_order
         if not cells:
             if best is None:
                 best, best_order = tuple(code), order[:]
+            else:  # every live prefix equals the best code's, so this one does
+                found.append([v for _, v in sorted(zip(best_order, order))])
             return
         first = cells[0]
         options = []
@@ -714,7 +728,7 @@ def _least_order(w: list[list[float]], root: int | None, rows: bool) -> tuple[tu
         del code[at:]
 
     place([list(range(n))] if root is None else [[root], [v for v in range(n) if v != root]])
-    return best, best_order
+    return best, best_order, found
 
 
 def _split(wv: list[float], cells: list[list[int]]) -> list[list[int]]:
@@ -729,44 +743,69 @@ def _split(wv: list[float], cells: list[list[int]]) -> list[list[int]]:
 
 
 def connected_graphs(max_n: int) -> Iterator[Graph]:
-    """All connected simple unweighted graphs with 1 <= n <= max_n, one per
-    isomorphism class, sorted by edge count and then canonical key within
-    each order.
+    """All connected simple unweighted graphs with 1 <= n <= max_n <= 7, one
+    per isomorphism class, sorted by edge count and then canonical key
+    within each order.  ``max_n`` is checked at the call."""
+    # the generator expression calls marked_graphs, which checks max_n, at once;
+    # vertex 0 is the least of its orbit, so it marks each class once
+    return (g for g, v in marked_graphs(max_n) if v == 0)
 
-    Every connected graph has a vertex whose removal leaves it connected (a
-    leaf of a spanning tree), so the classes on n vertices come from those
-    on n - 1 by adding a vertex with every nonempty neighbourhood.  Each
-    class is given in its labelling with the least edge mask, the graph an
-    increasing loop over edge masks would meet first."""
+
+def marked_graphs(max_n: int) -> Iterator[tuple[Graph, int]]:
+    """Connected graphs with a marked vertex, deduplicated by rooted
+    isomorphism (the least vertex of each orbit).  ``max_n`` is checked at
+    the call."""
     _check_count("max_n", max_n, 0)
     if max_n > 7:
         raise ValueError("exhaustive enumeration is limited to n <= 7")
-    level = [[[0.0]]]
+    return _marked_classes(max_n)
+
+
+def _marked_classes(max_n: int) -> Iterator[tuple[Graph, int]]:
+    """``marked_graphs`` by canonical augmentation (McKay, J. Algorithms
+    26, 1998).  Every connected graph has a vertex whose removal leaves it
+    connected (a leaf of a spanning tree).  So each class on n vertices is
+    one on n - 1 with a vertex added, once per orbit of nonempty
+    neighbourhoods, kept only where the new vertex shares an orbit with the
+    last vertex of its canonical order whose removal leaves it connected.
+    Each class is given in its labelling with the least edge mask, the one
+    an increasing loop over edge masks meets first, and its automorphisms
+    are carried into that labelling."""
+    level: list[tuple[list[list[float]], list[list[int]]]] = [([[0.0]], [])]
     for n in range(1, max_n + 1):
         if n > 1:
-            classes: dict[tuple, list[list[float]]] = {}
-            for w in level:
-                for hood in range(1, 1 << (n - 1)):
+            kept = []
+            for w, gens in level:
+                on_sets = [
+                    [sum(1 << p[u] for u in range(n - 1) if s >> u & 1) for s in range(1 << n - 1)]
+                    for p in gens
+                ]
+                for hood, least in enumerate(_orbit_minima(1 << n - 1, on_sets)):
+                    if not 0 < hood == least:
+                        continue
                     new = [float(hood >> u & 1) for u in range(n - 1)]
                     grown = [row + [x] for row, x in zip(w, new)] + [new + [0.0]]
-                    classes.setdefault(_least_order(grown, None, rows=True)[0], grown)
+                    key, order, found = _least_order(grown, None, rows=True)
+                    low = _orbit_minima(n, found)
+                    last = next(
+                        v for v in order[::-1] if len(_reach(grown, (v + 1) % n, v)) == n - 1
+                    )
+                    if low[last] == low[n - 1]:
+                        kept.append((key, grown, found))
             # the sum of a 0/1 key with a zero diagonal is the edge count
-            ranked = sorted(classes.items(), key=lambda item: (sum(item[0]), item[0]))
+            kept.sort(key=lambda item: (sum(item[0]), item[0]))
             level = []
-            for _, w in ranked:
+            for _, w, found in kept:
                 # Bit k of an edge mask is the k-th pair of combinations(range(n), 2),
                 # so the highest bits are the pairs among the highest labels: the
                 # least mask hands out labels from n - 1 down, each vertex with the
                 # least weights to those labelled before it (the column-major code).
                 order = _least_order(w, None, rows=False)[1][::-1]
-                level.append([[w[u][v] for v in order] for u in order])
-        for w in level:
-            yield Graph(w)
-
-
-def marked_graphs(max_n: int) -> Iterator[tuple[Graph, int]]:
-    """Connected graphs with a marked vertex, deduplicated by rooted
-    isomorphism (one representative per vertex orbit)."""
-    for g in connected_graphs(max_n):
-        for orbit in automorphism_orbits(g):
-            yield g, orbit[0]
+                at = {v: i for i, v in enumerate(order)}
+                relabel = [[w[u][v] for v in order] for u in order]
+                level.append((relabel, [[at[p[v]] for v in order] for p in found]))
+        for w, gens in level:
+            g = Graph(np.array(w))
+            for v, low in enumerate(_orbit_minima(n, gens)):
+                if v == low:
+                    yield g, v

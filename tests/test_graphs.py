@@ -651,6 +651,108 @@ def test_marked_graphs_match_the_mask_loop():
         assert edge_mask(w, range(6)) == min(edge_mask(w, p) for p in itertools.permutations(range(6)))
 
 
+def connected_graphs_by_every_hood(max_n):
+    """Oracle: the levels n = 1..max_n of connected classes as weight lists,
+    each level from the one below by adding a vertex with every nonempty
+    neighbourhood, one graph kept per canonical key, sorted by (edges,
+    key) and relabelled by the column-major search."""
+    levels = [[[[0.0]]]]
+    for n in range(2, max_n + 1):
+        classes = {}
+        for w in levels[-1]:
+            for hood in range(1, 1 << (n - 1)):
+                new = [float(hood >> u & 1) for u in range(n - 1)]
+                grown = [row + [x] for row, x in zip(w, new)] + [new + [0.0]]
+                classes.setdefault(graphs._least_order(grown, None, rows=True)[0], grown)
+        levels.append([])
+        for key, w in sorted(classes.items(), key=lambda item: (sum(item[0]), item[0])):
+            order = graphs._least_order(w, None, rows=False)[1][::-1]
+            levels[-1].append([[w[u][v] for v in order] for u in order])
+    return levels
+
+
+def orbits_by_rooted_keys(g):
+    """Oracle: two vertices share an orbit exactly when their rooted
+    canonical keys agree."""
+    orbits = {}
+    for v in range(g.n):
+        orbits.setdefault(canonical_key(g, root=v), []).append(v)
+    return sorted(orbits.values())
+
+
+def orbits_by_networkx(g):
+    """Oracle: u joins the orbit of v when networkx finds an isomorphism of
+    the graph marked at v onto the graph marked at u."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def marked(v):
+        h = nx.Graph([(a, b) for a, b, _ in g.edges()])
+        h.add_nodes_from(range(g.n))
+        nx.set_node_attributes(h, {u: u == v for u in range(g.n)}, "mark")
+        return h
+
+    match = dict.__eq__  # the "mark" attributes agree
+    orbits, left = [], list(range(g.n))
+    while left:
+        h = marked(left[0])
+        orbit = [u for u in left if GraphMatcher(h, marked(u), node_match=match).is_isomorphic()]
+        orbits.append(orbit)
+        left = [u for u in left if u not in orbit]
+    return orbits
+
+
+def test_augmentation_matches_keying_every_neighbourhood():
+    levels = connected_graphs_by_every_hood(6)
+    got = [[] for _ in levels]
+    for g in connected_graphs(6):
+        got[g.n - 1].append(g.weights.tolist())
+    assert got == levels
+    assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112]
+
+
+def test_orbits_from_generators_match_rooted_keys_and_networkx():
+    q4 = hypercube(4)
+    k44 = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
+    families = [build_complete(12), build_cycle(16), build_star(15), petersen(), q4, k44]
+    count = 0
+    for g in [*connected_graphs(6), *families]:
+        orbits = automorphism_orbits(g)
+        assert orbits == orbits_by_rooted_keys(g) == orbits_by_networkx(g)
+        count += 1
+    assert count == 143 + len(families)
+
+
+def test_marked_graphs_run_no_search_per_extension_or_vertex(monkeypatch):
+    # one row-major search per neighbourhood orbit of each class with n <= 5,
+    # one column-major labelling per class with 2 <= n <= 6, and no rooted
+    # search: the loop that keyed every neighbourhood made 1503 searches
+    calls = []
+    least_order = graphs._least_order
+
+    def spy(w, root, rows):
+        calls.append((root, rows))
+        return least_order(w, root, rows)
+
+    monkeypatch.setattr(graphs, "_least_order", spy)
+    assert len(list(marked_graphs(6))) == 481
+    assert calls.count((None, True)) == 388
+    assert calls.count((None, False)) == 142
+    assert len(calls) == 388 + 142
+
+
+def test_enumerations_check_max_n_when_called():
+    # no element is asked for: the checks run at the call
+    for enumerate_ in (connected_graphs, marked_graphs):
+        with pytest.raises(ValueError, match="^max_n must be an integer, got 2.5$"):
+            enumerate_(2.5)
+        with pytest.raises(ValueError, match="^max_n must be at least 0, got -1$"):
+            enumerate_(-1)
+        with pytest.raises(ValueError, match="^exhaustive enumeration is limited to n <= 7$"):
+            enumerate_(9)
+    assert list(marked_graphs(0)) == [] and list(connected_graphs(0)) == []
+
+
 def test_twins_keep_symmetric_graphs_cheap(monkeypatch):
     # K_n, stars and K_{m,n} tie at every choice; without twin pruning the
     # key would explore n! orders
@@ -768,7 +870,27 @@ def test_delete_and_relabel():
     assert are_isomorphic(r, g)
 
 
+def components_by_brute_force(g):
+    """Oracle: the number of classes of the reachability relation, each
+    class the vertices joined to one by a path of iter_ab_paths."""
+    left, count = set(range(g.n)), 0
+    while left:
+        v = left.pop()
+        left -= {u for u in left if any(iter_ab_paths(g, v, u))}
+        count += 1
+    return count
+
+
 def test_articulation_points():
     g, a, b = build_double_star(2, 2)
     assert set(g.articulation_points()) == {a, b}
     assert set(build_cycle(5).articulation_points()) == set()
+    # disconnected and looped graphs too: a cut vertex is one whose deletion
+    # leaves more components
+    rng = random.Random(11)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 7), p=0.35).with_loop(0, 1.0)
+        base = components_by_brute_force(g)
+        expect = {v for v in range(g.n) if components_by_brute_force(g.delete([v])) > base}
+        assert g.articulation_points() == expect
+        assert g.is_connected() == (base == 1)
