@@ -511,24 +511,29 @@ def charpoly(g: Graph) -> IntPoly:
     return p
 
 
+def _numerator(den: IntPoly, walks) -> IntPoly:
+    """The polynomial part of den(t) sum_k walks[k] t**(-k-1), N_i =
+    sum_(j>i) d_j walks[j-1-i] for den = sum_j d_j t**j: the numerator of a
+    resolvent entry over its denominator, read from walks[:deg den]."""
+    d = den.coeffs
+    return IntPoly(sum(map(operator.mul, d[i + 1 :], walks)) for i in range(len(d) - 1))
+
+
 def _adjugate_entries(g: Graph, phi: IntPoly, a: int, b: int) -> None:
     """Put phi(G\\a), phi(G\\b) and, when a != b, P_ab = adj(tI - A)_ab
     into ``g._poly_cache``, from walk counts against phi = phi(G), exact:
     no charpoly, no modulus.  Entries already cached are kept.
 
-    With phi = sum_j c_j t**(n-j), adj(tI - A) = phi(t) (tI - A)**-1 and
-    (tI - A)**-1 = sum_k A**k t**(-k-1), so the coefficient of t**(n-1-m)
-    in entry (u, v) is sum_{j<=m} c_j (A**(m-j))_uv (Godsil, Algebraic
-    Combinatorics, ch. 4).  The walk counts (A**k)_aa and (A**k)_ab, k < n,
-    are entries a and b of the Krylov vectors A**k e_a, and (A**k)_bb those
-    of A**k e_b.
+    adj(tI - A) = phi(t) (tI - A)**-1 and (tI - A)**-1 = sum_k A**k
+    t**(-k-1), so entry (u, v) is the polynomial part of phi(t) sum_k
+    (A**k)_uv t**(-k-1) (``_numerator``; Godsil, Algebraic Combinatorics,
+    ch. 4).  The walk counts (A**k)_aa and (A**k)_ab, k < n, are entries a
+    and b of the Krylov vectors A**k e_a, and (A**k)_bb those of A**k e_b.
     """
-    n, c = g.n, phi.coeffs[::-1]
     cache = g._poly_cache
 
     def entry(walks: _Krylov, u: int) -> IntPoly:
-        w = [int(walks[k][u]) for k in range(n)]
-        return IntPoly(sum(c[j] * w[m - j] for j in range(m + 1)) for m in range(n - 1, -1, -1))
+        return _numerator(phi, [int(walks[k][u]) for k in range(g.n)])
 
     from_a = _unit_walks(g, a)
     cache.setdefault(("charpoly", frozenset((a,))), entry(from_a, a))
@@ -668,10 +673,12 @@ class RationalFunction:
 
 def _adjacency(g: Graph) -> tuple:
     """The rows, columns and exact weights of the nonzero entries of A and
-    ||A||_inf, made once per graph; the weights are int64 while every row
-    sum of |A| fits (n max |A_uv| < 2**62), Python integers beyond."""
+    ||A||_inf, made once per graph, on integer weights only
+    (``Graph._check_integer``); the weights are int64 while every row sum
+    of |A| fits (n max |A_uv| < 2**62), Python integers beyond."""
     key = ("adjacency", None)
     if key not in g._poly_cache:
+        g._check_integer()
         w = g.weights
         rows, cols = np.nonzero(w)
         if g.n * np.abs(w).max() < 2.0**62:
@@ -821,8 +828,6 @@ def sigma_classes(g: Graph, a: int, b: int) -> tuple[IntPoly, IntPoly] | None:
     key = ("sigma", frozenset((a, b)))
     if key in g._poly_cache:
         return g._poly_cache[key]
-    if not g.integer_flag:
-        raise ValueError("graph has non-integer weights")
     plus = _unit_walks(g, a, b, 1)
     m_plus = _minimal_polynomial(plus)
     classes = None
@@ -843,19 +848,16 @@ def walk_gf(g: Graph, a: int) -> RationalFunction:
     It is sum_r (E_r)_aa / (t - theta_r) = sum_j mu_j t**(-j-1), mu_j =
     (A**j)_aa.  Each residue (E_r)_aa = ||E_r e_a||**2 is positive, so the
     reduced denominator D is the minimal polynomial of e_a, and N is the
-    polynomial part of D sum_j mu_j t**(-j-1), N_i = sum_(j>i) d_j mu_(j-1-i).
-    No charpoly and no gcd.  Cached under ("walk_gf", a)."""
+    polynomial part of D sum_j mu_j t**(-j-1), N_i = sum_(j>i) d_j mu_(j-1-i)
+    (``_numerator``).  No charpoly and no gcd.  Cached under ("walk_gf", a)."""
     g._check_vertex(a)
     key = ("walk_gf", a)
     if key not in g._poly_cache:
-        if not g.integer_flag:
-            raise ValueError("graph has non-integer weights")
         walks = _unit_walks(g, a)
-        d = _minimal_polynomial(walks).coeffs
+        den = _minimal_polynomial(walks)
         # N / D is reduced as read: set it without a gcd
         gf = g._poly_cache[key] = RationalFunction.__new__(RationalFunction)
-        gf.num = IntPoly(sum(map(operator.mul, d[i + 1 :], walks.mu)) for i in range(len(d) - 1))
-        gf.den = IntPoly(d)
+        gf.num, gf.den = _numerator(den, walks.mu), den
     return g._poly_cache[key]
 
 

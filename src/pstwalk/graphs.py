@@ -121,7 +121,7 @@ class Graph:
     """Symmetric weighted adjacency structure.
 
     ``integer_flag`` is true when every weight is exactly an integer, which
-    is what the exact polynomial layer requires.
+    is what the exact polynomial layer requires (``_check_integer``).
     """
 
     __slots__ = ("weights", "_integer", "_poly_cache")
@@ -178,9 +178,8 @@ class Graph:
         return off_ok and bool(np.all(np.diag(w) == 0))
 
     def int_matrix(self) -> list[list[int]]:
-        """Weights as exact Python integers.  Requires integer_flag."""
-        if not self._integer:
-            raise ValueError("graph has non-integer weights")
+        """Weights as exact Python integers (``_check_integer``)."""
+        self._check_integer()
         return [[int(x) for x in row] for row in self.weights.tolist()]
 
     def neighbors(self, u: int) -> list[int]:
@@ -249,6 +248,14 @@ class Graph:
         self._check_vertex(a, b)
         if a == b:
             raise ValueError(message)
+
+    def _check_integer(self) -> None:
+        """Every weight an integer, or ValueError: the exact layer's one refusal,
+        made by its readers of exact weights, ``int_matrix`` and ``exactpoly._adjacency``."""
+        if not self._integer:
+            raise ValueError(
+                "graph has non-integer weights; the exact layer needs integer weights"
+            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -360,14 +360,12 @@ def _admissible_g(gaps: list[int], sigmas) -> int | None:
 
 def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     """Decide perfect state transfer between a and b.  Requires integer
-    weights.
+    weights: ``sigma_classes`` refuses others before any work.
 
     ``pst_decision`` over the pair's sigma classes and its reading from
     the graph's decomposition, a stack of one.
     """
     g._check_pair(a, b, "perfect state transfer needs two distinct vertices")
-    if not g.integer_flag:
-        raise ValueError("perfect state transfer certificate needs integer weights")
     return pst_decision(sigma_classes(g, a, b), decompose(g).pair(a, b), a, b)
 
 

@@ -142,14 +142,12 @@ def read_pairs(thetas, vectors: np.ndarray, starts: np.ndarray, a, b) -> PairRea
     of a stack of eigenvector matrices (k, n, n), its eigenspaces starting
     at the flat columns ``starts``, one eigenvalue in ``thetas`` each
     (``eigenspaces``).  Integers a and b read the same rows of every
-    matrix by basic indexing, as a graph does (a stack of one,
-    ``SpectralDecomposition.pair``).  Each number sums a product of the two
-    rows over an eigenspace; the difference norms come from the row
-    differences, with no cancellation.
+    matrix, as a graph does (a stack of one, ``SpectralDecomposition.pair``).
+    Each number sums a product of the two rows over an eigenspace; the
+    difference norms come from the row differences, with no cancellation.
     """
     k, n = vectors.shape[:2]
-    rows = np.arange(k) if isinstance(a, np.ndarray) else slice(None)
-    va, vb = vectors[rows, a], vectors[rows, b]
+    va, vb = vectors[np.arange(k), a], vectors[np.arange(k), b]
     # np.array, not np.stack, whose checks cost more than a graph's few rows
     products = np.array([va * vb, va * va, vb * vb, (va - vb) ** 2, (va + vb) ** 2])
     ab, aa, bb, minus, plus = np.add.reduceat(products.reshape(5, -1), starts, axis=-1)

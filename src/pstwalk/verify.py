@@ -135,12 +135,6 @@ class QuotientPartition:
     cells: tuple[tuple[int, ...], ...]
     quotient: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "cells": [list(c) for c in self.cells],
-            "quotient": [[float(x) for x in row] for row in self.quotient],
-        }
-
 
 def equitable_quotient(g: Graph, cells: list[list[int]]) -> QuotientPartition:
     """Check that ``cells`` is an equitable partition and build the

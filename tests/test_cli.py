@@ -81,6 +81,28 @@ def test_charpoly_rejects_fractional_weights(capsys, graph_file):
     assert main(["charpoly", path]) == 2
 
 
+@pytest.mark.parametrize("command", ["charpoly", "pst", "compose"])
+def test_exact_commands_refuse_fractional_weights(capsys, graph_file, command):
+    # each reaches the exact layer's one refusal, Graph._check_integer
+    path = graph_file("2 1\n0 1 0.5\n")
+    argv = {
+        "charpoly": ["charpoly", path],
+        "pst": ["pst", path, "0", "1"],
+        "compose": ["compose", "--y1", path, "--a", "0", "--y2", path, "--b", "0"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: graph has non-integer weights; the exact layer needs" in captured.err
+
+
+def test_charpoly_refuses_a_repeated_deleted_vertex(capsys, graph_file):
+    assert main(["charpoly", graph_file(P3_EDGELIST), "--deleted", "0", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: repeated vertex in --deleted" in captured.err
+
+
 def test_charpoly_rejects_weights_float64_would_round(capsys, graph_file):
     path = graph_file("2 1\n0 1 1152921504606846977\n")
     assert main(["charpoly", path]) == 2
@@ -374,6 +396,32 @@ def test_verify_rejects_options_the_suite_does_not_read(capsys, flags, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"input error: suite {flags[1]} takes no {option}" in captured.err
+
+
+def test_failed_suite_exits_1(capsys, monkeypatch):
+    failed = verify.SuiteResult("onesum", 3, failures=["onesum #0"])
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: failed)
+    code, report, err = run_json(capsys, ["verify", "--suite", "onesum"])
+    assert code == 1
+    assert report["result"]["passed"] is False
+    assert "suite onesum: 1 failures" in err
+
+
+@pytest.mark.parametrize(
+    "field, record, summary",
+    [
+        ("pst_successes", {"n1": 2, "n2": 1, "pst_time": 1.5, "scan_peak": 1.0}, "(1 nontrivial)"),
+        ("scan_disagreements", {"n1": 1, "n2": 1, "scan_peak": 1.0}, "1 scan disagreements"),
+    ],
+    ids=["nontrivial-success", "scan-disagreement"],
+)
+def test_search_hit_exits_1(capsys, monkeypatch, field, record, summary):
+    report = verify.SearchReport(bridge=2, max_n=2, source="builtin")
+    getattr(report, field).append({"y1": "A_", "a": 0, "y2": "@", "b": 0, **record})
+    monkeypatch.setattr(cli, "search_no_pst", lambda *args, **kwargs: report)
+    code, _, err = run_json(capsys, ["search", "--bridge", "2", "--max-n", "2"])
+    assert code == 1
+    assert summary in err
 
 
 def test_verify_unknown_suite_rejected():

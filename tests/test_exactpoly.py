@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,7 @@ from pstwalk.graphs import (
     parse_graph,
 )
 from pstwalk.pst import pst_certificate
+from pstwalk.spectral import projector_entry_via_neutrino
 from pstwalk.verify import random_connected_graph, search_no_pst
 
 
@@ -1121,6 +1123,42 @@ def test_krylov_modules_of_a_graph_share_one_adjacency(monkeypatch):
     rows, cols, weights, norm = g._poly_cache[("adjacency", None)]
     assert norm == 2 and weights.dtype == np.int64
     assert all(w._rows is rows and w._cols is cols and w._weights is weights for w in made)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        charpoly,
+        lambda g: charpoly_deleted(g, [0]),
+        lambda g: path_sum_poly(g, 0, 1),
+        lambda g: sigma_classes(g, 0, 1),
+        lambda g: walk_gf(g, 0),
+        lambda g: return_walk_gf(g, 0),
+        lambda g: projector_entry_via_neutrino(g, 0, 1, 0.5),
+        lambda g: pst_certificate(g, 0, 1),
+        xp._adjacency,
+    ],
+    ids=[
+        "charpoly",
+        "charpoly_deleted",
+        "path_sum_poly",
+        "sigma_classes",
+        "walk_gf",
+        "return_walk_gf",
+        "projector_entry_via_neutrino",
+        "pst_certificate",
+        "_adjacency",
+    ],
+)
+def test_exact_layer_refuses_non_integer_weights_before_any_work(call):
+    # K2 with weight 1/2: each entrance reaches Graph._check_integer through
+    # Graph.int_matrix or exactpoly._adjacency, which would otherwise cast
+    # the weight to 0, and nothing is cached
+    g = Graph(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    message = "graph has non-integer weights; the exact layer needs integer weights"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(g)
+    assert g._poly_cache == {}
 
 
 def test_refused_annihilation_check_raises_and_returns_no_class(monkeypatch):

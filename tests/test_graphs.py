@@ -446,6 +446,64 @@ def test_graph6_header_stripped():
     assert are_isomorphic(g, build_star(3))
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", None, "empty input"),
+        ("a b", 1, "header must be two integers"),
+        ("0 0", 1, "header out of range"),
+        ("2 -1", 1, "header out of range"),
+        ("3 2\n0 1", 1, "expected 2 edge lines"),
+        ("2 0\nfoo 0 1", 2, "expected 'loop u w'"),
+        ("2 1\n0 1\nloop 0", 3, "expected 'loop u w'"),
+        ("2 1\n0 x", 2, "malformed edge line"),
+        ("2 0\nloop x 1", 2, "malformed loop line"),
+    ],
+)
+def test_edgelist_refusals_name_their_line(text, line, message):
+    with pytest.raises(GraphParseError, match=message) as err:
+        parse_graph(text, "edgelist")
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("~~?????", "unsupported graph6 size form"),
+        ("?", "zero vertices"),
+        ("A", "body has wrong length"),
+        ("B~", "padding bits must be zero"),
+    ],
+)
+def test_graph6_refusals(text, message):
+    with pytest.raises(GraphParseError, match=message):
+        parse_graph(text, "graph6")
+
+
+def test_unknown_format_is_refused_both_ways():
+    with pytest.raises(ValueError, match="unknown format 'dot'"):
+        parse_graph("1 0\n", "dot")
+    with pytest.raises(ValueError, match="unknown format 'dot'"):
+        serialize_graph(build_path(2), "dot")
+
+
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_graph6_long_header_round_trip(n):
+    # from 63 vertices on, the order takes the four-byte header "~xyz"
+    g = random_graph(random.Random(n), n)
+    text = serialize_graph(g, "graph6")
+    assert text[0] == "~" and len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert parse_graph(text, "graph6") == g
+    try:
+        import networkx as nx
+    except ImportError:
+        return
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, v) for u, v, _ in g.edges())
+    assert text.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
+
+
 def test_isomorphism_basic():
     assert are_isomorphic(build_path(4), build_path(4).relabeled([3, 1, 0, 2]))
     assert not are_isomorphic(build_path(4), build_star(3))

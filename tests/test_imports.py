@@ -2,7 +2,9 @@
 that module, ``numpy.linalg.eigh`` runs in one function only and no other
 LAPACK eigen routine is named, one function reads the primes of the modular
 charpoly, only the pair reader and the eigenvalue means sum over
-eigenspaces, and one function names ``numbers.Integral``.
+eigenspaces, one function names ``numbers.Integral``, one function refuses
+non-integer weights for the exact layer, and one function forms a
+resolvent numerator.
 
 The import scan skips ``__init__.py``: its imports are the package's public
 names.
@@ -165,3 +167,73 @@ def test_one_function_names_numbers_integral():
         for scope in name_scopes(p.read_text(), "Integral")
     ]
     assert found == ["graphs._is_integer"]
+
+
+# the exact layer's refusal of non-integer weights, raised by Graph._check_integer
+INTEGER_REFUSAL = "the exact layer needs integer weights"
+
+
+def text_scopes(source: str, text: str) -> list[str]:
+    """The innermost function around each string literal that contains
+    ``text``, or ``<module>`` outside every function."""
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if text in child.value:
+                    found.append(scope)
+            visit(child, child.name if isinstance(child, functions) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_a_second_integer_refusal():
+    # the real modules with one more function that tests the weights itself
+    source = (SRC / "pst.py").read_text()
+    flag = source + "\n\ndef leak(g):\n    return g.integer_flag\n"
+    refusal = source + (
+        "\n\ndef leak(g):\n"
+        f"    raise ValueError('graph has non-integer weights; {INTEGER_REFUSAL}')\n"
+    )
+    assert name_scopes(source, "integer_flag") == text_scopes(source, INTEGER_REFUSAL) == []
+    assert name_scopes(flag, "integer_flag") == ["leak"]
+    assert text_scopes(refusal, INTEGER_REFUSAL) == ["leak"]
+
+
+def test_one_refusal_of_non_integer_weights():
+    # the exact layer's two readers of exact weights, Graph.int_matrix and
+    # exactpoly._adjacency, call Graph._check_integer, and no entrance of the
+    # exact layer, the certificate or the CLI tests the weights itself
+    flags = [
+        f"{stem}.{scope}"
+        for stem in ("cli", "exactpoly", "pst")
+        for scope in name_scopes((SRC / f"{stem}.py").read_text(), "integer_flag")
+    ]
+    assert flags == []
+    refusals = [
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in text_scopes(p.read_text(), INTEGER_REFUSAL)
+    ]
+    assert refusals == ["graphs._check_integer"]
+    readers = [
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in name_scopes(p.read_text(), "_check_integer")
+    ]
+    assert readers == ["exactpoly._adjacency", "graphs.int_matrix"]
+
+
+def test_one_function_forms_resolvent_numerators():
+    # a key's numerator N over the minimal polynomial of e_v (walk_gf) and an
+    # adjugate entry over phi(G) (the entry of _adjugate_entries) are one
+    # convolution, exactpoly._numerator
+    found = [
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in name_scopes(p.read_text(), "_numerator")
+    ]
+    assert found == ["exactpoly.entry", "exactpoly.walk_gf"]

@@ -1,5 +1,6 @@
 """Fidelity evolution, transfer-time derivation, and PST certificates."""
 
+import dataclasses
 import json
 import math
 import random
@@ -528,6 +529,27 @@ def test_certificate_needs_integer_weights():
     assert evolve_fidelity(g, 0, 1, math.pi) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="integer weights"):
         pst_certificate(g, 0, 1)
+
+
+def test_sign_disagreement_raises():
+    # P3 ends have sigma = (+1, -1, +1); a reading whose (E_0)_02 has the
+    # wrong sign, all else kept, contradicts the exact classes
+    g = build_path(3)
+    reading = decompose(g).pair(0, 2)
+    ab = reading.ab.copy()
+    ab[np.argmin(np.abs(reading.thetas))] *= -1
+    flipped = dataclasses.replace(reading, ab=ab)
+    with pytest.raises(RuntimeError, match="exact and numeric sigma signs disagree"):
+        pst.pst_decision(xp.sigma_classes(g, 0, 2), flipped, 0, 2)
+
+
+def test_unconfirmed_transfer_time_raises():
+    # a reading whose top eigenvalue is off by 0.05 misses the certified time
+    g = build_path(2)
+    reading = decompose(g).pair(0, 1)
+    shifted = dataclasses.replace(reading, thetas=(reading.thetas[0] + 0.05, *reading.thetas[1:]))
+    with pytest.raises(RuntimeError, match=r"but fidelity is 0\.9992"):
+        pst.pst_decision(xp.sigma_classes(g, 0, 1), shifted, 0, 1)
 
 
 def test_double_star_failure_reasons():

@@ -173,6 +173,14 @@ def test_support_correspondence_requires_walk_equivalence():
         verify_support_correspondence_p3(p2, 0, k1, 0)
 
 
+def test_support_correspondence_requires_strongly_cospectral_ends(monkeypatch):
+    # the composite's classes are read only once its ends are strongly cospectral
+    monkeypatch.setattr(verify, "strongly_cospectral_exact", lambda *args: False)
+    p2 = build_path(2)
+    with pytest.raises(ValueError, match="not strongly cospectral"):
+        verify_support_correspondence_p2(p2, 0, p2, 0)
+
+
 def test_support_correspondence_star_centers():
     s3 = build_star(3)
     assert verify_support_correspondence_p2(s3, 0, s3, 0)
@@ -404,6 +412,16 @@ def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
     _fix_ceilings(monkeypatch, 0.5)
     # K1 - K1 across the bridge is the path itself: strongly cospectral ends
     with pytest.raises(RuntimeError, match="fidelity ceiling"):
+        search_no_pst(2, 1)
+
+
+def test_search_rejects_a_success_the_scan_does_not_confirm(monkeypatch):
+    def low_peaks(readings, t_max, steps):
+        return np.zeros(len(readings)), np.full(len(readings), 0.5)
+
+    monkeypatch.setattr(verify, "scan_phases", low_peaks)
+    # K1 - K1 across the bridge is P2, which certifies transfer at pi / 2
+    with pytest.raises(RuntimeError, match="certificate success not confirmed by scan"):
         search_no_pst(2, 1)
 
 
