@@ -39,6 +39,7 @@ __all__ = [
     "pst_certificate",
     "pst_decision",
     "quadratic_integer_structure",
+    "scan_bounds",
     "scan_phases",
     "StructureFailure",
 ]
@@ -48,6 +49,8 @@ CONFIRM_TOL = 1e-9
 # fidelity_scan refines its grid by _REFINE_GRIDS grids of _REFINE_STEPS intervals
 _REFINE_GRIDS = 4
 _REFINE_STEPS = 128
+# scan_bounds reads a grid of ceil(steps / _BOUND_COARSENING) intervals
+_BOUND_COARSENING = 16
 
 @dataclass(frozen=True)
 class PstCertificate:
@@ -171,6 +174,41 @@ def check_scan(t_max: float, steps: int) -> None:
     _check_count("steps", steps, 1)
 
 
+def _stack(readings) -> tuple[np.ndarray, np.ndarray]:
+    """The phases theta_r and weights (E_r)_ab of a list of pairs'
+    readings as two (pairs, d) arrays, one row a pair, a pair with fewer
+    eigenvalues padded with zero weights, which add nothing."""
+    thetas = np.zeros((len(readings), max(len(r.ab) for r in readings)))
+    weights = np.zeros_like(thetas)
+    for i, r in enumerate(readings):
+        thetas[i, : len(r.ab)] = r.thetas
+        weights[i, : len(r.ab)] = r.ab
+    return thetas, weights
+
+
+def scan_bounds(readings, t_max, steps: int) -> np.ndarray:
+    """An upper bound on each pair's fidelity over the whole window
+    [0, t_max[i]], for a list of pairs given by their readings: the best
+    value of a grid of ceil(steps / _BOUND_COARSENING) intervals of
+    spacing h (``_peak``), plus sum_r |w_r| theta_r**2 h**2 / 8 with
+    w_r = (E_r)_ab.
+
+    Let the fidelity peak at t* inside the window, and let g(t) be the real
+    part of the amplitude turned back by its phase at t*, so g is at most
+    the fidelity everywhere and equal to it at t*.  Then g has slope 0 at
+    t* and curvature at least -sum_r |w_r| theta_r**2, so at the grid point
+    within h / 2 of t* the fidelity is at most the bound's second term below
+    the peak.  A peak at an end of the window is itself a grid point.  The
+    caller checks each window (``check_scan``).
+    """
+    thetas, weights = _stack(readings)
+    t_max = np.asarray(t_max, dtype=float)
+    intervals = -(-steps // _BOUND_COARSENING)
+    h = t_max / intervals
+    _, best = _peak(thetas, weights, np.zeros(len(t_max)), h, intervals)
+    return best + (np.abs(weights) * thetas**2).sum(axis=1) * h**2 / 8
+
+
 def scan_phases(readings, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The fidelity scans of a list of pairs, given by their readings (the
     phases theta_r and (E_r)_ab), each over [0, t_max[i]] with ``steps``
@@ -181,12 +219,7 @@ def scan_phases(readings, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
     arrays (t_best, fidelity_best).  The caller checks each window
     (``check_scan``).
     """
-    # one row a pair, padded with zero weights
-    thetas = np.zeros((len(readings), max(len(r.ab) for r in readings)))
-    weights = np.zeros_like(thetas)
-    for i, r in enumerate(readings):
-        thetas[i, : len(r.ab)] = r.thetas
-        weights[i, : len(r.ab)] = r.ab
+    thetas, weights = _stack(readings)
     t_max = np.asarray(t_max, dtype=float)
     dt = t_max / steps
     best_t, best_f = _peak(thetas, weights, np.zeros(len(t_max)), dt, steps)

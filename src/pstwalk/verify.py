@@ -25,7 +25,7 @@ from .graphs import (
     one_sum,
     serialize_graph,
 )
-from .pst import check_scan, pst_decision, scan_phases
+from .pst import check_scan, pst_decision, scan_bounds, scan_phases
 from .spectral import (
     GROUPING_TOL,
     SUPPORT_TOL,
@@ -441,8 +441,9 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
     keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD, is decided
     from its slice of the chunk's readings (``pst.pst_decision``), and its
     fidelity scan waits with every other scan of these chunks until the
-    last is done; then the scans run as one stack per grid size
-    (``pst.scan_phases``)."""
+    last is done.  Then the failures' bounds are read as one stack
+    (``pst.scan_bounds``), and the scans that the bounds leave run as one
+    stack per grid size (``pst.scan_phases``)."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
     keys = [xp.walk_gf(g, v) for g, v in sides]
     # each key as a small integer, so a chunk compares its pairs' keys as arrays
@@ -458,6 +459,7 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
     stacks = {n: np.stack(ws) for n, ws in by_order.items()}
     # grid steps -> [(y1, a, y2, b, mirrored, reading, t_max, pst_time or None for a failure)]
     scans: dict = {}
+    failures = []
     for first, second, lo, hi in chunks:
         i1, i2 = _shape_pairs(first, second, np.arange(lo, hi))
         n1, n2 = sides[first[0]][0].n, sides[second[0]][0].n
@@ -520,9 +522,15 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
             if not scan_cross_check:
                 continue
             report.scan_checked += weight
-            scans.setdefault(scan_steps, []).append((*pair, scan_t_max, None))
+            failures.append((*pair, scan_t_max, None))
         # this chunk's eigenvectors go before the next ones are made
         del vectors
+    if failures:
+        *_, readings, t_max, _ = zip(*failures)
+        # a bound below the threshold rules transfer out over the whole window
+        for failure, bound in zip(failures, scan_bounds(readings, t_max, scan_steps).tolist()):
+            if bound >= 1.0 - SCAN_THRESHOLD:
+                scans.setdefault(scan_steps, []).append(failure)
     for steps, batch in scans.items():
         *_, readings, t_max, _ = zip(*batch)
         ts, fs = scan_phases(readings, t_max, steps)
@@ -599,10 +607,16 @@ def search_no_pst(
     is not an integer of at least 1, or a ``max_n`` that is not an integer
     of at least 0, raises ``ValueError`` before any work.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
-    1 - SCAN_THRESHOLD settles the failure; otherwise, as on every strongly
-    cospectral pair, a bounded scan runs, and a fidelity at or above
-    1 - SCAN_THRESHOLD is recorded as a disagreement (approximate transfer
-    peaks below that stay silent).  A strongly cospectral pair whose
+    1 - SCAN_THRESHOLD settles the failure.  Otherwise, as on every
+    strongly cospectral pair, the failure's fidelity over [0, scan_t_max]
+    is bounded by the best point of a grid 16 times coarser than the
+    scan's plus a curvature term (``pst.scan_bounds``), and a bound below
+    1 - SCAN_THRESHOLD settles it too.  The failures the bound leaves, and
+    every success, are scanned with ``scan_steps`` intervals (at least 2000
+    for a success), and a failure's fidelity at or above 1 - SCAN_THRESHOLD
+    is recorded as a disagreement (approximate transfer peaks below that
+    stay silent).  Every failure the ceiling or the bound settles still
+    counts in ``scan_checked``.  A strongly cospectral pair whose
     ceiling is below 1 - SCAN_THRESHOLD raises.  ``max_ceiling`` is read
     on the order the search composes.  Successes and disagreements are
     sorted by (n1, n2, y1, a, y2, b), so ``jobs`` does not change the

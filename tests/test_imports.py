@@ -3,8 +3,9 @@ that module, ``numpy.linalg.eigh`` runs in one function only and no other
 LAPACK eigen routine is named, one function reads the primes of the modular
 charpoly, only the pair reader and the eigenvalue means sum over
 eigenspaces, one function names ``numbers.Integral``, one function refuses
-non-integer weights for the exact layer, and one function forms a
-resolvent numerator.
+non-integer weights for the exact layer, one function forms a
+resolvent numerator, and no module but ``pst`` names the fidelity
+evaluator.
 
 The import scan skips ``__init__.py``: its imports are the package's public
 names.
@@ -237,3 +238,14 @@ def test_one_function_forms_resolvent_numerators():
         for scope in name_scopes(p.read_text(), "_numerator")
     ]
     assert found == ["exactpoly.entry", "exactpoly.walk_gf"]
+
+
+def test_one_fidelity_evaluator():
+    # every fidelity, at one time, over a scan or under the scan bound, is a
+    # grid of pst._peak, so the bound and the scans it settles read alike
+    found = {
+        f"{p.stem}.{scope}"
+        for p in sorted(SRC.glob("*.py"))
+        for scope in name_scopes(p.read_text(), "_peak")
+    }
+    assert found == {"pst.phase_fidelity", "pst.scan_bounds", "pst.scan_phases"}

@@ -292,6 +292,41 @@ def test_batched_scans_match_single_scans():
             assert (t, f) == fidelity_scan(g, a, b, tm, steps)
 
 
+def test_scan_bounds_hold_over_the_whole_window():
+    """The bound of each of the 41 seeded pairs of
+    ``test_batched_scans_match_single_scans``, in each of its three windows,
+    is at least the refined peak of its ``fidelity_scan`` and the best
+    point of a grid 16 times finer than the scan's."""
+    rng = random.Random(271)
+    nprng = np.random.default_rng(271)
+    pairs = [(build_path(2), 0, 1)]
+    for i in range(40):
+        g = scan_test_graph(rng, nprng, i)
+        pairs.append((g, *rng.sample(range(g.n), 2)))
+    readings = [decompose(g).pair(a, b) for g, a, b in pairs]
+    for t_max in (0.5, 30.0, 200.0):
+        for steps in (17, 6000):
+            bounds = pst.scan_bounds(readings, [t_max] * len(pairs), steps)
+            for (g, a, b), r, bound in zip(pairs, readings, bounds.tolist()):
+                assert bound >= fidelity_scan(g, a, b, t_max, steps)[1]
+                fine = 16 * steps
+                assert bound >= pointwise_peak(r.thetas, r.ab, 0.0, t_max / fine, fine)[1]
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_scan_bounds_never_settle_k1_k1(bridge):
+    # K1 - K1 across the bridge is the path itself, with transfer between
+    # its ends at pi / 2 (P2) or pi / sqrt 2 (P3)
+    k1 = Graph.from_edges(1)
+    z, ga, gb = compose(k1, 0, k1, 0, bridge)
+    reading = decompose(z).pair(ga, gb)
+    t_pst = pst_certificate(z, ga, gb).pst_time
+    for t_max in (max(2.5 * t_pst, 1.0), 30.0, 200.0):
+        for steps in (1, 17, 2000, 6000):
+            (bound,) = pst.scan_bounds([reading], [t_max], steps).tolist()
+            assert bound >= 1 - SCAN_THRESHOLD
+
+
 def test_batched_scan_memory_stays_bounded():
     z, ga, gb = bridge_composite()
     readings = [decompose(z).pair(ga, gb)] * 64

@@ -247,24 +247,35 @@ def test_search_parallel_matches_serial():
 
 def _count_scans(monkeypatch):
     """The number of pairs each batched scan of the search receives, one
-    entry a call."""
-    rows = []
-    original = verify.scan_phases
+    entry a call, and the bounds each ``scan_bounds`` call returns."""
+    rows, bounds = [], []
+    original, bound = verify.scan_phases, verify.scan_bounds
 
     def counting(phases, t_max, steps):
         rows.append(len(phases))
         return original(phases, t_max, steps)
 
+    def bounding(phases, t_max, steps):
+        bounds.append(bound(phases, t_max, steps))
+        return bounds[-1]
+
     monkeypatch.setattr(verify, "scan_phases", counting)
-    return rows
+    monkeypatch.setattr(verify, "scan_bounds", bounding)
+    return rows, bounds
 
 
 def test_search_scans_only_strongly_cospectral_pairs(monkeypatch):
-    scans = _count_scans(monkeypatch)
+    scans, bounds = _count_scans(monkeypatch)
     report = search_no_pst(2, 4)
     assert report.strongly_cospectral_pairs == 16
-    # one part, and the success is scanned at the failures' 6000 steps
-    assert scans == [report.strongly_cospectral_pairs]
+    # one part: the 15 failures reach the bound, which leaves one of them
+    # to the scan, and the success is scanned with it at the failures'
+    # 6000 steps
+    (bound,) = bounds
+    unsettled = int((bound >= 1 - SCAN_THRESHOLD).sum())
+    assert (len(bound), unsettled) == (15, 1)
+    assert scans == [1 + unsettled]
+    assert len(bound) + scans[0] - unsettled == report.strongly_cospectral_pairs
     # the ceiling settles the other failures, and they still count as checked
     assert report.scan_checked == 255
     assert report.ceiling_settled == 240
@@ -294,15 +305,37 @@ def _fix_ceilings(monkeypatch, value):
 
 
 def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
-    scans = _count_scans(monkeypatch)
+    scans, bounds = _count_scans(monkeypatch)
     _fix_ceilings(monkeypatch, 1.0)
     report = search_no_pst(2, 4)
     assert report.ceiling_settled == 0
     assert report.scan_checked == 255
-    # one scan an unordered pair: 16 sides make 16 * 17 / 2 = 136 of the 256
-    # ordered pairs, the K1 - K1 success among them
-    assert sum(scans) == 136
+    # 16 sides make 16 * 17 / 2 = 136 of the 256 ordered pairs: each of the
+    # 135 failures reaches the bound, and the K1 - K1 success and the
+    # failures the bound leaves reach the scan
+    (bound,) = bounds
+    unsettled = int((bound >= 1 - SCAN_THRESHOLD).sum())
+    assert len(bound) + 1 == 136
+    assert scans == [1 + unsettled]
     assert report.scan_disagreements == []
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+@pytest.mark.parametrize("ceiling", [None, 1.0], ids=["ceilings", "ceilings-at-1"])
+def test_search_reports_alike_when_the_bound_settles_nothing(monkeypatch, bridge, ceiling):
+    # a failure the bound settles is one whose scan would show no transfer,
+    # so a bound that settles nothing gives the same report; with every
+    # ceiling at 1 the cross-bucket failures reach the bound too
+    if ceiling is not None:
+        _fix_ceilings(monkeypatch, ceiling)
+    scans, _ = _count_scans(monkeypatch)
+    want = search_no_pst(bridge, 4).to_json()
+    scanned = sum(scans)
+    monkeypatch.setattr(verify, "scan_bounds", lambda phases, t_max, steps: np.full(len(phases), np.inf))
+    scans.clear()
+    assert search_no_pst(bridge, 4).to_json() == want
+    # unpatched, the bound settled some failures
+    assert sum(scans) > scanned
 
 
 def _per_pair_search(bridge, max_n, ceiling=None, scan_t_max=30.0, scan_steps=6000):
@@ -389,8 +422,9 @@ def test_search_lists_a_mirrored_pair_under_both_orders(monkeypatch):
     assert (report.instances_tested, report.strongly_cospectral_pairs) == (4, 4)
     assert len(report.pst_successes) == 4
     assert len({(s["pst_time"], s["scan_peak"]) for s in report.pst_successes}) == 1
-    # with every ceiling at 1 and every scan peaking at 1, each failure is a
-    # disagreement, and a mirrored pair's two have the same peak time
+    # with every ceiling and bound at 1 and every scan peaking at 1, each
+    # failure is a disagreement, and a mirrored pair's two have the same
+    # peak time
     _fix_ceilings(monkeypatch, 1.0)
     original = verify.scan_phases
 
@@ -399,6 +433,7 @@ def test_search_lists_a_mirrored_pair_under_both_orders(monkeypatch):
         return ts, np.ones_like(fs)
 
     monkeypatch.setattr(verify, "scan_phases", peaked)
+    monkeypatch.setattr(verify, "scan_bounds", lambda phases, t_max, steps: np.ones(len(phases)))
     report = search_no_pst(2, 3)
     names = [(verify._side_name(g), v) for g, v in marked_graphs(3)]
     failures = {(*p, *q) for p, q in itertools.product(names, repeat=2)} - {("@", 0, "@", 0)}
