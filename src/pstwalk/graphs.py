@@ -667,15 +667,6 @@ def _twins(w: list[list[float]]) -> list[int]:
     return twin
 
 
-class _Weights(list):
-    """A weight matrix as a list of rows, with its twins (``_twins``),
-    found once for every search that reads it."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.twin = _twins(self)
-
-
 def _least_order(
     w: list[list[float]], root: int | None, rows: bool
 ) -> tuple[tuple, list[int], list[list[int]]]:
@@ -697,10 +688,9 @@ def _least_order(
     The automorphisms met, each a list p with p[u] the image of u, are the
     twin swaps and the map from the first order with the best code so far
     to each later order with that code.  Without ``root`` they generate the
-    automorphism group: the search is closed under it, up to the twins cut.
-    A ``_Weights`` matrix gives its twins; others have them found here."""
+    automorphism group: the search is closed under it, up to the twins cut."""
     n = len(w)
-    twin = w.twin if isinstance(w, _Weights) else _twins(w)
+    twin = _twins(w)
     code: list[float] = []
     order: list[int] = []
     best: tuple | None = None
@@ -801,8 +791,7 @@ def _marked_classes(max_n: int) -> Iterator[tuple[Graph, int]]:
                     if not 0 < hood == least:
                         continue
                     new = [float(hood >> u & 1) for u in range(n - 1)]
-                    # a kept child is searched again, for its labelling
-                    grown = _Weights([row + [x] for row, x in zip(w, new)] + [new + [0.0]])
+                    grown = [row + [x] for row, x in zip(w, new)] + [new + [0.0]]
                     key, order, found = _least_order(grown, None, rows=True)
                     low = _orbit_minima(n, found)
                     last = next(
