@@ -13,7 +13,8 @@ fidelity 1 at the certified time.  ``pst_decision`` is the one certificate:
 it reads every number of a pair from its reading (``spectral.read_pairs``),
 a graph's own (a stack of one) or a pair of a stack of composites.  Every
 fidelity, at one time or over a scan, comes from one evaluator, the
-factorised grid of ``_peak``, which reads a stack of pairs at once.
+factorised grid of ``_peak``, which reads a stack of pairs over one window:
+a scan reads a stack of one, and only ``scan_bounds`` stacks several.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ class PstCertificate:
 # ---------------------------------------------------------------------------
 # fidelity
 
-def _peak(thetas: np.ndarray, weights: np.ndarray, lo: np.ndarray, dt: np.ndarray, steps: int):
+def _peak(thetas: np.ndarray, weights: np.ndarray, lo: float, dt: float, steps: int):
     """For each pair i of a stack, the best (t, |sum_r w_ir exp(i theta_ir t)|)
-    over the grid t_k = lo_i + k dt_i, k = 0 .. steps, as two arrays.
+    over the grid t_k = lo + k dt, k = 0 .. steps, as two arrays.
     ``thetas`` and ``weights`` are (pairs, d), a pair with fewer eigenvalues
-    padded with zero weights, which add nothing; ``lo`` and ``dt`` are
-    (pairs,).
+    padded with zero weights, which add nothing; every pair reads the same
+    window.
 
     The grid is factorised: with C = ceil(sqrt(steps + 1)), t_k = lo +
     (jC + i) dt, so a pair's amplitudes are the entries of coarse @ fine.T,
@@ -111,14 +112,13 @@ def _peak(thetas: np.ndarray, weights: np.ndarray, lo: np.ndarray, dt: np.ndarra
     ks, fs = [], []
     for p0 in range(0, count, group):
         th, w = thetas[p0 : p0 + group, None], weights[p0 : p0 + group, None]
-        step, start = dt[p0 : p0 + group, None], lo[p0 : p0 + group, None]
-        fine = np.exp(1j * ((np.arange(width) * step)[..., None] * th)) * w
+        fine = np.exp(1j * ((np.arange(width) * dt)[:, None] * th)) * w
         fine_t = fine.transpose(0, 2, 1)
         pairs = np.arange(len(fine))
         block = max(1, 200_000 // (width * len(fine)))
         for j0 in range(0, height, block):
             js = np.arange(j0, min(j0 + block, height))
-            coarse = np.exp(1j * ((start + js * width * step)[..., None] * th))
+            coarse = np.exp(1j * ((lo + js * width * dt)[:, None] * th))
             vals = np.abs(coarse @ fine_t).reshape(len(fine), -1)[:, : points - j0 * width]
             k = vals.argmax(axis=1)
             f = vals[pairs, k]
@@ -138,7 +138,7 @@ def phase_fidelity(reading: PairReading, t: float) -> float:
     """|<b| exp(itA) |a>| = |sum_r (E_r)_ab exp(i theta_r t)| at time t of
     one pair's reading, a one-point grid of ``_peak``."""
     thetas, weights = np.asarray(reading.thetas)[None], reading.ab[None]
-    return float(_peak(thetas, weights, np.array([float(t)]), np.zeros(1), 0)[1][0])
+    return float(_peak(thetas, weights, float(t), 0.0, 0)[1][0])
 
 
 def evolve_fidelity(g: Graph, a: int, b: int, t: float) -> float:
@@ -174,24 +174,13 @@ def check_scan(t_max: float, steps: int) -> None:
     _check_count("steps", steps, 1)
 
 
-def _stack(readings) -> tuple[np.ndarray, np.ndarray]:
-    """The phases theta_r and weights (E_r)_ab of a list of pairs'
-    readings as two (pairs, d) arrays, one row a pair, a pair with fewer
-    eigenvalues padded with zero weights, which add nothing."""
-    thetas = np.zeros((len(readings), max(len(r.ab) for r in readings)))
-    weights = np.zeros_like(thetas)
-    for i, r in enumerate(readings):
-        thetas[i, : len(r.ab)] = r.thetas
-        weights[i, : len(r.ab)] = r.ab
-    return thetas, weights
-
-
-def scan_bounds(readings, t_max, steps: int) -> np.ndarray:
+def scan_bounds(readings, t_max: float, steps: int) -> np.ndarray:
     """An upper bound on each pair's fidelity over the whole window
-    [0, t_max[i]], for a list of pairs given by their readings: the best
+    [0, t_max], for a list of pairs given by their readings: the best
     value of a grid of ceil(steps / _BOUND_COARSENING) intervals of
-    spacing h (``_peak``), plus sum_r |w_r| theta_r**2 h**2 / 8 with
-    w_r = (E_r)_ab.
+    spacing h (``_peak`` of the pairs as one stack, a pair with fewer
+    eigenvalues padded with zero weights), plus sum_r |w_r| theta_r**2 h**2
+    / 8 with w_r = (E_r)_ab.
 
     Let the fidelity peak at t* inside the window, and let g(t) be the real
     part of the amplitude turned back by its phase at t*, so g is at most
@@ -199,39 +188,39 @@ def scan_bounds(readings, t_max, steps: int) -> np.ndarray:
     t* and curvature at least -sum_r |w_r| theta_r**2, so at the grid point
     within h / 2 of t* the fidelity is at most the bound's second term below
     the peak.  A peak at an end of the window is itself a grid point.  The
-    caller checks each window (``check_scan``).
+    caller checks the window (``check_scan``).
     """
-    thetas, weights = _stack(readings)
-    t_max = np.asarray(t_max, dtype=float)
+    thetas = np.zeros((len(readings), max(len(r.ab) for r in readings)))
+    weights = np.zeros_like(thetas)
+    for i, r in enumerate(readings):
+        thetas[i, : len(r.ab)] = r.thetas
+        weights[i, : len(r.ab)] = r.ab
     intervals = -(-steps // _BOUND_COARSENING)
     h = t_max / intervals
-    _, best = _peak(thetas, weights, np.zeros(len(t_max)), h, intervals)
+    _, best = _peak(thetas, weights, 0.0, h, intervals)
     return best + (np.abs(weights) * thetas**2).sum(axis=1) * h**2 / 8
 
 
-def scan_phases(readings, t_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fidelity scans of a list of pairs, given by their readings (the
-    phases theta_r and (E_r)_ab), each over [0, t_max[i]] with ``steps``
-    intervals, as one stack through ``_peak``: the grid, then
-    _REFINE_GRIDS finer grids, each spanning one spacing of the grid
-    before it on either side of the pair's best point so far, clipped to
-    [0, t_max[i]], and kept only when it beats that point.  Returns the
-    arrays (t_best, fidelity_best).  The caller checks each window
-    (``check_scan``).
+def scan_phases(reading: PairReading, t_max: float, steps: int) -> tuple[float, float]:
+    """The fidelity scan of one pair, given by its reading (the phases
+    theta_r and (E_r)_ab), over [0, t_max] with ``steps`` intervals,
+    through ``_peak`` on a stack of one: the grid, then _REFINE_GRIDS finer
+    grids, each spanning one spacing of the grid before it on either side
+    of the best point so far, clipped to [0, t_max], and kept only when it
+    beats that point.  Returns (t_best, fidelity_best).  The caller checks
+    the window (``check_scan``).
     """
-    thetas, weights = _stack(readings)
-    t_max = np.asarray(t_max, dtype=float)
+    thetas, weights = np.asarray(reading.thetas)[None], reading.ab[None]
     dt = t_max / steps
-    best_t, best_f = _peak(thetas, weights, np.zeros(len(t_max)), dt, steps)
+    (best_t,), (best_f,) = _peak(thetas, weights, 0.0, dt, steps)
     for _ in range(_REFINE_GRIDS):
-        lo = np.maximum(0.0, best_t - dt)
-        dt = (np.minimum(t_max, best_t + dt) - lo) / _REFINE_STEPS
-        t, f = _peak(thetas, weights, lo, dt, _REFINE_STEPS)
-        better = f > best_f
-        best_t = np.where(better, t, best_t)
-        best_f = np.where(better, f, best_f)
+        lo = max(0.0, best_t - dt)
+        dt = (min(t_max, best_t + dt) - lo) / _REFINE_STEPS
+        (t,), (f,) = _peak(thetas, weights, lo, dt, _REFINE_STEPS)
+        if f > best_f:
+            best_t, best_f = t, f
     # lo + k dt may round past t_max by an ulp
-    return np.minimum(best_t, t_max), best_f
+    return float(min(best_t, t_max)), float(best_f)
 
 
 def fidelity_scan(
@@ -247,8 +236,7 @@ def fidelity_scan(
     """
     g._check_pair(a, b, "fidelity scan needs two distinct vertices")
     check_scan(t_max, steps)
-    t, f = scan_phases([decompose(g).pair(a, b)], [float(t_max)], steps)
-    return float(t[0]), float(f[0])
+    return scan_phases(decompose(g).pair(a, b), float(t_max), steps)
 
 
 # ---------------------------------------------------------------------------

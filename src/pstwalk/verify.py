@@ -196,42 +196,35 @@ def _quotient_embeds(g: Graph, b: list[list[int]]) -> bool:
 
 
 def verify_double_star_quotient_relations(k: int, n: int) -> bool:
-    """Desk check of the cone-with-loop quotient algebra.
+    """Desk check of the cone-with-loop quotient algebra, in exact integers.
 
     Builds the cone over a k-regular graph on n vertices, adds a +1 and a
     -1 loop at the apex, and checks:
 
-    * the 2x2 quotients are [[+-1, sqrt(n)], [sqrt(n), k]], with
-      eigenvalue product and sum k - n, k + 1 (plus loop) and -k - n,
-      k - 1 (minus loop), and the characteristic polynomial of the
-      integer cell matrix [[+-1, n], [1, k]] divides phi exactly;
+    * the integer cell matrices are [[+-1, n], [1, k]] (their symmetrized
+      quotients are [[+-1, sqrt(n)], [sqrt(n), k]]), with characteristic
+      polynomials t**2 - (k + 1) t + (k - n) (plus loop) and
+      t**2 - (k - 1) t + (-k - n) (minus loop), each dividing phi exactly;
     * the shifted identification, eigenvalues of the minus quotient being
-      exactly theta_i - 1, holds precisely when k = 0 (it forces
-      (theta_1 - 1)(theta_2 - 1) = -k - n, which the quotient algebra
-      only allows at k = 0).
+      exactly theta_i - 1, holds precisely when k = 0: it forces
+      (theta_1 - 1)(theta_2 - 1), which is phi_{B+}(1) = -n, to equal
+      -k - n.
     """
-    base = build_regular(n, k)
-    y = cone(base)
+    y = cone(build_regular(n, k))
     rest = list(range(1, n + 1))
-    # rounding of a product or sum of the quotient's eigenvalues
-    tol = GROUPING_TOL * (abs(k) + n + 1)
     results = []
-    thetas = None
     for sign in (+1, -1):
         yl = y.with_loop(0, sign)
-        q = equitable_quotient(yl, [[0], rest]).quotient
-        expected = np.array([[float(sign), math.sqrt(n)], [math.sqrt(n), float(k)]])
-        ok = bool(np.allclose(q, expected, atol=GROUPING_TOL))
-        lam = _eig_desc(q)
-        prod_ok = abs(lam[0] * lam[1] - (sign * k - n)) <= tol
-        sum_ok = abs(lam[0] + lam[1] - (k + sign)) <= tol
-        embed_ok = _quotient_embeds(yl, _cell_counts(yl, [[0], rest]))
-        results.append(ok and prod_ok and sum_ok and embed_ok)
+        b = _cell_counts(yl, [[0], rest])
+        poly = xp._charpoly_of_rows(b)
+        results.append(
+            b == [[sign, n], [1, k]]
+            and poly == xp.IntPoly((sign * k - n, -(k + sign), 1))
+            and _quotient_embeds(yl, b)
+        )
         if sign == +1:
-            thetas = lam
-    shifted = (thetas[0] - 1.0) * (thetas[1] - 1.0)
-    identification = abs(shifted - (-k - n)) <= tol
-    results.append(identification == (k == 0))
+            plus = poly
+    results.append((plus(1) == -k - n) == (k == 0))
     return all(results)
 
 
@@ -439,11 +432,12 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
     success or disagreement is recorded under both orders.  The rows that
     the keys and the ceiling settle are counted as arrays.  A row whose
     keys agree, or whose ceiling reaches 1 - SCAN_THRESHOLD, is decided
-    from its slice of the chunk's readings (``pst.pst_decision``), and its
-    fidelity scan waits with every other scan of these chunks until the
-    last is done.  Then the failures' bounds are read as one stack
-    (``pst.scan_bounds``), and the scans that the bounds leave run as one
-    stack per grid size (``pst.scan_phases``)."""
+    from its slice of the chunk's readings (``pst.pst_decision``).  A
+    success is scanned and confirmed there (``pst.scan_phases``).  A
+    failure waits as (orders, reading) until the last chunk is done; then
+    the failures' bounds are read as one stack (``pst.scan_bounds``), and
+    each failure whose bound reaches 1 - SCAN_THRESHOLD is scanned on its
+    own."""
     report = SearchReport(bridge=bridge, max_n=0, source="")
     keys = [xp.walk_gf(g, v) for g, v in sides]
     # each key as a small integer, so a chunk compares its pairs' keys as arrays
@@ -457,8 +451,7 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
         place[i] = len(by_order.setdefault(g.n, []))
         by_order[g.n].append(g.weights)
     stacks = {n: np.stack(ws) for n, ws in by_order.items()}
-    # grid steps -> [(y1, a, y2, b, mirrored, reading, t_max, pst_time or None for a failure)]
-    scans: dict = {}
+    # (orders, reading) of each failure the ceiling leaves
     failures = []
     for first, second, lo, hi in chunks:
         i1, i2 = _shape_pairs(first, second, np.arange(lo, hi))
@@ -503,7 +496,8 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
             reading = readings[row]
             cert = pst_decision(classes, reading, a, n1 + b)
             reason = cert.failure_reason
-            pair = (y1, a, y2, b, i != j, reading)
+            # |U_ab(t)| = |U_ba(t)|, so the mirror reads the same scan
+            orders = [(y1, a, y2, b), (y2, b, y1, a)][: 1 + (i != j)]
             if reason == "not_strongly_cospectral":
                 report.max_ceiling = max(report.max_ceiling, ceiling)
             else:
@@ -516,39 +510,32 @@ def _search_part(sides, chunks, bridge, scan_cross_check, scan_t_max, scan_steps
                     )
             if cert.success:
                 t_max = max(2.5 * cert.pst_time, 1.0)
-                scans.setdefault(max(scan_steps, 2000), []).append((*pair, t_max, cert.pst_time))
-                continue
-            report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + weight
-            if not scan_cross_check:
-                continue
-            report.scan_checked += weight
-            failures.append((*pair, scan_t_max, None))
-        # this chunk's eigenvectors go before the next ones are made
-        del vectors
-    if failures:
-        *_, readings, t_max, _ = zip(*failures)
-        # a bound below the threshold rules transfer out over the whole window
-        for failure, bound in zip(failures, scan_bounds(readings, t_max, scan_steps).tolist()):
-            if bound >= 1.0 - SCAN_THRESHOLD:
-                scans.setdefault(scan_steps, []).append(failure)
-    for steps, batch in scans.items():
-        *_, readings, t_max, _ = zip(*batch)
-        ts, fs = scan_phases(readings, t_max, steps)
-        for (y1, a, y2, b, mirrored, *_, pst_time), t_best, f_best in zip(
-            batch, ts.tolist(), fs.tolist()
-        ):
-            # |U_ab(t)| = |U_ba(t)|, so the mirror reads the same scan
-            orders = [(y1, a, y2, b), (y2, b, y1, a)][: 1 + mirrored]
-            if pst_time is not None:
+                _, f_best = scan_phases(reading, t_max, max(scan_steps, 2000))
                 if f_best < 1.0 - SCAN_THRESHOLD:
                     raise RuntimeError(
                         f"certificate success not confirmed by scan: "
                         f"{_pair_record(y1, a, y2, b)}, max fidelity {f_best}"
                     )
                 report.pst_successes += [
-                    _pair_record(*names, pst_time=pst_time, scan_peak=f_best) for names in orders
+                    _pair_record(*names, pst_time=cert.pst_time, scan_peak=f_best)
+                    for names in orders
                 ]
-            elif f_best >= 1.0 - SCAN_THRESHOLD:
+                continue
+            report.failure_histogram[reason] = report.failure_histogram.get(reason, 0) + weight
+            if not scan_cross_check:
+                continue
+            report.scan_checked += weight
+            failures.append((orders, reading))
+        # this chunk's eigenvectors go before the next ones are made
+        del vectors
+    if failures:
+        bounds = scan_bounds([reading for _, reading in failures], scan_t_max, scan_steps)
+        # a bound below the threshold rules transfer out over the whole window
+        for (orders, reading), bound in zip(failures, bounds.tolist()):
+            if bound < 1.0 - SCAN_THRESHOLD:
+                continue
+            t_best, f_best = scan_phases(reading, scan_t_max, scan_steps)
+            if f_best >= 1.0 - SCAN_THRESHOLD:
                 # approximate transfer can creep arbitrarily close to 1, so
                 # only a violation of the certificate threshold counts
                 report.scan_disagreements += [
@@ -600,12 +587,13 @@ def search_no_pst(
     composed, the only composite Graph the search builds, for the exact
     decision ``spectral.strongly_cospectral_exact``, which raises when
     True.
-    Certified successes are re-verified by a fidelity scan.  Failures are
-    optionally cross-checked.  The scans run after a worker's last chunk,
-    as one stack per grid size (``pst.scan_phases``); a ``scan_t_max``
-    that is not positive and finite, a ``scan_steps`` or a ``jobs`` that
-    is not an integer of at least 1, or a ``max_n`` that is not an integer
-    of at least 0, raises ``ValueError`` before any work.
+    Certified successes are re-verified by a fidelity scan
+    (``pst.scan_phases``, one pair at a time) where they are certified.
+    Failures are optionally cross-checked, after a worker's last chunk;
+    a ``scan_t_max`` that is not positive and finite, a ``scan_steps`` or
+    a ``jobs`` that is not an integer of at least 1, or a ``max_n`` that
+    is not an integer of at least 0, raises ``ValueError`` before any
+    work.
     The fidelity ceiling bounds the fidelity at every t, so a ceiling below
     1 - SCAN_THRESHOLD settles the failure.  Otherwise, as on every
     strongly cospectral pair, the failure's fidelity over [0, scan_t_max]

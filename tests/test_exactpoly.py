@@ -1227,6 +1227,15 @@ def test_walk_gf_reduction():
     assert f.den.coeffs == (-2, 0, 1)
 
 
+def test_rational_function_divides_out_content_and_sign():
+    # 2 / (4t) keeps no common integer factor, and 1 / (-t) moves the sign
+    # of its denominator's leading coefficient to the numerator
+    half = xp.RationalFunction(IntPoly((2,)), IntPoly((0, 4)))
+    assert (half.num.coeffs, half.den.coeffs) == ((1,), (0, 2))
+    flipped = xp.RationalFunction(IntPoly((1,)), IntPoly((0, -1)))
+    assert (flipped.num.coeffs, flipped.den.coeffs) == ((-1,), (0, 1))
+
+
 def beyond_int64_path():
     """Path 0-1-2-3 with a 2**70 edge, a negative edge and loops."""
     w = np.zeros((4, 4))

@@ -273,10 +273,11 @@ def test_fidelity_scan_memory_stays_bounded():
     assert held < 32 * 2**20
 
 
-def test_batched_scans_match_single_scans():
-    """One stacked scan of pairs with up to 10 distinct eigenvalues, the
-    shorter ones padded with zero weights, gives each pair's own
-    ``fidelity_scan``, number for number, at every grid size."""
+def test_batched_bounds_match_single_bounds():
+    """One stack of pairs with up to 10 distinct eigenvalues, the shorter
+    ones padded with zero weights, gives each pair its own ``scan_bounds``
+    in every window and at every grid size, up to the rounding of sums
+    that the padding regroups."""
     rng = random.Random(271)
     nprng = np.random.default_rng(271)
     pairs = [(build_path(2), 0, 1)]
@@ -285,16 +286,16 @@ def test_batched_scans_match_single_scans():
         pairs.append((g, *rng.sample(range(g.n), 2)))
     readings = [decompose(g).pair(a, b) for g, a, b in pairs]
     assert len({len(r.thetas) for r in readings}) > 5
-    t_max = [rng.choice([0.5, 30.0, 200.0]) for _ in pairs]
-    for steps in (1, 17, 6000):
-        ts, fs = pst.scan_phases(readings, t_max, steps)
-        for (g, a, b), tm, t, f in zip(pairs, t_max, ts.tolist(), fs.tolist()):
-            assert (t, f) == fidelity_scan(g, a, b, tm, steps)
+    for t_max in (0.5, 30.0, 200.0):
+        for steps in (1, 17, 6000):
+            bounds = pst.scan_bounds(readings, t_max, steps)
+            singles = [pst.scan_bounds([r], t_max, steps)[0] for r in readings]
+            assert bounds == pytest.approx(singles, rel=1e-14, abs=1e-14)
 
 
 def test_scan_bounds_hold_over_the_whole_window():
     """The bound of each of the 41 seeded pairs of
-    ``test_batched_scans_match_single_scans``, in each of its three windows,
+    ``test_batched_bounds_match_single_bounds``, in each of its three windows,
     is at least the refined peak of its ``fidelity_scan`` and the best
     point of a grid 16 times finer than the scan's."""
     rng = random.Random(271)
@@ -306,7 +307,7 @@ def test_scan_bounds_hold_over_the_whole_window():
     readings = [decompose(g).pair(a, b) for g, a, b in pairs]
     for t_max in (0.5, 30.0, 200.0):
         for steps in (17, 6000):
-            bounds = pst.scan_bounds(readings, [t_max] * len(pairs), steps)
+            bounds = pst.scan_bounds(readings, t_max, steps)
             for (g, a, b), r, bound in zip(pairs, readings, bounds.tolist()):
                 assert bound >= fidelity_scan(g, a, b, t_max, steps)[1]
                 fine = 16 * steps
@@ -323,20 +324,22 @@ def test_scan_bounds_never_settle_k1_k1(bridge):
     t_pst = pst_certificate(z, ga, gb).pst_time
     for t_max in (max(2.5 * t_pst, 1.0), 30.0, 200.0):
         for steps in (1, 17, 2000, 6000):
-            (bound,) = pst.scan_bounds([reading], [t_max], steps).tolist()
+            (bound,) = pst.scan_bounds([reading], t_max, steps).tolist()
             assert bound >= 1 - SCAN_THRESHOLD
 
 
-def test_batched_scan_memory_stays_bounded():
+def test_batched_bound_memory_stays_bounded():
     z, ga, gb = bridge_composite()
     readings = [decompose(z).pair(ga, gb)] * 64
+    # a grid of 200 000 intervals, 16 times coarser than the scan's
+    steps = 200_000 * pst._BOUND_COARSENING
     tracemalloc.start()
     try:
-        ts, fs = pst.scan_phases(readings, [30.0] * 64, 200_000)
+        bounds = pst.scan_bounds(readings, 30.0, steps)
         _, held = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert set(zip(ts.tolist(), fs.tolist())) == {fidelity_scan(z, ga, gb, 30.0, 200_000)}
+    assert set(bounds.tolist()) == {pst.scan_bounds(readings[:1], 30.0, steps)[0]}
     # the 64 x 200 001 amplitudes alone would take 205 MB
     assert held < 32 * 2**20
 

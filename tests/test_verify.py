@@ -3,10 +3,12 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import json
 import math
 import operator
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,16 @@ def test_check_cauchy_detects_direction(monkeypatch):
     assert not check_cauchy(a, s)
 
 
+def test_check_cauchy_detects_the_lower_direction(monkeypatch):
+    # eigenvalues of the compression B read 10 too low break the
+    # reversed-order inequality
+    a = np.diag([3.0, 1.0, -2.0])
+    s = np.eye(3)[:, :2]
+    eig_desc = verify._eig_desc
+    monkeypatch.setattr(verify, "_eig_desc", lambda m: eig_desc(m) - 10.0 * (len(m) == 2))
+    assert not check_cauchy(a, s)
+
+
 def test_check_cauchy_rejects_bad_isometry():
     a = np.eye(3)
     with pytest.raises(ValueError):
@@ -93,6 +105,21 @@ def test_check_weyl_and_kyfan(monkeypatch):
     monkeypatch.setattr(verify, "_eig_desc", lambda m: eig_desc(m) + 5.0 * (m[0, 0] == 2))
     assert not check_weyl(a, b)
     assert not check_kyfan(a, b)
+
+
+def test_check_weyl_detects_the_lower_bound(monkeypatch):
+    # eigenvalues of A + B read 5 too low break the lower Weyl bound, and
+    # leave the Ky Fan sums below their bound
+    a = b = np.diag([1.0, 0.0])
+    eig_desc = verify._eig_desc
+    monkeypatch.setattr(verify, "_eig_desc", lambda m: eig_desc(m) - 5.0 * (m[0, 0] == 2))
+    assert not check_weyl(a, b)
+    assert check_kyfan(a, b)
+
+
+def test_check_kyfan_rejects_unequal_shapes():
+    with pytest.raises(ValueError, match="equal shape"):
+        check_kyfan(np.eye(2), np.eye(3))
 
 
 def test_equitable_quotient_star():
@@ -181,6 +208,16 @@ def test_support_correspondence_requires_strongly_cospectral_ends(monkeypatch):
         verify_support_correspondence_p2(p2, 0, p2, 0)
 
 
+def test_support_correspondence_detects_swapped_classes(monkeypatch):
+    # the sides' classes are compared with the composite's own, so a
+    # bridge_classes that swaps its pair fails both correspondences
+    right = xp.bridge_classes
+    monkeypatch.setattr(xp, "bridge_classes", lambda key, bridge: right(key, bridge)[::-1])
+    p2 = build_path(2)
+    assert not verify_support_correspondence_p2(p2, 0, p2, 0)
+    assert not verify_support_correspondence_p3(p2, 0, p2, 0)
+
+
 def test_support_correspondence_star_centers():
     s3 = build_star(3)
     assert verify_support_correspondence_p2(s3, 0, s3, 0)
@@ -246,14 +283,14 @@ def test_search_parallel_matches_serial():
 
 
 def _count_scans(monkeypatch):
-    """The number of pairs each batched scan of the search receives, one
-    entry a call, and the bounds each ``scan_bounds`` call returns."""
-    rows, bounds = [], []
+    """The grid size of each pair the search scans, one entry a scan, and
+    the bounds each ``scan_bounds`` call returns."""
+    grids, bounds = [], []
     original, bound = verify.scan_phases, verify.scan_bounds
 
-    def counting(phases, t_max, steps):
-        rows.append(len(phases))
-        return original(phases, t_max, steps)
+    def counting(reading, t_max, steps):
+        grids.append(steps)
+        return original(reading, t_max, steps)
 
     def bounding(phases, t_max, steps):
         bounds.append(bound(phases, t_max, steps))
@@ -261,7 +298,7 @@ def _count_scans(monkeypatch):
 
     monkeypatch.setattr(verify, "scan_phases", counting)
     monkeypatch.setattr(verify, "scan_bounds", bounding)
-    return rows, bounds
+    return grids, bounds
 
 
 def test_search_scans_only_strongly_cospectral_pairs(monkeypatch):
@@ -269,13 +306,13 @@ def test_search_scans_only_strongly_cospectral_pairs(monkeypatch):
     report = search_no_pst(2, 4)
     assert report.strongly_cospectral_pairs == 16
     # one part: the 15 failures reach the bound, which leaves one of them
-    # to the scan, and the success is scanned with it at the failures'
-    # 6000 steps
+    # to the scan, and the success is scanned too, at the failures' 6000
+    # steps
     (bound,) = bounds
     unsettled = int((bound >= 1 - SCAN_THRESHOLD).sum())
     assert (len(bound), unsettled) == (15, 1)
-    assert scans == [1 + unsettled]
-    assert len(bound) + scans[0] - unsettled == report.strongly_cospectral_pairs
+    assert scans == [6000] * (1 + unsettled)
+    assert len(bound) + len(scans) - unsettled == report.strongly_cospectral_pairs
     # the ceiling settles the other failures, and they still count as checked
     assert report.scan_checked == 255
     assert report.ceiling_settled == 240
@@ -316,7 +353,7 @@ def test_search_scans_every_failure_under_a_ceiling_of_one(monkeypatch):
     (bound,) = bounds
     unsettled = int((bound >= 1 - SCAN_THRESHOLD).sum())
     assert len(bound) + 1 == 136
-    assert scans == [1 + unsettled]
+    assert len(scans) == 1 + unsettled
     assert report.scan_disagreements == []
 
 
@@ -330,12 +367,12 @@ def test_search_reports_alike_when_the_bound_settles_nothing(monkeypatch, bridge
         _fix_ceilings(monkeypatch, ceiling)
     scans, _ = _count_scans(monkeypatch)
     want = search_no_pst(bridge, 4).to_json()
-    scanned = sum(scans)
+    scanned = len(scans)
     monkeypatch.setattr(verify, "scan_bounds", lambda phases, t_max, steps: np.full(len(phases), np.inf))
     scans.clear()
     assert search_no_pst(bridge, 4).to_json() == want
     # unpatched, the bound settled some failures
-    assert sum(scans) > scanned
+    assert len(scans) > scanned
 
 
 def _per_pair_search(bridge, max_n, ceiling=None, scan_t_max=30.0, scan_steps=6000):
@@ -384,16 +421,47 @@ def _per_pair_search(bridge, max_n, ceiling=None, scan_t_max=30.0, scan_steps=60
 @pytest.mark.parametrize("ceiling", [None, 1.0], ids=["ceilings", "ceilings-at-1"])
 def test_search_matches_the_per_pair_oracle(monkeypatch, bridge, ceiling):
     # floats included: every number a same-bucket pair reads from its stack
-    # row, and every batched scan, is the one its own composite gives
+    # row, and every scan, is the one its own composite gives
     want = _per_pair_search(bridge, 4, ceiling).to_json()
     if ceiling is not None:
         _fix_ceilings(monkeypatch, ceiling)
     got = search_no_pst(bridge, 4).to_json()
     assert got == want
     assert got["pst_successes"] and got["strongly_cospectral_pairs"] == 16
-    # a grid of fewer than 2000 steps puts the success in a batch of its own
+    # a grid of fewer than 2000 steps still scans the success at 2000
     short = _per_pair_search(bridge, 3, ceiling, scan_t_max=7.5, scan_steps=300).to_json()
     assert search_no_pst(bridge, 3, scan_t_max=7.5, scan_steps=300).to_json() == short
+
+
+GOLDEN_SEARCH = Path(__file__).resolve().parent / "golden_search_reports.json"
+# the report's floats, which may round differently on another BLAS
+_GOLDEN_FLOATS = {"max_ceiling", "pst_time", "scan_peak"}
+
+
+def _assert_report_matches(got, want, key=None):
+    """Every exact field of ``got`` equals ``want``'s, and each field named
+    in _GOLDEN_FLOATS is within 1e-12."""
+    if key in _GOLDEN_FLOATS:
+        assert abs(got - want) <= 1e-12, key
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), key
+        for k in want:
+            _assert_report_matches(got[k], want[k], k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            _assert_report_matches(g, w, key)
+    else:
+        assert got == want, key
+
+
+@pytest.mark.parametrize("bridge", [2, 3])
+def test_search_reports_match_the_golden_file(bridge):
+    # every pair of marked graphs on at most 5 vertices: a change to the
+    # search that moves a decision, a count or a scan shows here
+    want = json.loads(GOLDEN_SEARCH.read_text())[str(bridge)]
+    got = json.loads(json.dumps(search_no_pst(bridge, 5).to_json()))
+    _assert_report_matches(got, want)
 
 
 @pytest.mark.parametrize("bridge", [2, 3])
@@ -451,8 +519,8 @@ def test_search_rejects_a_low_ceiling_on_strongly_cospectral_pairs(monkeypatch):
 
 
 def test_search_rejects_a_success_the_scan_does_not_confirm(monkeypatch):
-    def low_peaks(readings, t_max, steps):
-        return np.zeros(len(readings)), np.full(len(readings), 0.5)
+    def low_peaks(reading, t_max, steps):
+        return 0.0, 0.5
 
     monkeypatch.setattr(verify, "scan_phases", low_peaks)
     # K1 - K1 across the bridge is P2, which certifies transfer at pi / 2
@@ -1004,3 +1072,28 @@ def test_suite_result_json():
     assert data["passed"] is True
     assert data["suite"] == "onesum"
     assert data["instances"] == 15
+
+
+def test_bridge_factorization_instance_detects_each_failure(monkeypatch):
+    # halves that read as not walk equivalent, then a bridge charpoly of 1
+    monkeypatch.setattr(xp, "walk_equivalent", lambda *args: False)
+    assert not verify.check_bridge_factorization_instance(random.Random(0))
+    monkeypatch.undo()
+    monkeypatch.setattr(xp, "bridge_charpoly_p2", lambda *args: xp.IntPoly((1,)))
+    assert not verify.check_bridge_factorization_instance(random.Random(0))
+
+
+def test_suites_record_each_failure(monkeypatch):
+    monkeypatch.setattr(verify, "check_onesum_instance", lambda rng: False)
+    assert verify.suite_onesum(1).failures == ["onesum #0"]
+    # a path-sum failure skips the instance's spot check
+    monkeypatch.setattr(verify, "check_pathsum_instance", lambda rng: False)
+    assert verify.suite_neutrino(2).failures == ["path-sum #0", "path-sum #1"]
+    monkeypatch.undo()
+    # the spot check of instance 0 reads every projector entry 10 too high
+    right = spectral.projector_entry_via_neutrino
+    monkeypatch.setattr(
+        spectral, "projector_entry_via_neutrino", lambda *args: right(*args) + 10.0
+    )
+    failures = verify.suite_neutrino(1).failures
+    assert failures and all(f.startswith("projector-entry #0 theta=") for f in failures)
